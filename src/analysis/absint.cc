@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <bit>
-#include <deque>
 #include <limits>
 #include <optional>
 #include <unordered_map>
 
 #include "cfg/cfg.hh"
+#include "common/ring_queue.hh"
 
 namespace dmp::analysis
 {
@@ -608,29 +608,44 @@ class Engine
     }
 
     State initialState() const;
-    State havocState(const State &s) const;
-    static State joinStates(const State &a, const State &b);
-    static bool statesEqual(const State &a, const State &b);
+    /** Clobber everything a callee may write: every register, every
+     *  slot and untracked memory. */
+    static void havoc(State &s);
+    /**
+     * Join `src` into `dst` in place, widening each element against its
+     * old value when `widen` is set. Returns true when `dst` changed.
+     * Outside widening an element equal to the incoming one is left
+     * untouched (join(a, a) = a; see DESIGN.md on reduce()).
+     */
+    static bool joinState(State &dst, const State &src, bool widen);
 
     /** Dataflow effect of a non-control instruction. */
     void applyTransfer(const Inst &inst, State &s) const;
 
     /**
-     * Enumerate the concrete in-image targets of an indirect jump
-     * whose abstract target is v. nullopt: not enumerable (smear).
+     * Enumerate into `out` the concrete in-image targets of an
+     * indirect jump whose abstract target is v. False: not enumerable
+     * (smear).
      */
-    std::optional<std::vector<std::uint32_t>>
-    enumerateTargets(const AbsVal &v) const;
+    bool enumerateTargets(const AbsVal &v,
+                          std::vector<std::uint32_t> &out) const;
 
-    /** All (successor index, out-state) edges of instruction idx.
-     *  Unresolvable indirects report via `smearOut` instead. */
-    std::vector<std::pair<std::size_t, State>>
-    outEdges(std::size_t idx, const State &in, State *smearOut) const;
+    /**
+     * Pass every (successor index, out-state) edge of instruction idx
+     * to sink(t, out), in a fixed order. `s` holds the in-state of idx
+     * on entry and is rewritten into each out-state in turn, so the
+     * caller passes a copy it may lose. Returns true, with `s`
+     * untouched, when idx is an unresolvable indirect jump: its state
+     * must join the smear instead.
+     */
+    template <typename Sink>
+    bool outEdges(std::size_t idx, State &s, Sink &&sink);
 
     const isa::Program &prog;
     const AbsintOptions &opts;
     std::vector<Word> slotAddrs;
     std::unordered_map<Word, Word> image;
+    std::vector<std::uint32_t> targets; ///< outEdges' JR/RET target set
 };
 
 Engine::State
@@ -653,44 +668,41 @@ Engine::initialState() const
     return s;
 }
 
-Engine::State
-Engine::havocState(const State &s) const
+void
+Engine::havoc(State &s)
 {
-    State h;
-    h.reachable = s.reachable;
-    h.memHavoc = true;
-    h.regs.fill(AbsVal::top());
-    h.slots.assign(slotAddrs.size(), AbsVal::top());
-    return h;
-}
-
-Engine::State
-Engine::joinStates(const State &a, const State &b)
-{
-    if (!a.reachable)
-        return b;
-    if (!b.reachable)
-        return a;
-    State r;
-    r.reachable = true;
-    r.memHavoc = a.memHavoc || b.memHavoc;
-    for (std::size_t i = 0; i < a.regs.size(); ++i)
-        r.regs[i] = AbsVal::join(a.regs[i], b.regs[i]);
-    r.slots.resize(a.slots.size());
-    for (std::size_t i = 0; i < a.slots.size(); ++i)
-        r.slots[i] = AbsVal::join(a.slots[i], b.slots[i]);
-    return r;
+    s.memHavoc = true;
+    s.regs.fill(AbsVal::top());
+    std::fill(s.slots.begin(), s.slots.end(), AbsVal::top());
 }
 
 bool
-Engine::statesEqual(const State &a, const State &b)
+Engine::joinState(State &dst, const State &src, bool widen)
 {
-    if (a.reachable != b.reachable)
+    if (!src.reachable)
         return false;
-    if (!a.reachable)
+    if (!dst.reachable) {
+        dst = src;
         return true;
-    return a.memHavoc == b.memHavoc && a.regs == b.regs &&
-           a.slots == b.slots;
+    }
+    bool changed = src.memHavoc && !dst.memHavoc;
+    dst.memHavoc = dst.memHavoc || src.memHavoc;
+    auto joinVal = [&](AbsVal &d, const AbsVal &v) {
+        if (!widen && d == v)
+            return;
+        AbsVal j = AbsVal::join(d, v);
+        if (widen)
+            j = AbsVal::widen(d, j);
+        if (j != d) {
+            d = j;
+            changed = true;
+        }
+    };
+    for (std::size_t i = 0; i < dst.regs.size(); ++i)
+        joinVal(dst.regs[i], src.regs[i]);
+    for (std::size_t i = 0; i < dst.slots.size(); ++i)
+        joinVal(dst.slots[i], src.slots[i]);
+    return changed;
 }
 
 void
@@ -789,15 +801,16 @@ Engine::applyTransfer(const Inst &inst, State &s) const
     }
 }
 
-std::optional<std::vector<std::uint32_t>>
-Engine::enumerateTargets(const AbsVal &v) const
+bool
+Engine::enumerateTargets(const AbsVal &v,
+                         std::vector<std::uint32_t> &out) const
 {
-    std::vector<std::uint32_t> out;
+    out.clear();
     if (v.isEmpty())
-        return out; // infeasible jump: no successors
+        return true; // infeasible jump: no successors
     const Word cap = Word(opts.maxIndirectTargets);
     if (v.count(cap + 1) > cap)
-        return std::nullopt;
+        return false;
     // A jump outside the image faults concretely (nothing retires past
     // it), so only contained candidates become edges. Misaligned
     // candidates floor to an instruction index exactly as fetch() does.
@@ -816,7 +829,7 @@ Engine::enumerateTargets(const AbsVal &v) const
     } else {
         const Word unknown = ~(v.zeros | v.ones);
         if (std::popcount(unknown) > 12)
-            return std::nullopt;
+            return false;
         // Enumerate the unknown-bit subsets (known bits fixed).
         for (Word sub = 0;; sub = (sub - unknown) & unknown) {
             addCandidate(v.ones | sub);
@@ -826,15 +839,15 @@ Engine::enumerateTargets(const AbsVal &v) const
     }
     std::sort(out.begin(), out.end());
     out.erase(std::unique(out.begin(), out.end()), out.end());
-    return out;
+    return true;
 }
 
-std::vector<std::pair<std::size_t, Engine::State>>
-Engine::outEdges(std::size_t idx, const State &in, State *smearOut) const
+template <typename Sink>
+bool
+Engine::outEdges(std::size_t idx, State &s, Sink &&sink)
 {
-    std::vector<std::pair<std::size_t, State>> edges;
-    if (!in.reachable)
-        return edges;
+    if (!s.reachable)
+        return false;
     const Inst &inst = prog.instAt(idx);
     const std::size_t n = prog.size();
     const Addr pc = prog.baseAddr() + Addr(idx) * kInstBytes;
@@ -850,41 +863,44 @@ Engine::outEdges(std::size_t idx, const State &in, State *smearOut) const
         break;
       case Opcode::JMP:
         if (const std::size_t t = targetIdx(); t < n)
-            edges.emplace_back(t, in);
+            sink(t, s);
         break;
       case Opcode::CALL: {
         if (const std::size_t t = targetIdx(); t < n) {
-            State callee = in;
-            setReg(callee, isa::kLinkReg,
-                   AbsVal::constant(pc + kInstBytes));
-            edges.emplace_back(t, std::move(callee));
+            setReg(s, isa::kLinkReg, AbsVal::constant(pc + kInstBytes));
+            sink(t, s);
         }
         if (idx + 1 < n) {
             // Summary edge across the call: the callee may clobber any
             // register (including the link) and any memory.
-            edges.emplace_back(idx + 1, havocState(in));
+            havoc(s);
+            sink(idx + 1, s);
         }
         break;
       }
       case Opcode::JR:
-      case Opcode::RET: {
-        const AbsVal target = val(in, inst.rs1);
-        if (auto targets = enumerateTargets(target)) {
-            for (std::uint32_t t : *targets)
-                edges.emplace_back(std::size_t(t), in);
-        } else if (smearOut) {
-            *smearOut = joinStates(*smearOut, in);
-        }
+      case Opcode::RET:
+        if (!enumerateTargets(val(s, inst.rs1), targets))
+            return true;
+        for (std::uint32_t t : targets)
+            sink(std::size_t(t), s);
         break;
-      }
       default:
         if (isa::isCondBranch(inst.op)) {
+            // Refine both arms up front: the first edge rewrites s.
+            AbsVal a[2], b[2]; // [0] = fall, [1] = taken
+            if (inst.rs1 != inst.rs2) {
+                for (const bool taken : {false, true}) {
+                    a[taken] = val(s, inst.rs1);
+                    b[taken] = val(s, inst.rs2);
+                    refineBranch(inst.op, taken, a[taken], b[taken]);
+                }
+            }
             for (const bool taken : {true, false}) {
                 const std::size_t succ =
                     taken ? targetIdx() : idx + 1;
                 if (succ >= n)
                     continue;
-                State out = in;
                 if (inst.rs1 == inst.rs2) {
                     // Same register on both sides: the comparison is
                     // decided by the opcode alone.
@@ -895,25 +911,19 @@ Engine::outEdges(std::size_t idx, const State &in, State *smearOut) const
                     if (taken != always)
                         continue;
                 } else {
-                    AbsVal a = val(in, inst.rs1);
-                    AbsVal b = val(in, inst.rs2);
-                    refineBranch(inst.op, taken, a, b);
-                    if (a.isEmpty() || b.isEmpty())
+                    if (a[taken].isEmpty() || b[taken].isEmpty())
                         continue; // infeasible arm
-                    setReg(out, inst.rs1, a);
-                    setReg(out, inst.rs2, b);
+                    setReg(s, inst.rs1, a[taken]);
+                    setReg(s, inst.rs2, b[taken]);
                 }
-                edges.emplace_back(succ, std::move(out));
+                sink(succ, s);
             }
-        } else {
-            if (idx + 1 < n) {
-                State out = in;
-                applyTransfer(inst, out);
-                edges.emplace_back(idx + 1, std::move(out));
-            }
+        } else if (idx + 1 < n) {
+            applyTransfer(inst, s);
+            sink(idx + 1, s);
         }
     }
-    return edges;
+    return false;
 }
 
 AbsintResult
@@ -958,33 +968,21 @@ Engine::run()
     std::vector<State> in(n);
     std::vector<unsigned> joins(n, 0);
     std::vector<char> queued(n, 0);
-    std::deque<std::uint32_t> worklist;
+    // Each index is queued at most once, so n slots never grow.
+    RingQueue<std::uint32_t> worklist(n);
     State smear; // join of every unresolvable indirect out-state
-    bool smearActive = false;
+    State cur;   // the popped in-state, rewritten into its out-states
 
     in[0] = initialState();
     worklist.push_back(0);
     queued[0] = 1;
 
     auto joinInto = [&](std::size_t t, const State &ns) {
-        State next = joinStates(in[t], ns);
-        if (in[t].reachable) {
-            const bool widen =
-                joins[t] >= opts.widenDelay &&
-                (widenPoint[t] || joins[t] >= kForceWiden);
-            if (widen) {
-                State w = next;
-                for (std::size_t r = 0; r < w.regs.size(); ++r)
-                    w.regs[r] = AbsVal::widen(in[t].regs[r], next.regs[r]);
-                for (std::size_t k = 0; k < w.slots.size(); ++k)
-                    w.slots[k] =
-                        AbsVal::widen(in[t].slots[k], next.slots[k]);
-                next = std::move(w);
-            }
-        }
-        if (statesEqual(next, in[t]))
+        const bool widen = in[t].reachable &&
+                           joins[t] >= opts.widenDelay &&
+                           (widenPoint[t] || joins[t] >= kForceWiden);
+        if (!joinState(in[t], ns, widen))
             return;
-        in[t] = std::move(next);
         ++joins[t];
         if (!queued[t]) {
             queued[t] = 1;
@@ -1000,14 +998,8 @@ Engine::run()
         worklist.pop_front();
         queued[idx] = 0;
 
-        State newSmear = smearActive ? smear : State{};
-        auto edges = outEdges(idx, in[idx], &newSmear);
-        for (auto &[t, s] : edges)
-            joinInto(t, s);
-        if (newSmear.reachable &&
-            (!smearActive || !statesEqual(newSmear, smear))) {
-            smear = std::move(newSmear);
-            smearActive = true;
+        cur = in[idx];
+        if (outEdges(idx, cur, joinInto) && joinState(smear, cur, false)) {
             // The smear flows into every program point.
             for (std::size_t t = 0; t < n; ++t)
                 joinInto(t, smear);
@@ -1022,22 +1014,25 @@ Engine::run()
         std::vector<State> next(n);
         next[0] = initialState();
         State nextSmear;
+        auto joinNext = [&](std::size_t t, const State &s) {
+            joinState(next[t], s, false);
+        };
         for (std::size_t idx = 0; idx < n; ++idx) {
             if (!in[idx].reachable)
                 continue;
-            for (auto &[t, s] : outEdges(idx, in[idx], &nextSmear))
-                next[t] = joinStates(next[t], s);
+            cur = in[idx];
+            if (outEdges(idx, cur, joinNext))
+                joinState(nextSmear, cur, false);
         }
         if (nextSmear.reachable)
             for (std::size_t t = 0; t < n; ++t)
-                next[t] = joinStates(next[t], nextSmear);
-        smearActive = nextSmear.reachable;
+                joinNext(t, nextSmear);
         smear = std::move(nextSmear);
         in = std::move(next);
     }
 
     res.ran = true;
-    res.smeared = smearActive;
+    res.smeared = smear.reachable;
     res.slotAddrs = slotAddrs;
 
     // Derive proofs and precise indirect edges from the final states.
@@ -1048,12 +1043,11 @@ Engine::run()
             ++res.stats.unreachable;
 
         if (inst.op == Opcode::JR || inst.op == Opcode::RET) {
-            auto targets = !in[idx].reachable
-                               ? std::optional<std::vector<
-                                     std::uint32_t>>({})
-                               : enumerateTargets(val(in[idx], inst.rs1));
-            if (targets) {
-                res.resolvedIndirects[idx] = std::move(*targets);
+            // An unreachable jump records no edge set and counts as
+            // unresolved, so FlowGraph keeps its conservative view.
+            if (in[idx].reachable &&
+                enumerateTargets(val(in[idx], inst.rs1), targets)) {
+                res.resolvedIndirects[idx] = targets;
                 ++res.stats.indirectResolved;
             } else {
                 ++res.stats.indirectUnresolved;

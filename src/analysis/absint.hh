@@ -92,8 +92,9 @@ struct AbsVal
     /**
      * Mutually tighten the three domains (bits -> unsigned bounds,
      * agreeing bound bits -> known bits, signed <-> unsigned when the
-     * range does not straddle the sign boundary). Idempotent enough
-     * after its internal fixed small number of rounds.
+     * range does not straddle the sign boundary) for a fixed two
+     * rounds. Not idempotent: facts found late in the last round can
+     * tighten a second call's result, so join(a, a) may differ from a.
      */
     void reduce();
 
@@ -129,8 +130,6 @@ struct AbsState
 /** Knobs of the engine. */
 struct AbsintOptions
 {
-    /** Data-memory bytes for bounds reasoning; 0 disables. */
-    std::size_t memoryBytes = 0;
     /**
      * Let constant-address loads read the program's initial data
      * image. Disable when proofs must hold across *data* variations

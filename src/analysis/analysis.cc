@@ -23,7 +23,6 @@ analyzeProgram(const isa::Program &program, const AnalysisOptions &opts,
     AbsintResult absint;
     if (opts.absint) {
         AbsintOptions ao;
-        ao.memoryBytes = opts.memoryBytes;
         ao.narrowIters = opts.absintIterations;
         absint = runAbsint(program, ao);
         if (summary) {

@@ -1,8 +1,6 @@
 #include "profile/profiler.hh"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -194,14 +192,6 @@ extractCandidates(const std::vector<Addr> &candidates,
         if (it == accum.end())
             continue;
         const BranchAccum &ba = it->second;
-        if (std::getenv("DMP_PROF_DEBUG"))
-            std::fprintf(stderr,
-                         "extract pc=0x%llx nt_inst=%llu t_inst=%llu "
-                         "nt_reach=%zu t_reach=%zu\n",
-                         (unsigned long long)pc,
-                         (unsigned long long)ba.side[0].instances,
-                         (unsigned long long)ba.side[1].instances,
-                         ba.side[0].reach.size(), ba.side[1].reach.size());
         if (ba.side[0].instances == 0 || ba.side[1].instances == 0)
             continue; // one-sided branches cannot diverge-merge
 

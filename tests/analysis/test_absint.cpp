@@ -4,10 +4,13 @@
  * branch-proof precision on directed programs, and the soundness
  * property — every value FuncSim retires lies inside the abstract
  * value at that program point, over all 15 workloads (both marker
- * configurations) and a sweep of random programs.
+ * configurations) and a sweep of random programs — plus directed tests
+ * of the smear, iteration-cap and forced-widening paths and a golden
+ * digest of the engine's complete output.
  */
 
 #include <cstdio>
+#include <iterator>
 #include <gtest/gtest.h>
 
 #include "analysis/absint.hh"
@@ -429,6 +432,308 @@ TEST(AbsintSoundness, RandomProgramSweep)
                           static_cast<unsigned long long>(structure),
                           static_cast<unsigned long long>(data));
             checkLockstep(prog, what, 40000);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Fixpoint paths the workloads rarely or never drive.
+
+TEST(AbsintSoundness, UnresolvableJumpSmearsEveryPoint)
+{
+    // The call's summary edge havocs r2, so `jr r2` has no enumerable
+    // target even though it concretely lands on the halt.
+    constexpr Addr kBase = 0x2000;
+    isa::ProgramBuilder b(kBase);
+    isa::Label fn = b.newLabel();
+    b.li(2, SWord(kBase + 4 * isa::kInstBytes)); // the halt below
+    b.call(fn);
+    b.jr(2);
+    b.addi(1, 1, 1); // concretely skipped
+    b.halt();
+    b.bind(fn);
+    b.ret();
+    isa::Program prog = b.build();
+
+    // Narrowing re-spreads the smear, so also check the bare worklist
+    // fixpoint (narrowIters 0).
+    for (unsigned narrow : {0u, 2u}) {
+        AbsintOptions ao;
+        ao.narrowIters = narrow;
+        AbsintResult r = analysis::runAbsint(prog, ao);
+        ASSERT_TRUE(r.ran);
+        EXPECT_TRUE(r.smeared);
+        EXPECT_GE(r.stats.indirectUnresolved, 1u);
+        // The smear (r2 = top, memory havocked) joins into every point.
+        for (std::size_t i = 0; i < prog.size(); ++i) {
+            EXPECT_TRUE(r.in[i].reachable) << "inst " << i;
+            EXPECT_TRUE(r.in[i].memHavoc) << "inst " << i;
+            EXPECT_TRUE(r.in[i].regs[2].isTop()) << "inst " << i;
+        }
+    }
+    checkLockstep(prog, "smear", 100);
+}
+
+TEST(Absint, IterationCapGivesUpWithNoProofs)
+{
+    // With widening disabled the counter's interval climbs one value
+    // per trip round the loop, far past the iteration cap.
+    isa::ProgramBuilder b;
+    b.li(10, SWord(1) << 30);
+    isa::Label loop = b.newLabel();
+    b.bind(loop);
+    b.addi(1, 1, 1);
+    Addr br = b.blt(1, 10, loop);
+    b.halt();
+    isa::Program prog = b.build();
+
+    AbsintOptions ao;
+    ao.widenDelay = ~0u;
+    AbsintResult r = analysis::runAbsint(prog, ao);
+    EXPECT_FALSE(r.ran);
+    EXPECT_EQ(r.stats.iterations, 256 * prog.size() + 1024 + 1);
+    EXPECT_TRUE(r.in.empty());
+    EXPECT_TRUE(r.branchProofs.empty());
+    EXPECT_TRUE(r.resolvedIndirects.empty());
+    EXPECT_EQ(r.proofAt(br).status, BranchProof::Status::None);
+    EXPECT_TRUE(r.regBefore(prog.indexOf(br), 1).isTop());
+
+    // Widening at the loop head makes the same program converge.
+    EXPECT_TRUE(analysis::runAbsint(prog).ran);
+}
+
+TEST(AbsintSoundness, IndirectLoopConvergesViaForcedWidening)
+{
+    // The only cycle closes through a resolved `jr`: the Cfg sees no
+    // back edge, so no loop head is a widening point and only the
+    // visit-count backstop stops the counter's ascending chain.
+    constexpr Addr kBase = 0x2000;
+    isa::ProgramBuilder b(kBase);
+    b.li(2, SWord(kBase + isa::kInstBytes)); // the addi below
+    Addr head = b.addi(1, 1, 1);
+    Addr jr = b.jr(2);
+    b.halt();
+    isa::Program prog = b.build();
+    ASSERT_TRUE(cfg::backEdges(cfg::Cfg::build(prog)).empty());
+
+    AbsintResult r = analysis::runAbsint(prog);
+    ASSERT_TRUE(r.ran) << "backstop failed to stop the chain";
+    EXPECT_FALSE(r.smeared);
+    auto it = r.resolvedIndirects.find(prog.indexOf(jr));
+    ASSERT_NE(it, r.resolvedIndirects.end());
+    EXPECT_EQ(it->second,
+              std::vector<std::uint32_t>{std::uint32_t(prog.indexOf(head))});
+    // The counter was widened, not enumerated.
+    const AbsVal ctr = r.regBefore(prog.indexOf(head), 1);
+    EXPECT_TRUE(ctr.contains(0));
+    EXPECT_TRUE(ctr.contains(Word(1) << 40));
+    checkLockstep(prog, "indirect-loop", 2000);
+
+    // Without any widening the same chain runs into the iteration cap.
+    AbsintOptions ao;
+    ao.widenDelay = ~0u;
+    EXPECT_FALSE(analysis::runAbsint(prog, ao).ran);
+}
+
+// ---------------------------------------------------------------------
+// Golden digest: the fixpoint engine's complete output (every in-state,
+// slot, proof, resolved indirect and counter, iterations included) on
+// the 15 workloads at the train and ref data seeds plus a random-program
+// sweep, each at two narrowing depths. The expected digests were taken
+// before the in-place join rewrite of the worklist loop; any change to
+// join order, widening, a transfer function or a program generator
+// moves them.
+
+namespace
+{
+
+/** FNV-1a over 64-bit words. */
+struct Fnv
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+
+    void add(std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    }
+
+    void add(const AbsVal &v)
+    {
+        add(Word(v.smin));
+        add(Word(v.smax));
+        add(v.umin);
+        add(v.umax);
+        add(v.zeros);
+        add(v.ones);
+    }
+};
+
+std::uint64_t
+digestResult(const AbsintResult &r)
+{
+    Fnv f;
+    f.add(r.ran);
+    f.add(r.smeared);
+    f.add(r.in.size());
+    for (const analysis::AbsState &s : r.in) {
+        f.add(s.reachable);
+        f.add(s.memHavoc);
+        for (const AbsVal &v : s.regs)
+            f.add(v);
+        f.add(s.slots.size());
+        for (const AbsVal &v : s.slots)
+            f.add(v);
+    }
+    f.add(r.slotAddrs.size());
+    for (Word a : r.slotAddrs)
+        f.add(a);
+    f.add(r.branchProofs.size());
+    for (const auto &[pc, p] : r.branchProofs) {
+        f.add(pc);
+        f.add(std::uint64_t(p.status));
+        f.add(p.backward);
+        f.add(p.tripMax);
+    }
+    f.add(r.resolvedIndirects.size());
+    for (const auto &[idx, targets] : r.resolvedIndirects) {
+        f.add(idx);
+        f.add(targets.size());
+        for (std::uint32_t t : targets)
+            f.add(t);
+    }
+    const analysis::AbsintStats &st = r.stats;
+    for (std::size_t v :
+         {st.insts, st.unreachable, st.branches, st.provedTaken,
+          st.provedNotTaken, st.tripBounded, st.indirectResolved,
+          st.indirectUnresolved, st.nontrivialRegs, st.iterations})
+        f.add(v);
+    return f.h;
+}
+
+/** One program of the golden set, named for failure messages. */
+struct GoldenCase
+{
+    std::string name;
+    isa::Program prog;
+};
+
+std::vector<GoldenCase>
+goldenPrograms()
+{
+    std::vector<GoldenCase> out;
+    for (const auto &info : workloads::workloadList()) {
+        // SimConfig's train and ref data seeds.
+        for (const auto &[tag, seed] :
+             {std::pair<const char *, std::uint64_t>{"train", 0x7e41a},
+              {"ref", 0x4ef}}) {
+            workloads::WorkloadParams p;
+            p.seed = seed;
+            out.push_back({info.name + "@" + tag,
+                           workloads::buildWorkload(info.name, p)});
+        }
+    }
+    for (std::uint64_t structure = 0; structure < 30; ++structure) {
+        for (std::uint64_t data = 0; data < 2; ++data) {
+            char name[48];
+            std::snprintf(name, sizeof(name), "random(%llu,%llu)",
+                          static_cast<unsigned long long>(structure),
+                          static_cast<unsigned long long>(data));
+            out.push_back({name, workloads::buildRandomProgram(
+                                     0x5eed00 + structure,
+                                     0xda7a00 + data)});
+        }
+    }
+    return out;
+}
+
+} // namespace
+
+/**
+ * Expected digests in goldenPrograms() order, narrowIters 2 then 1 for
+ * each program (so four per workload: train/n2, train/n1, ref/n2,
+ * ref/n1).
+ */
+constexpr std::uint64_t kGoldenDigests[] = {
+    0xc19c513e905cb361ull, 0xa4f9fcd869504b21ull, 0xcd7a9a8c8cbefa5dull,
+    0xdec2ffd5440b25ddull, 0xfffc351517c6e747ull, 0xfffc351517c6e747ull,
+    0x413ef54ff45b93dbull, 0x413ef54ff45b93dbull, 0x1b57df81c299c151ull,
+    0x54c5a40a245f7b11ull, 0x2be1c40fc64c24ddull, 0xd4ce0f49ae178e1dull,
+    0x6ceb677cb14159f0ull, 0x7f51950f6540ca30ull, 0x3c85f51f18a90f9cull,
+    0x92b2c920d444445cull, 0x6c00e99c3f37dd65ull, 0x6c00e99c3f37dd65ull,
+    0x6c00e99c3f37dd65ull, 0x6c00e99c3f37dd65ull, 0x1e60ab4adf3793b4ull,
+    0x18dd6c8d61cdabb4ull, 0xc479d83aae5a1830ull, 0x7147deb7cd84bc70ull,
+    0x880e4d391d85ee9dull, 0x84212e064b0a893dull, 0x6d4cac56bf1acb3full,
+    0x2c1b5ce4a9fb6f2full, 0x94bcb961c85ec6dbull, 0xb05124596352255bull,
+    0xf12b4005a1bbb3d7ull, 0x086c9f0943528d97ull, 0xfbaf2b4842d84a1eull,
+    0xfbaf2b4842d84a1eull, 0x108b583a1e38eac5ull, 0x108b583a1e38eac5ull,
+    0xe3aa889100046440ull, 0x64f5c68849555300ull, 0x017e8e69ef4d80b4ull,
+    0x78879850596c3834ull, 0x4260ea895109fba3ull, 0x4260ea895109fba3ull,
+    0xc8729bf3237a4427ull, 0xc8729bf3237a4427ull, 0x7fd4edf9d0bef8b3ull,
+    0x7fabe83d50c310b3ull, 0x656c000ad79ff01full, 0xdb9ed19f422b78dfull,
+    0x881d696e2c39f2aeull, 0x95d9b57c840f526eull, 0x4ac5c3d70c8daaa6ull,
+    0x54a733f3066c92a6ull, 0xa44a67ce3e5fea36ull, 0x6b4c9d8a632265caull,
+    0xc5134a21ee784756ull, 0x4afaa4382bcc316aull, 0xceed0a0bda71b3ceull,
+    0xfcfd4bfdc692bbceull, 0x1e07ad8ab461bd5aull, 0x93d6e7b4effea55aull,
+    0x577deeae9e49dff3ull, 0x8dc3ea19ba8e5033ull, 0xd365492ac80de7abull,
+    0x66fd599d991736ebull, 0x0650d7fdcde9eab1ull, 0x0650d7fdcde9eab1ull,
+    0x9ec43fc456703ddeull, 0x9ec43fc456703ddeull, 0xb2fa57d099e13904ull,
+    0xb7f1319725a84c44ull, 0xcc22267a7ddebea4ull, 0x85a2a6a1772292e4ull,
+    0xaea1bc44a972086aull, 0xa0597ef7712598eaull, 0x879892837a782f81ull,
+    0xe61210573a51a701ull, 0x1d5c0538e050d182ull, 0x8898af24aab59ceeull,
+    0x8180a71f691bcf1aull, 0x25fdda9f493c2e26ull, 0xae3cbbf7b0e3474eull,
+    0xb797aa52d70359a7ull, 0xdeafae33976af646ull, 0xb37535467c28650full,
+    0x6adf7b093faceafeull, 0x6adf7b093faceafeull, 0x9e0e063256f9c8f6ull,
+    0x9e0e063256f9c8f6ull, 0xfd03775c7d62cd95ull, 0xfd03775c7d62cd95ull,
+    0x3592c7980b9468edull, 0x3592c7980b9468edull, 0x546aa4a69511f097ull,
+    0x9903fb06bf5c9657ull, 0xd57b19391b2943c7ull, 0x4daf8554b0b72887ull,
+    0xa2d8b012c8399053ull, 0xa2d8b012c8399053ull, 0x7243b85c8ca89b43ull,
+    0x7243b85c8ca89b43ull, 0x4890b17d8b15e00aull, 0x7cd2b0b406da4e4aull,
+    0xe441da120c21f8f6ull, 0xec8ec9d2468fecb6ull, 0xc0d341019e16442dull,
+    0xd55a3385f8b1402dull, 0x58ca934504fa368dull, 0xbf6d4fdaca01228dull,
+    0x33ec7eb4b99593d2ull, 0x506907745cac3ad2ull, 0xdad74639bf2e5550ull,
+    0xc4c905c8d1123d50ull, 0xfe6203656d65a43dull, 0x5388a47d1dead8fdull,
+    0x018e468d0b10e46full, 0xbd9931405fc7452full, 0x42d6a0549b69537dull,
+    0x938e81980615927dull, 0xa035c0b418da69a2ull, 0x4f7ddf70ae2e2aa2ull,
+    0x0f54bd82eed71f04ull, 0x0f54bd82eed71f04ull, 0x68d6531e20aab95cull,
+    0x68d6531e20aab95cull, 0x7bcea7880f49be92ull, 0xb9b96ca72f016b92ull,
+    0x7c816cafcb5dbf09ull, 0x958f7e0fc106d789ull, 0x55be0531076cba9eull,
+    0x55be0531076cba9eull, 0x88872e1115df48bdull, 0x88872e1115df48bdull,
+    0x33d08aa9297aff1dull, 0x33d08aa9297aff1dull, 0x33d08aa9297aff1dull,
+    0x33d08aa9297aff1dull, 0x596e4e6ca212d569ull, 0x596e4e6ca212d569ull,
+    0x596e4e6ca212d569ull, 0x596e4e6ca212d569ull, 0x3914a66990fc1ab5ull,
+    0x53c7cb2b9e7b33f5ull, 0xdff93b9c70a17565ull, 0x93266051527f04a5ull,
+    0x4e184443bb1517e9ull, 0x4e184443bb1517e9ull, 0x724d1669ffff8941ull,
+    0x724d1669ffff8941ull, 0x551bf8cc511c2c8aull, 0x551bf8cc511c2c8aull,
+    0x551bf8cc511c2c8aull, 0x551bf8cc511c2c8aull, 0x26860ddbdbc7da1aull,
+    0x964d3d31f704e432ull, 0xe73f9d1eb2cc7099ull, 0xec2d1f2a40f32441ull,
+    0x4476ebe807095e3full, 0x2d606c951c3c88bfull, 0x661b2e724aac0f58ull,
+    0x937b5203370ae6d8ull, 0x76b25d18631ebcc5ull, 0x756c44239e9e9d85ull,
+    0x1879567cc0a4cc29ull, 0xb47572560ee62269ull, 0x8f1fde84a308655bull,
+    0xed433b5c7ef01edbull, 0x0cf056cf6337938bull, 0xba1b14e6f4c60a0bull,
+    0xed69e33d4dcce230ull, 0xb0871782f963e570ull, 0x524aa84a991de281ull,
+    0x18ef0efb028eb2c1ull, 0xa2555753876b46a9ull, 0xa2555753876b46a9ull,
+    0x8034942aaf294ba1ull, 0x8034942aaf294ba1ull, 0xbc4af6e506d083b2ull,
+    0x04ede03377c422b2ull, 0x973d34be5ae7babaull, 0x79b7c497d77ef33aull
+};
+
+TEST(AbsintGolden, DigestsMatchReference)
+{
+    const std::vector<GoldenCase> cases = goldenPrograms();
+    ASSERT_EQ(std::size(kGoldenDigests), 2 * cases.size());
+    std::size_t at = 0;
+    for (const GoldenCase &c : cases) {
+        for (unsigned narrow : {2u, 1u}) {
+            AbsintOptions ao;
+            ao.narrowIters = narrow;
+            const std::uint64_t got =
+                digestResult(analysis::runAbsint(c.prog, ao));
+            ASSERT_EQ(got, kGoldenDigests[at++])
+                << "first diverging program: " << c.name
+                << " at narrowIters " << narrow << " (digest 0x"
+                << std::hex << got << ")";
         }
     }
 }
