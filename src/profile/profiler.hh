@@ -1,19 +1,17 @@
 /**
  * @file
  * The compiler/profiling side of the diverge-merge system (paper
- * section 3.2):
- *
- *  1. BranchProfiler: a functional "train run" with a simulated branch
- *     predictor that accounts mispredictions per static branch.
- *  2. CfmProfiler: a second pass that discovers control-flow merge
- *     points on the frequently executed paths after each diverge-branch
- *     candidate.
- *  3. DivergeMarker: applies the paper's published heuristics
- *     (>= 0.1% of total mispredictions; CFM reached on both paths by
- *     >= 20% of dynamic instances; <= 120 dynamic instructions away)
- *     and writes DivergeMark annotations into the Program. Simple
- *     hammocks are additionally marked statically (CFG analysis) for
- *     the DHP baseline.
+ * section 3.2). profileAndMark runs the train input once on FuncSim,
+ * training a simulated branch predictor to count mispredictions per
+ * static branch and recording every retired instruction's successor.
+ * CFM discovery then replays that record: each sampled instance of a
+ * candidate owns an interval of it, and two replays over the same
+ * intervals first qualify the addresses both paths reach and then
+ * credit each instance's first qualifying one. The marker applies the
+ * paper's heuristics (>= 0.1% of total mispredictions; CFM reached on
+ * both paths by >= 20% of dynamic instances; <= 120 dynamic
+ * instructions away), marks simple hammocks statically (CFG analysis)
+ * for the DHP baseline, and writes DivergeMarks into the Program.
  */
 
 #ifndef DMP_PROFILE_PROFILER_HH
@@ -149,6 +147,7 @@ BranchProfile profileBranches(const isa::Program &program,
 
 /**
  * Run the CFM-discovery pass for the given candidate branches.
+ * Fatal when cfg.cfmSampleRate or cfg.maxCfmDistance is 0.
  * @return per-branch CFM profiles.
  */
 std::map<Addr, CfmProfile>
