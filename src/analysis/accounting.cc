@@ -18,8 +18,8 @@ constexpr int kTidEpisodes = 2;
 constexpr int kTidFlushes = 3;
 
 // Numeric values of core::ExitCase / core::ConversionReason as carried
-// by AcctEpisodeEnd (the sink interface is deliberately enum-free so
-// dmp_analysis needs no core headers beyond acct_sink.hh; kept in sync
+// by AcctEpisodeEnd (the observer interface is deliberately enum-free
+// so dmp_analysis needs no core headers beyond observer.hh; kept in sync
 // by tests/analysis/test_accounting.cpp).
 constexpr std::uint8_t kCase2 = 2;
 constexpr std::uint8_t kCase3 = 3;
@@ -232,16 +232,17 @@ CycleAccounting::onEpisodeEnd(const core::AcctEpisodeEnd &e, Cycle now)
 }
 
 void
-CycleAccounting::onFlush(Addr branch_pc, std::uint64_t squashed, Cycle now)
+CycleAccounting::onFlush(const core::FlushEvent &e)
 {
     ++flushesSeen;
-    ++rowFor(branch_pc).flushes;
+    ++rowFor(e.branchPc).flushes;
     // Everything between now and the refilled front end is recovery.
-    flushShadowEnd = now + frontendDepth;
+    flushShadowEnd = e.cycle + frontendDepth;
     if (traceW) {
-        traceW->instant(kTidFlushes, now, "flush@" + trace::hex(branch_pc),
-                        "flush",
-                        "{\"squashed\":" + std::to_string(squashed) + "}");
+        traceW->instant(kTidFlushes, e.cycle,
+                        "flush@" + trace::hex(e.branchPc), "flush",
+                        "{\"squashed\":" + std::to_string(e.squashed) +
+                            "}");
     }
 }
 

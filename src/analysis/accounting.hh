@@ -2,8 +2,8 @@
  * @file
  * Top-down cycle accounting and per-diverge-branch analytics.
  *
- * CycleAccounting implements the core's AcctSink: every simulated cycle
- * is charged to exactly one top-down bucket (the bucket counters always
+ * CycleAccounting is a core::CoreObserver: every simulated cycle is
+ * charged to exactly one top-down bucket (the bucket counters always
  * sum to the cycle count — an invariant the test suite enforces), and
  * every dynamic-predication episode, flush, and predicated retirement
  * is attributed to its diverge branch. The result answers the two
@@ -31,7 +31,7 @@
 #include "common/stats.hh"
 #include "common/trace.hh"
 #include "common/types.hh"
-#include "core/acct_sink.hh"
+#include "core/observer.hh"
 
 namespace dmp::analysis
 {
@@ -73,12 +73,12 @@ struct DivergeBranchStats
 };
 
 /**
- * Concrete AcctSink: top-down bucket counters plus the per-branch
+ * Accounting observer: top-down bucket counters plus the per-branch
  * table, exported through a StatGroup ("acct") and JSON renderers.
- * Attach with Core::setAccounting; call finish() once after the run
+ * Attach with Core::addObserver; call finish() once after the run
  * (closes open trace slices and freezes the data).
  */
-class CycleAccounting final : public core::AcctSink
+class CycleAccounting final : public core::CoreObserver
 {
   public:
     /**
@@ -91,15 +91,14 @@ class CycleAccounting final : public core::AcctSink
     CycleAccounting(const CycleAccounting &) = delete;
     CycleAccounting &operator=(const CycleAccounting &) = delete;
 
-    // ---- AcctSink ----
+    // ---- CoreObserver ----
     void onCycleEnd(const core::AcctCycleSample &s) override;
     void onIdleSpan(const core::AcctCycleSample &first,
                     std::uint64_t span) override;
     void onEpisodeStart(EpisodeId id, Addr diverge_pc, bool is_dual,
                         Cycle now) override;
     void onEpisodeEnd(const core::AcctEpisodeEnd &e, Cycle now) override;
-    void onFlush(Addr branch_pc, std::uint64_t squashed,
-                 Cycle now) override;
+    void onFlush(const core::FlushEvent &e) override;
     void onPredicatedRetire(Addr diverge_pc, bool is_uop) override;
 
     /**

@@ -6,13 +6,12 @@
  * instruction on the functional reference simulator and diffs
  * architectural state.
  *
- * The checker attaches to a Core through the SelfCheckSink interface
- * (core/selfcheck.hh) and fails fast: the first broken invariant or
- * architectural divergence throws CheckError carrying one
- * analysis::Finding (code, cycle, PC, structure id) and a
- * first-divergence diagnosis (recent retires, episode/predication
- * state, flush history). Checks are compiled in only under
- * DMP_SELFCHECK_BUILD; the invariant catalogue is in DESIGN.md.
+ * The checker is a core::CoreObserver (core/observer.hh) and fails
+ * fast: the first broken invariant or architectural divergence throws
+ * CheckError carrying one analysis::Finding (code, cycle, PC, structure
+ * id) and a first-divergence diagnosis (recent retires,
+ * episode/predication state, flush history). The invariant catalogue
+ * is in DESIGN.md.
  */
 
 #ifndef DMP_CHECK_CHECKER_HH
@@ -28,7 +27,7 @@
 #include "analysis/report.hh"
 #include "common/types.hh"
 #include "core/core.hh"
-#include "core/selfcheck.hh"
+#include "core/observer.hh"
 #include "isa/func_sim.hh"
 #include "isa/mem_image.hh"
 #include "isa/program.hh"
@@ -64,17 +63,6 @@ inline bool
 wantsLockstep(Mode m)
 {
     return m == Mode::Lockstep || m == Mode::All;
-}
-
-/** True when this binary compiled the core-side check hooks in. */
-constexpr bool
-buildEnabled()
-{
-#ifdef DMP_SELFCHECK_BUILD
-    return true;
-#else
-    return false;
-#endif
 }
 
 /**
@@ -139,9 +127,10 @@ class CheckError : public std::runtime_error
 /**
  * The concrete checker. Owns its own memory image and FuncSim over the
  * same program the core runs; reads core state directly (friend of
- * Core). Attach with core.setSelfCheck(&checker).
+ * Core). Attach with core.addObserver(&checker); cycle skipping is
+ * off while it is attached, since it samples every real tick.
  */
-class CoreChecker final : public core::SelfCheckSink
+class CoreChecker final : public core::CoreObserver
 {
   public:
     /**
@@ -162,12 +151,12 @@ class CoreChecker final : public core::SelfCheckSink
     /** Deep structural passes run. */
     std::uint64_t deepPasses() const { return nDeepPasses; }
 
-    void onCycleEnd() override;
+    void onCycleEnd(const core::AcctCycleSample &s) override;
     void onRetire(const core::DynInst &di, std::uint64_t seq,
                   PredId pred) override;
-    void onFlush(std::uint64_t survive_seq, Addr redirect_pc) override;
-
+    void onFlush(const core::FlushEvent &e) override;
     void onReset() override;
+    bool allowsCycleSkip() const override { return false; }
 
   private:
     struct RetiredRec

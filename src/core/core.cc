@@ -213,7 +213,20 @@ Core::Core(const isa::Program &program, const CoreParams &params)
 
 Core::~Core() = default;
 
-SelfCheckSink::~SelfCheckSink() = default;
+void
+Core::addObserver(CoreObserver *o)
+{
+    if (!obs) {
+        obs = o;
+        return;
+    }
+    if (!fanout) {
+        fanout = std::make_unique<ObserverFanout>();
+        fanout->add(obs);
+        obs = fanout.get();
+    }
+    fanout->add(o);
+}
 
 void
 Core::reset()
@@ -284,7 +297,8 @@ Core::reset()
         oracle->reset();
     wpRecords.clear();
 
-    scNotifyReset();
+    if (obs)
+        obs->onReset();
 }
 
 bool
@@ -296,11 +310,8 @@ Core::tick()
     if (isHalted) {
         st.stageActiveCycles.sample(active);
         lastTickIdle = false;
-        acNotifyCycleEnd();
-        ++st.cycles;
-        ++now;
+        endCycle();
         finalizeAllClassifiers();
-        scNotifyCycleEnd();
         return false;
     }
     active += unsigned(completeStage());
@@ -309,10 +320,7 @@ Core::tick()
     active += unsigned(fetchStage());
     st.stageActiveCycles.sample(active);
     lastTickIdle = active == 0;
-    acNotifyCycleEnd();
-    ++st.cycles;
-    ++now;
-    scNotifyCycleEnd();
+    endCycle();
     return true;
 }
 
@@ -326,13 +334,14 @@ Core::run(std::uint64_t max_insts, std::uint64_t max_cycles)
                                  st.retiredFalseInsts.value();
     // Cycle skipping: after an idle tick the machine state is a fixed
     // point until the next time-driven wake, so the clock can jump
-    // there directly. Disabled when a self-check sink is attached (the
-    // checker samples per real tick) or under DMP_FORCE_FULL_SCAN (the
-    // lockstep property tests compare the two modes). The skip length
-    // is capped so a bogus wake computation still trips the deadlock
-    // detector instead of spinning the clock forever.
+    // there directly. Disabled when an attached observer needs every
+    // real tick (the checker samples per tick) or under
+    // DMP_FORCE_FULL_SCAN (the lockstep property tests compare the two
+    // modes). The skip length is capped so a bogus wake computation
+    // still trips the deadlock detector instead of spinning the clock
+    // forever.
     const bool allow_skip =
-        selfCheck == nullptr &&
+        (obs == nullptr || obs->allowsCycleSkip()) &&
         std::getenv("DMP_FORCE_FULL_SCAN") == nullptr;
     constexpr std::uint64_t kMaxSkip = 100000;
     while (!isHalted && st.retiredInsts.value() - start < max_insts &&
@@ -345,7 +354,7 @@ Core::run(std::uint64_t max_insts, std::uint64_t max_cycles)
                 k = std::min(k, max_cycles - (now - start_cycle));
                 k = std::min(k, kMaxSkip);
                 if (k > 0) {
-                    acNotifyIdleSpan(k);
+                    notifyIdleSpan(k);
                     now += k;
                     st.cycles += k;
                     st.cyclesSkipped += k;
@@ -476,7 +485,7 @@ Core::killEpisode(Episode &ep)
         fdp.clear();
     if (fdual.episodeId == ep.id)
         fdual.clear();
-    acNotifyEpisodeEnd(ep);
+    notifyEpisodeEnd(ep);
 }
 
 void
@@ -488,51 +497,7 @@ Core::classifyExit(Episode &ep, ExitCase c)
     st.episodeLength.sample(ep.fetchedInsts);
     DMP_TRACE(Dpred, now, 0, "core.dpred", "EP", ep.id, " exit case ",
               unsigned(c), " after ", ep.fetchedInsts, " insts");
-    acNotifyEpisodeEnd(ep);
-}
-
-void
-Core::pipeViewEmit(const DynInst &di, std::uint64_t seq, bool squashed)
-{
-    trace::PipeView::Record r;
-    r.seq = seq;
-    r.pc = di.pc;
-
-    switch (di.kind) {
-      case UopKind::Normal:
-        r.disasm = isa::opcodeName(di.si.op);
-        break;
-      case UopKind::EnterPred:
-        r.disasm = "enter.pred";
-        break;
-      case UopKind::EnterAlt:
-        r.disasm = "enter.alt";
-        break;
-      case UopKind::ExitPred:
-        r.disasm = "exit.pred";
-        break;
-      case UopKind::Select:
-        r.disasm = "select";
-        break;
-      default:
-        r.disasm = "uop";
-        break;
-    }
-    // Stamps are stored as truncated 32-bit cycles; recover absolute
-    // ticks by measuring the (small) distance back from `now` in
-    // mod-2^32 arithmetic.
-    auto widen = [&](std::uint32_t stamp) -> Cycle {
-        if (stamp == 0)
-            return 0;
-        return now - Cycle(std::uint32_t(now) - stamp);
-    };
-    r.fetch = widen(di.fetchedAt);
-    r.rename = widen(di.renamedAt);
-    r.issue = widen(di.issuedAt);
-    r.complete = widen(di.completedAt);
-    r.retire = now;
-    r.squashed = squashed;
-    pipeView->emit(r);
+    notifyEpisodeEnd(ep);
 }
 
 // ---------------------------------------------------------------------

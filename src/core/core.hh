@@ -41,12 +41,11 @@
 #include "common/stats.hh"
 #include "common/trace.hh"
 #include "common/types.hh"
-#include "core/acct_sink.hh"
 #include "core/dyn_inst.hh"
 #include "core/episode.hh"
+#include "core/observer.hh"
 #include "core/params.hh"
 #include "core/rename_map.hh"
-#include "core/selfcheck.hh"
 #include "core/store_buffer.hh"
 #include "isa/func_sim.hh"
 #include "isa/mem_image.hh"
@@ -158,27 +157,12 @@ class Core
     std::string resourceReport() const;
 
     /**
-     * Attach a pipeline-trace writer (non-owning; may be null). Every
-     * renamed instruction emits one lifecycle record at retire/squash.
+     * Subscribe `o` to the core's event stream (non-owning; must
+     * outlive the runs it watches). Works in every build. A lone
+     * observer is called directly; attaching a second moves all of
+     * them behind a fan-out the core owns, called in attach order.
      */
-    void setPipeView(trace::PipeView *pv) { pipeView = pv; }
-
-    /**
-     * Attach a self-check sink (non-owning; may be null). Hook calls
-     * are compiled in only under DMP_SELFCHECK_BUILD; attaching a sink
-     * in a build without it is a silent no-op, so callers should gate
-     * on the same macro (sim::runSimOnProgram makes it fatal instead).
-     */
-    void setSelfCheck(SelfCheckSink *sink) { selfCheck = sink; }
-
-    /**
-     * Attach a cycle-accounting sink (non-owning; may be null). Probe
-     * calls are compiled in only when DMP_TRACING_ON is set; attaching
-     * a sink in a -DDMP_TRACING=OFF build is a silent no-op, so callers
-     * should gate on trace::tracingCompiledIn() (sim::runSimOnProgram
-     * makes it fatal instead).
-     */
-    void setAccounting(AcctSink *sink) { acct = sink; }
+    void addObserver(CoreObserver *o);
 
   private:
     friend class dmp::check::CoreChecker;
@@ -320,10 +304,6 @@ class Core
     void commitInst(std::uint32_t slot, DynInst &di);
     void trainPredictors(DynInst &di);
 
-    /** Emit one pipeview lifecycle record (pipeView must be non-null). */
-    void pipeViewEmit(const DynInst &di, std::uint64_t seq, bool squashed);
-
-
     // ---- ROB plumbing ----
     // Packed robState bits (lifecycle order: dispatched -> issued ->
     // executed; awaiting-predicate gates select-uops out of the ready
@@ -425,109 +405,71 @@ class Core
     /** Diagnostic dump + panic when retirement stops making progress. */
     [[noreturn]] void dumpDeadlockState();
 
-    // ---- Self-check notifiers ----
-    // No-ops (not even a branch) unless DMP_SELFCHECK_BUILD is set.
-    void
-    scNotifyCycleEnd()
-    {
-#ifdef DMP_SELFCHECK_BUILD
-        if (selfCheck)
-            selfCheck->onCycleEnd();
-#endif
-    }
-    void
-    scNotifyRetire(const DynInst &di, std::uint64_t seq, PredId pred)
-    {
-#ifdef DMP_SELFCHECK_BUILD
-        if (selfCheck)
-            selfCheck->onRetire(di, seq, pred);
-#else
-        (void)di;
-        (void)seq;
-        (void)pred;
-#endif
-    }
+    // ---- Observer notifiers ----
+    // One null test per event when no observer is attached. Per-cycle
+    // retire counts accumulate in the cyc* scratch members and are
+    // consumed (and always reset) by endCycle.
 
+    /**
+     * Close the cycle that just ran: advance the clock and hand the
+     * observer the cycle's sample. The sample is taken before the clock
+     * moves (fetchStalled compares against the cycle that ran); the
+     * call comes after (the checker's stride tests read the new now).
+     */
     void
-    scNotifyFlush(std::uint64_t survive_seq, Addr redirect_pc)
+    endCycle()
     {
-#ifdef DMP_SELFCHECK_BUILD
-        if (selfCheck)
-            selfCheck->onFlush(survive_seq, redirect_pc);
-#else
-        (void)survive_seq;
-        (void)redirect_pc;
-#endif
-    }
-    void
-    scNotifyReset()
-    {
-#ifdef DMP_SELFCHECK_BUILD
-        if (selfCheck)
-            selfCheck->onReset();
-#endif
-    }
-
-    // ---- Cycle-accounting notifiers ----
-    // One null-pointer test per site when no sink is attached; the
-    // whole body folds away under -DDMP_TRACING=OFF. Per-cycle retire
-    // counts accumulate in the ac* scratch members and are consumed
-    // (and always reset) by acNotifyCycleEnd.
-    void
-    acNotifyCycleEnd()
-    {
-        if (DMP_TRACING_ON && acct) {
+        if (obs) {
             AcctCycleSample s;
             s.cycle = now;
-            s.usefulRetired = acUseful;
-            s.falseRetired = acFalse;
-            s.uopRetired = acUops;
+            s.usefulRetired = cycUseful;
+            s.falseRetired = cycFalse;
+            s.uopRetired = cycUops;
             s.robEmpty = robCount == 0;
             s.fetchStalled = now < fetchStallUntil;
             s.frontendActive = !fetchQueue.empty() ||
                                fetchPc != kNoAddr || fdual.active;
-            s.renameBlocked = acRenameBlocked;
-            acct->onCycleEnd(s);
+            s.renameBlocked = cycRenameBlocked;
+            ++st.cycles;
+            ++now;
+            obs->onCycleEnd(s);
+        } else {
+            ++st.cycles;
+            ++now;
         }
-        acUseful = 0;
-        acFalse = 0;
-        acUops = 0;
-        acRenameBlocked = false;
+        cycUseful = 0;
+        cycFalse = 0;
+        cycUops = 0;
+        cycRenameBlocked = false;
     }
     void
-    acNotifyRetire(const DynInst &di, PredId pred)
+    notifyRetire(const DynInst &di, std::uint64_t seq, PredId pred)
     {
-        if (DMP_TRACING_ON && acct) {
-            const bool is_false = pred != kNoPred && di.predResolved &&
-                                  !di.predValue;
-            if (di.kind == UopKind::Normal) {
-                if (is_false)
-                    ++acFalse;
-                else
-                    ++acUseful;
-            } else {
-                ++acUops;
-            }
-            if (di.episode != kNoEpisode &&
-                (is_false || di.kind != UopKind::Normal)) {
-                const Episode &ep = episodeTable[di.episode & episodeMask];
-                if (ep.id == di.episode && ep.divergePc != kNoAddr) {
-                    acct->onPredicatedRetire(ep.divergePc,
-                                             di.kind != UopKind::Normal);
-                }
-            }
+        if (!obs)
+            return;
+        const bool is_false = pred != kNoPred && di.predResolved &&
+                              !di.predValue;
+        if (di.kind == UopKind::Normal) {
+            if (is_false)
+                ++cycFalse;
+            else
+                ++cycUseful;
+        } else {
+            ++cycUops;
+        }
+        obs->onRetire(di, seq, pred);
+        if (di.episode != kNoEpisode &&
+            (is_false || di.kind != UopKind::Normal)) {
+            const Episode &ep = episodeTable[di.episode & episodeMask];
+            if (ep.id == di.episode && ep.divergePc != kNoAddr)
+                obs->onPredicatedRetire(ep.divergePc,
+                                        di.kind != UopKind::Normal);
         }
     }
     void
-    acNotifyEpisodeStart(EpisodeId id, Addr diverge_pc, bool is_dual)
+    notifyEpisodeEnd(const Episode &ep)
     {
-        if (DMP_TRACING_ON && acct)
-            acct->onEpisodeStart(id, diverge_pc, is_dual, now);
-    }
-    void
-    acNotifyEpisodeEnd(const Episode &ep)
-    {
-        if (DMP_TRACING_ON && acct) {
+        if (obs) {
             AcctEpisodeEnd e;
             e.id = ep.id;
             e.divergePc = ep.divergePc;
@@ -537,24 +479,21 @@ class Core
             e.dead = ep.dead;
             e.isDualPath = ep.isDualPath;
             e.resolvedCorrect = ep.resolvedCorrect;
-            acct->onEpisodeEnd(e, now);
+            if (holdEpisodeEnds)
+                heldEpisodeEnds.push_back(e);
+            else
+                obs->onEpisodeEnd(e, now);
         }
     }
     void
-    acNotifyFlush(Addr branch_pc, std::uint64_t squashed)
+    noteRenameBlocked()
     {
-        if (DMP_TRACING_ON && acct)
-            acct->onFlush(branch_pc, squashed, now);
-    }
-    void
-    acNoteRenameBlocked()
-    {
-        if (DMP_TRACING_ON && acct)
-            acRenameBlocked = true;
+        if (obs)
+            cycRenameBlocked = true;
     }
     /**
-     * Charge `k` skipped cycles (now .. now + k - 1) to the accounting
-     * sink in bulk. Legal because every classification input is
+     * Report `k` skipped cycles (now .. now + k - 1) to the observer
+     * in bulk. Legal because every classification input is
      * constant across an idle span: nothing retires, the ROB occupancy
      * and front-end liveness cannot change without a stage doing work,
      * and rename stays blocked (or not) for the same reason it was on
@@ -564,9 +503,9 @@ class Core
      * most two constant-flag segments.
      */
     void
-    acNotifyIdleSpan(std::uint64_t k)
+    notifyIdleSpan(std::uint64_t k)
     {
-        if (DMP_TRACING_ON && acct && k > 0) {
+        if (obs && k > 0) {
             AcctCycleSample s;
             s.cycle = now;
             s.robEmpty = robCount == 0;
@@ -581,14 +520,14 @@ class Core
                 const std::uint64_t stalled =
                     std::min<std::uint64_t>(k, fetchStallUntil - now);
                 s.fetchStalled = true;
-                acct->onIdleSpan(s, stalled);
+                obs->onIdleSpan(s, stalled);
                 if (stalled == k)
                     return;
                 s.cycle = now + stalled;
                 s.fetchStalled = false;
-                acct->onIdleSpan(s, k - stalled);
+                obs->onIdleSpan(s, k - stalled);
             } else {
-                acct->onIdleSpan(s, k);
+                obs->onIdleSpan(s, k);
             }
         }
     }
@@ -745,20 +684,19 @@ class Core
     bool lastTickIdle = false;
 
 
-    /** Optional Konata/O3-pipeview writer (non-owning). */
-    trace::PipeView *pipeView = nullptr;
-
-    /** Optional self-check sink (non-owning; see setSelfCheck). */
-    SelfCheckSink *selfCheck = nullptr;
-
-    /** Optional cycle-accounting sink (non-owning; see setAccounting). */
-    AcctSink *acct = nullptr;
-    // Per-cycle retire tallies for the accounting sample (reset every
-    // cycle by acNotifyCycleEnd; only written when a sink is attached).
-    unsigned acUseful = 0;
-    unsigned acFalse = 0;
-    unsigned acUops = 0;
-    bool acRenameBlocked = false;
+    /** The event-stream subscriber: one observer, or `fanout`. */
+    CoreObserver *obs = nullptr;
+    /** Owned dispatcher once more than one observer is attached. */
+    std::unique_ptr<ObserverFanout> fanout;
+    // Per-cycle retire tallies for the observer's cycle sample (reset
+    // every cycle by endCycle; only written when an observer is set).
+    unsigned cycUseful = 0;
+    unsigned cycFalse = 0;
+    unsigned cycUops = 0;
+    bool cycRenameBlocked = false;
+    /** Episode ends held back while a flush recovers (see flushAfter). */
+    std::vector<AcctEpisodeEnd> heldEpisodeEnds;
+    bool holdEpisodeEnds = false;
 
     // Figure 1 classifier.
     std::vector<WrongPathRecord> wpRecords;

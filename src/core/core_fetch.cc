@@ -371,7 +371,8 @@ Core::tryStartDpredEpisode(FetchedInst &fi, const isa::DivergeMark &mark)
               trace::hex(ep.divergePc), " predTaken=", int(ep.predTaken),
               " cfms=", ep.cfmCount);
     ++st.dpredEntries;
-    acNotifyEpisodeStart(ep.id, ep.divergePc, false);
+    if (obs)
+        obs->onEpisodeStart(ep.id, ep.divergePc, false, now);
     return true;
 }
 
@@ -414,7 +415,8 @@ Core::tryStartDualEpisode(FetchedInst &fi)
               " fork pc=", trace::hex(fi.pc), " pred=",
               trace::hex(fdual.pc[0]), " alt=", trace::hex(fdual.pc[1]));
     ++st.dualForks;
-    acNotifyEpisodeStart(fi.episode, fi.pc, true);
+    if (obs)
+        obs->onEpisodeStart(fi.episode, fi.pc, true, now);
     return true;
 }
 

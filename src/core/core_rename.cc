@@ -29,7 +29,7 @@ Core::renameStage()
         if (fi.renameReadyAt > now)
             break;
         if (!renameOne(fi)) {
-            acNoteRenameBlocked();
+            noteRenameBlocked();
             break; // resource stall (side-effect-free failure)
         }
         fetchQueue.pop_front();

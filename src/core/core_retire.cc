@@ -32,12 +32,9 @@ Core::retireStage()
                    "unresolved predicate at retirement");
 
         commitInst(slot, di);
-        scNotifyRetire(di, seq, robPred[slot]);
-        acNotifyRetire(di, robPred[slot]);
+        notifyRetire(di, seq, robPred[slot]);
         if (di.kind == UopKind::Normal)
             st.fetchToRetire.sample(std::uint32_t(now) - di.fetchedAt);
-        if (pipeView)
-            pipeViewEmit(di, seq, false);
 
         bool halt = di.kind == UopKind::Normal &&
                     di.si.op == Opcode::HALT &&

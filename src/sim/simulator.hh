@@ -65,10 +65,9 @@ struct SimConfig
     /** Timing-run cycle budget (0 = unlimited). */
     std::uint64_t maxCycles = 0;
     /**
-     * Attach a CoreChecker to the timing run. Any mode other than Off
-     * is fatal in a binary built without DMP_SELFCHECK_BUILD. A check
-     * failure throws check::CheckError out of runSim/runSimOnProgram;
-     * under BatchRunner this fails that run's future, not the batch.
+     * Attach a CoreChecker to the timing run. A check failure throws
+     * check::CheckError out of runSim/runSimOnProgram; under
+     * BatchRunner this fails that run's future, not the batch.
      */
     check::Mode selfcheck = check::Mode::Off;
     /**
@@ -77,10 +76,9 @@ struct SimConfig
      */
     const check::FaultPlan *faultPlan = nullptr;
     /**
-     * Attach a cycle-accounting sink (analysis::CycleAccounting) to the
+     * Attach cycle accounting (analysis::CycleAccounting) to the
      * timing run: the result gains "acct_" counters and an accounting
-     * JSON block. Fatal in a -DDMP_TRACING=OFF build (the probes are
-     * compiled out there and the counters would silently read 0).
+     * JSON block.
      */
     bool accounting = false;
 

@@ -31,9 +31,9 @@
  *   --selfcheck[=MODE]   run under the microarchitectural self-checker
  *                        (MODE: all | invariants | lockstep | off;
  *                        bare --selfcheck = all). Also: DMP_SELFCHECK
- *                        env. Requires a DMP_SELFCHECK_BUILD=ON build;
- *                        the first broken invariant or architectural
- *                        divergence aborts with a diagnosis and exit 1
+ *                        env. The first broken invariant or
+ *                        architectural divergence aborts with a
+ *                        diagnosis and exit 1
  *   --selfcheck-json=PATH  write the self-check outcome (schema 1,
  *                        see EXPERIMENTS.md) to PATH
  *   --list               list workloads and exit
@@ -46,11 +46,10 @@
  *   --trace-file=PATH    write trace records to PATH instead of stderr
  *   --pipeview=PATH      write a Konata/O3PipeView pipeline trace
  *   --stats-json=PATH    append one JSONL stats record per run to PATH
- *   --accounting         attach the top-down cycle-accounting sink:
- *                        prints the bucket breakdown and per-branch
- *                        diverge analytics, and embeds the accounting
- *                        block in --stats-json records. Requires a
- *                        build with DMP_TRACING=ON (the default)
+ *   --accounting         attach top-down cycle accounting: prints the
+ *                        bucket breakdown and per-branch diverge
+ *                        analytics, and embeds the accounting block
+ *                        in --stats-json records
  *   --perfetto=PATH      write a Chrome/Perfetto trace-event JSON file
  *                        (top-down slices, episode async spans, flush
  *                        instants; implies --accounting; single-run
@@ -74,6 +73,7 @@
 #include "check/checker.hh"
 #include "common/trace.hh"
 #include "core/core.hh"
+#include "core/pipeview.hh"
 #include "isa/assembler.hh"
 #include "profile/profiler.hh"
 #include "sim/batch.hh"
@@ -430,16 +430,6 @@ runMain(int argc, char **argv)
                 dmp_fatal("DMP_SELFCHECK: unknown mode: ", env);
         }
     }
-    if (o.selfcheck != check::Mode::Off && !check::buildEnabled()) {
-        dmp_fatal("--selfcheck requires a build with "
-                  "DMP_SELFCHECK_BUILD=ON (the release/performance "
-                  "presets compile the hooks out)");
-    }
-
-    if (o.accounting && !trace::tracingCompiledIn()) {
-        dmp_fatal("--accounting/--perfetto require a build with "
-                  "DMP_TRACING=ON (the probes are compiled out here)");
-    }
     if (!o.sweep.empty()) {
         if (!o.perfetto.empty())
             dmp_fatal("--perfetto is single-run only (the trace would "
@@ -515,16 +505,18 @@ runMain(int argc, char **argv)
 
     core::Core machine(prog, params);
     std::unique_ptr<trace::PipeView> pv;
+    std::unique_ptr<core::PipeViewObserver> pv_obs;
     if (!o.pipeview.empty()) {
         pv = std::make_unique<trace::PipeView>(o.pipeview);
-        machine.setPipeView(pv.get());
+        pv_obs = std::make_unique<core::PipeViewObserver>(machine, *pv);
+        machine.addObserver(pv_obs.get());
     }
     std::unique_ptr<check::CoreChecker> checker;
     if (o.selfcheck != check::Mode::Off) {
         check::CheckerOptions copt;
         copt.mode = o.selfcheck;
         checker = std::make_unique<check::CoreChecker>(prog, machine, copt);
-        machine.setSelfCheck(checker.get());
+        machine.addObserver(checker.get());
     }
     std::unique_ptr<analysis::CycleAccounting> acct;
     std::unique_ptr<trace::TraceEventWriter> perfetto;
@@ -536,7 +528,7 @@ runMain(int argc, char **argv)
                 std::make_unique<trace::TraceEventWriter>(o.perfetto);
             acct->attachTrace(perfetto.get());
         }
-        machine.setAccounting(acct.get());
+        machine.addObserver(acct.get());
     }
     auto host_start = std::chrono::steady_clock::now();
     try {

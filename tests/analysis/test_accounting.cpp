@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for the top-down cycle-accounting sink, plus the
+ * Unit tests for the top-down cycle-accounting observer, plus the
  * whole-machine invariant: every simulated cycle is charged to exactly
  * one bucket, so the buckets always sum to the cycle count — checked
  * across all 15 workloads x all 5 machine modes.
@@ -39,6 +39,16 @@ sample(Cycle cycle)
     core::AcctCycleSample s;
     s.cycle = cycle;
     return s;
+}
+
+core::FlushEvent
+flush(Addr branch_pc, std::uint64_t squashed, Cycle cycle)
+{
+    core::FlushEvent e;
+    e.cycle = cycle;
+    e.branchPc = branch_pc;
+    e.squashed = squashed;
+    return e;
 }
 
 core::AcctEpisodeEnd
@@ -111,7 +121,7 @@ TEST(CycleAccounting, ClassificationPriority)
 TEST(CycleAccounting, FlushShadowChargesRecovery)
 {
     CycleAccounting acct(3, 4); // frontendDepth 3
-    acct.onFlush(0x1000, 12, 10);
+    acct.onFlush(flush(0x1000, 12, 10));
     core::AcctCycleSample s = sample(10);
     acct.onCycleEnd(s); // 10, 11, 12 fall in the shadow
     acct.onCycleEnd(sample(11));
@@ -119,7 +129,7 @@ TEST(CycleAccounting, FlushShadowChargesRecovery)
     acct.onCycleEnd(sample(13)); // shadow over -> backend stall
     // Retirement still outranks the shadow.
     s = sample(14);
-    acct.onFlush(0x1000, 1, 14);
+    acct.onFlush(flush(0x1000, 1, 14));
     s.usefulRetired = 1;
     acct.onCycleEnd(s);
     acct.finish();
@@ -240,8 +250,6 @@ modeParams(const std::string &mode)
 
 TEST(CycleAccountingInvariant, BucketsSumToCyclesOnEveryWorkloadAndMode)
 {
-    if (!trace::tracingCompiledIn())
-        GTEST_SKIP() << "accounting probes compiled out (DMP_TRACING=OFF)";
 
     const std::vector<std::string> modes = {"base", "dhp", "dmp",
                                             "dmp-enhanced", "dual"};

@@ -82,7 +82,7 @@ runExpectFailure(const core::CoreParams &params, check::FaultPlan plan,
     opts.deepStride = 1;
     check::CoreChecker checker(prog, machine, opts);
     checker.injectFault(plan);
-    machine.setSelfCheck(&checker);
+    machine.addObserver(&checker);
     Failure f;
     try {
         machine.run(~0ULL, 2'000'000);
@@ -122,8 +122,6 @@ expectPreciseFinding(const Failure &f, const std::string &code)
 
 TEST(FaultInjection, LeakPhysRegFiresPhysRegLeak)
 {
-    if (!check::buildEnabled())
-        GTEST_SKIP() << "built with DMP_SELFCHECK_BUILD=OFF";
     Failure f = runExpectFailure(test::baselineParams(),
                                  {check::FaultKind::LeakPhysReg, 0});
     expectPreciseFinding(f, "phys-reg-leak");
@@ -134,8 +132,6 @@ TEST(FaultInjection, LeakPhysRegFiresPhysRegLeak)
 
 TEST(FaultInjection, ReorderStoreFiresSbOrder)
 {
-    if (!check::buildEnabled())
-        GTEST_SKIP() << "built with DMP_SELFCHECK_BUILD=OFF";
     Failure f = runExpectFailure(test::baselineParams(),
                                  {check::FaultKind::ReorderStore, 0});
     expectPreciseFinding(f, "sb-order");
@@ -146,8 +142,6 @@ TEST(FaultInjection, ReorderStoreFiresSbOrder)
 
 TEST(FaultInjection, RobSeqSwapFiresRobAgeOrder)
 {
-    if (!check::buildEnabled())
-        GTEST_SKIP() << "built with DMP_SELFCHECK_BUILD=OFF";
     Failure f = runExpectFailure(test::baselineParams(),
                                  {check::FaultKind::RobSeqSwap, 0});
     expectPreciseFinding(f, "rob-age-order");
@@ -158,8 +152,6 @@ TEST(FaultInjection, RobSeqSwapFiresRobAgeOrder)
 
 TEST(FaultInjection, DanglingPredicateFires)
 {
-    if (!check::buildEnabled())
-        GTEST_SKIP() << "built with DMP_SELFCHECK_BUILD=OFF";
     Failure f = runExpectFailure(test::baselineParams(),
                                  {check::FaultKind::DanglingPredicate, 0});
     expectPreciseFinding(f, "dangling-predicate");
@@ -167,8 +159,6 @@ TEST(FaultInjection, DanglingPredicateFires)
 
 TEST(FaultInjection, ClobberCheckpointFiresRatMapsFreedReg)
 {
-    if (!check::buildEnabled())
-        GTEST_SKIP() << "built with DMP_SELFCHECK_BUILD=OFF";
     // Baseline mode: predication is quiescent, so checkpoint RAT
     // validity is checked unconditionally (see DESIGN.md on the
     // quiescence gate).
@@ -182,8 +172,6 @@ TEST(FaultInjection, ClobberCheckpointFiresRatMapsFreedReg)
 
 TEST(FaultInjection, SkipFuncSimStepFiresLockstepPc)
 {
-    if (!check::buildEnabled())
-        GTEST_SKIP() << "built with DMP_SELFCHECK_BUILD=OFF";
     // Lockstep-only mode: proves the oracle catches the divergence on
     // its own, with no structural pass running.
     Failure f = runExpectFailure(test::baselineParams(),
@@ -195,8 +183,6 @@ TEST(FaultInjection, SkipFuncSimStepFiresLockstepPc)
 /** notBefore delays the injection, and the finding's cycle shows it. */
 TEST(FaultInjection, NotBeforeDelaysInjection)
 {
-    if (!check::buildEnabled())
-        GTEST_SKIP() << "built with DMP_SELFCHECK_BUILD=OFF";
     Failure f = runExpectFailure(test::baselineParams(),
                                  {check::FaultKind::RobSeqSwap, 500});
     expectPreciseFinding(f, "rob-age-order");
@@ -208,15 +194,13 @@ TEST(FaultInjection, NotBeforeDelaysInjection)
 /** An armed-but-never-matching plan must not fail a clean run. */
 TEST(FaultInjection, UnarmedPlanLeavesRunClean)
 {
-    if (!check::buildEnabled())
-        GTEST_SKIP() << "built with DMP_SELFCHECK_BUILD=OFF";
     Program prog = faultProgram();
     core::Core machine(prog, test::baselineParams());
     check::CheckerOptions opts;
     opts.deepStride = 1;
     check::CoreChecker checker(prog, machine, opts);
     checker.injectFault({check::FaultKind::None, 0});
-    machine.setSelfCheck(&checker);
+    machine.addObserver(&checker);
     EXPECT_NO_THROW(machine.run(~0ULL, 2'000'000));
     EXPECT_TRUE(machine.halted());
     EXPECT_FALSE(checker.faultInjected());

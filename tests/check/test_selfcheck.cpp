@@ -91,8 +91,6 @@ TEST(SelfCheck, ModeParsing)
  */
 TEST(SelfCheck, CheckerDoesNotPerturbTiming)
 {
-    if (!check::buildEnabled())
-        GTEST_SKIP() << "built with DMP_SELFCHECK_BUILD=OFF";
     Program prog = flushyProgram(400);
 
     core::Core bare(prog, test::baselineParams());
@@ -101,7 +99,7 @@ TEST(SelfCheck, CheckerDoesNotPerturbTiming)
 
     core::Core watched(prog, test::baselineParams());
     check::CoreChecker checker(prog, watched);
-    watched.setSelfCheck(&checker);
+    watched.addObserver(&checker);
     watched.run(~0ULL, 2'000'000);
     ASSERT_TRUE(watched.halted());
 
@@ -125,14 +123,12 @@ TEST(SelfCheck, CheckerDoesNotPerturbTiming)
  */
 TEST(SelfCheck, FlushRecoveryStaysCleanUnderMispredictStorm)
 {
-    if (!check::buildEnabled())
-        GTEST_SKIP() << "built with DMP_SELFCHECK_BUILD=OFF";
     Program prog = flushyProgram(1200);
     core::Core machine(prog, test::baselineParams());
     check::CheckerOptions opts;
     opts.deepStride = 1; // deep pass every cycle AND after every flush
     check::CoreChecker checker(prog, machine, opts);
-    machine.setSelfCheck(&checker);
+    machine.addObserver(&checker);
     EXPECT_NO_THROW(machine.run(~0ULL, 4'000'000));
     EXPECT_TRUE(machine.halted());
     EXPECT_GT(machine.stats().retiredMispredCondBranches.value(), 100u)
@@ -196,8 +192,6 @@ smallConfig(const std::string &workload)
 /** cfg.selfcheck turns checks on without changing the results. */
 TEST(SelfCheck, RunSimWithSelfcheckMatchesBareRun)
 {
-    if (!check::buildEnabled())
-        GTEST_SKIP() << "built with DMP_SELFCHECK_BUILD=OFF";
     sim::SimConfig bare = smallConfig("mcf");
     sim::SimConfig checked = bare;
     checked.selfcheck = check::Mode::All;
@@ -231,8 +225,6 @@ TEST(SelfCheck, FingerprintSeparatesSelfcheckConfigs)
  */
 TEST(SelfCheck, BatchFaultFailsOnlyThatRunsFuture)
 {
-    if (!check::buildEnabled())
-        GTEST_SKIP() << "built with DMP_SELFCHECK_BUILD=OFF";
     sim::SimConfig clean = smallConfig("bzip2");
     clean.selfcheck = check::Mode::All;
     check::FaultPlan plan{check::FaultKind::RobSeqSwap, 0};

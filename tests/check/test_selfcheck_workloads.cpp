@@ -47,16 +47,12 @@ expectClean(sim::SimConfig cfg, const std::string &what)
 
 TEST(SelfCheckWorkloads, BaselineClean)
 {
-    if (!check::buildEnabled())
-        GTEST_SKIP() << "built with DMP_SELFCHECK_BUILD=OFF";
     for (const char *wl : {"bzip2", "mcf", "twolf"})
         expectClean(gateConfig(wl), std::string("base/") + wl);
 }
 
 TEST(SelfCheckWorkloads, HammockPredicationClean)
 {
-    if (!check::buildEnabled())
-        GTEST_SKIP() << "built with DMP_SELFCHECK_BUILD=OFF";
     sim::SimConfig cfg = gateConfig("parser");
     cfg.core.predication = core::PredicationScope::SimpleHammock;
     expectClean(cfg, "dhp/parser");
@@ -64,8 +60,6 @@ TEST(SelfCheckWorkloads, HammockPredicationClean)
 
 TEST(SelfCheckWorkloads, DmpClean)
 {
-    if (!check::buildEnabled())
-        GTEST_SKIP() << "built with DMP_SELFCHECK_BUILD=OFF";
     for (const char *wl : {"bzip2", "gzip"}) {
         sim::SimConfig cfg = gateConfig(wl);
         cfg.core.predication = core::PredicationScope::Diverge;
@@ -75,8 +69,6 @@ TEST(SelfCheckWorkloads, DmpClean)
 
 TEST(SelfCheckWorkloads, DmpEnhancedClean)
 {
-    if (!check::buildEnabled())
-        GTEST_SKIP() << "built with DMP_SELFCHECK_BUILD=OFF";
     for (const char *wl : {"bzip2", "mcf", "vpr"}) {
         sim::SimConfig cfg = gateConfig(wl);
         cfg.core.predication = core::PredicationScope::Diverge;
@@ -89,8 +81,6 @@ TEST(SelfCheckWorkloads, DmpEnhancedClean)
 
 TEST(SelfCheckWorkloads, DualPathClean)
 {
-    if (!check::buildEnabled())
-        GTEST_SKIP() << "built with DMP_SELFCHECK_BUILD=OFF";
     for (const char *wl : {"bzip2", "twolf"}) {
         sim::SimConfig cfg = gateConfig(wl);
         cfg.core.mode = core::CoreMode::DualPath;
@@ -100,8 +90,6 @@ TEST(SelfCheckWorkloads, DualPathClean)
 
 TEST(SelfCheckWorkloads, LoopMarkerExtensionClean)
 {
-    if (!check::buildEnabled())
-        GTEST_SKIP() << "built with DMP_SELFCHECK_BUILD=OFF";
     sim::SimConfig cfg = gateConfig("gzip");
     cfg.core.predication = core::PredicationScope::Diverge;
     cfg.core.enhMultiCfm = true;

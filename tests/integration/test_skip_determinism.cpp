@@ -5,9 +5,8 @@
  * enabled (the default) and forced full scan (DMP_FORCE_FULL_SCAN) —
  * and the two SimResults must be identical in every simulated-
  * performance field (cycles, IPC, all counters, all distributions).
- * When the accounting probes are compiled in, both runs also attach
- * the top-down accounting sink and must satisfy the bucket-sum ==
- * total-cycles invariant (the bulk idle-span charge path is exercised
+ * Both runs also attach top-down cycle accounting and must satisfy
+ * the bucket-sum == total-cycles invariant (the bulk idle-span charge path is exercised
  * by the skipping run, the per-cycle path by the full scan).
  */
 
@@ -17,7 +16,6 @@
 #include <map>
 #include <string>
 
-#include "common/trace.hh"
 #include "core/params.hh"
 #include "sim/simulator.hh"
 #include "workloads/workloads.hh"
@@ -53,15 +51,14 @@ sweepConfig(const std::string &workload, const core::CoreParams &core)
     cfg.train.iterations = 40;
     cfg.ref.iterations = 40;
     cfg.marker.profileInsts = 40000;
-    cfg.accounting = trace::tracingCompiledIn();
+    cfg.accounting = true;
     return cfg;
 }
 
 void
 expectBucketInvariant(const sim::SimResult &r, const std::string &what)
 {
-    if (!r.hasAccounting)
-        return;
+    ASSERT_TRUE(r.hasAccounting) << what;
     std::uint64_t sum = 0;
     for (const char *b : kBuckets)
         sum += r.require(b);
