@@ -23,8 +23,8 @@
  *                        run to this path (dmp-report consumes these)
  *   DMP_BENCH_ACCT      any non-empty value attaches the cycle
  *                        accounting sink to every run, so exported
- *                        records carry the accounting block (requires
- *                        DMP_TRACING=ON; changes config fingerprints)
+ *                        records carry the accounting block (changes
+ *                        config fingerprints)
  */
 
 #ifndef DMP_BENCH_BENCH_UTIL_HH

@@ -127,16 +127,6 @@ nowSeconds()
 #define DMP_BENCH_PRESET "unknown"
 #endif
 
-constexpr bool
-selfcheckBuild()
-{
-#ifdef DMP_SELFCHECK_BUILD
-    return true;
-#else
-    return false;
-#endif
-}
-
 void
 writeJson(const std::string &path, const std::vector<RunRecord> &runs,
           unsigned repeats, double singleWall, double batchedWall,
@@ -159,8 +149,6 @@ writeJson(const std::string &path, const std::vector<RunRecord> &runs,
     out << "  \"cxx_flags\": \"" << DMP_BENCH_CXX_FLAGS << "\",\n";
     out << "  \"build_type\": \"" << DMP_BENCH_BUILD_TYPE << "\",\n";
     out << "  \"preset\": \"" << DMP_BENCH_PRESET << "\",\n";
-    out << "  \"selfcheck_build\": "
-        << (selfcheckBuild() ? "true" : "false") << ",\n";
     out << "  \"single_job\": {\n";
 
     out << "    \"wall_seconds\": " << singleWall << ",\n";

@@ -94,13 +94,6 @@ class PipeView
     std::uint64_t nRecords = 0;
 };
 
-/** True when DMP_TRACE statements (and accounting probes) compile in. */
-constexpr bool
-tracingCompiledIn()
-{
-    return DMP_TRACING_ON != 0;
-}
-
 /**
  * Chrome trace-event JSON writer (Perfetto-loadable).
  *
