@@ -12,6 +12,7 @@
 #include "cfg/cfg.hh"
 #include "cfg/dominators.hh"
 #include "cfg/hammock.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 
 namespace dmp::analysis
@@ -397,7 +398,7 @@ markGenTargetJson(const std::string &target, const MarkGenReport &report,
                   const MarkAgreement *agreement)
 {
     std::ostringstream os;
-    os << "{\"target\":\"" << jsonEscape(target) << "\""
+    os << "{\"target\":\"" << json::escape(target) << "\""
        << ",\"marks\":{\"diverge\":" << report.markedDiverge
        << ",\"hammock\":" << report.markedSimpleHammock
        << ",\"loop\":" << report.markedLoop
@@ -438,7 +439,7 @@ markGenTargetJson(const std::string &target, const MarkGenReport &report,
            << ",\"net\":" << fnum(c.netBenefit)
            << ",\"loop\":" << (c.isLoop ? "true" : "false")
            << ",\"selected\":" << (c.selected ? "true" : "false")
-           << ",\"reason\":\"" << jsonEscape(c.reason) << "\""
+           << ",\"reason\":\"" << json::escape(c.reason) << "\""
            << ",\"proof\":\"" << c.proof << "\""
            << ",\"trip_max\":" << c.tripBound << "}";
     }

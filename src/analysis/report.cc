@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "common/json.hh"
+
 namespace dmp::analysis
 {
 
@@ -85,38 +87,6 @@ Report::text() const
 }
 
 std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-std::string
 Report::json() const
 {
     std::ostringstream os;
@@ -126,7 +96,7 @@ Report::json() const
         if (i)
             os << ',';
         os << "{\"severity\":\"" << severityName(f.severity)
-           << "\",\"code\":\"" << jsonEscape(f.code) << "\",";
+           << "\",\"code\":\"" << json::escape(f.code) << "\",";
         if (f.pc != kNoAddr)
             os << "\"pc\":\"0x" << std::hex << f.pc << std::dec << "\",";
         else
@@ -140,10 +110,10 @@ Report::json() const
         else
             os << "\"cycle\":null,";
         if (!f.object.empty())
-            os << "\"object\":\"" << jsonEscape(f.object) << "\",";
+            os << "\"object\":\"" << json::escape(f.object) << "\",";
         else
             os << "\"object\":null,";
-        os << "\"message\":\"" << jsonEscape(f.message) << "\"}";
+        os << "\"message\":\"" << json::escape(f.message) << "\"}";
     }
     os << ']';
     return os.str();

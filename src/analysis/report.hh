@@ -108,9 +108,6 @@ class Report
     std::vector<Finding> items;
 };
 
-/** Minimal JSON string escaping (quotes, backslash, control chars). */
-std::string jsonEscape(const std::string &s);
-
 } // namespace dmp::analysis
 
 #endif // DMP_ANALYSIS_REPORT_HH

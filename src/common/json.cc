@@ -1,6 +1,7 @@
 #include "common/json.hh"
 
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
 
 namespace dmp::json
@@ -30,6 +31,38 @@ Value::asU64() const
     if (!isNumber() || number < 0)
         return 0;
     return std::uint64_t(number);
+}
+
+std::string
+escape(std::string_view s)
+{
+    std::string out;
+    out.reserve(s.size() + 2);
+    for (char c : s) {
+        switch (c) {
+          case '"':
+            out += "\\\"";
+            break;
+          case '\\':
+            out += "\\\\";
+            break;
+          case '\n':
+            out += "\\n";
+            break;
+          case '\t':
+            out += "\\t";
+            break;
+          default:
+            if (static_cast<unsigned char>(c) < 0x20) {
+                char buf[8];
+                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+                out += buf;
+            } else {
+                out += c;
+            }
+        }
+    }
+    return out;
 }
 
 namespace
@@ -147,6 +180,10 @@ class Parser
                   case 'f':
                     out += '\f';
                     break;
+                  case 'u':
+                    if (!unicodeEscape(out))
+                        return false;
+                    continue;
                   default:
                     return fail("unsupported escape");
                 }
@@ -159,6 +196,31 @@ class Parser
         if (pos >= s.size())
             return fail("unterminated string");
         ++pos; // closing quote
+        return true;
+    }
+
+    /** \uXXXX at pos: append the code point as UTF-8. */
+    bool
+    unicodeEscape(std::string &out)
+    {
+        if (pos + 6 > s.size())
+            return fail("truncated \\u escape");
+        for (std::size_t i = pos + 2; i < pos + 6; ++i)
+            if (!std::isxdigit(static_cast<unsigned char>(s[i])))
+                return fail("bad \\u escape");
+        const unsigned long cp = std::strtoul(
+            std::string(s.substr(pos + 2, 4)).c_str(), nullptr, 16);
+        if (cp < 0x80) {
+            out += char(cp);
+        } else if (cp < 0x800) {
+            out += char(0xc0 | (cp >> 6));
+            out += char(0x80 | (cp & 0x3f));
+        } else {
+            out += char(0xe0 | (cp >> 12));
+            out += char(0x80 | ((cp >> 6) & 0x3f));
+            out += char(0x80 | (cp & 0x3f));
+        }
+        pos += 6;
         return true;
     }
 

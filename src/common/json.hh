@@ -1,13 +1,12 @@
 /**
  * @file
- * Minimal JSON reader for the telemetry tooling (dmp-report).
- *
- * The simulator only ever *emits* JSON (stats records, lint reports,
- * trace events); this is the matching reader for the aggregation side:
- * a small recursive-descent parser into a plain Value tree. It accepts
- * exactly the JSON the exporters produce (RFC 8259 minus \uXXXX
- * escapes, which no exporter emits) and reports malformed input with a
- * byte offset instead of throwing.
+ * Minimal JSON support for the telemetry tooling: the one string
+ * escaper every exporter (stats records, lint reports, trace events)
+ * uses, and the matching reader for the aggregation side (dmp-report),
+ * a small recursive-descent parser into a plain Value tree. The parser
+ * accepts RFC 8259 (\uXXXX escapes decode to UTF-8; surrogate pairs are
+ * not combined) and reports malformed input with a byte offset instead
+ * of throwing.
  */
 
 #ifndef DMP_COMMON_JSON_HH
@@ -62,6 +61,13 @@ class Value
     /** Number value (0 when not a number). */
     double asDouble() const { return isNumber() ? number : 0.0; }
 };
+
+/**
+ * Escape `s` for the inside of a JSON string literal: quote, backslash,
+ * newline and tab by name, every other byte below 0x20 as \u00XX, and
+ * everything else unchanged.
+ */
+std::string escape(std::string_view s);
 
 /**
  * Parse one JSON document.

@@ -2,6 +2,8 @@
 
 #include <mutex>
 
+#include "common/json.hh"
+
 namespace dmp::trace
 {
 
@@ -86,30 +88,6 @@ TraceEventWriter::~TraceEventWriter()
     close();
 }
 
-namespace
-{
-
-/** Escape a string for inclusion in a JSON string literal. */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\') {
-            out += '\\';
-            out += c;
-        } else if (c == '\n') {
-            out += "\\n";
-        } else {
-            out += c;
-        }
-    }
-    return out;
-}
-
-} // namespace
-
 void
 TraceEventWriter::event(const char *ph, int tid, std::uint64_t ts,
                         const std::string &name, const char *cat,
@@ -117,7 +95,7 @@ TraceEventWriter::event(const char *ph, int tid, std::uint64_t ts,
 {
     std::fprintf(f, "%s{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%s\","
                     "\"ts\":%llu,\"pid\":1,\"tid\":%d%s",
-                 nEvents ? ",\n" : "", jsonEscape(name).c_str(), cat, ph,
+                 nEvents ? ",\n" : "", json::escape(name).c_str(), cat, ph,
                  (unsigned long long)ts, tid, extra.c_str());
     if (!args.empty())
         std::fprintf(f, ",\"args\":%s", args.c_str());
@@ -130,7 +108,7 @@ TraceEventWriter::threadName(int tid, const std::string &name)
 {
     // Metadata events name the track; args carry the name itself.
     event("M", tid, 0, "thread_name", "__metadata", "",
-          "{\"name\":\"" + jsonEscape(name) + "\"}");
+          "{\"name\":\"" + json::escape(name) + "\"}");
 }
 
 void

@@ -14,24 +14,6 @@ namespace
 {
 
 std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\') {
-            out += '\\';
-            out += c;
-        } else if (c == '\n') {
-            out += "\\n";
-        } else {
-            out += c;
-        }
-    }
-    return out;
-}
-
-std::string
 fmtDouble(double v, const char *spec = "%.3f")
 {
     char buf[48];
@@ -184,14 +166,14 @@ ReportTable::render(ReportFormat f) const
 {
     std::ostringstream os;
     if (f == ReportFormat::Json) {
-        os << "{\"title\":\"" << jsonEscape(title) << "\",\"header\":[";
+        os << "{\"title\":\"" << json::escape(title) << "\",\"header\":[";
         for (std::size_t i = 0; i < header.size(); ++i)
-            os << (i ? "," : "") << '"' << jsonEscape(header[i]) << '"';
+            os << (i ? "," : "") << '"' << json::escape(header[i]) << '"';
         os << "],\"rows\":[";
         for (std::size_t i = 0; i < rows.size(); ++i) {
             os << (i ? "," : "") << '[';
             for (std::size_t j = 0; j < rows[i].size(); ++j)
-                os << (j ? "," : "") << '"' << jsonEscape(rows[i][j])
+                os << (j ? "," : "") << '"' << json::escape(rows[i][j])
                    << '"';
             os << ']';
         }

@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "analysis/analysis.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "core/params.hh"
 #include "isa/assembler.hh"
@@ -238,7 +239,7 @@ runMain(int argc, char **argv)
         if (o.json) {
             if (i)
                 json << ",";
-            json << "\n{\"target\":\"" << target
+            json << "\n{\"target\":\"" << json::escape(target)
                  << "\",\"marks\":" << prog.allMarks().size()
                  << ",\"errors\":" << report.errors()
                  << ",\"warnings\":" << report.warnings()

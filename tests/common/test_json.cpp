@@ -47,6 +47,26 @@ TEST(Json, StringEscapes)
     EXPECT_EQ(parseOk("\"a\\nb\\tc\"").string, "a\nb\tc");
 }
 
+TEST(Json, UnicodeEscapesDecodeToUtf8)
+{
+    EXPECT_EQ(parseOk("\"a\\u0001b\"").string, std::string("a\x01" "b"));
+    EXPECT_EQ(parseOk("\"\\u00e9\"").string, "\xc3\xa9");
+    EXPECT_EQ(parseOk("\"\\u20AC\"").string, "\xe2\x82\xac");
+    EXPECT_NE(parseErr("\"\\u00\"").find("offset"), std::string::npos);
+    EXPECT_NE(parseErr("\"\\u00zz\"").find("offset"), std::string::npos);
+}
+
+TEST(Json, EscapeRoundTripsEveryByte)
+{
+    std::string all;
+    for (int c = 1; c < 256; ++c)
+        all += char(c);
+    EXPECT_EQ(parseOk("\"" + escape(all) + "\"").string, all);
+    // Names without control bytes keep their old spelling.
+    EXPECT_EQ(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+    EXPECT_EQ(escape(std::string("\t\x01\x1f")), "\\t\\u0001\\u001f");
+}
+
 TEST(Json, ArraysAndNesting)
 {
     Value v = parseOk("[1, [2, 3], {\"k\": 4}]");
