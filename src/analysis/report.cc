@@ -26,8 +26,7 @@ void
 Report::add(Severity sev, std::string code, Addr pc, std::int32_t block,
             std::string message)
 {
-    items.push_back(Finding{sev, std::move(code), pc, block,
-                            std::move(message)});
+    add(sev, std::move(code), pc, block, std::move(message), -1, {});
 }
 
 void

@@ -818,9 +818,7 @@ CoreChecker::tryInject()
       case FaultKind::LeakPhysReg: {
         if (!core.prf.hasFree())
             return;
-        PhysReg p = core.prf.alloc();
-        core.prf.noteAlloc(p, 0);
-        // ... and drop it on the floor.
+        core.prf.alloc(); // ... and drop it on the floor.
         break;
       }
       case FaultKind::ReorderStore: {

@@ -50,21 +50,22 @@ class RingQueue
 
     /**
      * Append a default-valued entry and return a reference to it, so
-     * the caller can fill it directly in the ring (one write instead
-     * of construct-then-copy). The reference is valid until the next
-     * push/emplace (growth reallocates).
+     * the caller can fill it directly in the ring. The recycled slot is
+     * stamped from one shared blank: `slot = T{}` would build a stack
+     * temporary and copy it on every call. The reference is valid until
+     * the next push/emplace (growth reallocates).
      */
     T &
     emplace_back()
     {
+        static const T kBlank{};
         if (count == slots.size()) [[unlikely]]
             grow();
         T &slot = slots[(head + count) & mask];
-        slot = T{};
+        slot = kBlank;
         ++count;
         return slot;
     }
-
 
     T &
     front() noexcept
@@ -134,7 +135,8 @@ class RingQueue
     const_iterator end() const noexcept { return {this, count}; }
 
   private:
-    void
+    /** Out of line: keeps the cold doubling loop out of hot callers. */
+    [[gnu::noinline]] void
     grow()
     {
         std::vector<T> bigger(slots.size() * 2);

@@ -559,7 +559,7 @@ Core::squashYoungerThan(std::uint64_t survive_seq)
         if (obs)
             obs->onSquash(di, seq);
         if (di.hasDest)
-            prf.free(robDest[slot], 1, seq); // squash
+            prf.free(robDest[slot]); // squash
         if (di.checkpointId >= 0)
             cpPool.release(di.checkpointId, seq);
 

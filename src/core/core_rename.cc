@@ -137,7 +137,7 @@ Core::renameProgramInst(FetchedInst &fi)
     // so together the two copies write every byte of the (skipped)
     // allocRob reset exactly once.
     static const DynInst kBlank{};
-    std::memcpy(&di, &fi, kFrontCtxBytes);
+    std::memcpy(static_cast<void *>(&di), &fi, kFrontCtxBytes);
     std::memcpy(reinterpret_cast<char *>(&di) + kFrontCtxBytes,
                 reinterpret_cast<const char *>(&kBlank) + kFrontCtxBytes,
                 sizeof(DynInst) - kFrontCtxBytes);
@@ -159,7 +159,6 @@ Core::renameProgramInst(FetchedInst &fi)
         di.oldDest = map.lookup(di.archDest);
         PhysReg dest = prf.alloc();
         robDest[ref.slot] = dest;
-        prf.noteAlloc(dest, ref.seq);
         map.write(di.archDest, dest);
     }
 
@@ -320,7 +319,6 @@ Core::renameExitPred(const FetchedInst &fi)
         sel.selFalse = activeMap.map[r];
         PhysReg dest = prf.alloc();
         robDest[ref.slot] = dest;
-        prf.noteAlloc(dest, ref.seq);
         robPred[ref.slot] = ep->p1;
         const PredState &ps = preds.get(ep->p1);
         if (ps.resolved) {

@@ -72,7 +72,7 @@ Core::commitInst(std::uint32_t slot, DynInst &di)
         // selected source mapping (the non-selected one is freed by its
         // own predicated-FALSE producer).
         retiredArch.write(di.archDest, di.result);
-        prf.free(di.predValue ? di.selTrue : di.selFalse, 4, seq);
+        prf.free(di.predValue ? di.selTrue : di.selFalse);
         ++st.retiredSelectUops;
 
         break;
@@ -88,7 +88,7 @@ Core::commitInst(std::uint32_t slot, DynInst &di)
             // it allocated itself and leaves no architectural trace.
             ++st.retiredFalseInsts;
             if (di.hasDest)
-                prf.free(robDest[slot], 3, seq); // false-path self free
+                prf.free(robDest[slot]); // false-path self free
             if (di.isStore())
                 sb.retireHead(seq); // dropped, not sent to memory
             break;
@@ -97,7 +97,7 @@ Core::commitInst(std::uint32_t slot, DynInst &di)
         if (di.hasDest) {
             retiredArch.write(di.archDest, di.result);
             if (di.oldDest != kNoPhysReg)
-                prf.free(di.oldDest, 2, seq); // superseded mapping
+                prf.free(di.oldDest); // superseded mapping
         }
         if (di.isStore()) {
             SbEntry e = sb.retireHead(seq);

@@ -92,27 +92,13 @@ class PhysRegFile
     }
 
     void
-    free(PhysReg p, int tag = 0, std::uint64_t who = 0)
+    free(PhysReg p)
     {
         dmp_assert(p != kNoPhysReg, "freeing kNoPhysReg");
-        dmp_assert(!freeFlags[p], "double free of physical register ", p,
-                   " history: [tag ", int(hist[p].tag[0]), " by ",
-                   hist[p].who[0], " alloc-by ", hist[p].allocWho[0],
-                   "] [tag ", int(hist[p].tag[1]), " by ", hist[p].who[1],
-                   " alloc-by ", hist[p].allocWho[1], "] now tag ", tag,
-                   " by ", who, " alloc-by ", allocWho[p]);
+        dmp_assert(!freeFlags[p], "double free of physical register ", p);
         freeFlags[p] = true;
-        hist[p].tag[0] = hist[p].tag[1];
-        hist[p].who[0] = hist[p].who[1];
-        hist[p].allocWho[0] = hist[p].allocWho[1];
-        hist[p].tag[1] = char(tag);
-        hist[p].who[1] = who;
-        hist[p].allocWho[1] = allocWho[p];
         freeList.push_back(p);
     }
-
-    /** Debug: record the seq that allocated p (set by the caller). */
-    void noteAlloc(PhysReg p, std::uint64_t who) { allocWho[p] = who; }
 
     bool ready(PhysReg p) const { return readyBits[p]; }
     Word value(PhysReg p) const { return values[p]; }
@@ -187,15 +173,6 @@ class PhysRegFile
     std::vector<Word> values;
     std::vector<char> readyBits;
     std::vector<char> freeFlags;
-    struct FreeHist
-    {
-        char tag[2] = {0, 0};
-        std::uint64_t who[2] = {0, 0};
-        std::uint64_t allocWho[2] = {0, 0};
-    };
-    std::vector<FreeHist> hist{std::vector<FreeHist>(values.size())};
-    std::vector<std::uint64_t> allocWho{
-        std::vector<std::uint64_t>(values.size(), 0)};
     std::vector<PhysReg> freeList;
     std::vector<std::vector<InstRef>> waiters{values.size()};
 };

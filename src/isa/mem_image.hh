@@ -5,13 +5,16 @@
  * Holds the *values* of the simulated memory space; the cache hierarchy in
  * src/mem models access *timing* only. Word-granular (64-bit), 8-byte
  * aligned accesses, flat backing store sized at construction.
+ *
+ * The store is a private anonymous mapping, so the kernel zero-fills a
+ * page only when a program first touches it: building and clearing an
+ * image costs O(pages touched), not O(image size).
  */
 
 #ifndef DMP_ISA_MEM_IMAGE_HH
 #define DMP_ISA_MEM_IMAGE_HH
 
 #include <cstddef>
-#include <vector>
 
 #include "common/logging.hh"
 #include "common/types.hh"
@@ -24,11 +27,13 @@ class MemoryImage
 {
   public:
     /** @param bytes size of the simulated data space. */
-    explicit MemoryImage(std::size_t bytes = 64 * 1024 * 1024)
-        : words(bytes / sizeof(Word), 0)
-    {}
+    explicit MemoryImage(std::size_t bytes);
+    ~MemoryImage();
 
-    std::size_t sizeBytes() const { return words.size() * sizeof(Word); }
+    MemoryImage(const MemoryImage &) = delete;
+    MemoryImage &operator=(const MemoryImage &) = delete;
+
+    std::size_t sizeBytes() const { return numWords * sizeof(Word); }
 
     /** Read the word at a byte address (must be 8-byte aligned). */
     Word
@@ -44,18 +49,10 @@ class MemoryImage
         words[wordIndex(addr)] = value;
     }
 
-    /** Zero the whole image. */
-    void
-    clear()
-    {
-        std::fill(words.begin(), words.end(), 0);
-    }
+    /** Zero the whole image by handing its touched pages back. */
+    void clear();
 
-    bool
-    operator==(const MemoryImage &other) const
-    {
-        return words == other.words;
-    }
+    bool operator==(const MemoryImage &other) const;
 
   private:
     std::size_t
@@ -64,12 +61,13 @@ class MemoryImage
         dmp_assert(addr % sizeof(Word) == 0,
                    "unaligned memory access at 0x", std::hex, addr);
         std::size_t idx = addr / sizeof(Word);
-        if (idx >= words.size())
+        if (idx >= numWords)
             dmp_fatal("memory access out of bounds: 0x", std::hex, addr);
         return idx;
     }
 
-    std::vector<Word> words;
+    std::size_t numWords;
+    Word *words;
 };
 
 } // namespace dmp::isa

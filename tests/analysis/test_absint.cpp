@@ -354,7 +354,8 @@ checkLockstep(const isa::Program &prog, const std::string &what,
     AbsintResult r = analysis::runAbsint(prog, ao);
     ASSERT_TRUE(r.ran) << what << ": engine declined";
 
-    isa::MemoryImage mem; // default 64 MiB, as dmp-run uses
+    // The core's image size, as dmp-run passes it (CoreParams).
+    isa::MemoryImage mem(core::CoreParams{}.memoryBytes);
     isa::FuncSim sim(prog, mem);
 
     std::uint64_t escapes = 0;

@@ -3,7 +3,7 @@
  * Property test for RingQueue (common/ring_queue.hh): a randomized
  * push/pop/clear interleave checked against a std::deque model, plus
  * directed tests of the two hairy paths (growth while the ring is
- * wrapped, capacity rounding).
+ * wrapped, capacity rounding) and of emplace_back's recycled slots.
  */
 
 #include <gtest/gtest.h>
@@ -123,6 +123,58 @@ TEST(RingQueue, ClearThenReuse)
         ASSERT_EQ(q.front(), i);
         q.pop_front();
     }
+}
+
+/** A record whose defaults are all non-zero, so stale bytes show. */
+struct Rec
+{
+    int a = -1;
+    std::uint64_t b = 7;
+    bool c = true;
+    std::uint32_t d[5] = {1, 2, 3, 4, 5};
+
+    bool operator==(const Rec &) const = default;
+};
+
+/** Overwrite every field of r with junk. */
+void
+scribble(Rec &r, int v)
+{
+    r.a = v;
+    r.b = std::uint64_t(v) * 3;
+    r.c = false;
+    for (std::uint32_t &x : r.d)
+        x = std::uint32_t(v) + 100;
+}
+
+/**
+ * emplace_back must hand back an all-default entry even when the slot
+ * it recycles still holds an old entry's fields: after a wrap of the
+ * ring and after clear().
+ */
+TEST(RingQueue, EmplaceIntoRecycledSlotIsDefault)
+{
+    const Rec blank{};
+    RingQueue<Rec> q(4);
+    // Fill every slot with junk, then pop so head wraps the ring.
+    for (int i = 0; i < 4; ++i)
+        scribble(q.emplace_back(), i);
+    for (int i = 0; i < 3; ++i)
+        q.pop_front();
+    for (int i = 0; i < 3; ++i) {
+        Rec &r = q.emplace_back(); // slots 0..2 again: wrapped
+        EXPECT_EQ(r, blank) << "after wrap, entry " << i;
+        scribble(r, 50 + i);
+    }
+    ASSERT_EQ(q.capacity(), 4u);
+
+    q.clear();
+    for (int i = 0; i < 4; ++i) {
+        Rec &r = q.emplace_back();
+        EXPECT_EQ(r, blank) << "after clear, entry " << i;
+        scribble(r, 90 + i);
+    }
+    ASSERT_EQ(q.capacity(), 4u);
 }
 
 } // namespace

@@ -266,5 +266,58 @@ TEST(BaselineCore, TickAndResetSemantics)
     EXPECT_EQ(m.retiredState().read(1), 42u);
 }
 
+/**
+ * reset() restores everything a run touches. The loop below adds to
+ * each word of a 32 KiB array (eight pages) it loads, so a page left
+ * over from the first run would change both the second run's memory
+ * and, through the data-dependent branch, its counters.
+ */
+TEST(BaselineCore, ResetReproducesStoreHeavyRun)
+{
+    constexpr Addr kBase = 0x100000;
+    constexpr int kWords = 4096;
+    ProgramBuilder b;
+    b.li(10, 0);
+    b.li(11, kWords);
+    b.li(12, std::int64_t(kBase));
+    Label loop = b.newLabel();
+    Label skip = b.newLabel();
+    b.bind(loop);
+    b.shli(1, 10, 3);
+    b.add(1, 1, 12);
+    b.ld(2, 1, 0);
+    b.add(2, 2, 10);
+    b.addi(2, 2, 5);
+    b.st(1, 0, 2);
+    b.andi(3, 2, 6);
+    b.beq(3, 0, skip);
+    b.addi(4, 4, 1);
+    b.bind(skip);
+    b.addi(10, 10, 1);
+    b.blt(10, 11, loop);
+    b.halt();
+    b.dataWord(kBase, 1000);
+    Program p = b.build();
+
+    core::Core fresh(p, test::baselineParams());
+    fresh.run();
+    ASSERT_TRUE(fresh.halted());
+    EXPECT_EQ(fresh.retiredMemory().load(kBase), 1005u);
+
+    core::Core m(p, test::baselineParams());
+    m.run();
+    ASSERT_TRUE(m.halted());
+    const std::string first = m.stats().group.json();
+    EXPECT_TRUE(m.retiredMemory() == fresh.retiredMemory());
+
+    m.reset();
+    m.stats().reset();
+    m.run();
+    ASSERT_TRUE(m.halted());
+    EXPECT_EQ(m.stats().group.json(), first);
+    EXPECT_TRUE(m.retiredMemory() == fresh.retiredMemory());
+    EXPECT_EQ(m.retiredState().read(4), fresh.retiredState().read(4));
+}
+
 } // namespace
 } // namespace dmp

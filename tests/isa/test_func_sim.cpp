@@ -23,12 +23,40 @@ TEST(MemoryImage, LoadStoreRoundTrip)
 
 TEST(MemoryImage, Equality)
 {
-    MemoryImage a(1 << 16), b(1 << 16);
+    constexpr std::size_t kBytes = 1 << 16;
+    MemoryImage a(kBytes), b(kBytes);
     EXPECT_TRUE(a == b);
     a.store(8, 1);
     EXPECT_FALSE(a == b);
     b.store(8, 1);
     EXPECT_TRUE(a == b);
+    a.store(kBytes - sizeof(Word), 1); // the last word counts too
+    EXPECT_FALSE(a == b);
+    EXPECT_FALSE(MemoryImage(kBytes) == MemoryImage(kBytes / 2));
+}
+
+/** A new image reads zero from the first word to the last. */
+TEST(MemoryImage, FreshImageReadsZeroAtBothEnds)
+{
+    constexpr std::size_t kBytes = 1 << 20;
+    MemoryImage mem(kBytes);
+    EXPECT_EQ(mem.sizeBytes(), kBytes);
+    EXPECT_EQ(mem.load(0), 0u);
+    EXPECT_EQ(mem.load(kBytes - sizeof(Word)), 0u);
+}
+
+/** clear() zeroes every word, across every page a store touched. */
+TEST(MemoryImage, ClearZeroesEveryWord)
+{
+    constexpr std::size_t kBytes = 1 << 16;
+    MemoryImage mem(kBytes);
+    for (Addr a = 0; a < kBytes; a += 13 * sizeof(Word))
+        mem.store(a, a + 1);
+    mem.store(kBytes - sizeof(Word), 42);
+    mem.clear();
+    for (Addr a = 0; a < kBytes; a += sizeof(Word))
+        ASSERT_EQ(mem.load(a), 0u) << "word at 0x" << std::hex << a;
+    EXPECT_TRUE(mem == MemoryImage(kBytes));
 }
 
 TEST(FuncSim, ZeroRegisterIsImmutable)
