@@ -1,58 +1,10 @@
 #include "common/trace.hh"
 
-#include <mutex>
-
 #include "common/json.hh"
+#include "common/logging.hh"
 
 namespace dmp::trace
 {
-
-namespace
-{
-
-std::mutex gOutMutex;
-std::FILE *gTraceFile = nullptr; ///< nullptr == stderr
-
-std::FILE *
-out()
-{
-    return gTraceFile ? gTraceFile : stderr;
-}
-
-} // namespace
-
-void
-emitRecord(Flag f, Cycle cycle, std::uint64_t seq, const char *component,
-           const std::string &msg)
-{
-    const char *flag_name = flagTable()[unsigned(f)].name;
-    std::lock_guard lk(gOutMutex);
-    std::fprintf(out(), "%10llu: %s: %s: sq=%llu: %s\n",
-                 (unsigned long long)cycle, component, flag_name,
-                 (unsigned long long)seq, msg.c_str());
-}
-
-void
-setOutputFile(const std::string &path)
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        dmp_fatal("cannot open trace file: ", path);
-    std::lock_guard lk(gOutMutex);
-    if (gTraceFile)
-        std::fclose(gTraceFile);
-    gTraceFile = f;
-}
-
-void
-setOutputStderr()
-{
-    std::lock_guard lk(gOutMutex);
-    if (gTraceFile) {
-        std::fclose(gTraceFile);
-        gTraceFile = nullptr;
-    }
-}
 
 std::string
 hex(std::uint64_t v)

@@ -1,15 +1,11 @@
 /**
  * @file
- * Structured trace sink and pipeline-visualization writer.
+ * Trace file writers for the core's observers.
  *
- * DMP_TRACE(Flag, cycle, seq, component, args...) emits one record
- *
- *     <cycle>: <component>: <Flag>: sq=<seq>: <message>
- *
- * to the trace output (stderr by default, or a file via setOutputFile /
- * dmp-run --trace-file). Records are formatted only when the flag is
- * enabled, so a disabled flag costs one relaxed load and a predictable
- * branch; -DDMP_TRACING=OFF removes the statements entirely.
+ * The text trace (`<cycle>: <component>: <Flag>: sq=<seq>: ...`
+ * records) is not here: it is the fourth CoreObserver subscriber,
+ * core/text_trace.hh, beside the pipeline viewer, cycle accounting and
+ * the self-checker. It uses hex() below for addresses.
  *
  * PipeView writes per-instruction lifecycle records in the gem5
  * O3PipeView format (one tick per cycle), which the Konata pipeline
@@ -31,26 +27,10 @@
 #include <cstdio>
 #include <string>
 
-#include "common/debug_flags.hh"
-#include "common/logging.hh"
 #include "common/types.hh"
 
 namespace dmp::trace
 {
-
-/**
- * Format and write one trace record. Thread-safe (records from
- * concurrent batch workers never interleave mid-line). Call through
- * DMP_TRACE so disabled flags skip argument formatting.
- */
-void emitRecord(Flag f, Cycle cycle, std::uint64_t seq,
-                const char *component, const std::string &msg);
-
-/** Redirect trace records to a file (fatal if it cannot be opened). */
-void setOutputFile(const std::string &path);
-
-/** Route trace records back to stderr (the default); closes any file. */
-void setOutputStderr();
 
 /** Lowercase-hex rendering of an address ("0x4a8") for trace messages. */
 std::string hex(std::uint64_t v);
@@ -156,19 +136,5 @@ class TraceEventWriter
 };
 
 } // namespace dmp::trace
-
-/**
- * Emit a trace record under `flag`. Arguments after `component` are
- * stream-concatenated; they are evaluated only when the flag is on.
- */
-#define DMP_TRACE(flag, cycle, seq, component, ...) \
-    do { \
-        if (DMP_TRACING_ON && \
-            ::dmp::trace::enabled(::dmp::trace::Flag::flag)) { \
-            ::dmp::trace::emitRecord( \
-                ::dmp::trace::Flag::flag, (cycle), (seq), (component), \
-                ::dmp::detail::concat(__VA_ARGS__)); \
-        } \
-    } while (0)
 
 #endif // DMP_COMMON_TRACE_HH

@@ -1,6 +1,7 @@
 #include "core/core.hh"
 
 #include <algorithm>
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -166,6 +167,18 @@ episodeWindow(const CoreParams &p)
     return cap;
 }
 
+/** printf-style append to `out`. */
+[[gnu::format(printf, 2, 3)]] void
+appendf(std::string &out, const char *fmt, ...)
+{
+    char buf[512];
+    va_list ap;
+    va_start(ap, fmt);
+    std::vsnprintf(buf, sizeof(buf), fmt, ap);
+    va_end(ap);
+    out += buf;
+}
+
 } // namespace
 
 Core::Core(const isa::Program &program, const CoreParams &params)
@@ -190,8 +203,11 @@ Core::Core(const isa::Program &program, const CoreParams &params)
       robCompleteAt(p.robSize, kNeverCycle),
       robPred(p.robSize, kNoPred)
 {
-
-
+    if (p.predication != PredicationScope::None &&
+        p.robSize < kMinPredicationRobSize)
+        dmp_fatal("robSize ", p.robSize, " is below the minimum of ",
+                  kMinPredicationRobSize, " that dynamic predication "
+                  "needs to rename a predicated exit");
     dmp_assert((p.memoryBytes & (p.memoryBytes - 1)) == 0,
                "memoryBytes must be a power of two");
     dmp_assert(p.cfmCamEntries <= kMaxCfmCamEntries,
@@ -370,7 +386,7 @@ Core::run(std::uint64_t max_insts, std::uint64_t max_cycles)
             last_retired = retired_now;
             last_progress_cycle = now;
         } else if (now - last_progress_cycle > 200000) {
-            dumpDeadlockState();
+            panicDeadlock();
         }
     }
     if (!isHalted)
@@ -379,27 +395,28 @@ Core::run(std::uint64_t max_insts, std::uint64_t max_cycles)
 }
 
 void
-Core::dumpDeadlockState()
+Core::panicDeadlock()
 {
-    std::fprintf(stderr,
-                 "DEADLOCK at cycle %llu: rob=%u fq=%zu fetchPc=0x%llx "
-                 "stall=%llu fdp{ep=%llu path=%d cfm=0x%llx cnt=%u} "
-                 "dual=%d readyQ=%zu events=%zu stalledLoads=%zu\n",
-                 (unsigned long long)now, robCount, fetchQueue.size(),
-                 (unsigned long long)fetchPc,
-                 (unsigned long long)fetchStallUntil,
-                 (unsigned long long)fdp.episodeId, int(fdp.path),
-                 (unsigned long long)fdp.chosenCfm, fdp.pathInstCount,
-                 int(fdual.active), readyQueue.size(),
-                 events.size(),
-                 stalledLoads.size());
+    std::string out;
+    appendf(out,
+            "DEADLOCK at cycle %llu: rob=%u fq=%zu fetchPc=0x%llx "
+            "stall=%llu fdp{ep=%llu path=%d cfm=0x%llx cnt=%u} "
+            "dual=%d readyQ=%zu events=%zu stalledLoads=%zu\n",
+            (unsigned long long)now, robCount, fetchQueue.size(),
+            (unsigned long long)fetchPc,
+            (unsigned long long)fetchStallUntil,
+            (unsigned long long)fdp.episodeId, int(fdp.path),
+            (unsigned long long)fdp.chosenCfm, fdp.pathInstCount,
+            int(fdual.active), readyQueue.size(),
+            events.size(),
+            stalledLoads.size());
 
     for (std::uint32_t i = 0; i < std::min(robCount, 8u); ++i) {
         std::uint32_t slot = robSlotAt(i);
         DynInst &di = rob[slot];
         std::uint8_t s = robState[slot];
-        std::fprintf(
-            stderr,
+        appendf(
+            out,
             "  rob[%u] seq=%llu kind=%d pc=0x%llx op=%s disp=%d "
             "issued=%d exec=%d deps=%u awaitPred=%d pred=%u pres=%d "
             "pval=%d\n",
@@ -409,38 +426,38 @@ Core::dumpDeadlockState()
             int((s & kRobExecuted) != 0), robDeps[slot],
             int((s & kRobAwaitPred) != 0), unsigned(robPred[slot]),
             int(di.predResolved), int(di.predValue));
-        std::fprintf(stderr,
-                     "         src1=%u(r%d rdy=%d) src2=%u(r%d rdy=%d) "
-                     "dest=%u ep=%llu path=%d\n",
-                     unsigned(di.src1), int(di.si.rs1),
-                     di.src1 != kNoPhysReg ? int(prf.ready(di.src1)) : -1,
-                     unsigned(di.src2), int(di.si.rs2),
-                     di.src2 != kNoPhysReg ? int(prf.ready(di.src2)) : -1,
-                     unsigned(robDest[slot]),
-                     (unsigned long long)di.episode, int(di.path));
+        appendf(out,
+                "         src1=%u(r%d rdy=%d) src2=%u(r%d rdy=%d) "
+                "dest=%u ep=%llu path=%d\n",
+                unsigned(di.src1), int(di.si.rs1),
+                di.src1 != kNoPhysReg ? int(prf.ready(di.src1)) : -1,
+                unsigned(di.src2), int(di.si.rs2),
+                di.src2 != kNoPhysReg ? int(prf.ready(di.src2)) : -1,
+                unsigned(robDest[slot]),
+                (unsigned long long)di.episode, int(di.path));
     }
     {
         // Which registers hold the head instruction's lost waiters?
         InstRef head_ref{robHead, robSeq[robHead]};
 
         for (PhysReg r : prf.regsWaitedOnBy(head_ref)) {
-            std::fprintf(stderr,
-                         "  head waits on pr%u ready=%d value=%llu\n",
-                         unsigned(r), int(prf.ready(r)),
-                         (unsigned long long)prf.value(r));
+            appendf(out,
+                    "  head waits on pr%u ready=%d value=%llu\n",
+                    unsigned(r), int(prf.ready(r)),
+                    (unsigned long long)prf.value(r));
         }
     }
     if (!fetchQueue.empty()) {
         const FetchedInst &fi = fetchQueue.front();
-        std::fprintf(stderr,
-                     "  fq.front kind=%d pc=0x%llx readyAt=%llu ep=%llu\n",
-                     int(fi.kind), (unsigned long long)fi.pc,
-                     (unsigned long long)fi.renameReadyAt,
-                     (unsigned long long)fi.episode);
+        appendf(out,
+                "  fq.front kind=%d pc=0x%llx readyAt=%llu ep=%llu\n",
+                int(fi.kind), (unsigned long long)fi.pc,
+                (unsigned long long)fi.renameReadyAt,
+                (unsigned long long)fi.episode);
     }
-    std::fprintf(stderr, "  free: prf=%zu cp=%u sb=%zu\n",
-                 prf.numFree(), cpPool.freeCount(), sb.size());
-    dmp_panic("no retirement progress for 200000 cycles");
+    appendf(out, "  free: prf=%zu cp=%u sb=%zu\n",
+            prf.numFree(), cpPool.freeCount(), sb.size());
+    dmp_panic("no retirement progress for 200000 cycles\n", out);
 }
 
 // ---------------------------------------------------------------------
@@ -472,9 +489,6 @@ Core::killEpisode(Episode &ep)
         return;
     ep.dead = true;
     ++st.squashedEpisodes;
-    DMP_TRACE(Dpred, now, 0, "core.dpred", "EP", ep.id,
-              " killed by older misprediction (diverge=",
-              trace::hex(ep.divergePc), ")");
     // Release the predicate namespace: no tagged instruction survives a
     // kill (they are all younger than the diverge branch).
     if (ep.p1 != kNoPred && !preds.get(ep.p1).resolved)
@@ -495,8 +509,6 @@ Core::classifyExit(Episode &ep, ExitCase c)
     ep.exitCase = c;
     ++st.exitCase[unsigned(c) - 1];
     st.episodeLength.sample(ep.fetchedInsts);
-    DMP_TRACE(Dpred, now, 0, "core.dpred", "EP", ep.id, " exit case ",
-              unsigned(c), " after ", ep.fetchedInsts, " insts");
     notifyEpisodeEnd(ep);
 }
 

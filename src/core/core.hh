@@ -39,7 +39,6 @@
 #include "common/event_queue.hh"
 #include "common/ring_queue.hh"
 #include "common/stats.hh"
-#include "common/trace.hh"
 #include "common/types.hh"
 #include "core/dyn_inst.hh"
 #include "core/episode.hh"
@@ -110,6 +109,17 @@ struct CoreStats
     void reset();
 };
 
+static_assert(isa::kZeroReg < isa::kNumArchRegs);
+
+/**
+ * Smallest ROB that can rename every predicated exit. renameExitPred
+ * places exit.pred and all of its select-uops in one go, and an exit
+ * can need a select-uop for every architectural register but the
+ * hardwired kZeroReg; a smaller ROB never fits them and deadlocks.
+ */
+inline constexpr unsigned kMinPredicationRobSize =
+    1 + (isa::kNumArchRegs - 1);
+
 /** The out-of-order diverge-merge core. */
 class Core
 {
@@ -149,6 +159,7 @@ class Core
     const isa::MemoryImage &retiredMemory() const { return *memory; }
 
     const CoreParams &params() const { return p; }
+    const isa::Program &program() const { return prog; }
 
     /** Liveness check used by leak tests: all pools back to full. */
     bool resourcesQuiescent() const;
@@ -402,8 +413,8 @@ class Core
     void finalizeClassifier(WrongPathRecord &rec);
     void finalizeAllClassifiers();
 
-    /** Diagnostic dump + panic when retirement stops making progress. */
-    [[noreturn]] void dumpDeadlockState();
+    /** Panic, with a diagnostic dump, when retirement stops. */
+    [[noreturn]] void panicDeadlock();
 
     // ---- Observer notifiers ----
     // One null test per event when no observer is attached. Per-cycle

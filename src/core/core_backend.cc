@@ -9,7 +9,6 @@
 #include <algorithm>
 
 #include "common/logging.hh"
-#include "common/trace.hh"
 #include "core/core.hh"
 
 
@@ -109,10 +108,6 @@ Core::tryIssueLoad(InstRef ref)
     robState[ref.slot] |= kRobIssued;
     di.issuedAt = std::uint32_t(now);
     ++st.executedInsts;
-    DMP_TRACE(Issue, now, ref.seq, "core.issue", trace::hex(di.pc),
-
-              " load addr=", trace::hex(addr),
-              fr == ForwardResult::Forward ? " (forwarded)" : "");
     if (fr == ForwardResult::Forward) {
         di.result = forwarded;
         scheduleCompletion(ref, now + p.agenLatency + p.forwardLatency);
@@ -130,9 +125,6 @@ Core::executeReady(InstRef ref)
     DynInst &di = rob[ref.slot];
     robState[ref.slot] |= kRobIssued;
     di.issuedAt = std::uint32_t(now);
-    DMP_TRACE(Issue, now, ref.seq, "core.issue", trace::hex(di.pc), " ",
-              isa::opcodeName(di.si.op));
-
 
     Cycle latency = p.aluLatency;
     switch (di.kind) {
@@ -230,8 +222,6 @@ Core::writeback(InstRef ref)
     DynInst &di = rob[ref.slot];
     robState[ref.slot] |= kRobExecuted;
     di.completedAt = std::uint32_t(now);
-    DMP_TRACE(Complete, now, ref.seq, "core.complete", trace::hex(di.pc),
-              " ", isa::opcodeName(di.si.op));
 
     if (di.hasDest) {
         const PhysReg dest = robDest[ref.slot];
@@ -365,10 +355,6 @@ void
 Core::resolveDivergeBranch(InstRef ref, DynInst &di, Episode &ep)
 {
     bool correct = !di.mispredicted;
-    DMP_TRACE(Dpred, now, ref.seq, "core.backend", "EP", ep.id,
-
-              " resolve correct=", int(correct),
-              " fdpEp=", fdp.episodeId, " fdpPath=", int(fdp.path));
     ep.resolved = true;
     ep.resolvedCorrect = correct;
 
@@ -488,11 +474,6 @@ Core::flushAfter(InstRef branch_ref, Addr redirect_pc)
     DynInst &b = rob[branch_ref.slot];
     const std::uint64_t b_seq = branch_ref.seq;
     dmp_assert(b.checkpointId >= 0, "flush without a checkpoint");
-    DMP_TRACE(Flush, now, b_seq, "core.backend", "pc=", trace::hex(b.pc),
-              " path=", int(b.path),
-              " pred=", unsigned(robPred[branch_ref.slot]),
-              " cpEp=", cpPool.get(b.checkpointId).episode,
-              " redirect=", trace::hex(redirect_pc));
 
     ++st.pipelineFlushes;
     noteFlushForClassifier(b_seq);

@@ -9,7 +9,6 @@
 #include <algorithm>
 
 #include "common/logging.hh"
-#include "common/trace.hh"
 #include "core/core.hh"
 
 namespace dmp::core
@@ -221,10 +220,6 @@ Core::fetchOne(Addr &pc, std::uint64_t &ghr_ref, PathId dual_path,
             bool can_enter = !fdp.active();
             if (fdp.active() && fdp.path == PathId::Predicted &&
                 p.enhMultiDiverge) {
-                DMP_TRACE(Dpred, now, 0, "core.fetch", "MDB old=",
-                          trace::hex(episode(fdp.episodeId).divergePc),
-                          " new=", trace::hex(fi.pc),
-                          " cnt=", fdp.pathInstCount);
                 // Section 2.7.3: the old episode reverts to normal
                 // branch prediction; the new diverge branch takes over.
                 convertEpisode(episode(fdp.episodeId),
@@ -367,9 +362,6 @@ Core::tryStartDpredEpisode(FetchedInst &fi, const isa::DivergeMark &mark)
     fdp.path = PathId::Predicted;
     fdp.pathInstCount = 0;
 
-    DMP_TRACE(Dpred, now, 0, "core.fetch", "EP", ep.id, " enter pc=",
-              trace::hex(ep.divergePc), " predTaken=", int(ep.predTaken),
-              " cfms=", ep.cfmCount);
     ++st.dpredEntries;
     if (obs)
         obs->onEpisodeStart(ep.id, ep.divergePc, false, now);
@@ -411,9 +403,6 @@ Core::tryStartDualEpisode(FetchedInst &fi)
     fdual.ghr[1] = (fi.ghrAtFetch << 1) | (fi.predTaken ? 0 : 1);
     fdual.toggle = 0;
 
-    DMP_TRACE(Dual, now, 0, "core.fetch", "EP", fi.episode,
-              " fork pc=", trace::hex(fi.pc), " pred=",
-              trace::hex(fdual.pc[0]), " alt=", trace::hex(fdual.pc[1]));
     ++st.dualForks;
     if (obs)
         obs->onEpisodeStart(fi.episode, fi.pc, true, now);
@@ -439,9 +428,6 @@ Core::switchToAlternatePath()
     ghr = (ep.savedGhr << 1) | (ep.predTaken ? 0 : 1);
     ras.restore(ep.savedRas);
 
-    DMP_TRACE(Dpred, now, 0, "core.fetch", "EP", ep.id, " switch cfm=",
-              trace::hex(ep.chosenCfm), " alt=",
-              trace::hex(ep.altStartPc));
     enqueueMarker(UopKind::EnterAlt, ep.id);
     fdp.path = PathId::Alternate;
     fdp.pathInstCount = 0;
@@ -454,8 +440,6 @@ void
 Core::normalDpredExit()
 {
     Episode &ep = episode(fdp.episodeId);
-    DMP_TRACE(Dpred, now, 0, "core.fetch", "EP", ep.id,
-              " normal-exit at cfm=", trace::hex(ep.chosenCfm));
     enqueueMarker(UopKind::ExitPred, ep.id);
     ep.fetchDone = true;
     fdp.clear();
@@ -468,9 +452,6 @@ Core::convertEpisode(Episode &ep, ConversionReason reason,
                      bool redirect_to_cfm)
 {
     dmp_assert(!ep.isConverted(), "episode converted twice");
-    DMP_TRACE(Dpred, now, 0, "core.fetch", "EP", ep.id,
-              " convert reason=", unsigned(reason),
-              " redirect=", int(redirect_to_cfm));
     ep.converted = reason;
     switch (reason) {
       case ConversionReason::EarlyExit:
@@ -526,9 +507,6 @@ Core::pushFetched(const FetchedInst &fi)
         if (fi.oracleWrongPath)
             ++st.wrongPathFetched;
         noteFetchForClassifier(fi.pc);
-        DMP_TRACE(Fetch, now, 0, "core.fetch", trace::hex(fi.pc), " ",
-                  isa::opcodeName(fi.si.op),
-                  fi.oracleWrongPath ? " wrong-path" : "");
     }
 }
 
@@ -536,8 +514,6 @@ Core::pushFetched(const FetchedInst &fi)
 void
 Core::redirectFetch(Addr pc)
 {
-    DMP_TRACE(Fetch, now, 0, "core.fetch", "redirect to ",
-              trace::hex(pc));
     fetchPc = pc;
     fetchStallUntil = now + 1;
     if (oracle)

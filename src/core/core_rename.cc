@@ -9,7 +9,6 @@
 #include <cstring>
 
 #include "common/logging.hh"
-#include "common/trace.hh"
 #include "core/core.hh"
 
 
@@ -203,9 +202,6 @@ Core::renameProgramInst(FetchedInst &fi)
         }
     }
 
-    DMP_TRACE(Rename, now, ref.seq, "core.rename", trace::hex(di.pc), " ",
-              isa::opcodeName(di.si.op),
-              fi.pred != kNoPred ? " predicated" : "");
     setupDependencies(ref);
 
 }
@@ -250,8 +246,6 @@ Core::renameEnterAlt(const FetchedInst &fi)
         activeMap.clearMBits();
     }
 
-    DMP_TRACE(Rename, now, 0, "core.rename", "EP", fi.episode,
-              " EnterAlt alive=", int(ep != nullptr));
     InstRef ref = allocRob();
     DynInst &di = rob[ref.slot];
     di.kind = UopKind::EnterAlt;
@@ -338,8 +332,6 @@ Core::renameRestoreMap(const FetchedInst &fi)
 {
     Episode *ep = episodeIfAlive(fi.episode);
     episode(fi.episode).pendingMarkers--;
-    DMP_TRACE(Rename, now, 0, "core.rename", "EP", fi.episode,
-              " RestoreMap valid=", int(ep && ep->endPredMapValid));
     if (ep && ep->endPredMapValid) {
         // Case 3 / early exit: continue from the end-of-predicted-path
         // register state (section 2.6).

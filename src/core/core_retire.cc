@@ -8,7 +8,6 @@
  */
 
 #include "common/logging.hh"
-#include "common/trace.hh"
 #include "core/core.hh"
 
 namespace dmp::core
@@ -109,20 +108,10 @@ Core::commitInst(std::uint32_t slot, DynInst &di)
             }
         }
         ++st.retiredInsts;
-        DMP_TRACE(Commit, now, seq, "core.retire", trace::hex(di.pc),
-                  " ", isa::opcodeName(di.si.op));
-
         if (di.isCondBranch) {
             ++st.retiredCondBranches;
-            if (di.actualNextPc != di.predNextPc) {
+            if (di.actualNextPc != di.predNextPc)
                 ++st.retiredMispredCondBranches;
-                DMP_TRACE(Commit, now, seq, "core.retire",
-
-                          "mispredict pc=", trace::hex(di.pc),
-                          " starter=", int(di.isDivergeStarter),
-                          " mark=", int(prog.mark(di.pc) != nullptr),
-                          " lowconf=", int(di.lowConfidence));
-            }
             trainPredictors(di);
         } else if (di.isControl) {
             ++st.retiredControl;

@@ -1,9 +1,10 @@
 /**
  * @file
  * The core's one event stream. Cycle accounting (src/analysis), the
- * self-checker (src/check) and the pipeline viewer (core/pipeview.hh)
- * all subscribe through CoreObserver. Every method has an empty
- * default body, so a subscriber overrides only the events it reads.
+ * self-checker (src/check), the pipeline viewer (core/pipeview.hh) and
+ * the text trace (core/text_trace.hh) all subscribe through
+ * CoreObserver. Every method has an empty default body, so a
+ * subscriber overrides only the events it reads.
  *
  * The core calls each event behind a single null test and no build
  * switch; with several subscribers it dispatches through an

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.hh"
-#include "common/trace.hh"
 
 namespace dmp::mem
 {
@@ -64,8 +63,6 @@ Cache::access(Addr addr, Cycle now, Cycle &ready_out, Cycle &avail_out)
 
     // Miss: allocate the LRU way; the caller announces the fill time.
     ++missCount;
-    DMP_TRACE(Cache, now, 0, p.name.c_str(), "miss addr=",
-              trace::hex(addr), " set=", setIndex(addr));
     Line *victim = &set[0];
     for (std::uint32_t w = 1; w < p.assoc; ++w) {
         if (!set[w].valid) {

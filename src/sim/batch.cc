@@ -5,7 +5,6 @@
 
 #include "analysis/analysis.hh"
 #include "common/logging.hh"
-#include "common/trace.hh"
 
 namespace dmp::sim
 {
@@ -267,17 +266,11 @@ BatchRunner::execute(const Task &task)
         std::lock_guard lk(mtx);
         execOrder.push_back(task.key);
     }
-    std::uint64_t run_no =
-        nSimRuns.fetch_add(1, std::memory_order_relaxed) + 1;
-    DMP_TRACE(Batch, 0, run_no, "sim.batch", "start ", task.cfg.workload,
-              " key=", task.key.size(), "B");
+    nSimRuns.fetch_add(1, std::memory_order_relaxed);
     std::shared_ptr<const RefEntry> prep = preparedProgram(task.cfg);
     SimResult r = runSimOnProgram(prep->ref, prep->report, task.cfg);
     nSimNanos.fetch_add(std::uint64_t(r.hostSeconds * 1e9),
                         std::memory_order_relaxed);
-    DMP_TRACE(Batch, 0, run_no, "sim.batch", "done ", task.cfg.workload,
-              " cycles=", r.cycles, " retired=", r.retiredInsts,
-              " host_ms=", std::uint64_t(r.hostSeconds * 1e3));
     return std::make_shared<const SimResult>(std::move(r));
 }
 

@@ -3,7 +3,8 @@
  * dmp-run — command-line driver for the diverge-merge simulator.
  *
  * Runs one workload (or an assembly file) through a chosen machine
- * configuration and prints the full statistics dump.
+ * configuration and prints the full statistics dump. Numeric option
+ * values must parse whole (decimal, 0x hex or 0 octal).
  *
  *   dmp-run [options] <workload-name | file.s>
  *
@@ -40,11 +41,13 @@
  *   --marks              print the marked-program listing and exit
  *
  * Observability:
- *   --debug-flags=F1,F2  enable named trace flags (also: DMP_DEBUG env;
- *                        "all" enables everything)
+ *   --debug-flags=F1,F2  print a text trace of the named event classes
+ *                        (Commit, Flush, Dpred, Dual; "all" = every
+ *                        one; single-run only)
  *   --list-debug-flags   print the flag table and exit
- *   --trace-file=PATH    write trace records to PATH instead of stderr
+ *   --trace-file=PATH    write the text trace to PATH instead of stderr
  *   --pipeview=PATH      write a Konata/O3PipeView pipeline trace
+ *                        (single-run only)
  *   --stats-json=PATH    append one JSONL stats record per run to PATH
  *   --accounting         attach top-down cycle accounting: prints the
  *                        bucket breakdown and per-branch diverge
@@ -56,17 +59,18 @@
  *                        only)
  */
 
+#include <cctype>
+#include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
-
 #include <vector>
-
-#include <memory>
 
 #include "analysis/accounting.hh"
 #include "analysis/analysis.hh"
@@ -74,6 +78,7 @@
 #include "common/trace.hh"
 #include "core/core.hh"
 #include "core/pipeview.hh"
+#include "core/text_trace.hh"
 #include "isa/assembler.hh"
 #include "profile/profiler.hh"
 #include "sim/batch.hh"
@@ -135,6 +140,21 @@ flagValue(const char *arg, const char *name, std::string &out)
     return false;
 }
 
+/** `v` as a whole number no larger than `max`; fatal naming `name`. */
+std::uint64_t
+number(const char *name, const std::string &v,
+       std::uint64_t max = ~std::uint64_t(0))
+{
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long n = std::strtoull(v.c_str(), &end, 0);
+    // strtoull alone would skip blanks, accept a sign and stop at junk.
+    if (!std::isdigit(static_cast<unsigned char>(v[0])) || *end != '\0' ||
+        errno == ERANGE || n > max)
+        dmp_fatal(name, ": not a valid number: '", v, "'");
+    return n;
+}
+
 Options
 parse(int argc, char **argv)
 {
@@ -150,17 +170,17 @@ parse(int argc, char **argv)
             o.sweep = v;
         }
         else if (flagValue(a, "--jobs", v))
-            o.jobs = unsigned(std::strtoul(v.c_str(), nullptr, 0));
+            o.jobs = unsigned(number("--jobs", v, UINT_MAX));
         else if (flagValue(a, "--iters", v))
-            o.iters = std::strtoull(v.c_str(), nullptr, 0);
+            o.iters = number("--iters", v);
         else if (flagValue(a, "--seed", v))
-            o.seed = std::strtoull(v.c_str(), nullptr, 0);
+            o.seed = number("--seed", v);
         else if (flagValue(a, "--rob", v))
-            o.rob = unsigned(std::strtoul(v.c_str(), nullptr, 0));
+            o.rob = unsigned(number("--rob", v, UINT_MAX));
         else if (flagValue(a, "--depth", v))
-            o.depth = unsigned(std::strtoul(v.c_str(), nullptr, 0));
+            o.depth = unsigned(number("--depth", v, UINT_MAX));
         else if (flagValue(a, "--width", v))
-            o.width = unsigned(std::strtoul(v.c_str(), nullptr, 0));
+            o.width = unsigned(number("--width", v, UINT_MAX));
         else if (flagValue(a, "--predictor", v))
             o.predictor = v;
         else if (std::strcmp(a, "--perfect-cbp") == 0)
@@ -406,14 +426,11 @@ runMain(int argc, char **argv)
     Options o = parse(argc, argv);
 
     if (o.listDebugFlags) {
-        for (const trace::FlagInfo &fi : trace::flagTable())
+        for (const core::TraceFlagInfo &fi : core::kTraceFlags)
             std::printf("%-10s %s\n", fi.name, fi.desc);
         return 0;
     }
-    if (!o.debugFlags.empty())
-        trace::enableFlags(o.debugFlags);
-    if (!o.traceFile.empty())
-        trace::setOutputFile(o.traceFile);
+    const unsigned trace_flags = core::parseTraceFlags(o.debugFlags);
 
     if (o.list) {
         for (const auto &info : workloads::workloadList())
@@ -431,8 +448,12 @@ runMain(int argc, char **argv)
         }
     }
     if (!o.sweep.empty()) {
-        if (!o.perfetto.empty())
-            dmp_fatal("--perfetto is single-run only (the trace would "
+        const char *single_run = !o.perfetto.empty() ? "--perfetto"
+                                 : !o.pipeview.empty() ? "--pipeview"
+                                 : trace_flags         ? "--debug-flags"
+                                                       : nullptr;
+        if (single_run)
+            dmp_fatal(single_run, " is single-run only (the trace would "
                       "interleave sweep runs); drop --sweep");
         return runSweep(o);
     }
@@ -504,6 +525,12 @@ runMain(int argc, char **argv)
                 (unsigned long long)report.markedSimpleHammock);
 
     core::Core machine(prog, params);
+    std::unique_ptr<core::TextTraceObserver> text_trace;
+    if (trace_flags) {
+        text_trace = std::make_unique<core::TextTraceObserver>(
+            machine, trace_flags, o.traceFile);
+        machine.addObserver(text_trace.get());
+    }
     std::unique_ptr<trace::PipeView> pv;
     std::unique_ptr<core::PipeViewObserver> pv_obs;
     if (!o.pipeview.empty()) {

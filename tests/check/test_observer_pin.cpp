@@ -2,9 +2,9 @@
  * @file
  * Pins what the core's observers see. The checker's pass counters on
  * three workloads under four machine modes are fixed constants, and
- * cycle accounting, the pipeline viewer and the checker produce
- * identical output whether each is attached alone or all three are
- * attached together.
+ * cycle accounting, the pipeline viewer, the checker and the text
+ * trace produce identical output whether each is attached alone or all
+ * four are attached together.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +21,7 @@
 #include "common/trace.hh"
 #include "core/core.hh"
 #include "core/pipeview.hh"
+#include "core/text_trace.hh"
 #include "sim/simulator.hh"
 
 namespace dmp
@@ -69,6 +70,7 @@ struct Observed
     std::string accountingJson;
     std::string perfetto;
     std::string pipeview;
+    std::string text;
     CheckCounts check;
 };
 
@@ -83,7 +85,7 @@ slurp(const std::string &path)
 /** Run `cfg` to completion with the chosen observers attached. */
 Observed
 runObserved(const sim::SimConfig &cfg, bool accounting, bool pipeview,
-            bool checker)
+            bool checker, bool text = false)
 {
     auto [prog, report] = sim::prepareMarkedProgram(cfg);
     core::Core machine(prog, cfg.core);
@@ -92,6 +94,7 @@ runObserved(const sim::SimConfig &cfg, bool accounting, bool pipeview,
         ::testing::UnitTest::GetInstance()->current_test_info()->name();
     const std::string pv_path = stem + ".pv";
     const std::string perfetto_path = stem + ".perfetto.json";
+    const std::string text_path = stem + ".txt";
     std::unique_ptr<trace::PipeView> pv;
     std::unique_ptr<core::PipeViewObserver> pv_obs;
     if (pipeview) {
@@ -114,6 +117,13 @@ runObserved(const sim::SimConfig &cfg, bool accounting, bool pipeview,
         machine.addObserver(acct.get());
     }
 
+    std::unique_ptr<core::TextTraceObserver> txt;
+    if (text) {
+        txt = std::make_unique<core::TextTraceObserver>(
+            machine, core::parseTraceFlags("all"), text_path);
+        machine.addObserver(txt.get());
+    }
+
     machine.run(~0ULL, ~0ULL);
     EXPECT_TRUE(machine.halted());
 
@@ -130,6 +140,11 @@ runObserved(const sim::SimConfig &cfg, bool accounting, bool pipeview,
         pv.reset(); // close the file
         o.pipeview = slurp(pv_path);
         std::remove(pv_path.c_str());
+    }
+    if (txt) {
+        txt.reset(); // close the file
+        o.text = slurp(text_path);
+        std::remove(text_path.c_str());
     }
     if (chk) {
         o.check = {chk->checkedCommits(), chk->invariantPasses(),
@@ -192,11 +207,13 @@ TEST(ObserverPin, ObserversAloneMatchObserversTogether)
     const Observed acct = runObserved(cfg, true, false, false);
     const Observed pv = runObserved(cfg, false, true, false);
     const Observed chk = runObserved(cfg, false, false, true);
-    const Observed all = runObserved(cfg, true, true, true);
+    const Observed txt = runObserved(cfg, false, false, false, true);
+    const Observed all = runObserved(cfg, true, true, true, true);
 
     ASSERT_FALSE(acct.accountingJson.empty());
     ASSERT_FALSE(pv.pipeview.empty());
     ASSERT_GT(chk.check.commits, 0u);
+    ASSERT_FALSE(txt.text.empty());
     EXPECT_EQ(acct.accountingJson, all.accountingJson);
     EXPECT_TRUE(acct.perfetto == all.perfetto) << "perfetto bytes differ";
     // The timeline records same-cycle events in delivery order, so its
@@ -205,9 +222,11 @@ TEST(ObserverPin, ObserversAloneMatchObserversTogether)
     EXPECT_EQ(digest(acct.perfetto), 8869981798449030453ULL);
     EXPECT_TRUE(pv.pipeview == all.pipeview) << "pipeview bytes differ";
     EXPECT_TRUE(chk.check == all.check);
+    EXPECT_TRUE(txt.text == all.text) << "text trace bytes differ";
     EXPECT_EQ(acct.cycles, all.cycles);
     EXPECT_EQ(pv.cycles, all.cycles);
     EXPECT_EQ(chk.cycles, all.cycles);
+    EXPECT_EQ(txt.cycles, all.cycles);
 }
 
 } // namespace

@@ -1,7 +1,8 @@
-/** @file Unit tests for debug flags and the trace/pipeview sinks. */
+/** @file Unit tests for the text-trace subscriber and the trace writers. */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -9,11 +10,18 @@
 
 #include "common/json.hh"
 #include "common/trace.hh"
+#include "core/text_trace.hh"
+#include "isa/program.hh"
 
 namespace dmp::trace
 {
 namespace
 {
+
+using core::parseTraceFlags;
+using core::TextTraceObserver;
+using core::TraceFlag;
+using core::traceFlagBit;
 
 std::string
 slurp(const std::string &path)
@@ -24,114 +32,161 @@ slurp(const std::string &path)
     return os.str();
 }
 
-/** Saves and restores the global flag mask + trace output around a test. */
+/** A short counted loop: a few dozen retired entries. */
+isa::Program
+tinyLoop()
+{
+    isa::ProgramBuilder b;
+    b.li(10, 0);
+    b.li(11, 4);
+    isa::Label loop = b.newLabel();
+    b.bind(loop);
+    b.addi(1, 1, 3);
+    b.addi(10, 10, 1);
+    b.blt(10, 11, loop);
+    b.halt();
+    return b.build();
+}
+
+/** Owns a core over tinyLoop() and removes the trace file afterwards. */
 class TraceTest : public ::testing::Test
 {
   protected:
-    void SetUp() override { saved = mask(); }
-    void
-    TearDown() override
-    {
-        setMask(saved);
-        setOutputStderr();
-        std::remove(tracePath().c_str());
-    }
+    void TearDown() override { std::remove(tracePath().c_str()); }
+    /** Private to the running test: ctest runs tests in parallel. */
     std::string
     tracePath() const
     {
-        return testing::TempDir() + "dmp_trace_test.log";
+        return testing::TempDir() + "dmp_trace_" +
+            testing::UnitTest::GetInstance()->current_test_info()->name() +
+            ".log";
     }
-    std::uint64_t saved = 0;
+    isa::Program prog = tinyLoop();
+    core::Core machine{prog, core::CoreParams{}};
 };
 
 TEST_F(TraceTest, FlagTableMatchesEnum)
 {
-    const auto &table = flagTable();
-    ASSERT_EQ(table.size(), std::size_t(Flag::NumFlags));
-    EXPECT_STREQ(table[unsigned(Flag::Fetch)].name, "Fetch");
-    EXPECT_STREQ(table[unsigned(Flag::Dpred)].name, "Dpred");
-    EXPECT_STREQ(table[unsigned(Flag::Batch)].name, "Batch");
+    ASSERT_EQ(std::size(core::kTraceFlags),
+              std::size_t(TraceFlag::NumFlags));
+    EXPECT_STREQ(core::kTraceFlags[unsigned(TraceFlag::Commit)].name,
+                 "Commit");
+    EXPECT_STREQ(core::kTraceFlags[unsigned(TraceFlag::Flush)].name,
+                 "Flush");
+    EXPECT_STREQ(core::kTraceFlags[unsigned(TraceFlag::Dpred)].name,
+                 "Dpred");
+    EXPECT_STREQ(core::kTraceFlags[unsigned(TraceFlag::Dual)].name,
+                 "Dual");
 }
 
 TEST_F(TraceTest, ParseFlagsSingleAndList)
 {
-    EXPECT_EQ(parseFlags("Fetch"), std::uint64_t(1) << unsigned(Flag::Fetch));
-    std::uint64_t m = parseFlags("Dpred,Commit");
-    EXPECT_TRUE(m & (std::uint64_t(1) << unsigned(Flag::Dpred)));
-    EXPECT_TRUE(m & (std::uint64_t(1) << unsigned(Flag::Commit)));
-    EXPECT_FALSE(m & (std::uint64_t(1) << unsigned(Flag::Fetch)));
+    EXPECT_EQ(parseTraceFlags("Flush"), traceFlagBit(TraceFlag::Flush));
+    unsigned m = parseTraceFlags("Dpred,Commit");
+    EXPECT_TRUE(m & traceFlagBit(TraceFlag::Dpred));
+    EXPECT_TRUE(m & traceFlagBit(TraceFlag::Commit));
+    EXPECT_FALSE(m & traceFlagBit(TraceFlag::Flush));
+    EXPECT_FALSE(m & traceFlagBit(TraceFlag::Dual));
+    EXPECT_EQ(parseTraceFlags(""), 0u);
 }
 
 TEST_F(TraceTest, ParseFlagsAll)
 {
-    std::uint64_t m = parseFlags("all");
-    for (unsigned i = 0; i < unsigned(Flag::NumFlags); ++i)
-        EXPECT_TRUE(m & (std::uint64_t(1) << i)) << flagTable()[i].name;
-    EXPECT_EQ(parseFlags("All"), m);
+    unsigned m = parseTraceFlags("all");
+    for (unsigned i = 0; i < unsigned(TraceFlag::NumFlags); ++i)
+        EXPECT_TRUE(m & (1u << i)) << core::kTraceFlags[i].name;
+    EXPECT_EQ(m, traceFlagBit(TraceFlag::NumFlags) - 1);
+    EXPECT_EQ(parseTraceFlags("All"), m);
 }
 
 TEST_F(TraceTest, ParseFlagsUnknownIsFatal)
 {
-    EXPECT_EXIT(parseFlags("NoSuchFlag"),
+    EXPECT_EXIT(parseTraceFlags("NoSuchFlag"),
                 ::testing::ExitedWithCode(EXIT_FAILURE), "NoSuchFlag");
+    // Flags without an event stream are gone, not silently ignored.
+    EXPECT_EXIT(parseTraceFlags("Dpred,Cache"),
+                ::testing::ExitedWithCode(EXIT_FAILURE), "Cache");
 }
 
 TEST_F(TraceTest, EnabledFollowsMask)
 {
-    if (!DMP_TRACING_ON)
-        GTEST_SKIP() << "enabled() is constant-false with DMP_TRACING=OFF";
-    setMask(0);
-    EXPECT_FALSE(enabled(Flag::Dpred));
-    enableFlags("Dpred");
-    EXPECT_TRUE(enabled(Flag::Dpred));
-    EXPECT_FALSE(enabled(Flag::Fetch));
-    enableFlags("Fetch"); // additive
-    EXPECT_TRUE(enabled(Flag::Dpred));
-    EXPECT_TRUE(enabled(Flag::Fetch));
+    TextTraceObserver none(machine, 0, tracePath());
+    EXPECT_FALSE(none.enabled(TraceFlag::Dpred));
+    TextTraceObserver some(machine, parseTraceFlags("Dpred,Flush"),
+                           tracePath());
+    EXPECT_TRUE(some.enabled(TraceFlag::Dpred));
+    EXPECT_TRUE(some.enabled(TraceFlag::Flush));
+    EXPECT_FALSE(some.enabled(TraceFlag::Commit));
+    EXPECT_FALSE(some.enabled(TraceFlag::Dual));
 }
 
 TEST_F(TraceTest, RecordFormat)
 {
-    if (!DMP_TRACING_ON)
-        GTEST_SKIP() << "tracing compiled out (DMP_TRACING=OFF)";
-    setMask(0);
-    enableFlags("Dpred");
-    setOutputFile(tracePath());
-    DMP_TRACE(Dpred, 1234, 42, "core.dpred", "EP", 7, " enter pc=",
-              hex(0x10d8));
-    setOutputStderr(); // flush + close
+    {
+        TextTraceObserver t(machine, parseTraceFlags("all"), tracePath());
+        t.onEpisodeStart(7, 0x10d8, false, 1234);
+        t.onFlush({2000, 0x1300, 12, 42, 0x1310});
+        core::AcctEpisodeEnd e;
+        e.id = 7;
+        e.divergePc = 0x10d8;
+        e.exitCase = 2;
+        e.converted = 1;
+        e.fetchedInsts = 9;
+        t.onEpisodeEnd(e, 2001);
+    }
+    EXPECT_EQ(slurp(tracePath()),
+              "      1234: core.fetch: Dpred: sq=0: EP7 enter pc=0x10d8\n"
+              "      2000: core.backend: Flush: sq=42: flush pc=0x1300 "
+              "squashed=12 redirect=0x1310\n"
+              "      2001: core.dpred: Dpred: sq=0: EP7 end pc=0x10d8 "
+              "exit=case2 converted=early-exit alive fetched=9\n");
+}
+
+TEST_F(TraceTest, CommitRecordsCarryStageCycles)
+{
+    {
+        TextTraceObserver t(machine, parseTraceFlags("Commit"),
+                            tracePath());
+        machine.addObserver(&t);
+        machine.run();
+        ASSERT_TRUE(machine.halted());
+    }
     std::string out = slurp(tracePath());
-    EXPECT_NE(out.find("1234: core.dpred: Dpred: sq=42: "
-                       "EP7 enter pc=0x10d8"),
+    // One line per retired entry (no uops without predication).
+    EXPECT_EQ(std::count(out.begin(), out.end(), '\n'),
+              std::ptrdiff_t(machine.stats().retiredInsts.value()));
+    // The first retired entry is "li r10, 0" at the program base.
+    const std::string first = out.substr(0, out.find('\n'));
+    EXPECT_NE(first.find(": core.retire: Commit: sq=1: " +
+                         hex(prog.baseAddr()) + " "),
               std::string::npos)
-        << out;
+        << first;
+    for (const char *stage : {" f=", " r=", " i=", " c="})
+        EXPECT_NE(first.find(stage), std::string::npos) << first;
+    EXPECT_EQ(out.find("Flush:"), std::string::npos);
 }
 
 TEST_F(TraceTest, DisabledFlagEmitsNothing)
 {
-    setMask(0);
-    enableFlags("Commit"); // anything but Dpred
-    setOutputFile(tracePath());
-    DMP_TRACE(Dpred, 1, 1, "core.dpred", "must not appear");
-    setOutputStderr();
+    {
+        TextTraceObserver t(machine, parseTraceFlags("Commit"),
+                            tracePath());
+        t.onEpisodeStart(1, 0x1000, false, 1); // Dpred: off
+        t.onEpisodeStart(2, 0x1000, true, 1);  // Dual: off
+        t.onFlush({1, 0x1000, 0, 1, 0x1004}); // Flush: off
+    }
     EXPECT_EQ(slurp(tracePath()), "");
 }
 
-TEST_F(TraceTest, DisabledFlagSkipsArgumentEvaluation)
+TEST_F(TraceTest, EmptyFlagSetWritesNothing)
 {
-    setMask(0);
-    int evaluations = 0;
-    auto expensive = [&] {
-        ++evaluations;
-        return 1;
-    };
-    DMP_TRACE(Dpred, 1, 1, "test", expensive());
-    EXPECT_EQ(evaluations, 0);
-    enableFlags("Dpred");
-    setOutputFile(tracePath());
-    DMP_TRACE(Dpred, 1, 1, "test", expensive());
-    // With tracing compiled out, arguments are never evaluated at all.
-    EXPECT_EQ(evaluations, DMP_TRACING_ON ? 1 : 0);
+    {
+        TextTraceObserver t(machine, 0, tracePath());
+        machine.addObserver(&t);
+        machine.run();
+        ASSERT_TRUE(machine.halted());
+    }
+    EXPECT_EQ(slurp(tracePath()), "");
 }
 
 TEST_F(TraceTest, HexFormatting)

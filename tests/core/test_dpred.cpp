@@ -350,5 +350,77 @@ TEST(Dpred, PredicateNamespaceExhaustionFallsBack)
     test::expectCoreMatchesReference(p, dp, "pred_exhaustion");
 }
 
+/**
+ * A diverge hammock whose taken side rewrites every writable
+ * architectural register (with its own value), so each predicated exit
+ * needs the maximum number of select-uops.
+ */
+Program
+everyRegisterHammock(unsigned iters, Addr *branch_out, Addr *join_out)
+{
+    ProgramBuilder b;
+    b.li(10, 0);
+    b.li(11, std::int64_t(iters));
+    b.li(14, 0xfeed);
+    Label loop = b.newLabel();
+    b.bind(loop);
+    b.muli(14, 14, 6364136223846793005LL);
+    b.addi(14, 14, 1442695040888963407LL);
+    b.shri(1, 14, 33);
+    b.andi(2, 1, 1);
+    Label els = b.newLabel(), join = b.newLabel();
+    Addr branch = b.beq(2, 0, els);
+    for (unsigned r = 0; r < isa::kNumArchRegs; ++r)
+        if (r != isa::kZeroReg)
+            b.addi(ArchReg(r), ArchReg(r), 0);
+    b.jmp(join);
+    b.bind(els);
+    b.addi(5, 5, 3);
+    b.bind(join);
+    Addr join_addr = b.addi(10, 10, 1);
+    b.blt(10, 11, loop);
+    b.halt();
+    *branch_out = branch;
+    *join_out = join_addr;
+    return b.build();
+}
+
+TEST(Dpred, RobBelowPredicationMinimumIsFatal)
+{
+    Addr branch, join;
+    Program p = randomHammock(10, &branch, &join);
+    core::CoreParams dp = test::dmpEnhancedParams();
+    dp.robSize = core::kMinPredicationRobSize - 1;
+    EXPECT_EXIT(core::Core(p, dp), ::testing::ExitedWithCode(1),
+                "robSize 63 is below the minimum of 64");
+
+    // Without predication no exit needs select-uops: any size is fine.
+    core::CoreParams base = test::baselineParams();
+    base.robSize = 16;
+    test::expectCoreMatchesReference(p, base, "base_rob16");
+}
+
+TEST(Dpred, RobAtPredicationMinimumRenamesWidestExit)
+{
+    Addr branch, join;
+    Program p = everyRegisterHammock(300, &branch, &join);
+    isa::DivergeMark mark;
+    mark.isDiverge = true;
+    mark.cfmPoints.push_back(join);
+    p.setMark(branch, mark);
+
+    core::CoreParams dp = test::dmpBasicParams();
+    dp.alwaysLowConfidence = true;
+    dp.robSize = core::kMinPredicationRobSize;
+    core::Core m(p, dp);
+    m.run();
+    ASSERT_TRUE(m.halted());
+    // Some exit inserted a select-uop for every writable register.
+    EXPECT_GT(m.stats().dpredEntries.value(), 100u);
+    EXPECT_GE(m.stats().retiredSelectUops.value(),
+              (isa::kNumArchRegs - 1) * 50u);
+    test::expectCoreMatchesReference(p, dp, "rob_at_minimum");
+}
+
 } // namespace
 } // namespace dmp
