@@ -4,7 +4,6 @@
 #include <bit>
 #include <limits>
 #include <optional>
-#include <unordered_map>
 
 #include "cfg/cfg.hh"
 #include "common/ring_queue.hh"
@@ -592,10 +591,15 @@ class Engine
             s.regs[r] = v;
     }
 
+    /** The initial data word at addr (0 when none): a binary search
+     *  over the program's address-sorted data, read in place. */
     Word imageWord(Word addr) const
     {
-        auto it = image.find(addr);
-        return it == image.end() ? 0 : it->second;
+        const auto &data = prog.initialData();
+        auto it = std::lower_bound(
+            data.begin(), data.end(), addr,
+            [](const auto &e, Word a) { return e.first < a; });
+        return it != data.end() && it->first == addr ? it->second : 0;
     }
 
     std::size_t slotIndex(Word addr) const
@@ -644,7 +648,6 @@ class Engine
     const isa::Program &prog;
     const AbsintOptions &opts;
     std::vector<Word> slotAddrs;
-    std::unordered_map<Word, Word> image;
     std::vector<std::uint32_t> targets; ///< outEdges' JR/RET target set
 };
 
@@ -934,9 +937,6 @@ Engine::run()
     res.stats.insts = n;
     if (n == 0 || n > opts.maxInsts)
         return res;
-
-    for (const auto &[a, w] : prog.initialData())
-        image[Word(a)] = w;
 
     // Tracked r0-relative memory slots: every aligned address some
     // load/store names directly against the zero register.

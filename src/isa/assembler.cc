@@ -1,6 +1,7 @@
 #include "isa/assembler.hh"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <map>
 #include <sstream>
@@ -72,13 +73,24 @@ parseReg(const Line &line, const std::string &tok)
     return static_cast<ArchReg>(v);
 }
 
+/**
+ * Parse a 64-bit immediate. A leading '-' is read as signed; anything
+ * else as unsigned, so 0xffffffffffffffff is -1 in two's complement.
+ * Values that do not fit in 64 bits are rejected, not clamped.
+ */
 std::int64_t
 parseImm(const Line &line, const std::string &tok)
 {
     char *end = nullptr;
-    long long v = std::strtoll(tok.c_str(), &end, 0);
+    errno = 0;
+    const std::int64_t v =
+        tok[0] == '-'
+            ? std::int64_t(std::strtoll(tok.c_str(), &end, 0))
+            : std::int64_t(std::strtoull(tok.c_str(), &end, 0));
     if (*end != '\0')
         syntaxError(line, "bad immediate '" + tok + "'");
+    if (errno == ERANGE)
+        syntaxError(line, "immediate out of 64-bit range '" + tok + "'");
     return v;
 }
 
@@ -247,9 +259,11 @@ assemble(const std::string &source)
         if (t[0] == ".data") {
             if (t.size() != 3)
                 syntaxError(line, ".data takes address and value");
-            as.builder.dataWord(
-                static_cast<Addr>(parseImm(line, t[1])),
-                static_cast<Word>(parseImm(line, t[2])));
+            const auto addr = static_cast<Addr>(parseImm(line, t[1]));
+            if (addr % sizeof(Word) != 0)
+                syntaxError(line, ".data address is not word-aligned");
+            as.builder.dataWord(addr,
+                                static_cast<Word>(parseImm(line, t[2])));
             continue;
         }
         // Labels: "name :" possibly followed by an instruction.

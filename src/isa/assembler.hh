@@ -5,7 +5,7 @@
  * Syntax (one instruction per line, ';' or '#' starts a comment):
  *
  *   .base 0x1000          ; program base address (optional, first line)
- *   .data 0x100000 42     ; seed one data word
+ *   .data 0x100000 42     ; seed one data word (word-aligned address)
  *   loop:                 ; label
  *     li   r1, 5
  *     add  r2, r1, r1
@@ -17,6 +17,9 @@
  *     ret
  *   done:
  *     halt
+ *
+ * Immediates are 64-bit: a leading '-' reads as signed, anything else
+ * as unsigned (0xffffffffffffffff is -1); wider values are errors.
  */
 
 #ifndef DMP_ISA_ASSEMBLER_HH

@@ -1,5 +1,6 @@
 #include "isa/program.hh"
 
+#include <algorithm>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -166,6 +167,8 @@ void
 ProgramBuilder::dataWord(Addr addr, Word value)
 {
     dmp_assert(addr % sizeof(Word) == 0, "unaligned data word");
+    if (!data.empty() && addr <= data.back().first)
+        dataAscending = false;
     data.emplace_back(addr, value);
 }
 
@@ -240,6 +243,20 @@ ProgramBuilder::build()
     if (debugVerify)
         debugVerifyImage(base, insts);
 #endif
+
+    // Sort the data by address and keep the last write to each one, so
+    // readers can binary-search it. dataWord() saw whether it ascends.
+    if (!dataAscending) {
+        std::stable_sort(data.begin(), data.end(),
+                         [](const auto &x, const auto &y) {
+                             return x.first < y.first;
+                         });
+        // Over the reversed range, unique keeps each address's last write.
+        const auto kept = std::unique(
+            data.rbegin(), data.rend(),
+            [](const auto &x, const auto &y) { return x.first == y.first; });
+        data.erase(data.begin(), kept.base());
+    }
 
     std::unordered_map<std::string, Addr> named;
     for (std::size_t i = 0; i < labelAddrs.size(); ++i) {

@@ -52,10 +52,6 @@ class Program
   public:
     Program() = default;
 
-    Program(Addr base, std::vector<Inst> insts_,
-            std::vector<std::pair<Addr, Word>> data_,
-            std::unordered_map<std::string, Addr> labels_);
-
     // The O(1) mark index stores pointers into this program's own marks
     // map, so copies must re-point it at their own map (map nodes are
     // stable under insert, which is why the index survives setMark).
@@ -122,7 +118,11 @@ class Program
         return insts[idx];
     }
 
-    /** Initial data image: (byte address, word value) pairs. */
+    /**
+     * Initial data image: (byte address, word value) pairs, strictly
+     * ascending by address. When the builder wrote one address more
+     * than once, the last write is the one kept.
+     */
     const std::vector<std::pair<Addr, Word>> &initialData() const
     {
         return data;
@@ -165,6 +165,13 @@ class Program
     std::string listing() const;
 
   private:
+    friend class ProgramBuilder;
+    /** Only ProgramBuilder::build() links a program; it hands over
+     *  data already sorted as initialData() promises. */
+    Program(Addr base, std::vector<Inst> insts_,
+            std::vector<std::pair<Addr, Word>> data_,
+            std::unordered_map<std::string, Addr> labels_);
+
     [[noreturn]] void fetchFault(Addr pc) const;
     void rebuildMarkIndex();
 
@@ -313,7 +320,8 @@ class ProgramBuilder
     { return emit({Opcode::JR, 0, rs1, 0, 0, kNoAddr}); }
     /// @}
 
-    /** Seed one word of the initial data image. */
+    /** Seed one word of the initial data image; a later write to the
+     *  same address replaces an earlier one. */
     void dataWord(Addr addr, Word value);
 
     /**
@@ -332,6 +340,7 @@ class ProgramBuilder
     Addr base;
     std::vector<Inst> insts;
     std::vector<std::pair<Addr, Word>> data;
+    bool dataAscending = true; ///< data's addresses strictly ascend
     std::vector<Addr> labelAddrs;       // kNoAddr while unbound
     std::vector<std::string> labelNames; // empty when anonymous
     struct Fixup

@@ -299,29 +299,58 @@ TEST(Absint, ProofsOverrideFreqHeuristics)
 
 TEST(Absint, InitialDataOptionGatesImageProofs)
 {
-    // The proof below holds only because the initial data image puts 7
-    // at address 64: with assumeInitialData off the slot is havocked
-    // and the branch must stay unproven.
-    isa::ProgramBuilder b;
-    b.dataWord(64, 7);
-    b.ld(1, 0, 64);
-    b.li(2, 7);
-    isa::Label eq = b.newLabel();
-    Addr br = b.beq(1, 2, eq);
-    b.halt();
-    b.bind(eq);
-    b.halt();
-    isa::Program prog = b.build();
+    // Each proof below holds only because of the initial data image:
+    // with assumeInitialData off memory is havocked and the branch must
+    // stay unproven. A tracked slot (an r0-relative load) reads the
+    // image when the state is seeded, a constant address through a
+    // register reads it at the load.
+    struct Case
+    {
+        const char *what;
+        std::vector<std::pair<Addr, Word>> data;
+        bool viaReg;
+        Addr addr;
+        Word expect;
+    };
+    const Case cases[] = {
+        {"slot", {{64, 7}}, false, 64, 7},
+        {"slot, later of two writes", {{64, 5}, {8, 1}, {64, 7}}, false,
+         64, 7},
+        {"constant load, no data word", {{64, 7}}, true, 0x200, 0},
+        {"constant load, first word", {{0x100, 11}, {0x108, 12},
+         {0x110, 13}}, true, 0x100, 11},
+        {"constant load, last word", {{0x100, 11}, {0x108, 12},
+         {0x110, 13}}, true, 0x110, 13},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.what);
+        isa::ProgramBuilder b;
+        for (const auto &[a, w] : c.data)
+            b.dataWord(a, w);
+        if (c.viaReg) {
+            b.li(3, std::int64_t(c.addr));
+            b.ld(1, 3, 0);
+        } else {
+            b.ld(1, 0, std::int64_t(c.addr));
+        }
+        b.li(2, std::int64_t(c.expect));
+        isa::Label eq = b.newLabel();
+        Addr br = b.beq(1, 2, eq);
+        b.halt();
+        b.bind(eq);
+        b.halt();
+        isa::Program prog = b.build();
 
-    AbsintResult withData = analysis::runAbsint(prog);
-    ASSERT_TRUE(withData.ran);
-    EXPECT_EQ(withData.proofAt(br).status, BranchProof::Status::Taken);
+        AbsintResult withData = analysis::runAbsint(prog);
+        ASSERT_TRUE(withData.ran);
+        EXPECT_EQ(withData.proofAt(br).status, BranchProof::Status::Taken);
 
-    AbsintOptions ao;
-    ao.assumeInitialData = false;
-    AbsintResult havocked = analysis::runAbsint(prog, ao);
-    ASSERT_TRUE(havocked.ran);
-    EXPECT_EQ(havocked.proofAt(br).status, BranchProof::Status::None);
+        AbsintOptions ao;
+        ao.assumeInitialData = false;
+        AbsintResult havocked = analysis::runAbsint(prog, ao);
+        ASSERT_TRUE(havocked.ran);
+        EXPECT_EQ(havocked.proofAt(br).status, BranchProof::Status::None);
+    }
 }
 
 TEST(Absint, AbsintAddMatchesConcreteWrap)

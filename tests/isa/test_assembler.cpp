@@ -59,10 +59,12 @@ TEST(Assembler, MemoryOperandSyntax)
 {
     Program p = assemble(R"(
         .data 0x1000 99
+        .data 0x2000 0xffffffffffffffff
         li r1, 0x1000
         ld r2, [r1 + 0]
         addi r2, r2, 1
         st [r1 + 8], r2
+        ld r3, [r0 + 0x2000]
         halt
     )");
     MemoryImage mem(1 << 20);
@@ -70,6 +72,8 @@ TEST(Assembler, MemoryOperandSyntax)
     sim.run(100);
     EXPECT_EQ(sim.state().read(2), 100u);
     EXPECT_EQ(mem.load(0x1008), 100u);
+    // A 64-bit data word is stored whole, not clamped to INT64_MAX.
+    EXPECT_EQ(sim.state().read(3), ~Word(0));
 }
 
 TEST(Assembler, CallAndReturn)
@@ -107,6 +111,8 @@ TEST(Assembler, ImmediateVsRegisterOperand)
         li r1, 6
         add r2, r1, r1
         addi r3, r1, 4
+        li r4, 0x8000000000000000
+        li r5, -0x8000000000000000
         halt
     )");
     MemoryImage mem(1 << 20);
@@ -114,6 +120,9 @@ TEST(Assembler, ImmediateVsRegisterOperand)
     sim.run(100);
     EXPECT_EQ(sim.state().read(2), 12u);
     EXPECT_EQ(sim.state().read(3), 10u);
+    // Both spellings of INT64_MIN load it; neither clamps to INT64_MAX.
+    EXPECT_EQ(sim.state().read(4), Word(1) << 63);
+    EXPECT_EQ(sim.state().read(5), Word(1) << 63);
 }
 
 TEST(Assembler, IndirectJump)
@@ -147,6 +156,18 @@ TEST(AssemblerDeath, UnboundLabel)
 TEST(AssemblerDeath, BadRegister)
 {
     EXPECT_DEATH({ assemble("li r99, 0\n"); }, "bad register");
+}
+
+TEST(AssemblerDeath, BadDataAddressOrImmediate)
+{
+    // A syntax error exits 1 and names the line: an unaligned data
+    // address, 2^64, and -(2^63 + 1).
+    EXPECT_EXIT({ assemble(".data 0x2004 7\nhalt\n"); },
+                ::testing::ExitedWithCode(1), "line 1");
+    EXPECT_EXIT({ assemble("li r1, 0x10000000000000000\nhalt\n"); },
+                ::testing::ExitedWithCode(1), "line 1");
+    EXPECT_EXIT({ assemble("halt\n.data 0x2000 -0x8000000000000001\n"); },
+                ::testing::ExitedWithCode(1), "line 2");
 }
 
 } // namespace

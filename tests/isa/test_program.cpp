@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "isa/func_sim.hh"
+#include "isa/mem_image.hh"
 #include "isa/program.hh"
 
 namespace dmp::isa
@@ -90,13 +92,29 @@ TEST(Program, ContainsAndBounds)
 
 TEST(Program, InitialData)
 {
+    // Out of order, and 0x100010 written twice: the image keeps one
+    // entry per address, ascending, with the later value.
     ProgramBuilder b;
+    b.dataWord(0x100010, 3);
     b.dataWord(0x100000, 42);
+    b.dataWord(0x100010, 4);
     b.dataWord(0x100008, 43);
+    b.li(1, 0x100010);
+    b.ld(2, 1, 0);
     b.halt();
     Program p = b.build();
-    ASSERT_EQ(p.initialData().size(), 2u);
-    EXPECT_EQ(p.initialData()[0].second, 42u);
+
+    const auto &d = p.initialData();
+    ASSERT_EQ(d.size(), 3u);
+    EXPECT_EQ(d[0], std::make_pair(Addr(0x100000), Word(42)));
+    EXPECT_EQ(d[1], std::make_pair(Addr(0x100008), Word(43)));
+    EXPECT_EQ(d[2], std::make_pair(Addr(0x100010), Word(4)));
+
+    MemoryImage mem(1 << 21);
+    FuncSim sim(p, mem);
+    sim.run(10);
+    EXPECT_TRUE(sim.halted());
+    EXPECT_EQ(sim.state().read(2), 4u);
 }
 
 TEST(Program, DivergeMarks)
