@@ -20,7 +20,7 @@
  *   DMP_BENCH_WORKLOADS comma-separated subset of benchmarks to run
  *   DMP_BENCH_JOBS      simulation worker threads (default: all cores)
  *   DMP_STATS_JSON      append one schema-1 JSONL record per distinct
- *                        run to this path (dmp-report consumes these)
+ *                        run to this path (dmp report consumes these)
  *   DMP_BENCH_ACCT      any non-empty value attaches the cycle
  *                        accounting sink to every run, so exported
  *                        records carry the accounting block (changes

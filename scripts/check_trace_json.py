@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Validate a Chrome/Perfetto trace-event JSON file.
 
-Used by CI's trace-smoke job on the dmp-run --perfetto output. Checks,
+Used by CI's trace-smoke job on the dmp run --perfetto output. Checks,
 with the standard library only:
 
   * the file is well-formed JSON with a "traceEvents" list,

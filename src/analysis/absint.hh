@@ -171,7 +171,7 @@ struct BranchProof
     std::uint64_t tripMax = 0;
 };
 
-/** Aggregate counters for reports (dmp-lint --deep JSON). */
+/** Aggregate counters for reports (dmp lint --deep JSON). */
 struct AbsintStats
 {
     std::size_t insts = 0;          ///< program size analyzed

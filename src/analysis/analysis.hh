@@ -7,8 +7,8 @@
  * the shared CFG / post-dominator / flow-graph scaffolding once.
  * Consumers:
  *
- *  - the `dmp-lint` tool (src/tools/dmp_lint.cc)
- *  - `dmp-run --verify`
+ *  - `dmp lint` (src/tools/dmp.cc)
+ *  - `dmp run --verify`
  *  - BatchRunner's pre-flight: every freshly profiled program is linted
  *    once per profile-cache entry before any simulation consumes it,
  *    and a marking error aborts the batch via LintError.
@@ -49,10 +49,10 @@ struct AnalysisOptions
      * reported, and JR/RET instructions with a proved target set get
      * precise flow edges (upgrading `cfm-unverifiable` Infos to a
      * definitive verdict). Off by default: batch pre-flight and plain
-     * dmp-lint keep the cheap structural-only behaviour.
+     * dmp lint keep the cheap structural-only behaviour.
      */
     bool absint = false;
-    /** Narrowing sweeps when absint is on (dmp-lint --deep=N). */
+    /** Narrowing sweeps when absint is on (dmp lint --deep=N). */
     unsigned absintIterations = 2;
 };
 

@@ -12,7 +12,7 @@
  *
  * Everything here is deterministic and depends only on the Program:
  * the same image always yields byte-identical estimates, which the
- * dmp-mark golden tests rely on.
+ * dmp mark golden tests rely on.
  */
 
 #ifndef DMP_ANALYSIS_FREQ_HH

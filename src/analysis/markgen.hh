@@ -184,13 +184,13 @@ MarkAgreement compareMarkings(const isa::Program &statically_marked,
                               const isa::Program &profiled);
 
 /**
- * Version of the `dmp-mark --json` document schema. Bump when a field
+ * Version of the `dmp mark --json` document schema. Bump when a field
  * is renamed or removed; adding fields is backward compatible.
  */
 constexpr int kMarkGenSchemaVersion = 1;
 
 /**
- * One target's worth of the dmp-mark JSON document: a single-line
+ * One target's worth of the dmp mark JSON document: a single-line
  * object (no trailing newline) with the mark counts, lint totals, the
  * per-candidate cost breakdown, and — when `agreement` is non-null —
  * the static-vs-profile agreement block. Deterministic byte-for-byte

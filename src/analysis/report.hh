@@ -7,7 +7,7 @@
  * Findings carry a stable kebab-case code (the thing tests and CI
  * grep for), a severity, and block/PC locations, and render to both a
  * human-readable listing and a machine-readable JSON array (the
- * `dmp-lint --json` schema documented in EXPERIMENTS.md).
+ * `dmp lint --json` schema documented in EXPERIMENTS.md).
  */
 
 #ifndef DMP_ANALYSIS_REPORT_HH
@@ -24,7 +24,7 @@ namespace dmp::analysis
 
 /**
  * Version of the machine-readable report schemas built on Finding
- * (`dmp-lint --json`, `dmp-run --selfcheck-json`). Bump when a field is
+ * (`dmp lint --json`, `dmp run --selfcheck-json`). Bump when a field is
  * renamed or removed; adding fields is backward compatible.
  */
 constexpr int kReportSchemaVersion = 1;

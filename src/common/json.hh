@@ -2,7 +2,7 @@
  * @file
  * Minimal JSON support for the telemetry tooling: the one string
  * escaper every exporter (stats records, lint reports, trace events)
- * uses, and the matching reader for the aggregation side (dmp-report),
+ * uses, and the matching reader for the aggregation side (dmp report),
  * a small recursive-descent parser into a plain Value tree. The parser
  * accepts RFC 8259 (\uXXXX escapes decode to UTF-8; surrogate pairs are
  * not combined) and reports malformed input with a byte offset instead

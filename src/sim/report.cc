@@ -435,7 +435,7 @@ loadMarkingsTable(const std::string &path, ReportTable &out,
     }
     const json::Value *targets = doc.get("targets");
     if (!doc.isObject() || !targets || !targets->isArray()) {
-        err = path + ": not a dmp-mark JSON report "
+        err = path + ": not a dmp mark JSON report "
               "(missing \"targets\" array)";
         return false;
     }
@@ -510,7 +510,7 @@ loadProofsTable(const std::string &path, ReportTable &out,
     }
     const json::Value *targets = doc.get("targets");
     if (!doc.isObject() || !targets || !targets->isArray()) {
-        err = path + ": not a dmp-lint JSON report "
+        err = path + ": not a dmp lint JSON report "
               "(missing \"targets\" array)";
         return false;
     }

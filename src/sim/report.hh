@@ -1,7 +1,8 @@
 /**
  * @file
  * Aggregation of --stats-json / DMP_STATS_JSON JSONL records into
- * figure-ready tables (the dmp-report CLI is a thin shell over this).
+ * figure-ready tables (the `dmp report` subcommand is a thin shell over
+ * this).
  *
  * A StatsRecord is one parsed simResultJson line (schema 1, see
  * EXPERIMENTS.md). The table builders turn a set of records into the
@@ -146,24 +147,24 @@ ReportTable flushReductionTable(const std::vector<StatsRecord> &records,
 double flushReductionPct(std::uint64_t base, std::uint64_t enh);
 
 /**
- * Static-marking agreement section: parse a dmp-mark --json report
+ * Static-marking agreement section: parse a dmp mark --json report
  * (markgen schema 1, not a stats JSONL) and build one row per target —
  * mark counts, lint totals, and, for reports produced with the
  * comparison pass on, diverge precision/recall and CFM match rate
  * against the profiled marker, with a closing mean row. Feeds
- * dmp-report --markings and the CI release-job step summary.
+ * dmp report --markings and the CI release-job step summary.
  * @return true on success; on failure `err` says what was wrong.
  */
 bool loadMarkingsTable(const std::string &path, ReportTable &out,
                        std::string &err);
 
 /**
- * Abstract-interpretation proof summary: parse a dmp-lint --deep
+ * Abstract-interpretation proof summary: parse a dmp lint --deep
  * --json report (lint schema 1 with per-target "absint" blocks) and
  * build one row per target — instruction/branch counts, proved
  * one-sided branches, trip-bounded loops, resolved indirects, and
  * whether the engine smeared or declined. Targets linted without
- * --deep get a dashed row. Feeds dmp-report --proofs and the CI
+ * --deep get a dashed row. Feeds dmp report --proofs and the CI
  * release-job step summary.
  * @return true on success; on failure `err` says what was wrong.
  */

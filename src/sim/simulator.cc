@@ -193,6 +193,37 @@ prepareMarkedProgram(const SimConfig &cfg)
 }
 
 SimResult
+resultOfRun(const core::Core &machine,
+            const analysis::CycleAccounting *acct, double hostSeconds)
+{
+    SimResult r;
+    const core::CoreStats &st = machine.stats();
+    r.cycles = st.cycles.value();
+    r.retiredInsts = st.retiredInsts.value();
+    r.ipc = r.cycles ? double(r.retiredInsts) / double(r.cycles) : 0.0;
+    r.hostSeconds = hostSeconds;
+    r.hostInstRate =
+        hostSeconds > 0 ? double(r.retiredInsts) / hostSeconds : 0.0;
+    std::vector<std::string> names = st.group.names();
+    r.counters.reserve(names.size());
+    for (const std::string &name : names)
+        r.counters.emplace(name, st.group.get(name));
+    for (const std::string &name : st.group.distributionNames())
+        r.distributions.emplace(name,
+                                st.group.distribution(name).snapshot());
+    for (const std::string &name : st.group.formulaNames())
+        r.formulas.emplace(name, st.group.formula(name));
+    if (acct) {
+        const StatGroup &ag = acct->stats();
+        for (const std::string &name : ag.names())
+            r.counters.emplace("acct_" + name, ag.get(name));
+        r.hasAccounting = true;
+        r.accountingJson = acct->json();
+    }
+    return r;
+}
+
+SimResult
 runSimOnProgram(const isa::Program &ref,
                 const profile::MarkingReport &report, const SimConfig &cfg)
 {
@@ -220,33 +251,12 @@ runSimOnProgram(const isa::Program &ref,
                 cfg.maxCycles ? cfg.maxCycles : ~0ULL);
     auto host_end = std::chrono::steady_clock::now();
 
-    SimResult r;
-    r.marking = report;
-    const core::CoreStats &st = machine.stats();
-    r.cycles = st.cycles.value();
-    r.retiredInsts = st.retiredInsts.value();
-    r.ipc = r.cycles ? double(r.retiredInsts) / double(r.cycles) : 0.0;
-    r.hostSeconds =
-        std::chrono::duration<double>(host_end - host_start).count();
-    r.hostInstRate =
-        r.hostSeconds > 0 ? double(r.retiredInsts) / r.hostSeconds : 0.0;
-    std::vector<std::string> names = st.group.names();
-    r.counters.reserve(names.size());
-    for (const std::string &name : names)
-        r.counters.emplace(name, st.group.get(name));
-    for (const std::string &name : st.group.distributionNames())
-        r.distributions.emplace(name,
-                                st.group.distribution(name).snapshot());
-    for (const std::string &name : st.group.formulaNames())
-        r.formulas.emplace(name, st.group.formula(name));
-    if (acct) {
+    if (acct)
         acct->finish();
-        const StatGroup &ag = acct->stats();
-        for (const std::string &name : ag.names())
-            r.counters.emplace("acct_" + name, ag.get(name));
-        r.hasAccounting = true;
-        r.accountingJson = acct->json();
-    }
+    SimResult r = resultOfRun(
+        machine, acct.get(),
+        std::chrono::duration<double>(host_end - host_start).count());
+    r.marking = report;
     return r;
 }
 

@@ -20,6 +20,11 @@
 #include "profile/profiler.hh"
 #include "workloads/workloads.hh"
 
+namespace dmp::analysis
+{
+class CycleAccounting;
+} // namespace dmp::analysis
+
 namespace dmp::sim
 {
 
@@ -125,7 +130,7 @@ struct SimResult
 
 /**
  * Version of the JSONL stats-record schema emitted by simResultJson
- * (dmp-run --stats-json, DMP_STATS_JSON bench export; documented in
+ * (dmp run --stats-json, DMP_STATS_JSON bench export; documented in
  * EXPERIMENTS.md). Every record carries it as its first field,
  * "schema". Bump when a field is renamed or removed; adding fields is
  * backward compatible.
@@ -148,6 +153,18 @@ constexpr int kStatsSchemaVersion = 1;
 std::string simResultJson(const SimResult &r, const std::string &label,
                           const std::string &workload,
                           const std::string &extra = "");
+
+/**
+ * Condense a finished timing run on `machine`: cycles, IPC, every core
+ * counter, distribution and formula, and `hostSeconds` with the rate
+ * it implies. With `acct` (already finish()ed) the result also gains
+ * the "acct_" counters and the accounting block. runSimOnProgram and
+ * `dmp run --stats-json` both build their records here. The marking
+ * report is left empty.
+ */
+SimResult resultOfRun(const core::Core &machine,
+                      const analysis::CycleAccounting *acct,
+                      double hostSeconds);
 
 /**
  * Build + profile + mark + run one configuration.

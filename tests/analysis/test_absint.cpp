@@ -383,7 +383,7 @@ checkLockstep(const isa::Program &prog, const std::string &what,
     AbsintResult r = analysis::runAbsint(prog, ao);
     ASSERT_TRUE(r.ran) << what << ": engine declined";
 
-    // The core's image size, as dmp-run passes it (CoreParams).
+    // The core's image size, as dmp run passes it (CoreParams).
     isa::MemoryImage mem(core::CoreParams{}.memoryBytes);
     isa::FuncSim sim(prog, mem);
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * Static marking synthesis (analysis/markgen.hh): determinism of the
- * dmp-mark JSON rendering, legality of every synthesized marking, the
+ * dmp mark JSON rendering, legality of every synthesized marking, the
  * agreement metric against the profiled marker, and the static-mode
  * end-to-end flow through runSim and the BatchRunner.
  */
@@ -42,7 +42,7 @@ class MarkGenWorkloads : public testing::TestWithParam<std::string>
 
 /**
  * Golden determinism: two independent syntheses of the same image must
- * render byte-identically — the dmp-mark CI artifact depends on it.
+ * render byte-identically — the dmp mark CI artifact depends on it.
  */
 TEST_P(MarkGenWorkloads, JsonIsByteDeterministic)
 {

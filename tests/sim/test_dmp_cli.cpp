@@ -1,0 +1,226 @@
+/**
+ * @file
+ * The `dmp` command line, driven as a child process: a missing or
+ * unknown subcommand is a usage error, numeric options of every
+ * subcommand must parse whole, `dmp run --stats-json` writes the
+ * record the library computes, single-run outputs refuse --sweep, a
+ * ROB too small for a predicated exit fails cleanly, and the text
+ * trace closes every episode it opens without moving a single stats
+ * counter.
+ */
+
+#include <gtest/gtest.h>
+
+#include <cstdio>
+#include <fstream>
+#include <set>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "dmp_cli.hh"
+#include "sim/simulator.hh"
+
+namespace dmp
+{
+namespace
+{
+
+using test::runDmp;
+using test::slurp;
+using test::tempPath;
+
+bool
+exists(const std::string &path)
+{
+    return std::ifstream(path).good();
+}
+
+/** JSONL text `s` with every host_* (wall-clock) field removed. */
+std::string
+withoutHostFields(std::string s)
+{
+    for (std::size_t at; (at = s.find(",\"host_")) != std::string::npos;)
+        s.erase(at, s.find_first_of(",}", at + 1) - at);
+    return s;
+}
+
+TEST(DmpCli, MissingOrUnknownSubcommandListsThemAll)
+{
+    for (const std::vector<std::string> &args :
+         {std::vector<std::string>{}, std::vector<std::string>{"frobnicate"}}) {
+        test::CliResult r = runDmp(args);
+        EXPECT_EQ(r.status, 2);
+        for (const char *sub : {"dmp run ", "dmp lint ", "dmp mark ",
+                                "dmp report "})
+            EXPECT_NE(r.err.find(sub), std::string::npos)
+                << sub << "missing from:\n" << r.err;
+    }
+}
+
+TEST(DmpRun, NumericOptionsMustParseWhole)
+{
+    // Each row fails while parsing, before any target is built or read.
+    const std::vector<std::vector<std::string>> rows = {
+        {"run", "--iters=abc", "--list"},
+        {"run", "--width=0x", "--list"},
+        {"run", "--rob=12x", "--list"},
+        {"run", "--seed=", "--list"},
+        {"run", "--jobs=-1", "--list"},
+        {"run", "--depth=1.5", "--list"},
+        {"run", "--rob=99999999999", "--list"},
+        {"run", "--iters= 5", "--list"},
+        {"run", "--seed=+5", "--list"},
+        {"lint", "--iters=abc", "bzip2"},
+        {"lint", "--seed=5x", "bzip2"},
+        {"lint", "--depth=-1", "bzip2"},
+        {"lint", "--mem=1.5", "bzip2"},
+        {"lint", "--deep=xyz", "bzip2"},
+        {"mark", "--iters=", "bzip2"},
+        {"mark", "--seed=0x", "bzip2"},
+        {"mark", "--mem=12k", "bzip2"},
+        {"mark", "--prune=junk", "bzip2"},
+        {"mark", "--prune=-0.5", "bzip2"},
+        {"report", "--branches=zz", "stats.jsonl"},
+    };
+    for (const std::vector<std::string> &row : rows) {
+        const std::string &bad = row[1];
+        const std::string opt = bad.substr(0, bad.find('='));
+        test::CliResult r = runDmp(row);
+        EXPECT_EQ(r.status, 1) << row[0] << " " << bad;
+        EXPECT_NE(r.err.find(opt + ": not a valid number"),
+                  std::string::npos)
+            << row[0] << " " << bad << ": " << r.err;
+    }
+    // Decimal, hex and octal values (and --prune fractions) still parse.
+    EXPECT_EQ(runDmp({"run", "--iters=0x20", "--seed=017", "--rob=128",
+                      "--list"}).status,
+              0);
+    EXPECT_EQ(runDmp({"lint", "--iters=0x20", "--seed=017", "--depth=8",
+                      "--deep=3", "--quiet", "bzip2"}).status,
+              0);
+    EXPECT_EQ(runDmp({"mark", "--iters=0x20", "--prune=.25",
+                      "--no-compare", "--quiet", "bzip2"}).status,
+              0);
+}
+
+TEST(DmpRun, StatsJsonMatchesLibraryResult)
+{
+    const std::string path = tempPath("cli.jsonl");
+    std::remove(path.c_str());
+    ASSERT_EQ(runDmp({"run", "--mode=dmp-enhanced", "--iters=300",
+                      "--accounting", "--stats-json=" + path, "bzip2"})
+                  .status,
+              0);
+
+    sim::SimConfig cfg;
+    cfg.workload = "bzip2";
+    cfg.core.predication = core::PredicationScope::Diverge;
+    cfg.core.enhMultiCfm = true;
+    cfg.core.enhEarlyExit = true;
+    cfg.core.enhMultiDiverge = true;
+    cfg.train.iterations = 300;
+    cfg.ref.iterations = 300;
+    cfg.accounting = true;
+    const std::string lib =
+        sim::simResultJson(sim::runSim(cfg), "dmp-enhanced", "bzip2");
+
+    const std::string cli = withoutHostFields(slurp(path));
+    ASSERT_NE(cli.find("\"accounting\":"), std::string::npos);
+    EXPECT_TRUE(cli == withoutHostFields(lib) + "\n")
+        << "dmp run and sim::runSim disagree:\n" << cli;
+    std::remove(path.c_str());
+}
+
+TEST(DmpRun, SingleRunOutputsRejectSweep)
+{
+    const std::string pv = tempPath("sweep.pv");
+    const std::string txt = tempPath("sweep.txt");
+    std::remove(pv.c_str());
+    std::remove(txt.c_str());
+    for (const std::vector<std::string> &outputs :
+         {std::vector<std::string>{"--pipeview=" + pv},
+          std::vector<std::string>{"--debug-flags=Dpred",
+                                   "--trace-file=" + txt}}) {
+        std::vector<std::string> args = {"run", "--sweep=base,dmp",
+                                         "--iters=50"};
+        args.insert(args.end(), outputs.begin(), outputs.end());
+        args.push_back("bzip2");
+        test::CliResult r = runDmp(args);
+        const std::string opt =
+            outputs[0].substr(0, outputs[0].find('='));
+        EXPECT_EQ(r.status, 1) << opt;
+        EXPECT_NE(r.err.find(opt + " is single-run only"),
+                  std::string::npos)
+            << r.err;
+    }
+    EXPECT_FALSE(exists(pv));
+    EXPECT_FALSE(exists(txt));
+}
+
+TEST(DmpRun, RobBelowPredicationMinimumFailsCleanly)
+{
+    test::CliResult r = runDmp(
+        {"run", "--mode=dmp", "--rob=16", "--iters=50", "bzip2"});
+    EXPECT_EQ(r.status, 1);
+    EXPECT_NE(r.err.find("fatal: robSize 16 is below the minimum of 64"),
+              std::string::npos)
+        << r.err;
+}
+
+TEST(DmpRun, DpredTraceClosesEveryEpisodeAndLeavesStatsAlone)
+{
+    const std::string plain = tempPath("plain.jsonl");
+    const std::string traced = tempPath("traced.jsonl");
+    const std::string txt = tempPath("dpred.txt");
+    for (const std::string &p : {plain, traced, txt})
+        std::remove(p.c_str());
+    const std::vector<std::string> common = {"run", "--mode=dmp-enhanced",
+                                             "--iters=300"};
+
+    std::vector<std::string> args = common;
+    args.push_back("--stats-json=" + plain);
+    args.push_back("bzip2");
+    ASSERT_EQ(runDmp(args).status, 0);
+    args = common;
+    args.push_back("--stats-json=" + traced);
+    args.push_back("--debug-flags=Dpred,Flush");
+    args.push_back("--trace-file=" + txt);
+    args.push_back("bzip2");
+    ASSERT_EQ(runDmp(args).status, 0);
+
+    const std::string stats = withoutHostFields(slurp(plain));
+    ASSERT_NE(stats.find("\"retired_insts\""), std::string::npos);
+    EXPECT_EQ(stats.find("host_"), std::string::npos);
+    EXPECT_TRUE(stats == withoutHostFields(slurp(traced)))
+        << "the text trace changed the stats record";
+
+    // "<cycle>: core.fetch: Dpred: sq=0: EP<id> enter pc=..." and
+    // "<cycle>: core.dpred: Dpred: sq=0: EP<id> end pc=...".
+    std::set<std::string> started, ended;
+    std::size_t flush_lines = 0;
+    std::istringstream lines(slurp(txt));
+    const std::string dpred = ": Dpred: sq=0: EP";
+    for (std::string line; std::getline(lines, line);) {
+        const std::size_t at = line.find(dpred);
+        if (at == std::string::npos) {
+            EXPECT_NE(line.find(": Flush: "), std::string::npos) << line;
+            ++flush_lines;
+            continue;
+        }
+        std::istringstream rest(line.substr(at + dpred.size()));
+        std::string id, what;
+        rest >> id >> what;
+        EXPECT_TRUE(what == "enter" || what == "end") << line;
+        (what == "enter" ? started : ended).insert(id);
+    }
+    EXPECT_GT(started.size(), 10u);
+    EXPECT_GT(flush_lines, 0u);
+    for (const std::string &id : started)
+        EXPECT_TRUE(ended.count(id)) << "EP" << id << " never ended";
+    for (const std::string &p : {plain, traced, txt})
+        std::remove(p.c_str());
+}
+
+} // namespace
+} // namespace dmp

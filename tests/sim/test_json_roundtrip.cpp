@@ -3,27 +3,21 @@
  * Every JSON exporter escapes strings through json::escape: a name
  * holding a quote, a backslash, a tab and byte 0x01 must come back out
  * of json::parse unchanged from the stats record, the analysis report,
- * the self-check outcome, the marking report and dmp-lint --json.
+ * the self-check outcome, the marking report and `dmp lint --json`.
  */
 
 #include <gtest/gtest.h>
 
-#include <spawn.h>
-#include <sys/wait.h>
-
 #include <cstdio>
 #include <fstream>
-#include <iterator>
 #include <string>
-#include <vector>
 
 #include "analysis/markgen.hh"
 #include "analysis/report.hh"
 #include "check/checker.hh"
 #include "common/json.hh"
+#include "dmp_cli.hh"
 #include "sim/simulator.hh"
-
-extern char **environ;
 
 namespace dmp
 {
@@ -99,24 +93,12 @@ TEST(JsonRoundTrip, DmpLintTargetPath)
         ASSERT_TRUE(asm_file) << "cannot create " << path;
         asm_file << "li r1, 5\nhalt\n";
     }
-    std::vector<std::string> args = {DMP_LINT_BIN, "--no-mark", "--quiet",
-                                      "--json=" + out, path};
-    std::vector<char *> argv;
-    for (std::string &a : args)
-        argv.push_back(a.data());
-    argv.push_back(nullptr);
-    pid_t pid = 0;
-    ASSERT_EQ(posix_spawn(&pid, DMP_LINT_BIN, nullptr, nullptr,
-                          argv.data(), environ),
+    ASSERT_EQ(test::runDmp({"lint", "--no-mark", "--quiet",
+                            "--json=" + out, path})
+                  .status,
               0);
-    int status = 0;
-    ASSERT_EQ(waitpid(pid, &status, 0), pid);
-    ASSERT_TRUE(WIFEXITED(status));
-    EXPECT_EQ(WEXITSTATUS(status), 0);
 
-    std::ifstream in(out, std::ios::binary);
-    json::Value doc = parseOk({std::istreambuf_iterator<char>(in),
-                               std::istreambuf_iterator<char>()});
+    json::Value doc = parseOk(test::slurp(out));
     const json::Value *targets = doc.get("targets");
     ASSERT_TRUE(targets && targets->isArray());
     ASSERT_EQ(targets->array.size(), 1u);

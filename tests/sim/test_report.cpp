@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the stats-JSONL aggregation layer behind dmp-report:
+ * Tests for the stats-JSONL aggregation layer behind dmp report:
  * record parsing (including real simResultJson output round-trips),
  * table building, and the Figure 11 flush-reduction computation.
  */

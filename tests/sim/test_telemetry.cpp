@@ -3,7 +3,7 @@
  * Tests for SimResult telemetry: checked counter lookup (require vs.
  * warn-once get), distribution/formula export from the core StatGroup,
  * host-side wall-clock counters, and the JSONL record format consumed
- * by the figure pipeline (dmp-run --stats-json / DMP_STATS_JSON).
+ * by the figure pipeline (dmp run --stats-json / DMP_STATS_JSON).
  */
 
 #include <gtest/gtest.h>
