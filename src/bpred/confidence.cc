@@ -20,25 +20,4 @@ JrsConfidenceEstimator::JrsConfidenceEstimator(const Params &params)
                "JRS threshold exceeds counter range");
 }
 
-bool
-JrsConfidenceEstimator::highConfidence(Addr pc, std::uint64_t ghr,
-                                       std::uint32_t &index_out)
-{
-    std::uint64_t hist = ghr & ((1ULL << p.historyBits) - 1);
-    std::uint32_t index = (std::uint32_t(pc >> 2) ^ std::uint32_t(hist))
-                          & mask;
-    index_out = index;
-    return table[index].value() >= p.threshold;
-}
-
-void
-JrsConfidenceEstimator::update(std::uint32_t index, bool mispredicted)
-{
-    dmp_assert(index < table.size(), "JRS index out of range");
-    if (mispredicted)
-        table[index].set(0);
-    else
-        table[index].increment();
-}
-
 } // namespace dmp::bpred

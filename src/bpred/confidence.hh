@@ -5,9 +5,9 @@
  * The diverge-merge processor enters dynamic-predication mode only for
  * *low-confidence* diverge branches. The baseline estimator is the JRS
  * resetting-counter design (Jacobsen, Rotenberg & Smith, MICRO 1996),
- * sized as in Table 2: "1KB (12-bit history) JRS estimator". A perfect
- * estimator (oracle-backed) supports the paper's -perf-conf
- * configurations.
+ * sized as in Table 2: "1KB (12-bit history) JRS estimator". The
+ * paper's -perf-conf configurations need no estimator: the core reads
+ * the oracle's verdict directly at fetch.
  */
 
 #ifndef DMP_BPRED_CONFIDENCE_HH
@@ -16,29 +16,12 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/sat_counter.hh"
 #include "common/types.hh"
 
 namespace dmp::bpred
 {
-
-/** Abstract confidence estimator. */
-class ConfidenceEstimator
-{
-  public:
-    virtual ~ConfidenceEstimator() = default;
-
-    /**
-     * Estimate at fetch time. @return true when the prediction is HIGH
-     * confidence (the machine should trust the branch predictor).
-     * @param index_out context handed back to update().
-     */
-    virtual bool highConfidence(Addr pc, std::uint64_t ghr,
-                                std::uint32_t &index_out) = 0;
-
-    /** Train with the resolved outcome (at retirement). */
-    virtual void update(std::uint32_t index, bool mispredicted) = 0;
-};
 
 /**
  * JRS "both strong" resetting counter estimator: a table of saturating
@@ -46,7 +29,7 @@ class ConfidenceEstimator
  * correct predictions increment, mispredictions reset to zero; a
  * prediction is high-confidence when the counter is above a threshold.
  */
-class JrsConfidenceEstimator final : public ConfidenceEstimator
+class JrsConfidenceEstimator
 {
   public:
     struct Params
@@ -81,45 +64,36 @@ class JrsConfidenceEstimator final : public ConfidenceEstimator
     JrsConfidenceEstimator();
     explicit JrsConfidenceEstimator(const Params &params);
 
-    bool highConfidence(Addr pc, std::uint64_t ghr,
-                        std::uint32_t &index_out) override;
-    void update(std::uint32_t index, bool mispredicted) override;
+    /**
+     * Estimate at fetch time. @return true when the prediction is HIGH
+     * confidence (the machine should trust the branch predictor).
+     * @param index_out context handed back to update().
+     */
+    bool
+    highConfidence(Addr pc, std::uint64_t ghr, std::uint32_t &index_out)
+    {
+        std::uint64_t hist = ghr & ((1ULL << p.historyBits) - 1);
+        std::uint32_t index =
+            (std::uint32_t(pc >> 2) ^ std::uint32_t(hist)) & mask;
+        index_out = index;
+        return table[index].value() >= p.threshold;
+    }
+
+    /** Train with the resolved outcome (at retirement). */
+    void
+    update(std::uint32_t index, bool mispredicted)
+    {
+        dmp_assert(index < table.size(), "JRS index out of range");
+        if (mispredicted)
+            table[index].set(0);
+        else
+            table[index].increment();
+    }
 
   private:
     Params p;
     std::uint32_t mask;
     std::vector<SatCounter> table;
-};
-
-/**
- * Perfect confidence: low-confidence exactly when the prediction is
- * wrong. The truth bit comes from the oracle tracker via the core; this
- * class just adapts it to the estimator interface.
- */
-class PerfectConfidenceEstimator final : public ConfidenceEstimator
-{
-  public:
-    /**
-     * The core calls setNextTruth() right before highConfidence() with
-     * whether the current prediction matches the architectural outcome
-     * (unknowable == treat as correct).
-     */
-    void setNextTruth(bool prediction_correct)
-    {
-        nextCorrect = prediction_correct;
-    }
-
-    bool
-    highConfidence(Addr, std::uint64_t, std::uint32_t &index_out) override
-    {
-        index_out = 0;
-        return nextCorrect;
-    }
-
-    void update(std::uint32_t, bool) override {}
-
-  private:
-    bool nextCorrect = true;
 };
 
 } // namespace dmp::bpred

@@ -69,15 +69,5 @@ TEST(Jrs, CounterSaturates)
     EXPECT_FALSE(jrs.highConfidence(0x1000, 0, idx));
 }
 
-TEST(PerfectConfidence, MirrorsTruth)
-{
-    PerfectConfidenceEstimator pc;
-    std::uint32_t idx;
-    pc.setNextTruth(true);
-    EXPECT_TRUE(pc.highConfidence(0, 0, idx));
-    pc.setNextTruth(false);
-    EXPECT_FALSE(pc.highConfidence(0, 0, idx));
-}
-
 } // namespace
 } // namespace dmp::bpred
