@@ -2,8 +2,8 @@
  * @file
  * Host-performance harness: simulated kilo-instructions per host second.
  *
- * Unlike the figure benchmarks, this binary measures the *simulator*,
- * not the simulated machine. It runs the (workload x config) grid twice:
+ * Unlike `dmp paper`, this binary measures the *simulator*, not the
+ * simulated machine. It runs the (workload x config) grid twice:
  *
  *   1. single-job: plain serial sim::runSim() calls. Per-run KIPS comes
  *      from SimResult::hostSeconds (wall-clock of the timing run only,
@@ -22,8 +22,10 @@
  * floor stays visible.
  *
  * The machine-readable result is written to BENCH_core.json (override
- * with DMP_BENCH_OUT). The usual knobs apply: DMP_BENCH_ITERS,
- * DMP_BENCH_WORKLOADS, DMP_BENCH_JOBS (batched phase only).
+ * with DMP_BENCH_OUT). DMP_BENCH_ITERS sets the workload loop
+ * iterations (default 2000), DMP_BENCH_WORKLOADS a comma-separated
+ * subset of the workloads, and DMP_BENCH_JOBS the worker count of the
+ * batched phase (default: all cores).
  *
  * KIPS is host-dependent: only compare files produced on the same
  * machine and build preset (see EXPERIMENTS.md). The output records
@@ -40,7 +42,8 @@
 #include <thread>
 #include <vector>
 
-#include "bench_util.hh"
+#include "sim/batch.hh"
+#include "sim/simulator.hh"
 #include "workloads/workloads.hh"
 
 namespace
@@ -60,6 +63,59 @@ struct RunRecord
     std::vector<double> allSeconds; ///< every repeat's wall-clock
 
 };
+
+/** Workload loop iterations for every run. */
+std::uint64_t
+benchIterations()
+{
+    if (const char *env = std::getenv("DMP_BENCH_ITERS"))
+        return std::strtoull(env, nullptr, 0);
+    return 2000;
+}
+
+/** Workloads to run (all 15 unless DMP_BENCH_WORKLOADS narrows it). */
+std::vector<std::string>
+benchWorkloads()
+{
+    std::vector<std::string> out;
+    if (const char *env = std::getenv("DMP_BENCH_WORKLOADS")) {
+        std::string s(env);
+        std::size_t pos = 0;
+        while (pos < s.size()) {
+            std::size_t comma = s.find(',', pos);
+            if (comma == std::string::npos)
+                comma = s.size();
+            if (comma > pos)
+                out.push_back(s.substr(pos, comma - pos));
+            pos = comma + 1;
+        }
+    }
+    if (out.empty())
+        for (const auto &info : workloads::workloadList())
+            out.push_back(info.name);
+    return out;
+}
+
+/** Worker threads of the batched phase (0: BatchRunner default). */
+unsigned
+benchJobs()
+{
+    if (const char *env = std::getenv("DMP_BENCH_JOBS"))
+        return unsigned(std::strtoul(env, nullptr, 0));
+    return 0;
+}
+
+/** One grid cell: `workload` on the machine `core`. */
+sim::SimConfig
+makeConfig(const std::string &workload, const core::CoreParams &core)
+{
+    sim::SimConfig cfg;
+    cfg.workload = workload;
+    cfg.core = core;
+    cfg.train.iterations = benchIterations();
+    cfg.ref.iterations = benchIterations();
+    return cfg;
+}
 
 /** Repeats per grid cell in the single-job phase (best one is kept). */
 unsigned
@@ -140,7 +196,7 @@ writeJson(const std::string &path, const std::vector<RunRecord> &runs,
     }
     out << "{\n";
     out << "  \"bench\": \"perf_kips\",\n";
-    out << "  \"iterations\": " << bench::benchIterations() << ",\n";
+    out << "  \"iterations\": " << benchIterations() << ",\n";
     out << "  \"repeats\": " << repeats << ",\n";
     out << "  \"hardware_concurrency\": "
         << std::thread::hardware_concurrency() << ",\n";
@@ -190,19 +246,19 @@ writeJson(const std::string &path, const std::vector<RunRecord> &runs,
 int
 main()
 {
-    const std::vector<std::pair<std::string, bench::ConfigFn>> configs = {
-        {"base", bench::cfgBaseline},
-        {"dmp_enhanced", bench::cfgDmpEnhanced},
+    const std::vector<std::pair<std::string, core::CoreParams>> configs = {
+        {"base", sim::machine("base")},
+        {"dmp_enhanced", sim::machine("dmp-enhanced")},
     };
-    const std::vector<std::string> wls = bench::benchWorkloads();
+    const std::vector<std::string> wls = benchWorkloads();
 
     // Phase 1: strictly serial, no worker pool — the single-job number.
     const unsigned repeats = benchRepeats();
     std::vector<RunRecord> runs;
     double t0 = nowSeconds();
     for (const std::string &wl : wls) {
-        for (const auto &[label, fn] : configs) {
-            sim::SimConfig cfg = bench::RunCache::makeConfig(wl, fn);
+        for (const auto &[label, core] : configs) {
+            sim::SimConfig cfg = makeConfig(wl, core);
             RunRecord rec;
             rec.workload = wl;
             rec.wlClass = workloadClass(wl);
@@ -235,9 +291,9 @@ main()
     std::uint64_t totalInsts = 0;
     std::vector<sim::SimConfig> grid;
     for (const std::string &wl : wls)
-        for (const auto &[label, fn] : configs)
-            grid.push_back(bench::RunCache::makeConfig(wl, fn));
-    sim::BatchRunner pool; // DMP_BENCH_JOBS or all cores
+        for (const auto &[label, core] : configs)
+            grid.push_back(makeConfig(wl, core));
+    sim::BatchRunner pool(benchJobs());
     double t1 = nowSeconds();
     for (const sim::SimResult &r : pool.run(grid))
         totalInsts += r.retiredInsts;

@@ -1,6 +1,5 @@
 #include "sim/batch.hh"
 
-#include <cstdlib>
 #include <sstream>
 
 #include "analysis/analysis.hh"
@@ -113,11 +112,6 @@ profileFingerprint(const SimConfig &cfg)
 unsigned
 BatchRunner::defaultJobs()
 {
-    if (const char *env = std::getenv("DMP_BENCH_JOBS")) {
-        unsigned long n = std::strtoul(env, nullptr, 0);
-        if (n > 0)
-            return unsigned(n);
-    }
     unsigned hw = std::thread::hardware_concurrency();
     return hw ? hw : 1;
 }

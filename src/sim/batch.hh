@@ -9,9 +9,8 @@
  *  1. a result memo keyed by a *canonical fingerprint* of the complete
  *     SimConfig (workload, train/ref inputs, marker heuristics, every
  *     core knob, instruction/cycle budgets) — two submissions of the
- *     same experiment simulate once, and, unlike the old string-keyed
- *     bench RunCache, two experiments differing only in marker config
- *     or budgets never alias;
+ *     same experiment simulate once, and two experiments differing
+ *     only in marker config or budgets never alias;
  *
  *  2. a profile/marking cache: the compiler pass (train-input profile
  *     run + diverge/CFM marking + mark transfer onto the ref binary)
@@ -27,9 +26,8 @@
  * execution.
  *
  * The worker count defaults to std::thread::hardware_concurrency and
- * can be overridden with the DMP_BENCH_JOBS environment variable or
- * explicitly per BatchRunner. The hot simulation loop takes no locks:
- * synchronization happens only at task granularity.
+ * can be set explicitly per BatchRunner. The hot simulation loop takes
+ * no locks: synchronization happens only at task granularity.
  */
 
 #ifndef DMP_SIM_BATCH_HH
@@ -98,7 +96,7 @@ class BatchRunner
     BatchRunner(const BatchRunner &) = delete;
     BatchRunner &operator=(const BatchRunner &) = delete;
 
-    /** DMP_BENCH_JOBS if set (>0), else hardware_concurrency, min 1. */
+    /** hardware_concurrency, min 1. */
     static unsigned defaultJobs();
 
     /** Number of worker threads in this pool. */

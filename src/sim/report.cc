@@ -441,7 +441,7 @@ loadMarkingsTable(const std::string &path, ReportTable &out,
     }
 
     out = ReportTable{};
-    out.title = "static markings (dmp-mark vs profiled marker)";
+    out.title = "static markings (dmp mark vs profiled marker)";
     out.header = {"workload", "diverge", "hammock", "loop",
                   "dropped",  "lint E",  "lint W",  "profiled",
                   "common",   "prec",    "recall",  "cfm match"};
@@ -516,7 +516,7 @@ loadProofsTable(const std::string &path, ReportTable &out,
     }
 
     out = ReportTable{};
-    out.title = "absint proofs (dmp-lint --deep)";
+    out.title = "absint proofs (dmp lint --deep)";
     out.header = {"workload", "insts",   "unreach", "branches",
                   "taken",    "untaken", "trip",    "ind ok",
                   "ind ?",    "iters",   "status"};

@@ -1,6 +1,6 @@
 /**
  * @file
- * Aggregation of --stats-json / DMP_STATS_JSON JSONL records into
+ * Aggregation of --stats-json JSONL records (dmp run, dmp paper) into
  * figure-ready tables (the `dmp report` subcommand is a thin shell over
  * this).
  *
@@ -143,7 +143,7 @@ ReportTable flushReductionTable(const std::vector<StatsRecord> &records,
                                 const std::string &base_label,
                                 const std::string &enh_label);
 
-/** 100 * (base - enh) / base; 0 when base is 0 (as bench/fig11). */
+/** 100 * (base - enh) / base; 0 when base is 0 (as Figure 11). */
 double flushReductionPct(std::uint64_t base, std::uint64_t enh);
 
 /**

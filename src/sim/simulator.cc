@@ -14,6 +14,40 @@
 namespace dmp::sim
 {
 
+const std::vector<Machine> &
+machines()
+{
+    static const std::vector<Machine> table = [] {
+        core::CoreParams p; // Table 2
+        std::vector<Machine> t;
+        t.push_back({"base", p});
+        p.predication = core::PredicationScope::SimpleHammock;
+        t.push_back({"dhp", p});
+        p.predication = core::PredicationScope::Diverge;
+        t.push_back({"dmp", p});
+        p.enhMultiCfm = true;
+        t.push_back({"mcfm", p});
+        p.enhEarlyExit = true;
+        t.push_back({"mcfm-eexit", p});
+        p.enhMultiDiverge = true;
+        t.push_back({"dmp-enhanced", p});
+        core::CoreParams dual;
+        dual.mode = core::CoreMode::DualPath;
+        t.push_back({"dual", dual});
+        return t;
+    }();
+    return table;
+}
+
+const core::CoreParams &
+machine(const std::string &name)
+{
+    for (const Machine &m : machines())
+        if (name == m.name)
+            return m.params;
+    dmp_fatal("unknown machine mode: ", name);
+}
+
 const char *
 markModeName(MarkMode m)
 {

@@ -12,6 +12,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "check/checker.hh"
 #include "core/core.hh"
@@ -38,6 +39,25 @@ enum class MarkMode : std::uint8_t
     /** Run unmarked (hammock/diverge predication finds nothing). */
     None,
 };
+
+/** One named machine configuration of the evaluation. */
+struct Machine
+{
+    const char *name;
+    core::CoreParams params;
+};
+
+/**
+ * Every named machine, in the order `dmp run --sweep=all` lists them:
+ * base (Table 2), dhp (simple hammocks), dmp (basic diverge-merge),
+ * mcfm and mcfm-eexit (the cumulative section 2.7 enhancements),
+ * dmp-enhanced (all three) and dual (selective dual-path). `dmp run
+ * --mode`, `dmp paper` and the tests take their machines from here.
+ */
+const std::vector<Machine> &machines();
+
+/** The machine called `name`; fatal when no machine has that name. */
+const core::CoreParams &machine(const std::string &name);
 
 /** "profile" / "static" / "none". */
 const char *markModeName(MarkMode m);
@@ -130,7 +150,7 @@ struct SimResult
 
 /**
  * Version of the JSONL stats-record schema emitted by simResultJson
- * (dmp run --stats-json, DMP_STATS_JSON bench export; documented in
+ * (dmp run --stats-json, dmp paper --stats-json; documented in
  * EXPERIMENTS.md). Every record carries it as its first field,
  * "schema". Bump when a field is renamed or removed; adding fields is
  * backward compatible.
@@ -147,8 +167,8 @@ constexpr int kStatsSchemaVersion = 1;
  *
  * @param extra optional pre-rendered extra top-level fields
  *        ("\"key\":value[,...]", no braces) spliced in after
- *        host_inst_rate — the bench harness adds its config
- *        fingerprint and iteration count this way.
+ *        host_inst_rate — dmp paper adds its config fingerprint
+ *        and iteration count this way.
  */
 std::string simResultJson(const SimResult &r, const std::string &label,
                           const std::string &workload,
@@ -199,7 +219,7 @@ profile::MarkingReport markTrainProgram(isa::Program &train,
 
 /**
  * Marking only: returns the marked ref program and the marking report
- * (used by benches that need the program itself). Profile mode marks
+ * (for callers that need the program itself). Profile mode marks
  * the train build and transfers by PC; Static synthesizes directly on
  * the ref build (see markTrainProgram).
  */

@@ -7,6 +7,7 @@
  *   dmp lint   [options] <workload-name | file.s | all> ...
  *   dmp mark   [options] <workload-name | file.s | all> ...
  *   dmp report [options] <stats.jsonl> ...
+ *   dmp paper  [options] <figure | all>
  *
  * Every numeric option value must parse whole (decimal, 0x hex or 0
  * octal; --prune takes a decimal fraction), or the command fails
@@ -17,11 +18,13 @@
  * dmp run — run one workload (or an assembly file) through a chosen
  * machine configuration and print the full statistics dump.
  *
- *   --mode=base|dhp|dmp|dmp-enhanced|dual   machine mode
+ *   --mode=NAME          machine mode, from sim::machines(): base,
+ *                        dhp, dmp, mcfm, mcfm-eexit, dmp-enhanced
+ *                        (default) or dual
  *   --sweep=m1,m2,...    run several machine modes in parallel and
  *                        print a comparison table ("all" = every mode)
  *   --jobs=N             worker threads for --sweep (default: all
- *                        cores, or DMP_BENCH_JOBS)
+ *                        cores)
  *   --iters=N            workload loop iterations (default 2000)
  *   --seed=N             data seed of the measured run
  *   --rob=N              reorder buffer size
@@ -116,7 +119,7 @@
  *                   in EXPERIMENTS.md. Byte-deterministic per target.
  *   --quiet         suppress the per-candidate cost table
  *
- * dmp report — aggregate --stats-json / DMP_STATS_JSON JSONL records
+ * dmp report — aggregate --stats-json JSONL records (dmp run, dmp paper)
  * into figure-ready tables, without re-running any simulation.
  *
  *   --summary            per-run overview (the default section)
@@ -148,6 +151,20 @@
  * Passing any section flag suppresses the default summary; several
  * section flags compose in the order given. Records from multiple
  * input files are concatenated.
+ *
+ * dmp paper — regenerate tables and figures of the paper's evaluation
+ * (sim/paper.hh; "all" = every one, in order). Every cell of every
+ * selected figure runs through one worker pool, so a configuration
+ * two figures share simulates once; then the tables print in order.
+ *
+ *   --iters=N            workload loop iterations (default 2000)
+ *   --workloads=a,b,...  table rows (default: all 15 workloads)
+ *   --jobs=N             worker threads (default: all cores)
+ *   --accounting         attach cycle accounting to every run (the
+ *                        records gain the accounting block)
+ *   --stats-json=PATH    append one JSONL record per distinct run to
+ *                        PATH, with its config fingerprint and
+ *                        bench_iters
  */
 
 #include <cctype>
@@ -177,6 +194,7 @@
 #include "isa/assembler.hh"
 #include "profile/profiler.hh"
 #include "sim/batch.hh"
+#include "sim/paper.hh"
 #include "sim/report.hh"
 #include "sim/simulator.hh"
 #include "workloads/workloads.hh"
@@ -195,6 +213,7 @@ constexpr const char *kSubcommands[][2] = {
     {"lint", "[options] <workload|file.s|all> ..."},
     {"mark", "[options] <workload|file.s|all> ..."},
     {"report", "[options] <stats.jsonl> ..."},
+    {"paper", "[options] <figure|all>"},
 };
 
 /**
@@ -475,22 +494,7 @@ parseRun(int argc, char **argv)
 core::CoreParams
 machineFor(const RunOptions &o, const std::string &mode)
 {
-    core::CoreParams p;
-    if (mode == "base") {
-    } else if (mode == "dhp") {
-        p.predication = core::PredicationScope::SimpleHammock;
-    } else if (mode == "dmp") {
-        p.predication = core::PredicationScope::Diverge;
-    } else if (mode == "dmp-enhanced") {
-        p.predication = core::PredicationScope::Diverge;
-        p.enhMultiCfm = true;
-        p.enhEarlyExit = true;
-        p.enhMultiDiverge = true;
-    } else if (mode == "dual") {
-        p.mode = core::CoreMode::DualPath;
-    } else {
-        dmp_fatal("unknown machine mode: ", mode);
-    }
+    core::CoreParams p = sim::machine(mode);
     if (o.rob)
         p.robSize = o.rob;
     if (o.depth)
@@ -599,11 +603,13 @@ runSweep(const RunOptions &o)
     if (!isWorkload(o.target))
         dmp_fatal("--sweep needs a workload name, got: ", o.target);
 
-    std::vector<std::string> modes =
-        o.sweep == "all"
-            ? std::vector<std::string>{"base", "dhp", "dmp",
-                                       "dmp-enhanced", "dual"}
-            : splitCommas(o.sweep);
+    std::vector<std::string> modes;
+    if (o.sweep == "all") {
+        for (const sim::Machine &m : sim::machines())
+            modes.emplace_back(m.name);
+    } else {
+        modes = splitCommas(o.sweep);
+    }
     if (modes.empty())
         dmp_fatal("--sweep: no modes given");
 
@@ -1186,6 +1192,81 @@ reportCommand(int argc, char **argv)
     return 0;
 }
 
+// -------------------------------------------------------------- paper
+
+int
+paperCommand(int argc, char **argv)
+{
+    sim::PaperOptions opts;
+    std::string name;
+    std::string workloadList;
+    bool workloadsGiven = false;
+    unsigned jobs = 0; // 0: BatchRunner default
+    std::string statsJson;
+    for (int i = 1; i < argc; ++i) {
+        std::string v;
+        const char *a = argv[i];
+        if (option(a, "--iters", &v))
+            opts.iters = number("--iters", v);
+        else if (option(a, "--workloads", &v)) {
+            workloadList = v;
+            workloadsGiven = true;
+        } else if (option(a, "--jobs", &v))
+            jobs = unsigned(number("--jobs", v, UINT_MAX));
+        else if (option(a, "--accounting"))
+            opts.accounting = true;
+        else if (option(a, "--stats-json", &v))
+            statsJson = v;
+        else if (a[0] == '-' || !name.empty())
+            usage("paper");
+        else
+            name = a;
+    }
+    if (name.empty())
+        usage("paper");
+
+    std::vector<const sim::Figure *> figs;
+    for (const sim::Figure &f : sim::figures())
+        if (name == "all" || name == f.name)
+            figs.push_back(&f);
+    if (figs.empty()) {
+        std::fprintf(stderr, "dmp paper: unknown figure: %s\nfigures: all",
+                     name.c_str());
+        for (const sim::Figure &f : sim::figures())
+            std::fprintf(stderr, " %s", f.name);
+        std::fputc('\n', stderr);
+        return 2;
+    }
+
+    // Every name is checked before any job is submitted, so a bad list
+    // fails here rather than inside the worker pool.
+    if (!workloadsGiven) {
+        for (const auto &info : workloads::workloadList())
+            opts.workloads.push_back(info.name);
+    }
+    for (const std::string &wl : splitCommas(workloadList)) {
+        if (!isWorkload(wl))
+            dmp_fatal("--workloads: unknown workload: ", wl);
+        for (const std::string &seen : opts.workloads)
+            if (seen == wl)
+                dmp_fatal("--workloads: repeated workload: ", wl);
+        opts.workloads.push_back(wl);
+    }
+    if (opts.workloads.empty())
+        dmp_fatal("--workloads: no workloads given");
+
+    std::ofstream records;
+    if (!statsJson.empty()) {
+        records.open(statsJson, std::ios::app);
+        if (!records)
+            dmp_fatal("--stats-json: cannot open ", statsJson);
+        opts.records = &records;
+    }
+    sim::BatchRunner runner(jobs);
+    sim::runPaper(figs, opts, runner);
+    return 0;
+}
+
 } // namespace
 
 int
@@ -1204,6 +1285,8 @@ main(int argc, char **argv)
             return markCommand(argc - 1, argv + 1);
         if (sub == "report")
             return reportCommand(argc - 1, argv + 1);
+        if (sub == "paper")
+            return paperCommand(argc - 1, argv + 1);
     } catch (const std::exception &e) {
         std::fprintf(stderr, "dmp %s: %s\n", sub.c_str(), e.what());
         return 1;

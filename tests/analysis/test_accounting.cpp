@@ -229,25 +229,6 @@ TEST(CycleAccounting, JsonParsesAndBucketsSumToTotal)
 // for every workload under every machine mode.
 // ---------------------------------------------------------------------
 
-core::CoreParams
-modeParams(const std::string &mode)
-{
-    core::CoreParams p;
-    if (mode == "dhp") {
-        p.predication = core::PredicationScope::SimpleHammock;
-    } else if (mode == "dmp") {
-        p.predication = core::PredicationScope::Diverge;
-    } else if (mode == "dmp-enhanced") {
-        p.predication = core::PredicationScope::Diverge;
-        p.enhMultiCfm = true;
-        p.enhEarlyExit = true;
-        p.enhMultiDiverge = true;
-    } else if (mode == "dual") {
-        p.mode = core::CoreMode::DualPath;
-    }
-    return p;
-}
-
 TEST(CycleAccountingInvariant, BucketsSumToCyclesOnEveryWorkloadAndMode)
 {
 
@@ -259,7 +240,7 @@ TEST(CycleAccountingInvariant, BucketsSumToCyclesOnEveryWorkloadAndMode)
         for (const std::string &mode : modes) {
             sim::SimConfig cfg;
             cfg.workload = info.name;
-            cfg.core = modeParams(mode);
+            cfg.core = sim::machine(mode);
             cfg.train.iterations = 60;
             cfg.ref.iterations = 60;
             cfg.marker.profileInsts = 60000;

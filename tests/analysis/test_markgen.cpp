@@ -192,10 +192,7 @@ TEST(MarkModeStatic, RunsEndToEndAndPredicates)
     cfg.train.iterations = 300;
     cfg.ref.iterations = 300;
     cfg.markMode = sim::MarkMode::Static;
-    cfg.core.predication = core::PredicationScope::Diverge;
-    cfg.core.enhMultiCfm = true;
-    cfg.core.enhEarlyExit = true;
-    cfg.core.enhMultiDiverge = true;
+    cfg.core = sim::machine("dmp-enhanced");
 
     sim::SimResult r = sim::runSim(cfg);
     EXPECT_GT(r.cycles, 0u);
@@ -211,7 +208,7 @@ TEST(MarkModeNone, RunsUnmarked)
     cfg.train.iterations = 300;
     cfg.ref.iterations = 300;
     cfg.markMode = sim::MarkMode::None;
-    cfg.core.predication = core::PredicationScope::Diverge;
+    cfg.core = sim::machine("dmp");
 
     sim::SimResult r = sim::runSim(cfg);
     EXPECT_GT(r.cycles, 0u);
@@ -261,10 +258,7 @@ TEST(MarkModeStatic, BatchResultsIndependentOfJobCount)
         cfg.train.iterations = 300;
         cfg.ref.iterations = 300;
         cfg.markMode = sim::MarkMode::Static;
-        cfg.core.predication = core::PredicationScope::Diverge;
-        cfg.core.enhMultiCfm = true;
-        cfg.core.enhEarlyExit = true;
-        cfg.core.enhMultiDiverge = true;
+        cfg.core = sim::machine("dmp-enhanced");
         grid.push_back(cfg);
     }
 

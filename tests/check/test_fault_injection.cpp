@@ -122,7 +122,7 @@ expectPreciseFinding(const Failure &f, const std::string &code)
 
 TEST(FaultInjection, LeakPhysRegFiresPhysRegLeak)
 {
-    Failure f = runExpectFailure(test::baselineParams(),
+    Failure f = runExpectFailure(sim::machine("base"),
                                  {check::FaultKind::LeakPhysReg, 0});
     expectPreciseFinding(f, "phys-reg-leak");
     if (f.fired) {
@@ -132,7 +132,7 @@ TEST(FaultInjection, LeakPhysRegFiresPhysRegLeak)
 
 TEST(FaultInjection, ReorderStoreFiresSbOrder)
 {
-    Failure f = runExpectFailure(test::baselineParams(),
+    Failure f = runExpectFailure(sim::machine("base"),
                                  {check::FaultKind::ReorderStore, 0});
     expectPreciseFinding(f, "sb-order");
     if (f.fired) {
@@ -142,7 +142,7 @@ TEST(FaultInjection, ReorderStoreFiresSbOrder)
 
 TEST(FaultInjection, RobSeqSwapFiresRobAgeOrder)
 {
-    Failure f = runExpectFailure(test::baselineParams(),
+    Failure f = runExpectFailure(sim::machine("base"),
                                  {check::FaultKind::RobSeqSwap, 0});
     expectPreciseFinding(f, "rob-age-order");
     if (f.fired) {
@@ -152,7 +152,7 @@ TEST(FaultInjection, RobSeqSwapFiresRobAgeOrder)
 
 TEST(FaultInjection, DanglingPredicateFires)
 {
-    Failure f = runExpectFailure(test::baselineParams(),
+    Failure f = runExpectFailure(sim::machine("base"),
                                  {check::FaultKind::DanglingPredicate, 0});
     expectPreciseFinding(f, "dangling-predicate");
 }
@@ -162,7 +162,7 @@ TEST(FaultInjection, ClobberCheckpointFiresRatMapsFreedReg)
     // Baseline mode: predication is quiescent, so checkpoint RAT
     // validity is checked unconditionally (see DESIGN.md on the
     // quiescence gate).
-    Failure f = runExpectFailure(test::baselineParams(),
+    Failure f = runExpectFailure(sim::machine("base"),
                                  {check::FaultKind::ClobberCheckpoint, 0});
     expectPreciseFinding(f, "rat-maps-freed-reg");
     if (f.fired) {
@@ -174,7 +174,7 @@ TEST(FaultInjection, SkipFuncSimStepFiresLockstepPc)
 {
     // Lockstep-only mode: proves the oracle catches the divergence on
     // its own, with no structural pass running.
-    Failure f = runExpectFailure(test::baselineParams(),
+    Failure f = runExpectFailure(sim::machine("base"),
                                  {check::FaultKind::SkipFuncSimStep, 0},
                                  check::Mode::Lockstep);
     expectPreciseFinding(f, "lockstep-pc");
@@ -183,7 +183,7 @@ TEST(FaultInjection, SkipFuncSimStepFiresLockstepPc)
 /** notBefore delays the injection, and the finding's cycle shows it. */
 TEST(FaultInjection, NotBeforeDelaysInjection)
 {
-    Failure f = runExpectFailure(test::baselineParams(),
+    Failure f = runExpectFailure(sim::machine("base"),
                                  {check::FaultKind::RobSeqSwap, 500});
     expectPreciseFinding(f, "rob-age-order");
     if (f.fired) {
@@ -195,7 +195,7 @@ TEST(FaultInjection, NotBeforeDelaysInjection)
 TEST(FaultInjection, UnarmedPlanLeavesRunClean)
 {
     Program prog = faultProgram();
-    core::Core machine(prog, test::baselineParams());
+    core::Core machine(prog, sim::machine("base"));
     check::CheckerOptions opts;
     opts.deepStride = 1;
     check::CoreChecker checker(prog, machine, opts);

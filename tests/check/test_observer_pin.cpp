@@ -37,16 +37,7 @@ pinConfig(const std::string &workload, const std::string &mode)
     cfg.train.iterations = 60;
     cfg.ref.iterations = 60;
     cfg.marker.profileInsts = 60000;
-    if (mode == "dmp") {
-        cfg.core.predication = core::PredicationScope::Diverge;
-    } else if (mode == "dmp-enhanced") {
-        cfg.core.predication = core::PredicationScope::Diverge;
-        cfg.core.enhMultiCfm = true;
-        cfg.core.enhEarlyExit = true;
-        cfg.core.enhMultiDiverge = true;
-    } else if (mode == "dual") {
-        cfg.core.mode = core::CoreMode::DualPath;
-    }
+    cfg.core = sim::machine(mode);
     return cfg;
 }
 

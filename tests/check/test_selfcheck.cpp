@@ -93,11 +93,11 @@ TEST(SelfCheck, CheckerDoesNotPerturbTiming)
 {
     Program prog = flushyProgram(400);
 
-    core::Core bare(prog, test::baselineParams());
+    core::Core bare(prog, sim::machine("base"));
     bare.run(~0ULL, 2'000'000);
     ASSERT_TRUE(bare.halted());
 
-    core::Core watched(prog, test::baselineParams());
+    core::Core watched(prog, sim::machine("base"));
     check::CoreChecker checker(prog, watched);
     watched.addObserver(&checker);
     watched.run(~0ULL, 2'000'000);
@@ -124,7 +124,7 @@ TEST(SelfCheck, CheckerDoesNotPerturbTiming)
 TEST(SelfCheck, FlushRecoveryStaysCleanUnderMispredictStorm)
 {
     Program prog = flushyProgram(1200);
-    core::Core machine(prog, test::baselineParams());
+    core::Core machine(prog, sim::machine("base"));
     check::CheckerOptions opts;
     opts.deepStride = 1; // deep pass every cycle AND after every flush
     check::CoreChecker checker(prog, machine, opts);

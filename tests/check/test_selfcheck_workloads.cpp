@@ -12,7 +12,6 @@
 #include <string>
 
 #include "check/checker.hh"
-#include "core/params.hh"
 #include "sim/simulator.hh"
 
 namespace dmp
@@ -21,12 +20,13 @@ namespace
 {
 
 sim::SimConfig
-gateConfig(const std::string &workload, std::uint64_t iters = 60)
+gateConfig(const std::string &workload, const std::string &mode)
 {
     sim::SimConfig cfg;
     cfg.workload = workload;
-    cfg.train.iterations = iters;
-    cfg.ref.iterations = iters;
+    cfg.core = sim::machine(mode);
+    cfg.train.iterations = 60;
+    cfg.ref.iterations = 60;
     cfg.marker.profileInsts = 60000;
     cfg.selfcheck = check::Mode::All;
     return cfg;
@@ -48,53 +48,36 @@ expectClean(sim::SimConfig cfg, const std::string &what)
 TEST(SelfCheckWorkloads, BaselineClean)
 {
     for (const char *wl : {"bzip2", "mcf", "twolf"})
-        expectClean(gateConfig(wl), std::string("base/") + wl);
+        expectClean(gateConfig(wl, "base"), std::string("base/") + wl);
 }
 
 TEST(SelfCheckWorkloads, HammockPredicationClean)
 {
-    sim::SimConfig cfg = gateConfig("parser");
-    cfg.core.predication = core::PredicationScope::SimpleHammock;
-    expectClean(cfg, "dhp/parser");
+    expectClean(gateConfig("parser", "dhp"), "dhp/parser");
 }
 
 TEST(SelfCheckWorkloads, DmpClean)
 {
-    for (const char *wl : {"bzip2", "gzip"}) {
-        sim::SimConfig cfg = gateConfig(wl);
-        cfg.core.predication = core::PredicationScope::Diverge;
-        expectClean(cfg, std::string("dmp/") + wl);
-    }
+    for (const char *wl : {"bzip2", "gzip"})
+        expectClean(gateConfig(wl, "dmp"), std::string("dmp/") + wl);
 }
 
 TEST(SelfCheckWorkloads, DmpEnhancedClean)
 {
-    for (const char *wl : {"bzip2", "mcf", "vpr"}) {
-        sim::SimConfig cfg = gateConfig(wl);
-        cfg.core.predication = core::PredicationScope::Diverge;
-        cfg.core.enhMultiCfm = true;
-        cfg.core.enhEarlyExit = true;
-        cfg.core.enhMultiDiverge = true;
-        expectClean(cfg, std::string("dmp-enhanced/") + wl);
-    }
+    for (const char *wl : {"bzip2", "mcf", "vpr"})
+        expectClean(gateConfig(wl, "dmp-enhanced"),
+                    std::string("dmp-enhanced/") + wl);
 }
 
 TEST(SelfCheckWorkloads, DualPathClean)
 {
-    for (const char *wl : {"bzip2", "twolf"}) {
-        sim::SimConfig cfg = gateConfig(wl);
-        cfg.core.mode = core::CoreMode::DualPath;
-        expectClean(cfg, std::string("dual/") + wl);
-    }
+    for (const char *wl : {"bzip2", "twolf"})
+        expectClean(gateConfig(wl, "dual"), std::string("dual/") + wl);
 }
 
 TEST(SelfCheckWorkloads, LoopMarkerExtensionClean)
 {
-    sim::SimConfig cfg = gateConfig("gzip");
-    cfg.core.predication = core::PredicationScope::Diverge;
-    cfg.core.enhMultiCfm = true;
-    cfg.core.enhEarlyExit = true;
-    cfg.core.enhMultiDiverge = true;
+    sim::SimConfig cfg = gateConfig("gzip", "dmp-enhanced");
     cfg.marker.markLoopBranches = true;
     expectClean(cfg, "dmp-enhanced+loop-ext/gzip");
 }

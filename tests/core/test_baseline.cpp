@@ -32,7 +32,7 @@ TEST(BaselineCore, IlpRichCodeSustainsWideIssue)
     b.halt();
     Program p = b.build();
 
-    core::Core m(p, test::baselineParams());
+    core::Core m(p, sim::machine("base"));
     m.run();
     ASSERT_TRUE(m.halted());
     double ipc = double(m.stats().retiredInsts.value()) /
@@ -56,7 +56,7 @@ TEST(BaselineCore, SerialDependenceLimitsIpc)
     b.halt();
     Program p = b.build();
 
-    core::Core m(p, test::baselineParams());
+    core::Core m(p, sim::machine("base"));
     m.run();
     double ipc = double(m.stats().retiredInsts.value()) /
                  double(m.stats().cycles.value());
@@ -87,7 +87,7 @@ TEST(BaselineCore, MispredictionCostsAtLeastFrontendDepth)
     b.halt();
     Program p = b.build();
 
-    core::Core m(p, test::baselineParams());
+    core::Core m(p, sim::machine("base"));
     m.run();
     std::uint64_t mispred =
         m.stats().retiredMispredCondBranches.value();
@@ -118,7 +118,7 @@ TEST(BaselineCore, PerfectPredictionRemovesFlushes)
     b.halt();
     Program p = b.build();
 
-    core::CoreParams base = test::baselineParams();
+    core::CoreParams base = sim::machine("base");
     core::Core m1(p, base);
     m1.run();
 
@@ -152,7 +152,7 @@ TEST(BaselineCore, CallReturnThroughRas)
     b.halt();
     Program p = b.build();
 
-    core::Core m(p, test::baselineParams());
+    core::Core m(p, sim::machine("base"));
     m.run();
     ASSERT_TRUE(m.halted());
     EXPECT_EQ(m.retiredState().read(1), 500u);
@@ -197,7 +197,7 @@ TEST(BaselineCore, IndirectJumpLearnedByTargetCache)
     Program p = b2.build();
     ASSERT_EQ(p.fetch(base_addr).op, isa::Opcode::ADDI); // u0 sanity
 
-    core::Core m(p, test::baselineParams());
+    core::Core m(p, sim::machine("base"));
     m.run();
     ASSERT_TRUE(m.halted());
     EXPECT_EQ(m.retiredState().read(3), 300u);
@@ -231,7 +231,7 @@ TEST(BaselineCore, WrongPathClassifierSeesControlIndependence)
     b.halt();
     Program p = b.build();
 
-    core::CoreParams params = test::baselineParams();
+    core::CoreParams params = sim::machine("base");
     params.classifyWrongPath = true;
     core::Core m(p, params);
     m.run();
@@ -249,7 +249,7 @@ TEST(BaselineCore, TickAndResetSemantics)
     b.li(1, 42);
     b.halt();
     Program p = b.build();
-    core::Core m(p, test::baselineParams());
+    core::Core m(p, sim::machine("base"));
     std::uint64_t ticks = 0;
     while (m.tick())
         ++ticks;
@@ -299,12 +299,12 @@ TEST(BaselineCore, ResetReproducesStoreHeavyRun)
     b.dataWord(kBase, 1000);
     Program p = b.build();
 
-    core::Core fresh(p, test::baselineParams());
+    core::Core fresh(p, sim::machine("base"));
     fresh.run();
     ASSERT_TRUE(fresh.halted());
     EXPECT_EQ(fresh.retiredMemory().load(kBase), 1005u);
 
-    core::Core m(p, test::baselineParams());
+    core::Core m(p, sim::machine("base"));
     m.run();
     ASSERT_TRUE(m.halted());
     const std::string first = m.stats().group.json();

@@ -59,7 +59,7 @@ TEST(Dpred, PredicationRemovesFlushesForMarkedBranch)
     Addr branch, join;
     Program p = randomHammock(800, &branch, &join);
 
-    core::Core base(p, test::baselineParams());
+    core::Core base(p, sim::machine("base"));
     base.run();
 
     isa::DivergeMark mark;
@@ -67,7 +67,7 @@ TEST(Dpred, PredicationRemovesFlushesForMarkedBranch)
     mark.cfmPoints.push_back(join);
     p.setMark(branch, mark);
 
-    core::CoreParams dp = test::dmpBasicParams();
+    core::CoreParams dp = sim::machine("dmp");
     dp.alwaysLowConfidence = true;
     core::Core dmp(p, dp);
     dmp.run();
@@ -92,7 +92,7 @@ TEST(Dpred, UopAccounting)
     mark.cfmPoints.push_back(join);
     p.setMark(branch, mark);
 
-    core::CoreParams dp = test::dmpBasicParams();
+    core::CoreParams dp = sim::machine("dmp");
     dp.alwaysLowConfidence = true;
     core::Core m(p, dp);
     m.run();
@@ -138,7 +138,7 @@ TEST(Dpred, HighConfidenceBranchIsNotPredicated)
     mark.cfmPoints.push_back(join_addr);
     p.setMark(branch, mark);
 
-    core::Core m(p, test::dmpBasicParams());
+    core::Core m(p, sim::machine("dmp"));
     m.run();
     EXPECT_EQ(m.stats().dpredEntries.value(), 0u);
 }
@@ -148,7 +148,7 @@ TEST(Dpred, UnmarkedBranchNeverPredicated)
     Addr branch, join;
     Program p = randomHammock(300, &branch, &join);
     // No marks at all.
-    core::CoreParams dp = test::dmpBasicParams();
+    core::CoreParams dp = sim::machine("dmp");
     dp.alwaysLowConfidence = true;
     core::Core m(p, dp);
     m.run();
@@ -165,7 +165,7 @@ TEST(Dpred, DhpScopeIgnoresComplexDivergeMarks)
     mark.cfmPoints.push_back(join);
     p.setMark(branch, mark);
 
-    core::CoreParams dhp = test::dhpParams();
+    core::CoreParams dhp = sim::machine("dhp");
     dhp.alwaysLowConfidence = true;
     core::Core m(p, dhp);
     m.run();
@@ -218,7 +218,7 @@ TEST(Dpred, NestedMispredictionInsidePredictedPath)
     mark.cfmPoints.push_back(join_addr);
     p.setMark(branch, mark);
 
-    core::CoreParams dp = test::dmpBasicParams();
+    core::CoreParams dp = sim::machine("dmp");
     dp.alwaysLowConfidence = true;
     // Correctness under nested flush + dpred-state restore:
     test::expectCoreMatchesReference(p, dp, "nested_mispredict");
@@ -275,7 +275,7 @@ TEST(Dpred, MultipleDivergeBranchPolicyConverts)
     m2.cfmPoints.push_back(j2_addr);
     p.setMark(br2, m2);
 
-    core::CoreParams dp = test::dmpBasicParams();
+    core::CoreParams dp = sim::machine("dmp");
     dp.alwaysLowConfidence = true;
     dp.enhMultiDiverge = true;
     core::Core m(p, dp);
@@ -318,7 +318,7 @@ TEST(Dpred, DivergeLoopBranchExtension)
     p.setMark(loop_branch, mark);
 
     // Without the extension the mark is ignored.
-    core::CoreParams off = test::dmpBasicParams();
+    core::CoreParams off = sim::machine("dmp");
     off.alwaysLowConfidence = true;
     core::Core m_off(p, off);
     m_off.run();
@@ -344,7 +344,7 @@ TEST(Dpred, PredicateNamespaceExhaustionFallsBack)
     mark.cfmPoints.push_back(join);
     p.setMark(branch, mark);
 
-    core::CoreParams dp = test::dmpBasicParams();
+    core::CoreParams dp = sim::machine("dmp");
     dp.alwaysLowConfidence = true;
     dp.predRegisters = 2;
     test::expectCoreMatchesReference(p, dp, "pred_exhaustion");
@@ -389,13 +389,13 @@ TEST(Dpred, RobBelowPredicationMinimumIsFatal)
 {
     Addr branch, join;
     Program p = randomHammock(10, &branch, &join);
-    core::CoreParams dp = test::dmpEnhancedParams();
+    core::CoreParams dp = sim::machine("dmp-enhanced");
     dp.robSize = core::kMinPredicationRobSize - 1;
     EXPECT_EXIT(core::Core(p, dp), ::testing::ExitedWithCode(1),
                 "robSize 63 is below the minimum of 64");
 
     // Without predication no exit needs select-uops: any size is fine.
-    core::CoreParams base = test::baselineParams();
+    core::CoreParams base = sim::machine("base");
     base.robSize = 16;
     test::expectCoreMatchesReference(p, base, "base_rob16");
 }
@@ -409,7 +409,7 @@ TEST(Dpred, RobAtPredicationMinimumRenamesWidestExit)
     mark.cfmPoints.push_back(join);
     p.setMark(branch, mark);
 
-    core::CoreParams dp = test::dmpBasicParams();
+    core::CoreParams dp = sim::machine("dmp");
     dp.alwaysLowConfidence = true;
     dp.robSize = core::kMinPredicationRobSize;
     core::Core m(p, dp);

@@ -54,12 +54,12 @@ TEST(DualPath, ForksOnLowConfidenceAndAvoidsFlushes)
     // fork resolves before the next hard branch is fetched.
     Program p = randomHammock(600, 320);
 
-    core::Core base(p, test::baselineParams());
+    core::Core base(p, sim::machine("base"));
     base.run();
 
     // Real JRS confidence: only the hammock goes low-confidence, so
     // forks target it instead of being wasted on the loop branch.
-    core::CoreParams dp = test::dualPathParams();
+    core::CoreParams dp = sim::machine("dual");
     core::Core dual(p, dp);
     dual.run();
 
@@ -75,7 +75,7 @@ TEST(DualPath, NoMarksRequired)
 {
     // Dual-path is marker-free: it forks on any low-confidence branch.
     Program p = randomHammock(200);
-    core::CoreParams dp = test::dualPathParams();
+    core::CoreParams dp = sim::machine("dual");
     dp.alwaysLowConfidence = true;
     core::Core m(p, dp);
     m.run();
@@ -87,7 +87,7 @@ TEST(DualPath, NoMarksRequired)
 TEST(DualPath, ArchitecturalEquivalence)
 {
     Program p = randomHammock(600);
-    core::CoreParams dp = test::dualPathParams();
+    core::CoreParams dp = sim::machine("dual");
     dp.alwaysLowConfidence = true;
     test::expectCoreMatchesReference(p, dp, "dual_forced");
 }
@@ -130,7 +130,7 @@ TEST(DualPath, NestedMispredictCollapsesToFork)
     b.halt();
     Program p = b.build();
 
-    core::CoreParams dp = test::dualPathParams();
+    core::CoreParams dp = sim::machine("dual");
     dp.alwaysLowConfidence = true;
     test::expectCoreMatchesReference(p, dp, "dual_nested");
 }
@@ -140,7 +140,7 @@ TEST(DualPath, OnlyOneEpisodeAtATime)
     // With every branch low-confidence, forks cannot nest: the total
     // fork count stays bounded by the branch count.
     Program p = randomHammock(300);
-    core::CoreParams dp = test::dualPathParams();
+    core::CoreParams dp = sim::machine("dual");
     dp.alwaysLowConfidence = true;
     core::Core m(p, dp);
     m.run();

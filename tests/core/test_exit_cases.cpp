@@ -55,7 +55,7 @@ epilogue(ProgramBuilder &b, Label loop)
 core::CoreParams
 dmpAll()
 {
-    core::CoreParams p = test::dmpBasicParams();
+    core::CoreParams p = sim::machine("dmp");
     p.alwaysLowConfidence = true;
     return p;
 }

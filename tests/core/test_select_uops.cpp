@@ -67,7 +67,7 @@ build(const HammockSpec &spec, Addr *branch_out)
 core::CoreParams
 dmpForced()
 {
-    core::CoreParams p = test::dmpBasicParams();
+    core::CoreParams p = sim::machine("dmp");
     p.alwaysLowConfidence = true;
     return p;
 }

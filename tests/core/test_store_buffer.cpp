@@ -267,8 +267,7 @@ TEST(PredicatedStores, FalsePathStoreNeverReachesMemory)
     mark.cfmPoints.push_back(join_addr);
     p.setMark(branch, mark);
 
-    core::CoreParams params;
-    params.predication = core::PredicationScope::Diverge;
+    core::CoreParams params = sim::machine("dmp");
     params.alwaysLowConfidence = true;
     test::expectCoreMatchesReference(p, params, "pred_stores");
 
@@ -323,8 +322,7 @@ TEST(PredicatedStores, ForwardingAcrossFlushedEpisode)
     mark.cfmPoints.push_back(p.fetch(branch).target);
     p.setMark(branch, mark);
 
-    core::CoreParams params;
-    params.predication = core::PredicationScope::Diverge;
+    core::CoreParams params = sim::machine("dmp");
     params.alwaysLowConfidence = true;
     params.maxDpredPathInsts = 4096;
     core::Core m(p, params);

@@ -154,11 +154,11 @@ TEST_P(CycleSkipLockstep, SkipAndFullScanAreIndistinguishable)
         core::CoreParams params;
     };
     ModeCase modes[] = {
-        {"base", test::baselineParams()},
-        {"dhp", test::dhpParams()},
-        {"dmp", test::dmpBasicParams()},
-        {"enh", test::dmpEnhancedParams()},
-        {"dual", test::dualPathParams()},
+        {"base", sim::machine("base")},
+        {"dhp", sim::machine("dhp")},
+        {"dmp", sim::machine("dmp")},
+        {"enh", sim::machine("dmp-enhanced")},
+        {"dual", sim::machine("dual")},
     };
 
     std::uint64_t total_skipped = 0;
@@ -210,10 +210,10 @@ TEST(CycleSkipDirected, RedirectOnResumeCycle)
     isa::Program p = b.build();
 
     std::uint64_t skipped =
-        expectSkipLockstep(p, test::baselineParams(), "jr-resume");
+        expectSkipLockstep(p, sim::machine("base"), "jr-resume");
     EXPECT_GT(skipped, 0u) << "miss latency was not skipped";
 
-    core::Core machine(p, test::baselineParams());
+    core::Core machine(p, sim::machine("base"));
     machine.run();
     ASSERT_TRUE(machine.halted());
     // r3 == 7 proves the post-resume redirect steered fetch to the
@@ -261,7 +261,7 @@ TEST(CycleSkipDirected, EpisodeResolvesOnResumeCycle)
     mark.cfmPoints.push_back(cfm_pc);
     p.setMark(diverge_pc, mark);
 
-    core::CoreParams params = test::dmpEnhancedParams();
+    core::CoreParams params = sim::machine("dmp-enhanced");
     params.alwaysLowConfidence = true; // force episode entry
 
     std::uint64_t skipped =

@@ -19,12 +19,6 @@ namespace dmp
 namespace
 {
 
-using test::baselineParams;
-using test::dhpParams;
-using test::dmpBasicParams;
-using test::dmpEnhancedParams;
-using test::dualPathParams;
-
 struct ModeCase
 {
     const char *name;
@@ -34,19 +28,19 @@ struct ModeCase
 std::vector<ModeCase>
 allModes()
 {
-    core::CoreParams perfconf = dmpBasicParams();
+    core::CoreParams perfconf = sim::machine("dmp");
     perfconf.perfectConfidence = true;
-    core::CoreParams perfcbp = baselineParams();
+    core::CoreParams perfcbp = sim::machine("base");
     perfcbp.perfectCondPredictor = true;
-    core::CoreParams loops = dmpEnhancedParams();
+    core::CoreParams loops = sim::machine("dmp-enhanced");
     loops.extLoopBranches = true;
     return {
-        {"baseline", baselineParams()},
-        {"dhp", dhpParams()},
-        {"dmp_basic", dmpBasicParams()},
-        {"dmp_enhanced", dmpEnhancedParams()},
+        {"baseline", sim::machine("base")},
+        {"dhp", sim::machine("dhp")},
+        {"dmp_basic", sim::machine("dmp")},
+        {"dmp_enhanced", sim::machine("dmp-enhanced")},
         {"dmp_perf_conf", perfconf},
-        {"dual_path", dualPathParams()},
+        {"dual_path", sim::machine("dual")},
         {"perfect_cbp", perfcbp},
         {"dmp_loop_ext", loops},
     };

@@ -45,11 +45,11 @@ TEST_P(RandomProgramFuzz, AllModesMatchReference)
     isa::Program p = markedRandomProgram(GetParam());
 
     core::CoreParams modes[] = {
-        test::baselineParams(),
-        test::dhpParams(),
-        test::dmpBasicParams(),
-        test::dmpEnhancedParams(),
-        test::dualPathParams(),
+        sim::machine("base"),
+        sim::machine("dhp"),
+        sim::machine("dmp"),
+        sim::machine("dmp-enhanced"),
+        sim::machine("dual"),
     };
     const char *names[] = {"base", "dhp", "dmp", "enh", "dual"};
     for (unsigned i = 0; i < 5; ++i) {
@@ -84,7 +84,7 @@ sweepCases()
 {
     std::vector<SweepCase> cases;
     auto add = [&](const char *name, auto tweak) {
-        core::CoreParams p = test::dmpEnhancedParams();
+        core::CoreParams p = sim::machine("dmp-enhanced");
         p.alwaysLowConfidence = true;
         tweak(p);
         cases.push_back({name, p});
@@ -159,7 +159,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Determinism, SameConfigSameCycleCount)
 {
     isa::Program p = markedRandomProgram(7);
-    core::CoreParams params = test::dmpEnhancedParams();
+    core::CoreParams params = sim::machine("dmp-enhanced");
     core::Core a(p, params), b(p, params);
     a.run();
     b.run();
@@ -176,7 +176,7 @@ TEST(Determinism, SameConfigSameCycleCount)
 TEST(Determinism, ResetReproducesRun)
 {
     isa::Program p = markedRandomProgram(9);
-    core::CoreParams params = test::dmpEnhancedParams();
+    core::CoreParams params = sim::machine("dmp-enhanced");
     core::Core m(p, params);
     m.run();
     std::uint64_t cycles1 = m.stats().cycles.value();

@@ -126,20 +126,7 @@ class SkipDeterminismSweep
     static core::CoreParams
     paramsFor(const std::string &mode)
     {
-        core::CoreParams p;
-        if (mode == "dhp") {
-            p.predication = core::PredicationScope::SimpleHammock;
-        } else if (mode == "dmp") {
-            p.predication = core::PredicationScope::Diverge;
-        } else if (mode == "enh") {
-            p.predication = core::PredicationScope::Diverge;
-            p.enhMultiCfm = true;
-            p.enhEarlyExit = true;
-            p.enhMultiDiverge = true;
-        } else if (mode == "dual") {
-            p.mode = core::CoreMode::DualPath;
-        }
-        return p;
+        return sim::machine(mode == "enh" ? "dmp-enhanced" : mode);
     }
 };
 

@@ -93,7 +93,7 @@ TEST(SimFacade, RunsAndReportsCounters)
     cfg.workload = "vpr";
     cfg.train.iterations = 200;
     cfg.ref.iterations = 200;
-    cfg.core.predication = core::PredicationScope::Diverge;
+    cfg.core = sim::machine("dmp");
     sim::SimResult r = sim::runSim(cfg);
     EXPECT_GT(r.ipc, 0.1);
     EXPECT_GT(r.retiredInsts, 10000u);

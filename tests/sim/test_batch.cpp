@@ -32,30 +32,10 @@ smallConfig(const std::string &workload)
 }
 
 sim::SimConfig
-withCore(sim::SimConfig cfg, void (*fn)(core::CoreParams &))
+withCore(sim::SimConfig cfg, const char *mode)
 {
-    fn(cfg.core);
+    cfg.core = sim::machine(mode);
     return cfg;
-}
-
-void
-coreBase(core::CoreParams &)
-{
-}
-
-void
-coreDmpBasic(core::CoreParams &c)
-{
-    c.predication = core::PredicationScope::Diverge;
-}
-
-void
-coreDmpEnhanced(core::CoreParams &c)
-{
-    c.predication = core::PredicationScope::Diverge;
-    c.enhMultiCfm = true;
-    c.enhEarlyExit = true;
-    c.enhMultiDiverge = true;
 }
 
 void
@@ -86,13 +66,12 @@ expectSameResult(const sim::SimResult &a, const sim::SimResult &b,
 TEST(BatchRunner, ParallelMatchesSerial)
 {
     const char *wls[] = {"bzip2", "mcf", "parser"};
-    void (*cores[])(core::CoreParams &) = {coreBase, coreDmpBasic,
-                                           coreDmpEnhanced};
+    const char *modes[] = {"base", "dmp", "dmp-enhanced"};
 
     std::vector<sim::SimConfig> grid;
     for (const char *wl : wls)
-        for (auto fn : cores)
-            grid.push_back(withCore(smallConfig(wl), fn));
+        for (const char *mode : modes)
+            grid.push_back(withCore(smallConfig(wl), mode));
 
     std::vector<sim::SimResult> serial;
     for (const sim::SimConfig &cfg : grid)
@@ -116,9 +95,9 @@ TEST(BatchRunner, ParallelMatchesSerial)
 TEST(BatchRunner, ProfileCacheRunsOnceAndMatchesUncached)
 {
     std::vector<sim::SimConfig> grid = {
-        withCore(smallConfig("gzip"), coreBase),
-        withCore(smallConfig("gzip"), coreDmpBasic),
-        withCore(smallConfig("gzip"), coreDmpEnhanced),
+        withCore(smallConfig("gzip"), "base"),
+        withCore(smallConfig("gzip"), "dmp"),
+        withCore(smallConfig("gzip"), "dmp-enhanced"),
     };
 
     sim::BatchRunner runner(3);

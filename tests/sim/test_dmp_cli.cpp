@@ -6,7 +6,8 @@
  * record the library computes, single-run outputs refuse --sweep, a
  * ROB too small for a predicated exit fails cleanly, and the text
  * trace closes every episode it opens without moving a single stats
- * counter.
+ * counter, and `dmp paper` rejects a bad figure or workload list
+ * before it simulates anything.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "dmp_cli.hh"
+#include "sim/paper.hh"
 #include "sim/simulator.hh"
 
 namespace dmp
@@ -52,7 +54,7 @@ TEST(DmpCli, MissingOrUnknownSubcommandListsThemAll)
         test::CliResult r = runDmp(args);
         EXPECT_EQ(r.status, 2);
         for (const char *sub : {"dmp run ", "dmp lint ", "dmp mark ",
-                                "dmp report "})
+                                "dmp report ", "dmp paper "})
             EXPECT_NE(r.err.find(sub), std::string::npos)
                 << sub << "missing from:\n" << r.err;
     }
@@ -82,6 +84,8 @@ TEST(DmpRun, NumericOptionsMustParseWhole)
         {"mark", "--prune=junk", "bzip2"},
         {"mark", "--prune=-0.5", "bzip2"},
         {"report", "--branches=zz", "stats.jsonl"},
+        {"paper", "--iters=abc", "fig11_flush_reduction"},
+        {"paper", "--jobs=2x", "fig11_flush_reduction"},
     };
     for (const std::vector<std::string> &row : rows) {
         const std::string &bad = row[1];
@@ -115,10 +119,7 @@ TEST(DmpRun, StatsJsonMatchesLibraryResult)
 
     sim::SimConfig cfg;
     cfg.workload = "bzip2";
-    cfg.core.predication = core::PredicationScope::Diverge;
-    cfg.core.enhMultiCfm = true;
-    cfg.core.enhEarlyExit = true;
-    cfg.core.enhMultiDiverge = true;
+    cfg.core = sim::machine("dmp-enhanced");
     cfg.train.iterations = 300;
     cfg.ref.iterations = 300;
     cfg.accounting = true;
@@ -156,6 +157,26 @@ TEST(DmpRun, SingleRunOutputsRejectSweep)
     }
     EXPECT_FALSE(exists(pv));
     EXPECT_FALSE(exists(txt));
+}
+
+TEST(DmpPaper, BadFigureOrWorkloadsFailBeforeSimulating)
+{
+    for (const std::string list : {"nosuch", "mcf,nosuch", "mcf,mcf"}) {
+        test::CliResult r = runDmp(
+            {"paper", "fig11_flush_reduction", "--workloads=" + list});
+        EXPECT_EQ(r.status, 1) << list;
+        const std::string bad = list.substr(list.rfind(',') + 1);
+        EXPECT_NE(r.err.find("--workloads: "), std::string::npos) << r.err;
+        EXPECT_NE(r.err.find(": " + bad), std::string::npos) << r.err;
+    }
+
+    test::CliResult r = runDmp({"paper", "nosuch"});
+    EXPECT_EQ(r.status, 2);
+    EXPECT_NE(r.err.find("unknown figure: nosuch"), std::string::npos)
+        << r.err;
+    for (const sim::Figure &f : sim::figures())
+        EXPECT_NE(r.err.find(std::string(" ") + f.name), std::string::npos)
+            << f.name << " missing from:\n" << r.err;
 }
 
 TEST(DmpRun, RobBelowPredicationMinimumFailsCleanly)

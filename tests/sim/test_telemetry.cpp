@@ -3,7 +3,7 @@
  * Tests for SimResult telemetry: checked counter lookup (require vs.
  * warn-once get), distribution/formula export from the core StatGroup,
  * host-side wall-clock counters, and the JSONL record format consumed
- * by the figure pipeline (dmp run --stats-json / DMP_STATS_JSON).
+ * by the figure pipeline (dmp run / dmp paper --stats-json).
  */
 
 #include <gtest/gtest.h>
@@ -26,10 +26,7 @@ smallConfig()
     cfg.train.iterations = 200;
     cfg.ref.iterations = 200;
     cfg.marker.profileInsts = 80000;
-    cfg.core.predication = core::PredicationScope::Diverge;
-    cfg.core.enhMultiCfm = true;
-    cfg.core.enhEarlyExit = true;
-    cfg.core.enhMultiDiverge = true;
+    cfg.core = sim::machine("dmp-enhanced");
     return cfg;
 }
 

@@ -14,6 +14,7 @@
 #include "isa/func_sim.hh"
 #include "isa/mem_image.hh"
 #include "isa/program.hh"
+#include "sim/simulator.hh"
 
 namespace dmp::test
 {
@@ -68,49 +69,6 @@ expectCoreMatchesReference(const isa::Program &prog,
     EXPECT_TRUE(machine.resourcesQuiescent())
         << what << ": leaked physical registers / checkpoints / "
         << "store-buffer entries: " << machine.resourceReport();
-}
-
-/** Canonical parameter sets used across tests. */
-inline core::CoreParams
-baselineParams()
-{
-    core::CoreParams p;
-    return p;
-}
-
-inline core::CoreParams
-dhpParams()
-{
-    core::CoreParams p;
-    p.predication = core::PredicationScope::SimpleHammock;
-    return p;
-}
-
-inline core::CoreParams
-dmpBasicParams()
-{
-    core::CoreParams p;
-    p.predication = core::PredicationScope::Diverge;
-    return p;
-}
-
-inline core::CoreParams
-dmpEnhancedParams()
-{
-    core::CoreParams p;
-    p.predication = core::PredicationScope::Diverge;
-    p.enhMultiCfm = true;
-    p.enhEarlyExit = true;
-    p.enhMultiDiverge = true;
-    return p;
-}
-
-inline core::CoreParams
-dualPathParams()
-{
-    core::CoreParams p;
-    p.mode = core::CoreMode::DualPath;
-    return p;
 }
 
 } // namespace dmp::test
