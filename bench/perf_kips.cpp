@@ -14,18 +14,20 @@
  *      job count, timed end-to-end, to track the parallel engine.
  *
  * The single-job phase runs every (workload x config) cell
- * DMP_BENCH_REPEATS times (default 3) and keeps the best repeat: the
- * simulator is deterministic, so the spread between repeats is pure
- * host noise (scheduling, frequency scaling, cache pollution from the
- * previous cell) and the minimum wall-clock is the least-noisy
- * estimate. All repeat timings are preserved in the JSON so the noise
+ * DMP_BENCH_REPEATS times (default 3, at most 100) and keeps the best
+ * repeat: the simulator is deterministic, so the spread between
+ * repeats is pure host noise (scheduling, frequency scaling, cache
+ * pollution from the previous cell) and the minimum wall-clock is the
+ * least-noisy estimate. All repeat timings are preserved in the JSON so the noise
  * floor stays visible.
  *
  * The machine-readable result is written to BENCH_core.json (override
  * with DMP_BENCH_OUT). DMP_BENCH_ITERS sets the workload loop
  * iterations (default 2000), DMP_BENCH_WORKLOADS a comma-separated
  * subset of the workloads, and DMP_BENCH_JOBS the worker count of the
- * batched phase (default: all cores).
+ * batched phase (default: all cores; at most 256). A number variable
+ * that does not parse whole fails the run, naming it, before any
+ * simulation.
  *
  * KIPS is host-dependent: only compare files produced on the same
  * machine and build preset (see EXPERIMENTS.md). The output records
@@ -34,6 +36,8 @@
  */
 
 
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -64,13 +68,32 @@ struct RunRecord
 
 };
 
-/** Workload loop iterations for every run. */
+/**
+ * The number in environment variable `name`, or `dflt` when it is
+ * unset. A value that is not a whole number in [lo, hi] (decimal, 0x
+ * hex or 0 octal) exits 1 naming the variable, before anything runs.
+ */
 std::uint64_t
-benchIterations()
+envNumber(const char *name, std::uint64_t dflt, std::uint64_t lo,
+          std::uint64_t hi)
 {
-    if (const char *env = std::getenv("DMP_BENCH_ITERS"))
-        return std::strtoull(env, nullptr, 0);
-    return 2000;
+    const char *env = std::getenv(name);
+    if (!env)
+        return dflt;
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long v = std::strtoull(env, &end, 0);
+    // strtoull alone would skip blanks, accept a sign and stop at junk.
+    if (!std::isdigit(static_cast<unsigned char>(env[0])) || *end != '\0' ||
+        errno == ERANGE || v < lo || v > hi) {
+        std::fprintf(stderr,
+                     "perf_kips: %s: not a whole number in [%llu, %llu]: "
+                     "'%s'\n",
+                     name, (unsigned long long)lo, (unsigned long long)hi,
+                     env);
+        std::exit(1);
+    }
+    return v;
 }
 
 /** Workloads to run (all 15 unless DMP_BENCH_WORKLOADS narrows it). */
@@ -96,39 +119,18 @@ benchWorkloads()
     return out;
 }
 
-/** Worker threads of the batched phase (0: BatchRunner default). */
-unsigned
-benchJobs()
-{
-    if (const char *env = std::getenv("DMP_BENCH_JOBS"))
-        return unsigned(std::strtoul(env, nullptr, 0));
-    return 0;
-}
-
 /** One grid cell: `workload` on the machine `core`. */
 sim::SimConfig
-makeConfig(const std::string &workload, const core::CoreParams &core)
+makeConfig(const std::string &workload, const core::CoreParams &core,
+           std::uint64_t iters)
 {
     sim::SimConfig cfg;
     cfg.workload = workload;
     cfg.core = core;
-    cfg.train.iterations = benchIterations();
-    cfg.ref.iterations = benchIterations();
+    cfg.train.iterations = iters;
+    cfg.ref.iterations = iters;
     return cfg;
 }
-
-/** Repeats per grid cell in the single-job phase (best one is kept). */
-unsigned
-benchRepeats()
-{
-    if (const char *env = std::getenv("DMP_BENCH_REPEATS")) {
-        long v = std::strtol(env, nullptr, 10);
-        if (v >= 1 && v <= 100)
-            return unsigned(v);
-    }
-    return 3;
-}
-
 
 /** Aggregate KIPS over a subset of runs: sum(insts) / sum(seconds). */
 double
@@ -185,8 +187,9 @@ nowSeconds()
 
 void
 writeJson(const std::string &path, const std::vector<RunRecord> &runs,
-          unsigned repeats, double singleWall, double batchedWall,
-          unsigned batchedJobs, std::uint64_t totalInsts)
+          std::uint64_t iters, unsigned repeats, double singleWall,
+          double batchedWall, unsigned batchedJobs,
+          std::uint64_t totalInsts)
 {
     std::ofstream out(path);
     if (!out) {
@@ -196,7 +199,7 @@ writeJson(const std::string &path, const std::vector<RunRecord> &runs,
     }
     out << "{\n";
     out << "  \"bench\": \"perf_kips\",\n";
-    out << "  \"iterations\": " << benchIterations() << ",\n";
+    out << "  \"iterations\": " << iters << ",\n";
     out << "  \"repeats\": " << repeats << ",\n";
     out << "  \"hardware_concurrency\": "
         << std::thread::hardware_concurrency() << ",\n";
@@ -250,15 +253,21 @@ main()
         {"base", sim::machine("base")},
         {"dmp_enhanced", sim::machine("dmp-enhanced")},
     };
+    const std::uint64_t iters =
+        envNumber("DMP_BENCH_ITERS", 2000, 1, ~std::uint64_t(0));
+    // Repeats per cell in the single-job phase; the best one is kept.
+    const unsigned repeats =
+        unsigned(envNumber("DMP_BENCH_REPEATS", 3, 1, 100));
+    // Worker threads of the batched phase (0: BatchRunner default).
+    const unsigned jobs = unsigned(envNumber("DMP_BENCH_JOBS", 0, 0, 256));
     const std::vector<std::string> wls = benchWorkloads();
 
     // Phase 1: strictly serial, no worker pool — the single-job number.
-    const unsigned repeats = benchRepeats();
     std::vector<RunRecord> runs;
     double t0 = nowSeconds();
     for (const std::string &wl : wls) {
         for (const auto &[label, core] : configs) {
-            sim::SimConfig cfg = makeConfig(wl, core);
+            sim::SimConfig cfg = makeConfig(wl, core, iters);
             RunRecord rec;
             rec.workload = wl;
             rec.wlClass = workloadClass(wl);
@@ -292,8 +301,8 @@ main()
     std::vector<sim::SimConfig> grid;
     for (const std::string &wl : wls)
         for (const auto &[label, core] : configs)
-            grid.push_back(makeConfig(wl, core));
-    sim::BatchRunner pool(benchJobs());
+            grid.push_back(makeConfig(wl, core, iters));
+    sim::BatchRunner pool(jobs);
     double t1 = nowSeconds();
     for (const sim::SimResult &r : pool.run(grid))
         totalInsts += r.retiredInsts;
@@ -314,8 +323,8 @@ main()
 
     const char *outPath = std::getenv("DMP_BENCH_OUT");
     std::string path = outPath ? outPath : "BENCH_core.json";
-    writeJson(path, runs, repeats, singleWall, batchedWall, pool.jobs(),
-              totalInsts);
+    writeJson(path, runs, iters, repeats, singleWall, batchedWall,
+              pool.jobs(), totalInsts);
 
     std::printf("wrote %s\n", path.c_str());
     return 0;

@@ -4,6 +4,7 @@
 #include <sstream>
 #include <vector>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 
 namespace dmp::analysis
@@ -174,8 +175,7 @@ CycleAccounting::onEpisodeStart(EpisodeId id, Addr diverge_pc,
     if (traceW) {
         traceW->asyncBegin(kTidEpisodes, now, id,
                            "EP@" + trace::hex(diverge_pc), "episode",
-                           std::string("{\"dual\":") +
-                               (is_dual ? "1" : "0") + "}");
+                           trace::TraceEventWriter::args({{"dual", is_dual}}));
     }
 }
 
@@ -226,8 +226,8 @@ CycleAccounting::onEpisodeEnd(const core::AcctEpisodeEnd &e, Cycle now)
     if (traceW) {
         traceW->asyncEnd(kTidEpisodes, now, e.id,
                          "EP@" + trace::hex(e.divergePc), "episode",
-                         "{\"exit_case\":" + std::to_string(e.exitCase) +
-                             ",\"dead\":" + (e.dead ? "1" : "0") + "}");
+                         trace::TraceEventWriter::args(
+                             {{"exit_case", e.exitCase}, {"dead", e.dead}}));
     }
 }
 
@@ -241,8 +241,8 @@ CycleAccounting::onFlush(const core::FlushEvent &e)
     if (traceW) {
         traceW->instant(kTidFlushes, e.cycle,
                         "flush@" + trace::hex(e.branchPc), "flush",
-                        "{\"squashed\":" + std::to_string(e.squashed) +
-                            "}");
+                        trace::TraceEventWriter::args(
+                            {{"squashed", e.squashed}}));
     }
 }
 
@@ -344,49 +344,31 @@ sortedRows(const std::unordered_map<Addr, DivergeBranchStats> &table,
 } // namespace
 
 std::string
-CycleAccounting::branchesJson() const
-{
-    std::ostringstream os;
-    os << '[';
-    bool first = true;
-    for (const DivergeBranchStats *r : sortedRows(table, *this)) {
-        if (!first)
-            os << ',';
-        first = false;
-        os << "{\"pc\":\"" << trace::hex(r->pc) << '"'
-           << ",\"episodes\":" << r->episodes
-           << ",\"dual_episodes\":" << r->dualEpisodes
-           << ",\"merged_at_cfm\":" << r->mergedAtCfm
-           << ",\"overshot\":" << r->overshot
-           << ",\"early_exits\":" << r->earlyExits
-           << ",\"converted\":" << r->converted
-           << ",\"squashed\":" << r->squashed
-           << ",\"fetched_insts\":" << r->fetchedInsts
-           << ",\"false_insts\":" << r->falseInsts
-           << ",\"extra_uops\":" << r->extraUops
-           << ",\"flushes_avoided\":" << r->flushesAvoided
-           << ",\"flushes\":" << r->flushes << ",\"net_cycles\":"
-           << netCycles(*r) << '}';
-    }
-    os << ']';
-    return os.str();
-}
-
-std::string
 CycleAccounting::json() const
 {
-    std::ostringstream os;
-    os << "{\"frontend_depth\":" << frontendDepth
-       << ",\"retire_width\":" << retireWidth
-       << ",\"total_cycles\":" << totalCycles() << ",\"buckets\":{";
-    for (unsigned i = 0; i < unsigned(CycleBucket::NumBuckets); ++i) {
-        if (i)
-            os << ',';
-        os << '"' << bucketName(CycleBucket(i))
-           << "\":" << buckets[i].value();
+    json::Writer w;
+    w.beginObject().field("frontend_depth", frontendDepth);
+    w.field("retire_width", retireWidth).field("total_cycles", totalCycles());
+    w.key("buckets").beginObject();
+    for (unsigned i = 0; i < unsigned(CycleBucket::NumBuckets); ++i)
+        w.field(bucketName(CycleBucket(i)), buckets[i].value());
+    w.endObject().key("branches").beginArray();
+    for (const DivergeBranchStats *r : sortedRows(table, *this)) {
+        w.beginObject().field("pc", trace::hex(r->pc));
+        w.field("episodes", r->episodes);
+        w.field("dual_episodes", r->dualEpisodes);
+        w.field("merged_at_cfm", r->mergedAtCfm);
+        w.field("overshot", r->overshot).field("early_exits", r->earlyExits);
+        w.field("converted", r->converted).field("squashed", r->squashed);
+        w.field("fetched_insts", r->fetchedInsts);
+        w.field("false_insts", r->falseInsts);
+        w.field("extra_uops", r->extraUops);
+        w.field("flushes_avoided", r->flushesAvoided);
+        w.field("flushes", r->flushes).field("net_cycles", netCycles(*r));
+        w.endObject();
     }
-    os << "},\"branches\":" << branchesJson() << '}';
-    return os.str();
+    w.endArray().endObject();
+    return w.take();
 }
 
 std::string
@@ -413,7 +395,7 @@ CycleAccounting::summary() const
     std::size_t shown = 0;
     for (const DivergeBranchStats *r : rows) {
         // Pure-flush rows (no episodes) are base-mode noise for this
-        // view; the full set is in branchesJson().
+        // view; the full set is in json().
         if (r->episodes + r->dualEpisodes == 0)
             continue;
         char line[160];

@@ -133,10 +133,10 @@ class CycleAccounting final : public core::CoreObserver
         return table;
     }
 
-    /** Per-branch rows as a JSON array, best net benefit first. */
-    std::string branchesJson() const;
-
-    /** Everything as one JSON object (buckets + branches). */
+    /**
+     * Everything as one JSON object: the buckets, then the per-branch
+     * rows, best net benefit first.
+     */
     std::string json() const;
 
     /** Human-readable top-down + per-branch summary. */

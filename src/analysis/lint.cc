@@ -1,11 +1,11 @@
 #include "analysis/lint.hh"
 
 #include <algorithm>
-#include <sstream>
 #include <unordered_set>
 
 #include "analysis/flowgraph.hh"
 #include "cfg/hammock.hh"
+#include "common/trace.hh"
 
 namespace dmp::analysis
 {
@@ -17,13 +17,7 @@ using isa::kInstBytes;
 namespace
 {
 
-std::string
-hex(Addr a)
-{
-    std::ostringstream os;
-    os << "0x" << std::hex << a;
-    return os.str();
-}
+using trace::hex;
 
 /** Everything the region/nesting passes need about one diverge mark. */
 struct MarkCtx

@@ -14,6 +14,7 @@
 #include "cfg/hammock.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
+#include "common/trace.hh"
 
 namespace dmp::analysis
 {
@@ -27,23 +28,7 @@ using cfg::Cfg;
 using cfg::kNoBlock;
 using isa::kInstBytes;
 
-/** Deterministic short rendering of a report number. */
-std::string
-fnum(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.6g", v);
-    return buf;
-}
-
-std::string
-hex(Addr a)
-{
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "0x%llx",
-                  static_cast<unsigned long long>(a));
-    return buf;
-}
+using trace::hex;
 
 /**
  * Successor relation of the frequent-path CFG: per-block successors
@@ -81,23 +66,6 @@ prunedSuccs(const isa::Program &program, const Cfg &graph,
             succs[b] = bb.succs;
     }
     return succs;
-}
-
-/** The agreement block as JSON members (no braces). */
-std::string
-agreementJson(const MarkAgreement &a)
-{
-    std::ostringstream os;
-    os << "\"static_diverge\":" << a.staticDiverge
-       << ",\"profile_diverge\":" << a.profileDiverge
-       << ",\"common_diverge\":" << a.commonDiverge
-       << ",\"precision\":" << fnum(a.divergePrecision)
-       << ",\"recall\":" << fnum(a.divergeRecall)
-       << ",\"cfm_comparable\":" << a.cfmComparable
-       << ",\"cfm_any_match\":" << a.cfmAnyMatch
-       << ",\"cfm_primary_match\":" << a.cfmPrimaryMatch
-       << ",\"cfm_match_rate\":" << fnum(a.cfmMatchRate);
-    return os.str();
 }
 
 } // namespace
@@ -393,58 +361,58 @@ compareMarkings(const isa::Program &statically_marked,
     return a;
 }
 
-std::string
-markGenTargetJson(const std::string &target, const MarkGenReport &report,
+void
+markGenTargetJson(json::Writer &w, const std::string &target,
+                  const MarkGenReport &report,
                   const MarkAgreement *agreement)
 {
-    std::ostringstream os;
-    os << "{\"target\":\"" << json::escape(target) << "\""
-       << ",\"marks\":{\"diverge\":" << report.markedDiverge
-       << ",\"hammock\":" << report.markedSimpleHammock
-       << ",\"loop\":" << report.markedLoop
-       << ",\"dropped\":" << report.droppedIllegal << "}"
-       << ",\"lint\":{\"errors\":" << report.lintErrors
-       << ",\"warnings\":" << report.lintWarnings
-       << ",\"infos\":" << report.lintInfos << "}";
+    w.beginObject().field("target", target).key("marks").beginObject();
+    w.field("diverge", report.markedDiverge);
+    w.field("hammock", report.markedSimpleHammock);
+    w.field("loop", report.markedLoop).field("dropped", report.droppedIllegal);
+    w.endObject().key("lint").beginObject();
+    w.field("errors", report.lintErrors);
+    w.field("warnings", report.lintWarnings);
+    w.field("infos", report.lintInfos).endObject();
     if (report.absintRan) {
         const AbsintStats &s = report.absintStats;
-        os << ",\"absint\":{\"insts\":" << s.insts
-           << ",\"unreachable\":" << s.unreachable
-           << ",\"branches\":" << s.branches
-           << ",\"proved_taken\":" << s.provedTaken
-           << ",\"proved_not_taken\":" << s.provedNotTaken
-           << ",\"trip_bounded\":" << s.tripBounded
-           << ",\"indirect_resolved\":" << s.indirectResolved
-           << ",\"indirect_unresolved\":" << s.indirectUnresolved << "}";
+        w.key("absint").beginObject().field("insts", s.insts);
+        w.field("unreachable", s.unreachable).field("branches", s.branches);
+        w.field("proved_taken", s.provedTaken);
+        w.field("proved_not_taken", s.provedNotTaken);
+        w.field("trip_bounded", s.tripBounded);
+        w.field("indirect_resolved", s.indirectResolved);
+        w.field("indirect_unresolved", s.indirectUnresolved).endObject();
     }
-    if (agreement)
-        os << ",\"agreement\":{" << agreementJson(*agreement) << "}";
-    os << ",\"candidates\":[";
-    bool first = true;
+    if (agreement) {
+        const MarkAgreement &a = *agreement;
+        w.key("agreement").beginObject();
+        w.field("static_diverge", a.staticDiverge);
+        w.field("profile_diverge", a.profileDiverge);
+        w.field("common_diverge", a.commonDiverge);
+        w.field("precision", a.divergePrecision);
+        w.field("recall", a.divergeRecall);
+        w.field("cfm_comparable", a.cfmComparable);
+        w.field("cfm_any_match", a.cfmAnyMatch);
+        w.field("cfm_primary_match", a.cfmPrimaryMatch);
+        w.field("cfm_match_rate", a.cfmMatchRate).endObject();
+    }
+    w.key("candidates").beginArray();
     for (const MarkCandidate &c : report.candidates) {
-        if (!first)
-            os << ",";
-        first = false;
-        os << "{\"pc\":\"" << hex(c.pc) << "\""
-           << ",\"taken_prob\":" << fnum(c.takenProb)
-           << ",\"heuristic\":\"" << probHeuristicName(c.heuristic)
-           << "\",\"freq\":" << fnum(c.blockFreq)
-           << ",\"mispred_est\":" << fnum(c.mispredictEstimate)
-           << ",\"cfm\":[";
-        for (std::size_t i = 0; i < c.cfmPoints.size(); ++i)
-            os << (i ? "," : "") << "\"" << hex(c.cfmPoints[i]) << "\"";
-        os << "],\"mean_dist\":" << fnum(c.meanDistance)
-           << ",\"work\":" << fnum(c.predicatedWork)
-           << ",\"savings\":" << fnum(c.flushSavings)
-           << ",\"net\":" << fnum(c.netBenefit)
-           << ",\"loop\":" << (c.isLoop ? "true" : "false")
-           << ",\"selected\":" << (c.selected ? "true" : "false")
-           << ",\"reason\":\"" << json::escape(c.reason) << "\""
-           << ",\"proof\":\"" << c.proof << "\""
-           << ",\"trip_max\":" << c.tripBound << "}";
+        w.beginObject().field("pc", hex(c.pc));
+        w.field("taken_prob", c.takenProb);
+        w.field("heuristic", probHeuristicName(c.heuristic));
+        w.field("freq", c.blockFreq);
+        w.field("mispred_est", c.mispredictEstimate).key("cfm").beginArray();
+        for (Addr cfm : c.cfmPoints)
+            w.value(hex(cfm));
+        w.endArray().field("mean_dist", c.meanDistance);
+        w.field("work", c.predicatedWork).field("savings", c.flushSavings);
+        w.field("net", c.netBenefit).field("loop", c.isLoop);
+        w.field("selected", c.selected).field("reason", c.reason);
+        w.field("proof", c.proof).field("trip_max", c.tripBound).endObject();
     }
-    os << "]}";
-    return os.str();
+    w.endArray().endObject();
 }
 
 std::string
@@ -473,9 +441,9 @@ markGenText(const std::string &target, const MarkGenReport &report,
         os << "  vs profile: static=" << agreement->staticDiverge
            << " profiled=" << agreement->profileDiverge
            << " common=" << agreement->commonDiverge
-           << " precision=" << fnum(agreement->divergePrecision)
-           << " recall=" << fnum(agreement->divergeRecall)
-           << " cfm_match=" << fnum(agreement->cfmMatchRate) << " ("
+           << " precision=" << agreement->divergePrecision
+           << " recall=" << agreement->divergeRecall
+           << " cfm_match=" << agreement->cfmMatchRate << " ("
            << agreement->cfmAnyMatch << "/" << agreement->cfmComparable
            << ", primary " << agreement->cfmPrimaryMatch << ")\n";
     }

@@ -41,6 +41,7 @@
 
 #include "analysis/absint.hh"
 #include "analysis/freq.hh"
+#include "common/json.hh"
 #include "isa/program.hh"
 #include "profile/profiler.hh"
 
@@ -190,15 +191,15 @@ MarkAgreement compareMarkings(const isa::Program &statically_marked,
 constexpr int kMarkGenSchemaVersion = 1;
 
 /**
- * One target's worth of the dmp mark JSON document: a single-line
- * object (no trailing newline) with the mark counts, lint totals, the
+ * Write one target's worth of the dmp mark JSON document as the next
+ * value of `w`: an object with the mark counts, lint totals, the
  * per-candidate cost breakdown, and — when `agreement` is non-null —
  * the static-vs-profile agreement block. Deterministic byte-for-byte
  * for a given (program, config): the golden tests diff it across runs.
  */
-std::string markGenTargetJson(const std::string &target,
-                              const MarkGenReport &report,
-                              const MarkAgreement *agreement);
+void markGenTargetJson(json::Writer &w, const std::string &target,
+                       const MarkGenReport &report,
+                       const MarkAgreement *agreement);
 
 /** Human-readable report of one synthesis run (multi-line). */
 std::string markGenText(const std::string &target,

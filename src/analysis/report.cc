@@ -1,9 +1,9 @@
 #include "analysis/report.hh"
 
-#include <cstdio>
 #include <sstream>
 
 #include "common/json.hh"
+#include "common/trace.hh"
 
 namespace dmp::analysis
 {
@@ -73,7 +73,7 @@ Report::text() const
     for (const Finding &f : items) {
         os << severityName(f.severity) << ": [" << f.code << "]";
         if (f.pc != kNoAddr)
-            os << " pc=0x" << std::hex << f.pc << std::dec;
+            os << " pc=" << trace::hex(f.pc);
         if (f.block >= 0)
             os << " block=" << f.block;
         if (f.cycle >= 0)
@@ -85,37 +85,24 @@ Report::text() const
     return os.str();
 }
 
-std::string
-Report::json() const
+void
+Report::json(json::Writer &w) const
 {
-    std::ostringstream os;
-    os << '[';
-    for (std::size_t i = 0; i < items.size(); ++i) {
-        const Finding &f = items[i];
-        if (i)
-            os << ',';
-        os << "{\"severity\":\"" << severityName(f.severity)
-           << "\",\"code\":\"" << json::escape(f.code) << "\",";
-        if (f.pc != kNoAddr)
-            os << "\"pc\":\"0x" << std::hex << f.pc << std::dec << "\",";
-        else
-            os << "\"pc\":null,";
-        if (f.block >= 0)
-            os << "\"block\":" << f.block << ',';
-        else
-            os << "\"block\":null,";
-        if (f.cycle >= 0)
-            os << "\"cycle\":" << f.cycle << ',';
-        else
-            os << "\"cycle\":null,";
-        if (!f.object.empty())
-            os << "\"object\":\"" << json::escape(f.object) << "\",";
-        else
-            os << "\"object\":null,";
-        os << "\"message\":\"" << json::escape(f.message) << "\"}";
+    w.beginArray();
+    for (const Finding &f : items) {
+        w.beginObject().field("severity", severityName(f.severity));
+        w.field("code", f.code);
+        w.key("pc");
+        f.pc != kNoAddr ? w.value(trace::hex(f.pc)) : w.null();
+        w.key("block");
+        f.block >= 0 ? w.value(f.block) : w.null();
+        w.key("cycle");
+        f.cycle >= 0 ? w.value(f.cycle) : w.null();
+        w.key("object");
+        f.object.empty() ? w.null() : w.value(f.object);
+        w.field("message", f.message).endObject();
     }
-    os << ']';
-    return os.str();
+    w.endArray();
 }
 
 } // namespace dmp::analysis

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hh"
 #include "common/types.hh"
 
 namespace dmp::analysis
@@ -98,11 +99,12 @@ class Report
     std::string text() const;
 
     /**
-     * JSON array of finding objects:
+     * Write the findings as the next value of `w`, a JSON array:
      * [{"severity":"error","code":"...","pc":"0x1010","block":3,
      *   "cycle":120,"object":"prf:42","message":"..."}, ...]
+     * (pc, block, cycle and object are null when absent).
      */
-    std::string json() const;
+    void json(json::Writer &w) const;
 
   private:
     std::vector<Finding> items;

@@ -3,11 +3,11 @@
 #include <bitset>
 #include <deque>
 #include <set>
-#include <sstream>
 #include <utility>
 
 #include "analysis/absint.hh"
 #include "analysis/flowgraph.hh"
+#include "common/trace.hh"
 #include "isa/isa.hh"
 
 namespace dmp::analysis
@@ -26,13 +26,7 @@ blockOf(const cfg::Cfg &graph, Addr pc)
     return graph.blockContaining(pc);
 }
 
-std::string
-hex(Addr a)
-{
-    std::ostringstream os;
-    os << "0x" << std::hex << a;
-    return os.str();
-}
+using trace::hex;
 
 /** Direct control transfers: targets present, in bounds, aligned. */
 void

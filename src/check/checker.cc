@@ -14,6 +14,7 @@
 #include <utility>
 
 #include "common/json.hh"
+#include "common/trace.hh"
 #include "isa/isa.hh"
 
 namespace dmp::check
@@ -56,13 +57,7 @@ isMarker(UopKind k)
            k == UopKind::DualCollapse;
 }
 
-std::string
-hex(Addr a)
-{
-    std::ostringstream os;
-    os << "0x" << std::hex << a;
-    return os.str();
-}
+using trace::hex;
 
 } // namespace
 
@@ -889,19 +884,15 @@ selfcheckJson(Mode mode, const std::string &target, bool failed,
               std::uint64_t checked_commits,
               const analysis::Report &report, const std::string &diagnosis)
 {
-    std::ostringstream os;
-    os << "{\"schema\":" << analysis::kReportSchemaVersion
-       << ",\"mode\":\"" << modeName(mode) << "\",\"target\":\""
-       << json::escape(target) << "\",\"failed\":"
-       << (failed ? "true" : "false")
-       << ",\"checked_commits\":" << checked_commits
-       << ",\"findings\":" << report.json() << ",\"diagnosis\":";
-    if (diagnosis.empty())
-        os << "null";
-    else
-        os << '"' << json::escape(diagnosis) << '"';
-    os << "}";
-    return os.str();
+    json::Writer w;
+    w.beginObject().field("schema", analysis::kReportSchemaVersion);
+    w.field("mode", modeName(mode)).field("target", target);
+    w.field("failed", failed).field("checked_commits", checked_commits);
+    report.json(w.key("findings"));
+    w.key("diagnosis");
+    diagnosis.empty() ? w.null() : w.value(diagnosis);
+    w.endObject();
+    return w.take();
 }
 
 } // namespace dmp::check

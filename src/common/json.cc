@@ -1,8 +1,11 @@
 #include "common/json.hh"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+
+#include "common/logging.hh"
 
 namespace dmp::json
 {
@@ -63,6 +66,61 @@ escape(std::string_view s)
         }
     }
     return out;
+}
+
+Writer &
+Writer::literal(std::string_view text)
+{
+    if (!afterKey && !closers.empty() && !std::exchange(empty, false))
+        out += ',';
+    if (!afterKey && std::exchange(pendingNewline, false))
+        out += '\n';
+    afterKey = false;
+    out += text;
+    return *this;
+}
+
+Writer &
+Writer::open(char bracket, char closer)
+{
+    literal({&bracket, 1});
+    closers.push_back(closer);
+    empty = true;
+    return *this;
+}
+
+Writer &
+Writer::close(char closer)
+{
+    dmp_assert(!closers.empty() && closers.back() == closer && !afterKey,
+               "json::Writer: unbalanced '", closer, "'");
+    if (std::exchange(pendingNewline, false))
+        out += '\n';
+    out += closer;
+    closers.pop_back();
+    empty = false; // the closed container was an element of its parent
+    return *this;
+}
+
+Writer &
+Writer::key(std::string_view k)
+{
+    dmp_assert(!closers.empty() && closers.back() == '}' && !afterKey,
+               "json::Writer: key \"", k, "\" outside an object");
+    value(k);
+    out += ':';
+    afterKey = true;
+    return *this;
+}
+
+Writer &
+Writer::value(double v, int digits)
+{
+    if (!std::isfinite(v))
+        return null(); // JSON has no NaN or Inf
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.*g", digits, v);
+    return literal(buf);
 }
 
 namespace

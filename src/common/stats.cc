@@ -4,6 +4,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 
 namespace dmp
@@ -201,56 +202,18 @@ StatGroup::dump() const
     return os.str();
 }
 
-std::string
-distSnapshotJson(const DistSnapshot &s)
+void
+distSnapshotJson(json::Writer &w, const DistSnapshot &s)
 {
-    std::ostringstream os;
-    os << "{\"min\":" << s.min << ",\"max\":" << s.max
-       << ",\"bucket_size\":" << s.bucketSize
-       << ",\"samples\":" << s.samples << ",\"sum\":" << s.sum
-       << ",\"mean\":" << s.mean() << ",\"min_val\":" << s.minVal
-       << ",\"max_val\":" << s.maxVal << ",\"underflow\":" << s.underflow
-       << ",\"overflow\":" << s.overflow << ",\"buckets\":[";
-    for (std::size_t i = 0; i < s.buckets.size(); ++i) {
-        if (i)
-            os << ',';
-        os << s.buckets[i];
-    }
-    os << "]}";
-    return os.str();
-}
-
-std::string
-StatGroup::json() const
-{
-    std::ostringstream os;
-    os << "{\"name\":\"" << groupName << "\",\"counters\":{";
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-        if (i)
-            os << ',';
-        os << '"' << entries[i].name
-           << "\":" << entries[i].counter->value();
-    }
-    os << "},\"distributions\":{";
-    for (std::size_t i = 0; i < distEntries.size(); ++i) {
-        if (i)
-            os << ',';
-        os << '"' << distEntries[i].name
-           << "\":" << distSnapshotJson(distEntries[i].dist->snapshot());
-    }
-    os << "},\"formulas\":{";
-    for (std::size_t i = 0; i < formulaEntries.size(); ++i) {
-        if (i)
-            os << ',';
-        double v = formulaEntries[i].formula.value();
-        os << '"' << formulaEntries[i].name << "\":";
-        if (std::isfinite(v))
-            os << v;
-        else
-            os << "null"; // JSON has no NaN/Inf
-    }
-    os << "}}";
-    return os.str();
+    w.beginObject().field("min", s.min).field("max", s.max);
+    w.field("bucket_size", s.bucketSize).field("samples", s.samples);
+    w.field("sum", s.sum).key("mean").value(s.mean(), 6);
+    w.field("min_val", s.minVal).field("max_val", s.maxVal);
+    w.field("underflow", s.underflow).field("overflow", s.overflow);
+    w.key("buckets").beginArray();
+    for (std::uint64_t b : s.buckets)
+        w.value(b);
+    w.endArray().endObject();
 }
 
 void

@@ -13,8 +13,8 @@
  *    at dump/export time, so it always reflects the current counters.
  *
  * The registry is plain data: no global state, no macros. A StatGroup
- * renders as a human-readable dump or as one JSON object that
- * round-trips every counter, distribution, and formula.
+ * renders as a human-readable dump; the JSON export is the stats
+ * record of a finished run (sim::simResultJson).
  */
 
 #ifndef DMP_COMMON_STATS_HH
@@ -26,6 +26,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 
 namespace dmp
@@ -212,13 +213,6 @@ class StatGroup
      */
     std::string dump() const;
 
-    /**
-     * One JSON object round-tripping every stat:
-     * {"name":..., "counters":{...}, "distributions":{...},
-     *  "formulas":{...}}.
-     */
-    std::string json() const;
-
     /** Reset every registered counter and distribution. */
     void resetAll();
 
@@ -255,8 +249,11 @@ class StatGroup
     std::unordered_map<std::string, std::size_t> formulaIndex;
 };
 
-/** Render a DistSnapshot as a JSON object (shared by exporters). */
-std::string distSnapshotJson(const DistSnapshot &s);
+/**
+ * Write a DistSnapshot as one JSON object (the value of a stats
+ * record's "distributions" member); the mean always has 6 digits.
+ */
+void distSnapshotJson(json::Writer &w, const DistSnapshot &s);
 
 } // namespace dmp
 

@@ -1,6 +1,5 @@
 #include "common/trace.hh"
 
-#include "common/json.hh"
 #include "common/logging.hh"
 
 namespace dmp::trace
@@ -32,7 +31,8 @@ TraceEventWriter::TraceEventWriter(const std::string &path)
     f = std::fopen(path.c_str(), "w");
     if (!f)
         dmp_fatal("cannot open trace-event file: ", path);
-    std::fputs("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n", f);
+    w.beginObject().field("displayTimeUnit", "ms").key("traceEvents");
+    std::fputs(w.beginArray().take().c_str(), f);
 }
 
 TraceEventWriter::~TraceEventWriter()
@@ -40,27 +40,42 @@ TraceEventWriter::~TraceEventWriter()
     close();
 }
 
-void
-TraceEventWriter::event(const char *ph, int tid, std::uint64_t ts,
-                        const std::string &name, const char *cat,
-                        const std::string &extra, const std::string &args)
+json::Writer &
+TraceEventWriter::begin(const char *ph, int tid, std::uint64_t ts,
+                        const std::string &name, const char *cat)
 {
-    std::fprintf(f, "%s{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%s\","
-                    "\"ts\":%llu,\"pid\":1,\"tid\":%d%s",
-                 nEvents ? ",\n" : "", json::escape(name).c_str(), cat, ph,
-                 (unsigned long long)ts, tid, extra.c_str());
+    // One event per line.
+    w.newline().beginObject().field("name", name).field("cat", cat);
+    return w.field("ph", ph).field("ts", ts).field("pid", 1).field("tid", tid);
+}
+
+void
+TraceEventWriter::end(const std::string &args)
+{
     if (!args.empty())
-        std::fprintf(f, ",\"args\":%s", args.c_str());
-    std::fputs("}", f);
+        w.key("args").raw(args);
+    std::fputs(w.endObject().take().c_str(), f);
     ++nEvents;
+}
+
+std::string
+TraceEventWriter::args(
+    std::initializer_list<std::pair<const char *, std::uint64_t>> kvs)
+{
+    json::Writer a;
+    a.beginObject();
+    for (const auto &[k, v] : kvs)
+        a.field(k, v);
+    return a.endObject().take();
 }
 
 void
 TraceEventWriter::threadName(int tid, const std::string &name)
 {
     // Metadata events name the track; args carry the name itself.
-    event("M", tid, 0, "thread_name", "__metadata", "",
-          "{\"name\":\"" + json::escape(name) + "\"}");
+    begin("M", tid, 0, "thread_name", "__metadata").key("args");
+    w.beginObject().field("name", name).endObject();
+    end("");
 }
 
 void
@@ -68,8 +83,8 @@ TraceEventWriter::complete(int tid, std::uint64_t ts, std::uint64_t dur,
                            const std::string &name, const char *cat,
                            const std::string &args)
 {
-    std::string extra = ",\"dur\":" + std::to_string(dur);
-    event("X", tid, ts, name, cat, extra, args);
+    begin("X", tid, ts, name, cat).field("dur", dur);
+    end(args);
 }
 
 void
@@ -77,8 +92,8 @@ TraceEventWriter::asyncBegin(int tid, std::uint64_t ts, std::uint64_t id,
                              const std::string &name, const char *cat,
                              const std::string &args)
 {
-    event("b", tid, ts, name, cat, ",\"id\":" + std::to_string(id),
-          args);
+    begin("b", tid, ts, name, cat).field("id", id);
+    end(args);
 }
 
 void
@@ -86,8 +101,8 @@ TraceEventWriter::asyncEnd(int tid, std::uint64_t ts, std::uint64_t id,
                            const std::string &name, const char *cat,
                            const std::string &args)
 {
-    event("e", tid, ts, name, cat, ",\"id\":" + std::to_string(id),
-          args);
+    begin("e", tid, ts, name, cat).field("id", id);
+    end(args);
 }
 
 void
@@ -95,7 +110,8 @@ TraceEventWriter::instant(int tid, std::uint64_t ts,
                           const std::string &name, const char *cat,
                           const std::string &args)
 {
-    event("i", tid, ts, name, cat, ",\"s\":\"t\"", args);
+    begin("i", tid, ts, name, cat).field("s", "t");
+    end(args);
 }
 
 void
@@ -103,7 +119,8 @@ TraceEventWriter::close()
 {
     if (!f)
         return;
-    std::fputs("\n]}\n", f);
+    w.newline().endArray().endObject();
+    std::fputs((w.take() + "\n").c_str(), f);
     std::fclose(f);
     f = nullptr;
 }

@@ -25,8 +25,11 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <initializer_list>
 #include <string>
+#include <utility>
 
+#include "common/json.hh"
 #include "common/types.hh"
 
 namespace dmp::trace
@@ -99,8 +102,8 @@ class TraceEventWriter
 
     /**
      * One complete slice ("ph":"X") covering [ts, ts+dur).
-     * @param args optional pre-rendered JSON object ("{...}") attached
-     *        as the event's args; empty = no args member.
+     * @param args optional rendered JSON object ("{...}", see args())
+     *        attached as the event's args; empty = no args member.
      */
     void complete(int tid, std::uint64_t ts, std::uint64_t dur,
                   const std::string &name, const char *cat,
@@ -120,6 +123,10 @@ class TraceEventWriter
     void instant(int tid, std::uint64_t ts, const std::string &name,
                  const char *cat, const std::string &args = "");
 
+    /** An args object of integer members, in order: {"k":v,...}. */
+    static std::string
+    args(std::initializer_list<std::pair<const char *, std::uint64_t>> kvs);
+
     /** Write the JSON footer and close the file (idempotent). */
     void close();
 
@@ -127,11 +134,15 @@ class TraceEventWriter
     std::uint64_t count() const { return nEvents; }
 
   private:
-    void event(const char *ph, int tid, std::uint64_t ts,
-               const std::string &name, const char *cat,
-               const std::string &extra, const std::string &args);
+    /** Open one event object and write its common members. */
+    json::Writer &begin(const char *ph, int tid, std::uint64_t ts,
+                        const std::string &name, const char *cat);
+    /** Attach `args`, close the event and stream it to the file. */
+    void end(const std::string &args);
 
     std::FILE *f = nullptr;
+    /** Holds the open document; emptied into `f` after every event. */
+    json::Writer w;
     std::uint64_t nEvents = 0;
 };
 

@@ -827,13 +827,9 @@ runPaper(const std::vector<const Figure *> &figs, const PaperOptions &opts,
                         configFingerprint(cellConfig(c, wl, opts));
                     if (!exported.insert(fp).second)
                         continue;
-                    // Fingerprints use only JSON-string-safe characters.
                     *opts.records
                         << simResultJson(results[i].get(wl, c.label),
-                                         c.label, wl,
-                                         "\"fingerprint\":\"" + fp +
-                                             "\",\"bench_iters\":" +
-                                             std::to_string(opts.iters))
+                                         c.label, wl, fp, opts.iters)
                         << "\n";
                 }
             }

@@ -34,6 +34,22 @@ memberU64(const json::Value &obj, const char *key)
     return v ? v->asU64() : 0;
 }
 
+void
+tableJson(json::Writer &w, const ReportTable &t)
+{
+    w.beginObject().field("title", t.title).key("header").beginArray();
+    for (const std::string &h : t.header)
+        w.value(h);
+    w.endArray().key("rows").beginArray();
+    for (const auto &row : t.rows) {
+        w.beginArray();
+        for (const std::string &cell : row)
+            w.value(cell);
+        w.endArray();
+    }
+    w.endArray().endObject();
+}
+
 } // namespace
 
 std::uint64_t
@@ -164,23 +180,13 @@ parseReportFormat(const std::string &name, ReportFormat &out)
 std::string
 ReportTable::render(ReportFormat f) const
 {
-    std::ostringstream os;
     if (f == ReportFormat::Json) {
-        os << "{\"title\":\"" << json::escape(title) << "\",\"header\":[";
-        for (std::size_t i = 0; i < header.size(); ++i)
-            os << (i ? "," : "") << '"' << json::escape(header[i]) << '"';
-        os << "],\"rows\":[";
-        for (std::size_t i = 0; i < rows.size(); ++i) {
-            os << (i ? "," : "") << '[';
-            for (std::size_t j = 0; j < rows[i].size(); ++j)
-                os << (j ? "," : "") << '"' << json::escape(rows[i][j])
-                   << '"';
-            os << ']';
-        }
-        os << "]}";
-        return os.str();
+        json::Writer w;
+        tableJson(w, *this);
+        return w.take();
     }
 
+    std::ostringstream os;
     if (f == ReportFormat::Markdown) {
         os << "### " << title << "\n\n|";
         for (const std::string &h : header)
@@ -229,14 +235,14 @@ ReportTable::render(ReportFormat f) const
 std::string
 renderTables(const std::vector<ReportTable> &tables, ReportFormat f)
 {
-    std::ostringstream os;
     if (f == ReportFormat::Json) {
-        os << '[';
-        for (std::size_t i = 0; i < tables.size(); ++i)
-            os << (i ? "," : "") << tables[i].render(f);
-        os << "]\n";
-        return os.str();
+        json::Writer w;
+        w.beginArray();
+        for (const ReportTable &t : tables)
+            tableJson(w, t);
+        return w.endArray().take() + "\n";
     }
+    std::ostringstream os;
     for (std::size_t i = 0; i < tables.size(); ++i) {
         if (i)
             os << '\n';

@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
-#include <sstream>
+#include <map>
 #include <vector>
 
 #include "analysis/accounting.hh"
@@ -102,76 +101,37 @@ SimResult::dist(const std::string &name) const
     return it == distributions.end() ? nullptr : &it->second;
 }
 
-namespace
-{
-
-void
-appendNumber(std::ostringstream &os, double v)
-{
-    if (std::isfinite(v))
-        os << v;
-    else
-        os << "null";
-}
-
-} // namespace
-
 std::string
 simResultJson(const SimResult &r, const std::string &label,
-              const std::string &workload, const std::string &extra)
+              const std::string &workload, const std::string &fingerprint,
+              std::uint64_t bench_iters)
 {
-    std::ostringstream os;
-    os.precision(12);
-    os << "{\"schema\":" << kStatsSchemaVersion;
-    os << ",\"label\":\"" << json::escape(label) << "\"";
-    os << ",\"workload\":\"" << json::escape(workload) << "\"";
-    os << ",\"ipc\":";
-    appendNumber(os, r.ipc);
-    os << ",\"cycles\":" << r.cycles;
-    os << ",\"retired_insts\":" << r.retiredInsts;
-    os << ",\"host_seconds\":";
-    appendNumber(os, r.hostSeconds);
-    os << ",\"host_inst_rate\":";
-    appendNumber(os, r.hostInstRate);
-    if (!extra.empty())
-        os << ',' << extra;
+    json::Writer w(12);
+    w.beginObject().field("schema", kStatsSchemaVersion);
+    w.field("label", label).field("workload", workload);
+    w.field("ipc", r.ipc).field("cycles", r.cycles);
+    w.field("retired_insts", r.retiredInsts);
+    w.field("host_seconds", r.hostSeconds);
+    w.field("host_inst_rate", r.hostInstRate);
+    if (!fingerprint.empty())
+        w.field("fingerprint", fingerprint).field("bench_iters", bench_iters);
 
-    // Sort names so records diff cleanly across runs.
-    auto sortedKeys = [](const auto &m) {
-        std::vector<std::string> keys;
-        keys.reserve(m.size());
-        for (const auto &kv : m)
-            keys.push_back(kv.first);
-        std::sort(keys.begin(), keys.end());
-        return keys;
-    };
-
-    os << ",\"counters\":{";
-    bool first = true;
-    for (const std::string &k : sortedKeys(r.counters)) {
-        os << (first ? "" : ",") << "\"" << json::escape(k)
-           << "\":" << r.counters.at(k);
-        first = false;
-    }
-    os << "},\"distributions\":{";
-    first = true;
-    for (const std::string &k : sortedKeys(r.distributions)) {
-        os << (first ? "" : ",") << "\"" << json::escape(k)
-           << "\":" << distSnapshotJson(r.distributions.at(k));
-        first = false;
-    }
-    os << "},\"formulas\":{";
-    first = true;
-    for (const std::string &k : sortedKeys(r.formulas)) {
-        os << (first ? "" : ",") << "\"" << json::escape(k) << "\":";
-        appendNumber(os, r.formulas.at(k));
-        first = false;
-    }
-    os << "}";
+    // Name order (std::map), so records diff cleanly across runs.
+    w.key("counters").beginObject();
+    for (const auto &[k, v] : std::map(r.counters.begin(), r.counters.end()))
+        w.field(k, v);
+    w.endObject().key("distributions").beginObject();
+    for (const auto &[k, v] :
+         std::map(r.distributions.begin(), r.distributions.end()))
+        distSnapshotJson(w.key(k), v);
+    w.endObject().key("formulas").beginObject();
+    for (const auto &[k, v] : std::map(r.formulas.begin(), r.formulas.end()))
+        w.field(k, v);
+    w.endObject();
     if (r.hasAccounting)
-        os << ",\"accounting\":" << r.accountingJson;
-    os << "}";
-    return os.str();
+        w.key("accounting").raw(r.accountingJson);
+    w.endObject();
+    return w.take();
 }
 
 profile::MarkingReport

@@ -165,14 +165,15 @@ constexpr int kStatsSchemaVersion = 1;
  *  "accounting":{...}]}. The accounting block appears only for runs
  * with SimConfig::accounting.
  *
- * @param extra optional pre-rendered extra top-level fields
- *        ("\"key\":value[,...]", no braces) spliced in after
- *        host_inst_rate — dmp paper adds its config fingerprint
- *        and iteration count this way.
+ * @param fingerprint when non-empty, "fingerprint" (this string) and
+ *        "bench_iters" (`bench_iters`) follow host_inst_rate: dmp
+ *        paper tags each record with its config fingerprint and
+ *        iteration count.
  */
 std::string simResultJson(const SimResult &r, const std::string &label,
                           const std::string &workload,
-                          const std::string &extra = "");
+                          const std::string &fingerprint = "",
+                          std::uint64_t bench_iters = 0);
 
 /**
  * Condense a finished timing run on `machine`: cycles, IPC, every core

@@ -91,8 +91,9 @@
  *                   and semantic unreachability are reported, resolved
  *                   indirect jumps upgrade cfm-unverifiable, and the
  *                   JSON gains per-target absint/branch-proof blocks
- *   --json[=PATH]   machine-readable report (stdout or PATH); schema
- *                   in EXPERIMENTS.md
+ *   --json[=PATH]   machine-readable report to PATH, or to stdout
+ *                   (the text report then goes to stderr, so stdout
+ *                   holds only the document); schema in EXPERIMENTS.md
  *   --quiet         suppress per-finding text output (summary only)
  *
  * dmp mark — profile-free static marking synthesis report. Builds (or
@@ -115,8 +116,10 @@
  *                   per-branch proof status appears in the reports
  *   --mem=N         data-memory bytes for the comparison train run
  *                   (default: CoreParams::memoryBytes)
- *   --json[=PATH]   machine-readable report (stdout or PATH); schema
- *                   in EXPERIMENTS.md. Byte-deterministic per target.
+ *   --json[=PATH]   machine-readable report to PATH, or to stdout
+ *                   (the text report then goes to stderr, so stdout
+ *                   holds only the document); schema in EXPERIMENTS.md.
+ *                   Byte-deterministic per target.
  *   --quiet         suppress the per-candidate cost table
  *
  * dmp report — aggregate --stats-json JSONL records (dmp run, dmp paper)
@@ -868,13 +871,14 @@ lintCommand(int argc, char **argv)
     ao.absint = deep;
     ao.absintIterations = deepIters;
 
-    std::ostringstream json;
-    json << "{\"schema\":" << analysis::kReportSchemaVersion
-         << ",\"targets\":[";
+    json::Writer doc;
+    doc.beginObject().field("schema", analysis::kReportSchemaVersion);
+    doc.key("targets").beginArray();
 
+    // With the document on stdout, the text report goes to stderr.
+    std::FILE *text = o.json && o.jsonPath.empty() ? stderr : stdout;
     std::size_t total_errors = 0, total_warnings = 0, total_infos = 0;
-    for (std::size_t i = 0; i < targets.size(); ++i) {
-        const std::string &target = targets[i];
+    for (const std::string &target : targets) {
         // Mark the way dmp run's train pass would.
         isa::Program prog = loadTarget(target, o.build);
         if (!noMark)
@@ -888,97 +892,84 @@ lintCommand(int argc, char **argv)
         total_infos += report.infos();
 
         if (!o.quiet && !report.empty()) {
-            std::printf("== %s ==\n", target.c_str());
-            std::fputs(report.text().c_str(), stdout);
+            std::fprintf(text, "== %s ==\n", target.c_str());
+            std::fputs(report.text().c_str(), text);
         }
-        std::printf("%-12s %zu marks: %zu error(s), %zu warning(s), "
-                    "%zu info(s)\n",
-                    target.c_str(), prog.allMarks().size(),
-                    report.errors(), report.warnings(), report.infos());
+        std::fprintf(text, "%-12s %zu marks: %zu error(s), %zu warning(s), "
+                     "%zu info(s)\n",
+                     target.c_str(), prog.allMarks().size(),
+                     report.errors(), report.warnings(), report.infos());
         if (deep && !o.quiet) {
             const analysis::AbsintStats &s = summary.absintStats;
             if (summary.absintRan)
-                std::printf("             absint: %zu/%zu branches "
-                            "proved one-sided, %zu trip-bounded, "
-                            "%zu/%zu indirects resolved, %zu/%zu insts "
-                            "unreachable%s\n",
-                            s.provedTaken + s.provedNotTaken, s.branches,
-                            s.tripBounded, s.indirectResolved,
-                            s.indirectResolved + s.indirectUnresolved,
-                            s.unreachable, s.insts,
-                            summary.absintSmeared ? " (smeared)" : "");
+                std::fprintf(text, "             absint: %zu/%zu branches "
+                             "proved one-sided, %zu trip-bounded, "
+                             "%zu/%zu indirects resolved, %zu/%zu insts "
+                             "unreachable%s\n",
+                             s.provedTaken + s.provedNotTaken, s.branches,
+                             s.tripBounded, s.indirectResolved,
+                             s.indirectResolved + s.indirectUnresolved,
+                             s.unreachable, s.insts,
+                             summary.absintSmeared ? " (smeared)" : "");
             else
-                std::printf("             absint: declined "
-                            "(program too large or no fixpoint)\n");
+                std::fputs("             absint: declined "
+                           "(program too large or no fixpoint)\n",
+                           text);
         }
 
-        if (o.json) {
-            if (i)
-                json << ",";
-            json << "\n{\"target\":\"" << json::escape(target)
-                 << "\",\"marks\":" << prog.allMarks().size()
-                 << ",\"errors\":" << report.errors()
-                 << ",\"warnings\":" << report.warnings()
-                 << ",\"infos\":" << report.infos();
-            if (deep) {
-                const analysis::AbsintStats &s = summary.absintStats;
-                json << ",\"absint\":{\"ran\":"
-                     << (summary.absintRan ? "true" : "false")
-                     << ",\"smeared\":"
-                     << (summary.absintSmeared ? "true" : "false")
-                     << ",\"insts\":" << s.insts
-                     << ",\"unreachable\":" << s.unreachable
-                     << ",\"branches\":" << s.branches
-                     << ",\"proved_taken\":" << s.provedTaken
-                     << ",\"proved_not_taken\":" << s.provedNotTaken
-                     << ",\"trip_bounded\":" << s.tripBounded
-                     << ",\"indirect_resolved\":" << s.indirectResolved
-                     << ",\"indirect_unresolved\":"
-                     << s.indirectUnresolved
-                     << ",\"iterations\":" << s.iterations << "}";
-                json << ",\"branch_proofs\":[";
-                bool first = true;
-                for (const auto &[pc, proof] : summary.branchProofs) {
-                    using Status = analysis::BranchProof::Status;
-                    if (proof.status == Status::None && proof.tripMax == 0)
-                        continue;
-                    if (!first)
-                        json << ",";
-                    first = false;
-                    char pcbuf[24];
-                    std::snprintf(pcbuf, sizeof(pcbuf), "0x%llx",
-                                  static_cast<unsigned long long>(pc));
-                    json << "{\"pc\":\"" << pcbuf << "\",\"status\":\""
-                         << (proof.status == Status::Taken ? "taken"
-                             : proof.status == Status::NotTaken
-                                 ? "not-taken"
-                                 : "none")
-                         << "\",\"backward\":"
-                         << (proof.backward ? "true" : "false")
-                         << ",\"trip_max\":" << proof.tripMax << "}";
-                }
-                json << "]";
+        if (!o.json)
+            continue;
+        doc.newline().beginObject().field("target", target);
+        doc.field("marks", prog.allMarks().size());
+        doc.field("errors", report.errors());
+        doc.field("warnings", report.warnings());
+        doc.field("infos", report.infos());
+        if (deep) {
+            const analysis::AbsintStats &s = summary.absintStats;
+            doc.key("absint").beginObject().field("ran", summary.absintRan);
+            doc.field("smeared", summary.absintSmeared);
+            doc.field("insts", s.insts).field("unreachable", s.unreachable);
+            doc.field("branches", s.branches);
+            doc.field("proved_taken", s.provedTaken);
+            doc.field("proved_not_taken", s.provedNotTaken);
+            doc.field("trip_bounded", s.tripBounded);
+            doc.field("indirect_resolved", s.indirectResolved);
+            doc.field("indirect_unresolved", s.indirectUnresolved);
+            doc.field("iterations", s.iterations).endObject();
+            doc.key("branch_proofs").beginArray();
+            for (const auto &[pc, proof] : summary.branchProofs) {
+                using Status = analysis::BranchProof::Status;
+                if (proof.status == Status::None && proof.tripMax == 0)
+                    continue;
+                doc.beginObject().field("pc", trace::hex(pc));
+                doc.field("status", proof.status == Status::Taken ? "taken"
+                                    : proof.status == Status::NotTaken
+                                        ? "not-taken"
+                                        : "none");
+                doc.field("backward", proof.backward);
+                doc.field("trip_max", proof.tripMax).endObject();
             }
-            json << ",\"findings\":" << report.json() << "}";
+            doc.endArray();
         }
+        report.json(doc.key("findings"));
+        doc.endObject();
     }
 
     if (o.json) {
         // Aggregate summary so automation sees warning/info totals
         // (the exit status only reflects errors, which used to make
         // expected Warns — twolf/fma3d diverge-overlap — invisible).
-        json << "\n],\"summary\":{\"targets\":" << targets.size()
-             << ",\"errors\":" << total_errors
-             << ",\"warnings\":" << total_warnings
-             << ",\"infos\":" << total_infos << "}}\n";
-        writeJson(o.jsonPath, json.str());
+        doc.newline().endArray().key("summary").beginObject();
+        doc.field("targets", targets.size()).field("errors", total_errors);
+        doc.field("warnings", total_warnings).field("infos", total_infos);
+        writeJson(o.jsonPath, doc.endObject().endObject().take() + "\n");
     }
 
     if (targets.size() > 1)
-        std::printf("total: %zu error(s), %zu warning(s), %zu info(s) "
-                    "across %zu target(s)\n",
-                    total_errors, total_warnings, total_infos,
-                    targets.size());
+        std::fprintf(text, "total: %zu error(s), %zu warning(s), %zu info(s) "
+                     "across %zu target(s)\n",
+                     total_errors, total_warnings, total_infos,
+                     targets.size());
     return total_errors ? 1 : 0;
 }
 
@@ -1016,13 +1007,14 @@ markCommand(int argc, char **argv)
     mg.marker.markLoopBranches = o.loopExt;
     const std::size_t mem = o.mem ? o.mem : defaults.memoryBytes;
 
-    std::ostringstream json;
-    json << "{\"schema\":" << analysis::kMarkGenSchemaVersion
-         << ",\"targets\":[";
+    json::Writer doc;
+    doc.beginObject().field("schema", analysis::kMarkGenSchemaVersion);
+    doc.key("targets").beginArray();
 
+    // With the document on stdout, the text report goes to stderr.
+    std::FILE *text = o.json && o.jsonPath.empty() ? stderr : stdout;
     std::size_t total_errors = 0;
-    for (std::size_t i = 0; i < targets.size(); ++i) {
-        const std::string &target = targets[i];
+    for (const std::string &target : targets) {
         isa::Program prog = loadTarget(target, o.build);
         analysis::MarkGenReport report =
             analysis::synthesizeMarks(prog, mg);
@@ -1039,23 +1031,19 @@ markCommand(int argc, char **argv)
 
         std::fputs(
             analysis::markGenText(target, report, agree, !o.quiet).c_str(),
-            stdout);
-        if (o.json) {
-            if (i)
-                json << ",";
-            json << "\n"
-                 << analysis::markGenTargetJson(target, report, agree);
-        }
+            text);
+        if (o.json)
+            analysis::markGenTargetJson(doc.newline(), target, report,
+                                        agree);
     }
 
-    if (o.json) {
-        json << "\n]}\n";
-        writeJson(o.jsonPath, json.str());
-    }
+    if (o.json)
+        writeJson(o.jsonPath,
+                  doc.newline().endArray().endObject().take() + "\n");
 
     if (targets.size() > 1)
-        std::printf("total: %zu lint error(s) across %zu target(s)\n",
-                    total_errors, targets.size());
+        std::fprintf(text, "total: %zu lint error(s) across %zu target(s)\n",
+                     total_errors, targets.size());
     return total_errors ? 1 : 0;
 }
 

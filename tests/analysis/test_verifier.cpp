@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/analysis.hh"
+#include "common/json.hh"
 #include "isa/program.hh"
 
 using namespace dmp;
@@ -298,7 +299,9 @@ TEST(Verifier, ReportJsonRoundTrips)
     b.emit({isa::Opcode::BEQ, 0, 1, 0, 0, Addr(0x20000)});
     b.halt();
     analysis::Report r = analyze(b.build());
-    const std::string js = r.json();
+    json::Writer w;
+    r.json(w);
+    const std::string &js = w.str();
     EXPECT_NE(js.find("\"code\":\"branch-target-oob\""),
               std::string::npos)
         << js;

@@ -1,10 +1,17 @@
-/** @file Unit tests for the minimal JSON reader (common/json.hh). */
+/**
+ * @file
+ * Unit tests for the minimal JSON writer and reader (common/json.hh).
+ */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <string>
 
 #include "common/json.hh"
+#include "../testutil.hh"
 
 namespace dmp::json
 {
@@ -143,6 +150,129 @@ TEST(Json, ParsesAStatsStyleRecord)
     EXPECT_EQ(branches->array[0].get("pc")->string, "0x1300");
     EXPECT_DOUBLE_EQ(branches->array[0].get("net_cycles")->asDouble(),
                      -1.5);
+}
+
+// ---------------------------------------------------------------------
+// Writer
+// ---------------------------------------------------------------------
+
+/** The writer's text, which must also parse. */
+std::string
+written(const Writer &w)
+{
+    parseOk(w.str());
+    return w.str();
+}
+
+TEST(JsonWriter, EmptyContainers)
+{
+    Writer w;
+    w.beginArray().beginObject().endObject().beginArray().endArray();
+    w.endArray();
+    EXPECT_EQ(written(w), "[{},[]]");
+}
+
+TEST(JsonWriter, NestedContainersPlaceEveryComma)
+{
+    Writer w;
+    w.beginObject()
+        .field("a", 1)
+        .key("b")
+        .beginArray()
+        .value(2)
+        .beginObject()
+        .field("c", true)
+        .field("d", false)
+        .endObject()
+        .beginArray()
+        .endArray()
+        .null()
+        .endArray()
+        .field("e", "x")
+        .endObject();
+    EXPECT_EQ(written(w),
+              "{\"a\":1,\"b\":[2,{\"c\":true,\"d\":false},[],null],"
+              "\"e\":\"x\"}");
+}
+
+TEST(JsonWriter, EscapesKeysAndValues)
+{
+    const std::string &name = test::kJsonName;
+    Writer w;
+    w.beginObject().field(name, name).endObject();
+    const std::string esc = escape(name);
+    EXPECT_EQ(w.str(), "{\"" + esc + "\":\"" + esc + "\"}");
+    Value v = parseOk(written(w));
+    ASSERT_EQ(v.object.size(), 1u);
+    EXPECT_EQ(v.object[0].first, name);
+    EXPECT_EQ(v.object[0].second.string, name);
+}
+
+TEST(JsonWriter, IntegersPrintExactly)
+{
+    Writer w;
+    w.beginArray()
+        .value(std::numeric_limits<std::uint64_t>::max())
+        .value(std::numeric_limits<std::int64_t>::min())
+        .value(std::uint8_t(7))
+        .value(-3)
+        .endArray();
+    EXPECT_EQ(written(w),
+              "[18446744073709551615,-9223372036854775808,7,-3]");
+}
+
+TEST(JsonWriter, DoublesUseTheWritersDigits)
+{
+    Writer six;
+    six.beginArray().value(1.0 / 3).value(2.0).value(1e20).value(-0.25);
+    six.value(1.0 / 3, 12).endArray();
+    EXPECT_EQ(written(six),
+              "[0.333333,2,1e+20,-0.25,0.333333333333]");
+
+    Writer twelve(12);
+    twelve.beginArray().value(1.0 / 3).value(1.47234749585).endArray();
+    EXPECT_EQ(written(twelve), "[0.333333333333,1.47234749585]");
+}
+
+TEST(JsonWriter, NonFiniteDoublesAreNull)
+{
+    Writer w;
+    w.beginObject()
+        .field("nan", std::nan(""))
+        .field("inf", std::numeric_limits<double>::infinity())
+        .field("ninf", -std::numeric_limits<double>::infinity())
+        .endObject();
+    EXPECT_EQ(written(w), "{\"nan\":null,\"inf\":null,\"ninf\":null}");
+}
+
+TEST(JsonWriter, NewlineGoesAfterTheCommaAndBeforeTheBracket)
+{
+    Writer w;
+    w.beginObject().key("targets").beginArray();
+    for (int i = 0; i < 3; ++i)
+        w.newline().value(i);
+    w.newline().endArray().field("n", 3).endObject();
+    EXPECT_EQ(written(w), "{\"targets\":[\n0,\n1,\n2\n],\"n\":3}");
+}
+
+TEST(JsonWriter, RawSplicesOneValue)
+{
+    Writer w;
+    w.beginArray().raw("{\"k\":[1]}").value(2).endArray();
+    EXPECT_EQ(written(w), "[{\"k\":[1]},2]");
+}
+
+TEST(JsonWriter, TakeStreamsWithoutLosingNesting)
+{
+    Writer w;
+    w.beginArray().value(1);
+    std::string text = w.take();
+    EXPECT_EQ(text, "[1");
+    EXPECT_TRUE(w.str().empty());
+    w.value(2).endArray();
+    text += w.take();
+    EXPECT_EQ(text, "[1,2]");
+    parseOk(text);
 }
 
 } // namespace

@@ -193,26 +193,6 @@ TEST(Stats, DumpIncludesDistributionsAndFormulas)
     EXPECT_NE(dump.find("core.pi 3.25"), std::string::npos) << dump;
 }
 
-TEST(Stats, JsonRoundTripsEveryKind)
-{
-    StatGroup g("core");
-    Counter c;
-    c += 7;
-    Distribution d;
-    d.init(0, 3, 2);
-    d.sample(1);
-    d.sample(9); // overflow
-    g.addStat("cycles", &c);
-    g.addDistribution("lat", &d);
-    g.addFormula("ipc", [] { return 0.5; });
-    std::string j = g.json();
-    EXPECT_NE(j.find("\"name\":\"core\""), std::string::npos) << j;
-    EXPECT_NE(j.find("\"cycles\":7"), std::string::npos) << j;
-    EXPECT_NE(j.find("\"lat\":"), std::string::npos) << j;
-    EXPECT_NE(j.find("\"overflow\":1"), std::string::npos) << j;
-    EXPECT_NE(j.find("\"ipc\":0.5"), std::string::npos) << j;
-}
-
 TEST(Distribution, NonPowerOfTwoBucketWidth)
 {
     Distribution d;

@@ -307,14 +307,14 @@ TEST(BaselineCore, ResetReproducesStoreHeavyRun)
     core::Core m(p, sim::machine("base"));
     m.run();
     ASSERT_TRUE(m.halted());
-    const std::string first = m.stats().group.json();
+    const std::string first = m.stats().group.dump();
     EXPECT_TRUE(m.retiredMemory() == fresh.retiredMemory());
 
     m.reset();
     m.stats().reset();
     m.run();
     ASSERT_TRUE(m.halted());
-    EXPECT_EQ(m.stats().group.json(), first);
+    EXPECT_EQ(m.stats().group.dump(), first);
     EXPECT_TRUE(m.retiredMemory() == fresh.retiredMemory());
     EXPECT_EQ(m.retiredState().read(4), fresh.retiredState().read(4));
 }

@@ -41,17 +41,19 @@ tempPath(const std::string &name)
         "_" + info->name() + "_" + name;
 }
 
-/** Exit status and stderr of one `dmp` invocation. */
+/** Exit status, stdout and stderr of one `dmp` invocation. */
 struct CliResult
 {
     int status = -1;
+    std::string out;
     std::string err;
 };
 
-/** Run `dmp` with `args`; stdout is discarded, stderr captured. */
+/** Run `dmp` with `args`, capturing stdout and stderr. */
 inline CliResult
 runDmp(std::vector<std::string> args)
 {
+    const std::string out_path = tempPath("stdout.txt");
     const std::string err_path = tempPath("stderr.txt");
     args.insert(args.begin(), DMP_BIN);
     std::vector<char *> argv;
@@ -61,7 +63,8 @@ runDmp(std::vector<std::string> args)
 
     posix_spawn_file_actions_t fa;
     posix_spawn_file_actions_init(&fa);
-    posix_spawn_file_actions_addopen(&fa, 1, "/dev/null", O_WRONLY, 0);
+    posix_spawn_file_actions_addopen(&fa, 1, out_path.c_str(),
+                                     O_WRONLY | O_CREAT | O_TRUNC, 0644);
     posix_spawn_file_actions_addopen(&fa, 2, err_path.c_str(),
                                      O_WRONLY | O_CREAT | O_TRUNC, 0644);
     pid_t pid = 0;
@@ -75,7 +78,9 @@ runDmp(std::vector<std::string> args)
     int status = 0;
     EXPECT_EQ(waitpid(pid, &status, 0), pid);
     r.status = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+    r.out = slurp(out_path);
     r.err = slurp(err_path);
+    std::remove(out_path.c_str());
     std::remove(err_path.c_str());
     return r;
 }

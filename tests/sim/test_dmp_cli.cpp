@@ -6,8 +6,9 @@
  * record the library computes, single-run outputs refuse --sweep, a
  * ROB too small for a predicated exit fails cleanly, and the text
  * trace closes every episode it opens without moving a single stats
- * counter, and `dmp paper` rejects a bad figure or workload list
- * before it simulates anything.
+ * counter, `dmp paper` rejects a bad figure or workload list
+ * before it simulates anything, and `dmp lint/mark --json` to stdout
+ * leaves nothing there but the document.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hh"
 #include "dmp_cli.hh"
 #include "sim/paper.hh"
 #include "sim/simulator.hh"
@@ -106,6 +108,41 @@ TEST(DmpRun, NumericOptionsMustParseWhole)
     EXPECT_EQ(runDmp({"mark", "--iters=0x20", "--prune=.25",
                       "--no-compare", "--quiet", "bzip2"}).status,
               0);
+}
+
+TEST(DmpCli, JsonToStdoutIsTheWholeDocument)
+{
+    const std::string path = tempPath("report.json");
+    for (const std::vector<std::string> &row :
+         {std::vector<std::string>{"lint"},
+          std::vector<std::string>{"lint", "--deep"},
+          std::vector<std::string>{"mark"}}) {
+        const std::string what = row.size() > 1 ? "lint --deep" : row[0];
+        std::vector<std::string> args = row;
+        args.insert(args.end(), {"--iters=200", "--quiet"});
+        std::vector<std::string> to_stdout = args;
+        to_stdout.insert(to_stdout.end(), {"--json", "bzip2", "mcf"});
+        test::CliResult piped = runDmp(to_stdout);
+        EXPECT_EQ(piped.status, 0) << what << ": " << piped.err;
+        json::Value doc;
+        std::string err;
+        ASSERT_TRUE(json::parse(piped.out, doc, err))
+            << what << ": " << err << "\n" << piped.out;
+        ASSERT_TRUE(doc.get("targets") && doc.get("targets")->isArray());
+        EXPECT_EQ(doc.get("targets")->array.size(), 2u) << what;
+        EXPECT_NE(piped.err.find("total: "), std::string::npos)
+            << what << ": the text report belongs on stderr";
+
+        // With a file sink the same text stays on stdout and the file
+        // holds the same document.
+        std::vector<std::string> to_file = args;
+        to_file.insert(to_file.end(), {"--json=" + path, "bzip2", "mcf"});
+        test::CliResult filed = runDmp(to_file);
+        EXPECT_EQ(filed.status, 0) << what;
+        EXPECT_EQ(filed.out, piped.err) << what;
+        EXPECT_EQ(slurp(path), piped.out) << what;
+        std::remove(path.c_str());
+    }
 }
 
 TEST(DmpRun, StatsJsonMatchesLibraryResult)

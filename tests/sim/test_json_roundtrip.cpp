@@ -1,9 +1,11 @@
 /**
  * @file
- * Every JSON exporter escapes strings through json::escape: a name
- * holding a quote, a backslash, a tab and byte 0x01 must come back out
- * of json::parse unchanged from the stats record, the analysis report,
- * the self-check outcome, the marking report and `dmp lint --json`.
+ * Every JSON exporter writes through json::Writer: a name holding a
+ * quote, a backslash, a tab and byte 0x01 must come back out of
+ * json::parse unchanged from the stats record (with its accounting
+ * block), the analysis report, the self-check outcome, the marking
+ * report, a trace-event thread name, `dmp report --format=json` and
+ * `dmp lint --json` (plain and --deep).
  */
 
 #include <gtest/gtest.h>
@@ -11,20 +13,24 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <vector>
 
+#include "analysis/accounting.hh"
 #include "analysis/markgen.hh"
 #include "analysis/report.hh"
 #include "check/checker.hh"
 #include "common/json.hh"
+#include "common/trace.hh"
 #include "dmp_cli.hh"
 #include "sim/simulator.hh"
+#include "../testutil.hh"
 
 namespace dmp
 {
 namespace
 {
 
-const std::string kName = std::string("we\"ird\\na\tme") + '\x01';
+const std::string &kName = test::kJsonName;
 
 /** Parse `text`, which must hold no raw control byte but newline. */
 json::Value
@@ -63,7 +69,9 @@ TEST(JsonRoundTrip, AnalysisReportAndSelfcheck)
     analysis::Report report;
     report.add(analysis::Severity::Error, kName, 0x1000, 0, kName, 7,
                kName);
-    json::Value findings = parseOk(report.json());
+    json::Writer w;
+    report.json(w);
+    json::Value findings = parseOk(w.str());
     ASSERT_TRUE(findings.isArray());
     ASSERT_EQ(findings.array.size(), 1u);
     EXPECT_EQ(stringAt(findings.array[0].get("code")), kName);
@@ -78,33 +86,114 @@ TEST(JsonRoundTrip, AnalysisReportAndSelfcheck)
 
 TEST(JsonRoundTrip, MarkingReport)
 {
-    json::Value doc = parseOk(
-        analysis::markGenTargetJson(kName, analysis::MarkGenReport{},
-                                    nullptr));
+    json::Writer w;
+    analysis::markGenTargetJson(w, kName, analysis::MarkGenReport{},
+                                nullptr);
+    json::Value doc = parseOk(w.str());
     EXPECT_EQ(stringAt(doc.get("target")), kName);
 }
 
-TEST(JsonRoundTrip, DmpLintTargetPath)
+TEST(JsonRoundTrip, AccountingDocument)
+{
+    analysis::CycleAccounting acct(4, 3);
+    acct.onEpisodeStart(1, 0x10d8, false, 0);
+    acct.onPredicatedRetire(0x10d8, false);
+    acct.finish();
+    sim::SimResult r;
+    r.hasAccounting = true;
+    r.accountingJson = acct.json();
+    json::Value doc = parseOk(sim::simResultJson(r, kName, kName));
+    EXPECT_EQ(stringAt(doc.get("label")), kName);
+    const json::Value *branches = doc.get("accounting", "branches");
+    ASSERT_TRUE(branches && branches->isArray());
+    ASSERT_EQ(branches->array.size(), 1u);
+    EXPECT_EQ(stringAt(branches->array[0].get("pc")), "0x10d8");
+    const json::Value *net = branches->array[0].get("net_cycles");
+    ASSERT_TRUE(net && net->isNumber());
+    EXPECT_NEAR(net->number, -1.0 / 3, 1e-6);
+}
+
+TEST(JsonRoundTrip, TraceEventThreadName)
+{
+    const std::string path = ::testing::TempDir() + "roundtrip_trace.json";
+    {
+        trace::TraceEventWriter w(path);
+        w.threadName(1, kName);
+        w.instant(1, 0, kName, "cat",
+                  trace::TraceEventWriter::args({{"squashed", 3}}));
+    }
+    json::Value doc = parseOk(test::slurp(path));
+    const json::Value *events = doc.get("traceEvents");
+    ASSERT_TRUE(events && events->isArray());
+    ASSERT_EQ(events->array.size(), 2u);
+    EXPECT_EQ(stringAt(events->array[0].get("args", "name")), kName);
+    EXPECT_EQ(stringAt(events->array[1].get("name")), kName);
+    std::remove(path.c_str());
+}
+
+TEST(JsonRoundTrip, DmpReportTables)
+{
+    const std::string path = ::testing::TempDir() + "roundtrip.jsonl";
+    {
+        std::ofstream out(path);
+        sim::SimResult r;
+        r.counters.emplace("pipeline_flushes", 1);
+        out << sim::simResultJson(r, kName, kName) << "\n";
+    }
+    test::CliResult r = test::runDmp({"report", "--format=json", path});
+    ASSERT_EQ(r.status, 0) << r.err;
+    json::Value doc = parseOk(r.out);
+    ASSERT_TRUE(doc.isArray());
+    ASSERT_EQ(doc.array.size(), 1u);
+    const json::Value *rows = doc.array[0].get("rows");
+    ASSERT_TRUE(rows && rows->isArray());
+    ASSERT_EQ(rows->array.size(), 1u);
+    ASSERT_GE(rows->array[0].array.size(), 2u);
+    EXPECT_EQ(rows->array[0].array[0].string, kName);
+    EXPECT_EQ(rows->array[0].array[1].string, kName);
+    std::remove(path.c_str());
+}
+
+/** `dmp lint [extra] --json` on a file named kName: its target entry. */
+json::Value
+lintTargetPath(const std::vector<std::string> &extra)
 {
     const std::string path = ::testing::TempDir() + kName + ".s";
     const std::string out = ::testing::TempDir() + "roundtrip_lint.json";
     {
         std::ofstream asm_file(path);
-        ASSERT_TRUE(asm_file) << "cannot create " << path;
+        EXPECT_TRUE(asm_file) << "cannot create " << path;
         asm_file << "li r1, 5\nhalt\n";
     }
-    ASSERT_EQ(test::runDmp({"lint", "--no-mark", "--quiet",
-                            "--json=" + out, path})
-                  .status,
-              0);
+    std::vector<std::string> args = {"lint", "--no-mark", "--quiet",
+                                     "--json=" + out, path};
+    args.insert(args.begin() + 1, extra.begin(), extra.end());
+    EXPECT_EQ(test::runDmp(args).status, 0);
 
     json::Value doc = parseOk(test::slurp(out));
-    const json::Value *targets = doc.get("targets");
-    ASSERT_TRUE(targets && targets->isArray());
-    ASSERT_EQ(targets->array.size(), 1u);
-    EXPECT_EQ(stringAt(targets->array[0].get("target")), path);
     std::remove(path.c_str());
     std::remove(out.c_str());
+    const json::Value *targets = doc.get("targets");
+    if (!targets || !targets->isArray() || targets->array.size() != 1) {
+        ADD_FAILURE() << "expected one target entry";
+        return {};
+    }
+    EXPECT_EQ(stringAt(targets->array[0].get("target")), path);
+    return targets->array[0];
+}
+
+TEST(JsonRoundTrip, DmpLintTargetPath)
+{
+    lintTargetPath({});
+}
+
+TEST(JsonRoundTrip, DmpLintDeepTargetPath)
+{
+    json::Value t = lintTargetPath({"--deep"});
+    ASSERT_NE(t.get("absint"), nullptr);
+    EXPECT_TRUE(t.get("absint", "ran")->boolean);
+    ASSERT_NE(t.get("branch_proofs"), nullptr);
+    EXPECT_TRUE(t.get("branch_proofs")->isArray());
 }
 
 } // namespace

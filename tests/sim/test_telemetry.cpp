@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 
+#include "analysis/accounting.hh"
 #include "sim/batch.hh"
 #include "sim/simulator.hh"
 
@@ -126,9 +128,71 @@ TEST(Telemetry, JsonRecordRoundTrips)
 TEST(Telemetry, JsonRecordSplicesExtraFields)
 {
     const sim::SimResult &r = sharedResult();
-    std::string j = sim::simResultJson(r, "l", "w",
-                                       "\"bench_iters\":200");
-    EXPECT_NE(j.find(",\"bench_iters\":200,"), std::string::npos) << j;
+    std::string j = sim::simResultJson(r, "l", "w", "fp\"1", 200);
+    EXPECT_NE(j.find(",\"host_inst_rate\":"), std::string::npos) << j;
+    EXPECT_NE(j.find(",\"fingerprint\":\"fp\\\"1\",\"bench_iters\":200,"
+                     "\"counters\":{"),
+              std::string::npos)
+        << j;
+    // Without a fingerprint neither field appears.
+    EXPECT_EQ(sim::simResultJson(r, "l", "w").find("bench_iters"),
+              std::string::npos);
+}
+
+TEST(Telemetry, JsonRecordBytesArePinned)
+{
+    // Every kind of value a record holds, byte for byte: top-level
+    // doubles and formulas at 12 digits, the distribution mean and the
+    // accounting net_cycles at 6, a NaN formula as null.
+    sim::SimResult r;
+    r.ipc = 1.0 / 3;
+    r.cycles = 9;
+    r.retiredInsts = 3;
+    r.hostSeconds = 0.5;
+    r.hostInstRate = 6;
+    r.counters.emplace("pipeline_flushes", 17);
+    DistSnapshot d;
+    d.max = 3;
+    d.bucketSize = 2;
+    d.buckets = {1, 1};
+    d.overflow = 1;
+    d.samples = 3;
+    d.sum = 14;
+    d.minVal = 1;
+    d.maxVal = 9;
+    r.distributions.emplace("lat", d);
+    r.formulas.emplace("ratio", 2.0 / 3);
+    r.formulas.emplace("empty", std::nan(""));
+    analysis::CycleAccounting acct(4, 3);
+    acct.onEpisodeStart(1, 0x10d8, false, 0);
+    acct.onPredicatedRetire(0x3000, false);
+    acct.finish();
+    r.hasAccounting = true;
+    r.accountingJson = acct.json();
+    EXPECT_EQ(sim::simResultJson(r, "dmp", "mcf"),
+              "{\"schema\":1,\"label\":\"dmp\",\"workload\":\"mcf\","
+              "\"ipc\":0.333333333333,\"cycles\":9,\"retired_insts\":3,"
+              "\"host_seconds\":0.5,\"host_inst_rate\":6,"
+              "\"counters\":{\"pipeline_flushes\":17},"
+              "\"distributions\":{\"lat\":{\"min\":0,\"max\":3,"
+              "\"bucket_size\":2,\"samples\":3,\"sum\":14,\"mean\":4.66667,"
+              "\"min_val\":1,\"max_val\":9,\"underflow\":0,\"overflow\":1,"
+              "\"buckets\":[1,1]}},\"formulas\":{\"empty\":null,"
+              "\"ratio\":0.666666666667},\"accounting\":{\"frontend_depth\":4,"
+              "\"retire_width\":3,\"total_cycles\":0,"
+              "\"buckets\":{\"retire_useful\":0,\"retire_false_path\":0,"
+              "\"flush_recovery\":0,\"backend_stall\":0,\"fetch_stall\":0,"
+              "\"frontend_starved\":0,\"idle\":0},"
+              "\"branches\":[{\"pc\":\"0x10d8\",\"episodes\":1,"
+              "\"dual_episodes\":0,\"merged_at_cfm\":0,\"overshot\":0,"
+              "\"early_exits\":0,\"converted\":0,\"squashed\":0,"
+              "\"fetched_insts\":0,\"false_insts\":0,\"extra_uops\":0,"
+              "\"flushes_avoided\":0,\"flushes\":0,\"net_cycles\":0},"
+              "{\"pc\":\"0x3000\",\"episodes\":0,\"dual_episodes\":0,"
+              "\"merged_at_cfm\":0,\"overshot\":0,\"early_exits\":0,"
+              "\"converted\":0,\"squashed\":0,\"fetched_insts\":0,"
+              "\"false_insts\":1,\"extra_uops\":0,\"flushes_avoided\":0,"
+              "\"flushes\":0,\"net_cycles\":-0.333333}]}}");
 }
 
 TEST(Telemetry, BatchAccruesSimWallClock)

@@ -19,6 +19,13 @@
 namespace dmp::test
 {
 
+/**
+ * A name every JSON exporter must round-trip unchanged: a quote, a
+ * backslash, a tab and byte 0x01.
+ */
+inline const std::string kJsonName =
+    std::string("we\"ird\\na\tme") + '\x01';
+
 /** Run the functional reference to completion (bounded). */
 inline isa::ArchState
 runReference(const isa::Program &prog, isa::MemoryImage &mem,
