@@ -176,6 +176,13 @@ AbsVal::widen(const AbsVal &prev, const AbsVal &next)
 namespace
 {
 
+/** Programs larger than this skip the analysis (state memory). */
+constexpr std::size_t kMaxInsts = 1u << 14;
+/** Largest enumerable JR/RET target set; beyond this, smear. */
+constexpr unsigned kMaxIndirectTargets = 16;
+/** Track at most this many r0-relative memory slots. */
+constexpr unsigned kMaxSlots = 64;
+
 /** Unsigned range with everything else derived by reduction. */
 AbsVal
 rangeU(Word lo, Word hi)
@@ -811,7 +818,7 @@ Engine::enumerateTargets(const AbsVal &v,
     out.clear();
     if (v.isEmpty())
         return true; // infeasible jump: no successors
-    const Word cap = Word(opts.maxIndirectTargets);
+    const Word cap = Word(kMaxIndirectTargets);
     if (v.count(cap + 1) > cap)
         return false;
     // A jump outside the image faults concretely (nothing retires past
@@ -935,7 +942,7 @@ Engine::run()
     AbsintResult res;
     const std::size_t n = prog.size();
     res.stats.insts = n;
-    if (n == 0 || n > opts.maxInsts)
+    if (n == 0 || n > kMaxInsts)
         return res;
 
     // Tracked r0-relative memory slots: every aligned address some
@@ -950,8 +957,8 @@ Engine::run()
     std::sort(slotAddrs.begin(), slotAddrs.end());
     slotAddrs.erase(std::unique(slotAddrs.begin(), slotAddrs.end()),
                     slotAddrs.end());
-    if (slotAddrs.size() > opts.maxSlots)
-        slotAddrs.resize(opts.maxSlots);
+    if (slotAddrs.size() > kMaxSlots)
+        slotAddrs.resize(kMaxSlots);
 
     // Widening points: leaders of back-edge target blocks (the same
     // loop-head view freq.cc derives its loop intervals from), plus a

@@ -142,14 +142,8 @@ struct AbsintOptions
     bool assumeInitialData = true;
     /** Narrowing sweeps after the widened fixpoint (>=1 recommended). */
     unsigned narrowIters = 2;
-    /** Programs larger than this skip the analysis (state memory). */
-    std::size_t maxInsts = 1u << 14;
     /** Joins at a loop head before widening kicks in. */
     unsigned widenDelay = 8;
-    /** Largest enumerable JR/RET target set; beyond this, smear. */
-    unsigned maxIndirectTargets = 16;
-    /** Track at most this many r0-relative memory slots. */
-    unsigned maxSlots = 64;
 };
 
 /** Proof status of one conditional branch. */

@@ -48,7 +48,7 @@ analyzeProgram(const isa::Program &program, const AnalysisOptions &opts,
         verifyProgram(program, graph, flow, vo, report,
                       opts.absint ? &absint : nullptr);
     }
-    if (opts.lint && !program.allMarks().empty()) {
+    if (!program.allMarks().empty()) {
         const cfg::PostDomTree pdom(graph);
         LintOptions lo;
         lo.marker = opts.marker;

@@ -40,8 +40,6 @@ struct AnalysisOptions
     std::size_t memoryBytes = 0;
     /** Run the program verifier passes. */
     bool verify = true;
-    /** Run the marking-legality linter passes. */
-    bool lint = true;
     /**
      * Deep mode: run the abstract-interpretation value analysis
      * (absint.hh) first and feed it into the other passes — proved

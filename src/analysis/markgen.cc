@@ -30,6 +30,24 @@ using isa::kInstBytes;
 
 using trace::hex;
 
+// Cost model. These are architectural constants of the Table 2 machine
+// (CoreParams defaults), not per-run knobs: the synthesized marking
+// must be invariant across core sweeps so the batch profile cache can
+// share it the way it shares profiled markings.
+/** Cycles refilling the pipeline after a flush (frontendDepth). */
+constexpr double kFlushPenalty = 30.0;
+/** Instructions retired per cycle at best (retireWidth). */
+constexpr double kRetireWidth = 8.0;
+/**
+ * Fraction of mispredictions the confidence estimator flags as
+ * low-confidence (i.e. fraction of flushes predication can avoid).
+ */
+constexpr double kConfidenceCoverage = 0.5;
+/** Predication episodes entered per misprediction (overtrigger). */
+constexpr double kEpisodesPerMispredict = 2.0;
+/** Select a branch when freq-weighted net cycles exceed this. */
+constexpr double kMinNetBenefit = 0.0;
+
 /**
  * Successor relation of the frequent-path CFG: per-block successors
  * with edges of probability below `prune` removed. A block never loses
@@ -243,15 +261,14 @@ synthesizeMarks(isa::Program &program, const MarkGenConfig &cfg)
         // (flushes-avoided x frontendDepth - false-path insts / retire
         // width) the accounting sink reports.
         const double episodes =
-            std::min(1.0, cfg.episodesPerMispredict *
-                              cand.mispredictEstimate);
+            std::min(1.0, kEpisodesPerMispredict * cand.mispredictEstimate);
         cand.flushSavings = cand.mispredictEstimate *
-                            cfg.confidenceCoverage * cfg.flushPenalty;
+                            kConfidenceCoverage * kFlushPenalty;
         const double overhead =
-            episodes * cand.predicatedWork / cfg.retireWidth;
+            episodes * cand.predicatedWork / kRetireWidth;
         cand.netBenefit =
             cand.blockFreq * (cand.flushSavings - overhead);
-        if (cand.netBenefit <= cfg.minNetBenefit) {
+        if (cand.netBenefit <= kMinNetBenefit) {
             finish("cost");
             continue;
         }
@@ -262,10 +279,8 @@ synthesizeMarks(isa::Program &program, const MarkGenConfig &cfg)
         mark.isDiverge = true;
         mark.isLoopBranch = cand.isLoop;
         mark.cfmPoints = cand.cfmPoints;
-        const unsigned n =
-            unsigned(cfg.marker.earlyExitScale * cand.meanDistance);
         mark.earlyExitThreshold =
-            std::clamp(n, cfg.marker.earlyExitMin, cfg.marker.earlyExitMax);
+            profile::earlyExitThreshold(cand.meanDistance);
         program.setMark(pc, mark);
         if (cand.isLoop)
             ++report.markedLoop;

@@ -53,31 +53,14 @@ struct MarkGenConfig
 {
     /**
      * Legality bounds shared with the profiled marker: maxCfmPoints,
-     * maxCfmDistance, the early-exit clamp, minMispredictRate (applied
-     * to the *estimated* rate), and markLoopBranches.
+     * maxCfmDistance, minMispredictRate (applied to the *estimated*
+     * rate), and markLoopBranches. The early-exit threshold comes from
+     * profile::earlyExitThreshold, as for the profiled marker.
      */
     profile::MarkerConfig marker{};
     /** Predicate-depth bound forwarded to the legalize lint. */
     unsigned maxPredicateDepth = 32;
 
-    // Cost model. These are architectural constants fixed at the
-    // Table 2 machine (CoreParams defaults), NOT per-run knobs: the
-    // synthesized marking must be invariant across core sweeps so the
-    // batch profile cache can share it the way it shares profiled
-    // markings.
-    /** Cycles refilling the pipeline after a flush (frontendDepth). */
-    double flushPenalty = 30.0;
-    /** Instructions retired per cycle at best (retireWidth). */
-    double retireWidth = 8.0;
-    /**
-     * Fraction of mispredictions the confidence estimator flags as
-     * low-confidence (i.e. fraction of flushes predication can avoid).
-     */
-    double confidenceCoverage = 0.5;
-    /** Predication episodes entered per misprediction (overtrigger). */
-    double episodesPerMispredict = 2.0;
-    /** Select a branch when freq-weighted net cycles exceed this. */
-    double minNetBenefit = 0.0;
     /**
      * Successor edges with probability below this are pruned from the
      * frequent-path CFG before its post-dominator pass.

@@ -59,6 +59,9 @@ isMarker(UopKind k)
 
 using trace::hex;
 
+/** Retire/flush history kept for the first-divergence diagnosis. */
+constexpr std::size_t kHistoryDepth = 16;
+
 } // namespace
 
 const char *
@@ -206,8 +209,7 @@ CoreChecker::onCycleEnd(const core::AcctCycleSample &)
     }
     if (!wantsInvariants(opt.mode))
         return;
-    if (opt.cycleStride && core.now % opt.cycleStride == 0)
-        checkCheap();
+    checkCheap();
     if (opt.deepStride && core.now % opt.deepStride == 0)
         checkDeep();
 }
@@ -217,7 +219,7 @@ CoreChecker::onRetire(const DynInst &di, std::uint64_t seq, PredId pred)
 {
     history.push_back(
         RetiredRec{seq, di.pc, di.kind, pred, di.predValue, core.now});
-    if (history.size() > opt.historyDepth)
+    if (history.size() > kHistoryDepth)
         history.pop_front();
     if (wantsLockstep(opt.mode))
         lockstepCommit(di, pred);
@@ -228,7 +230,7 @@ void
 CoreChecker::onFlush(const core::FlushEvent &e)
 {
     flushes.push_back(FlushRec{core.now, e.surviveSeq, e.redirectPc});
-    if (flushes.size() > opt.historyDepth)
+    if (flushes.size() > kHistoryDepth)
         flushes.pop_front();
     if (wantsInvariants(opt.mode)) {
         // Flush recovery is the hardest structural event (free-list

@@ -94,16 +94,13 @@ struct FaultPlan
 struct CheckerOptions
 {
     Mode mode = Mode::All;
-    /** Cheap structural pass (ROB/SB walks) every N cycles; 0 = off. */
-    unsigned cycleStride = 1;
     /**
-     * Deep structural pass (free lists, RAT validity, leak
+     * The cheap structural pass (ROB/SB walks) runs every cycle; the
+     * deep structural pass (free lists, RAT validity, leak
      * reachability, episode/predicate consistency) every N cycles and
      * after every flush; 0 = flush-only.
      */
     unsigned deepStride = 64;
-    /** Retire/flush history kept for the first-divergence diagnosis. */
-    unsigned historyDepth = 16;
 };
 
 /** A self-check failed; carries the finding and the diagnosis. */

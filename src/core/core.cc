@@ -187,9 +187,9 @@ Core::Core(const isa::Program &program, const CoreParams &params)
       memory(std::make_unique<isa::MemoryImage>(p.memoryBytes)),
       predictor(makePredictor(p)),
       jrs(std::make_unique<bpred::JrsConfidenceEstimator>()),
-      btb(p.btbEntries),
-      ras(p.rasEntries),
-      itc(p.itcEntries),
+      btb(kBtbEntries),
+      ras(kRasEntries),
+      itc(kItcEntries),
       caches(),
       prf(p.effectivePhysRegs()),
       cpPool(p.maxCheckpoints),
@@ -304,9 +304,9 @@ Core::reset()
         ? static_cast<bpred::PerceptronPredictor *>(predictor.get())
         : nullptr;
     jrs = std::make_unique<bpred::JrsConfidenceEstimator>();
-    btb = bpred::Btb(p.btbEntries);
-    ras = bpred::ReturnAddressStack(p.rasEntries);
-    itc = bpred::IndirectTargetCache(p.itcEntries);
+    btb = bpred::Btb(kBtbEntries);
+    ras = bpred::ReturnAddressStack(kRasEntries);
+    itc = bpred::IndirectTargetCache(kItcEntries);
 
     caches.reset();
     if (oracle)

@@ -110,10 +110,10 @@ Core::tryIssueLoad(InstRef ref)
     ++st.executedInsts;
     if (fr == ForwardResult::Forward) {
         di.result = forwarded;
-        scheduleCompletion(ref, now + p.agenLatency + p.forwardLatency);
+        scheduleCompletion(ref, now + kAgenLatency + kForwardLatency);
     } else {
         di.result = memory->load(addr);
-        Cycle done = caches.loadAccess(addr, now + p.agenLatency);
+        Cycle done = caches.loadAccess(addr, now + kAgenLatency);
         scheduleCompletion(ref, done);
     }
     return true;
@@ -126,7 +126,7 @@ Core::executeReady(InstRef ref)
     robState[ref.slot] |= kRobIssued;
     di.issuedAt = std::uint32_t(now);
 
-    Cycle latency = p.aluLatency;
+    Cycle latency = kAluLatency;
     switch (di.kind) {
       case UopKind::Select: {
         dmp_assert(di.predResolved, "select issued without predicate");
@@ -147,22 +147,22 @@ Core::executeReady(InstRef ref)
         isa::ExecResult r = isa::evaluate(di.si, di.pc, s1, s2);
         switch (isa::execClass(di.si.op)) {
           case ExecClass::MUL:
-            latency = p.mulLatency;
+            latency = kMulLatency;
             break;
           case ExecClass::DIV:
-            latency = p.divLatency;
+            latency = kDivLatency;
             break;
           case ExecClass::FP:
-            latency = p.fpLatency;
+            latency = kFpLatency;
             break;
           case ExecClass::BRANCH:
-            latency = p.branchLatency;
+            latency = kBranchLatency;
             break;
           case ExecClass::MEM:
-            latency = p.agenLatency;
+            latency = kAgenLatency;
             break;
           default:
-            latency = p.aluLatency;
+            latency = kAluLatency;
             break;
         }
         if (di.isStore()) {

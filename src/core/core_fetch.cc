@@ -154,7 +154,7 @@ Core::fetchOne(Addr &pc, std::uint64_t &ghr_ref, PathId dual_path,
 
     // Budget conditional branches per cycle before consuming the slot.
     if (isa::isCondBranch(inst.op) &&
-        branches_this_cycle + 1 > p.maxCondBranchesPerFetch) {
+        branches_this_cycle + 1 > kMaxCondBranchesPerFetch) {
         return false;
     }
 
@@ -285,7 +285,6 @@ Core::predictControl(FetchedInst &fi, Addr &next, std::uint64_t &ghr_ref,
         if (p.perfectCondPredictor && oracle && oracle->synced()) {
             predicted = oracle->peek().taken;
             fi.predInfo.predTaken = predicted;
-            fi.usedOracleDirection = true;
         }
         fi.predTaken = predicted;
 

@@ -171,10 +171,8 @@ Core::renameProgramInst(FetchedInst &fi)
         }
     }
 
-    if (di.isStore()) {
+    if (di.isStore())
         sb.allocate(ref.seq, fi.pred, di.predResolved, di.predValue);
-        di.sbIndex = 0; // entries are found by seq
-    }
 
     if (di.isControl) {
         di.checkpointId = cpPool.alloc(ref.seq);

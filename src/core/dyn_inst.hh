@@ -96,8 +96,6 @@ struct FetchedInst
     /** Cycle this entry was fetched (trace/pipeview lifecycle). */
     Cycle fetchedAt = 0;
 
-    bool usedOracleDirection = false;
-
     // Dynamic predication context.
     PredId pred = kNoPred;
 
@@ -148,9 +146,6 @@ struct DynInst
     std::uint32_t fetchedAt = 0;
     bool predResolved = false;
     bool predValue = true;
-    /** Early-exit / mdb conversion turned this diverge branch back into a
-     *  normal branch: mispredict now flushes. */
-    bool revertedToNormal = false;
 
     // Branch state.
     /** Lifecycle stamp: rename cycle. */
@@ -165,7 +160,6 @@ struct DynInst
     std::int32_t checkpointId = -1;
 
     // Memory state.
-    std::int32_t sbIndex = -1; ///< store-buffer slot for stores
     Addr memAddr = kNoAddr;
     Word result = 0; ///< dataflow result (dest value / store data)
 

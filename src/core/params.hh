@@ -1,9 +1,12 @@
 /**
  * @file
- * Core configuration. Defaults reproduce Table 2 of the paper:
- * 8-wide fetch (up to 3 conditional branches, ends at the first taken
- * branch), 30-cycle minimum misprediction penalty, 512-entry reorder
- * buffer, 8-wide execute/retire, perceptron predictor, JRS confidence
+ * Core configuration: Table 2 of the paper. The parts that every
+ * configuration of the evaluation shares are constants (fetch branch
+ * budget, execution latencies, BTB/RAS/ITC sizes); the parts the
+ * figures and sweeps vary are CoreParams fields whose defaults are the
+ * Table 2 machine: 8-wide fetch ending at the first taken branch,
+ * 30-cycle minimum misprediction penalty, 512-entry reorder buffer,
+ * 8-wide execute/retire, perceptron predictor, JRS confidence
  * estimator.
  */
 
@@ -46,6 +49,25 @@ enum class PredictorKind : std::uint8_t
     Hybrid,
 };
 
+// ---- Fixed Table 2 parameters ----
+/** Conditional branches fetched per cycle at most. */
+inline constexpr unsigned kMaxCondBranchesPerFetch = 3;
+/** Execution latencies, in cycles. */
+inline constexpr Cycle kAluLatency = 1;
+inline constexpr Cycle kMulLatency = 3;
+inline constexpr Cycle kDivLatency = 20;
+inline constexpr Cycle kFpLatency = 4;
+inline constexpr Cycle kBranchLatency = 1;
+/** Address generation before a cache access. */
+inline constexpr Cycle kAgenLatency = 1;
+/** Store-buffer forward. */
+inline constexpr Cycle kForwardLatency = 1;
+/** Branch target buffer, return address stack and indirect target
+ *  cache entries. */
+inline constexpr unsigned kBtbEntries = 4096;
+inline constexpr unsigned kRasEntries = 64;
+inline constexpr unsigned kItcEntries = 65536;
+
 /**
  * All knobs of one core instance.
  *
@@ -56,13 +78,11 @@ struct CoreParams
 {
     // ---- Front end (Table 2) ----
     unsigned fetchWidth = 8;
-    unsigned maxCondBranchesPerFetch = 3;
     /**
      * Fetch-to-rename pipeline depth; this is the minimum branch
      * misprediction penalty (Table 2: 30 cycles).
      */
     unsigned frontendDepth = 30;
-    unsigned fetchQueueCapacity = 0; ///< 0: frontendDepth * fetchWidth
 
     // ---- Window / execution (Table 2) ----
     unsigned robSize = 512;
@@ -71,15 +91,6 @@ struct CoreParams
     unsigned numPhysRegs = 0; ///< 0: robSize + 2 * kNumArchRegs
     unsigned storeBufferSize = 128;
     unsigned maxCheckpoints = 96;
-
-    // ---- Latencies ----
-    Cycle aluLatency = 1;
-    Cycle mulLatency = 3;
-    Cycle divLatency = 20;
-    Cycle fpLatency = 4;
-    Cycle branchLatency = 1;
-    Cycle agenLatency = 1;       ///< address generation before cache access
-    Cycle forwardLatency = 1;    ///< store-buffer forward
 
     // ---- Prediction ----
     PredictorKind predictor = PredictorKind::Perceptron;
@@ -91,9 +102,6 @@ struct CoreParams
      * the confidence-ablation bench.
      */
     bool alwaysLowConfidence = false;
-    unsigned btbEntries = 4096;
-    unsigned rasEntries = 64;
-    unsigned itcEntries = 65536;
 
     // ---- Dynamic predication ----
     CoreMode mode = CoreMode::Normal;
@@ -137,8 +145,7 @@ struct CoreParams
     unsigned
     effectiveFetchQueueCapacity() const
     {
-        return fetchQueueCapacity ? fetchQueueCapacity
-                                  : frontendDepth * fetchWidth;
+        return frontendDepth * fetchWidth;
     }
 
     unsigned

@@ -277,6 +277,13 @@ profileCfmPoints(const isa::Program &program, std::size_t mem_bytes,
                         candidates, cfg);
 }
 
+unsigned
+earlyExitThreshold(double meanDistance)
+{
+    const unsigned n = unsigned(kEarlyExitScale * meanDistance);
+    return std::clamp(n, kEarlyExitMin, kEarlyExitMax);
+}
+
 MarkingReport
 profileAndMark(isa::Program &program, std::size_t mem_bytes,
                const MarkerConfig &cfg)
@@ -290,8 +297,7 @@ profileAndMark(isa::Program &program, std::size_t mem_bytes,
 
     // Candidate selection: >= 0.1% of all mispredictions.
     std::vector<Addr> candidates;
-    double threshold =
-        cfg.mispredShare * double(bp.totalMispredicts);
+    double threshold = kMispredShare * double(bp.totalMispredicts);
     for (const auto &[pc, bs] : bp.branches) {
         if (double(bs.mispredicts) < std::max(1.0, threshold))
             continue;
@@ -357,9 +363,7 @@ profileAndMark(isa::Program &program, std::size_t mem_bytes,
         }
         // A hammock join discovered statically keeps priority order; the
         // profile-driven list already contains it in practice.
-        unsigned n = unsigned(cfg.earlyExitScale * mean_dist);
-        mark.earlyExitThreshold =
-            std::clamp(n, cfg.earlyExitMin, cfg.earlyExitMax);
+        mark.earlyExitThreshold = earlyExitThreshold(mean_dist);
         program.setMark(pc, mark);
         ++report.markedDiverge;
     }
@@ -386,7 +390,7 @@ profileAndMark(isa::Program &program, std::size_t mem_bytes,
                 mark = *existing;
             mark.isDiverge = true;
             mark.cfmPoints.push_back(ipdom);
-            mark.earlyExitThreshold = cfg.earlyExitMin;
+            mark.earlyExitThreshold = kEarlyExitMin;
             program.setMark(pc, mark);
             ++report.markedDiverge;
         }
@@ -407,7 +411,7 @@ profileAndMark(isa::Program &program, std::size_t mem_bytes,
             mark.isDiverge = true;
             mark.isLoopBranch = true;
             mark.cfmPoints.push_back(pc + kInstBytes);
-            mark.earlyExitThreshold = cfg.earlyExitMin;
+            mark.earlyExitThreshold = kEarlyExitMin;
             program.setMark(pc, mark);
             ++report.markedLoop;
         }

@@ -70,6 +70,20 @@ struct CfmProfile
     std::vector<CfmCandidate> candidates; ///< sorted by score, desc
 };
 
+/** Candidate filter: share of all mispredictions (section 3.2: 0.1%). */
+inline constexpr double kMispredShare = 0.001;
+/** Early-exit N = clamp(kEarlyExitScale * mean distance, min, max). */
+inline constexpr double kEarlyExitScale = 2.0;
+inline constexpr unsigned kEarlyExitMin = 16;
+inline constexpr unsigned kEarlyExitMax = 192;
+
+/**
+ * Early-exit threshold of a diverge branch whose CFM points lie
+ * `meanDistance` instructions away on average; the profiled and the
+ * static marker both use it.
+ */
+unsigned earlyExitThreshold(double meanDistance);
+
 /**
  * Thresholds of section 3.2 plus implementation knobs.
  *
@@ -78,8 +92,6 @@ struct CfmProfile
  */
 struct MarkerConfig
 {
-    /** Candidate filter: share of all mispredictions (0.1%). */
-    double mispredShare = 0.001;
     /**
      * Candidate filter: per-branch misprediction *rate* floor. The
      * paper's share-based rule assumes SPEC-scale misprediction counts;
@@ -95,10 +107,6 @@ struct MarkerConfig
     unsigned maxCfmDistance = 120;
     /** CFM points kept per branch (enhanced machine CAM size). */
     unsigned maxCfmPoints = 4;
-    /** Early-exit N = clamp(earlyExitScale * mean distance, lo, hi). */
-    double earlyExitScale = 2.0;
-    unsigned earlyExitMin = 16;
-    unsigned earlyExitMax = 192;
     /** Sample one of every N instances per branch in the CFM pass. */
     unsigned cfmSampleRate = 4;
     /** Mark backward diverge loop branches (section 2.7.4 extension). */

@@ -20,12 +20,17 @@ num(double v)
     return os.str();
 }
 
+// A fixed parameter keeps its term, printing its constant (fq=0 is the
+// derived frontendDepth * fetchWidth fetch queue), so the bytes match
+// the stats records already written. These terms stay frozen until the
+// records are regenerated.
+
 std::string
 workloadFp(const workloads::WorkloadParams &p)
 {
     std::ostringstream os;
     os << "it=" << p.iterations << ",seed=" << p.seed
-       << ",base=" << p.dataBase;
+       << ",base=" << workloads::kDataBase;
     return os.str();
 }
 
@@ -33,10 +38,12 @@ std::string
 markerFp(const profile::MarkerConfig &m)
 {
     std::ostringstream os;
-    os << "ms=" << num(m.mispredShare) << ",mr=" << num(m.minMispredictRate)
+    os << "ms=" << num(profile::kMispredShare)
+       << ",mr=" << num(m.minMispredictRate)
        << ",rf=" << num(m.reconvergeFraction) << ",cd=" << m.maxCfmDistance
-       << ",cp=" << m.maxCfmPoints << ",es=" << num(m.earlyExitScale)
-       << ",el=" << m.earlyExitMin << ",eh=" << m.earlyExitMax
+       << ",cp=" << m.maxCfmPoints << ",es=" << num(profile::kEarlyExitScale)
+       << ",el=" << profile::kEarlyExitMin
+       << ",eh=" << profile::kEarlyExitMax
        << ",sr=" << m.cfmSampleRate << ",lb=" << m.markLoopBranches
        << ",pd=" << m.usePostDomFallback << ",pi=" << m.profileInsts;
     return os.str();
@@ -46,18 +53,18 @@ std::string
 coreFp(const core::CoreParams &c)
 {
     std::ostringstream os;
-    os << "fw=" << c.fetchWidth << ",cb=" << c.maxCondBranchesPerFetch
-       << ",fd=" << c.frontendDepth << ",fq=" << c.fetchQueueCapacity
+    os << "fw=" << c.fetchWidth << ",cb=" << core::kMaxCondBranchesPerFetch
+       << ",fd=" << c.frontendDepth << ",fq=0"
        << ",rob=" << c.robSize << ",iw=" << c.issueWidth
        << ",rw=" << c.retireWidth << ",pr=" << c.numPhysRegs
        << ",sb=" << c.storeBufferSize << ",ck=" << c.maxCheckpoints
-       << ",la=" << c.aluLatency << ",lm=" << c.mulLatency
-       << ",ld=" << c.divLatency << ",lf=" << c.fpLatency
-       << ",lb=" << c.branchLatency << ",lg=" << c.agenLatency
-       << ",lw=" << c.forwardLatency << ",bp=" << unsigned(c.predictor)
+       << ",la=" << core::kAluLatency << ",lm=" << core::kMulLatency
+       << ",ld=" << core::kDivLatency << ",lf=" << core::kFpLatency
+       << ",lb=" << core::kBranchLatency << ",lg=" << core::kAgenLatency
+       << ",lw=" << core::kForwardLatency << ",bp=" << unsigned(c.predictor)
        << ",pc=" << c.perfectCondPredictor << ",pf=" << c.perfectConfidence
-       << ",al=" << c.alwaysLowConfidence << ",btb=" << c.btbEntries
-       << ",ras=" << c.rasEntries << ",itc=" << c.itcEntries
+       << ",al=" << c.alwaysLowConfidence << ",btb=" << core::kBtbEntries
+       << ",ras=" << core::kRasEntries << ",itc=" << core::kItcEntries
        << ",md=" << unsigned(c.mode) << ",ps=" << unsigned(c.predication)
        << ",e1=" << c.enhMultiCfm << ",e2=" << c.enhEarlyExit
        << ",e3=" << c.enhMultiDiverge << ",x1=" << c.extLoopBranches

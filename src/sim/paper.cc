@@ -93,7 +93,7 @@ printTable2(const FigureResults &)
     };
     row("fetch width", "8, up to 3 cond. branches",
         std::to_string(p.fetchWidth) + ", up to " +
-            std::to_string(p.maxCondBranchesPerFetch) + " branches");
+            std::to_string(core::kMaxCondBranchesPerFetch) + " branches");
     row("fetch policy", "ends at first taken branch",
         "ends at first taken branch");
     row("min. mispredict penalty", "30 cycles",
@@ -105,11 +105,11 @@ printTable2(const FigureResults &)
             std::to_string(p.retireWidth) + "-wide");
     row("branch predictor", "64KB perceptron, 59-bit hist",
         "perceptron, 1021 entries, 59-bit hist");
-    row("BTB", "4K-entry", std::to_string(p.btbEntries) + "-entry");
+    row("BTB", "4K-entry", std::to_string(core::kBtbEntries) + "-entry");
     row("return address stack", "64-entry",
-        std::to_string(p.rasEntries) + "-entry");
+        std::to_string(core::kRasEntries) + "-entry");
     row("indirect target cache", "64K-entry",
-        std::to_string(p.itcEntries) + "-entry");
+        std::to_string(core::kItcEntries) + "-entry");
     row("L1 I-cache", "64KB 2-way 2-cycle", "64KB 2-way 2-cycle");
     row("L1 D-cache", "64KB 4-way 2-cycle", "64KB 4-way 2-cycle");
     row("L2 cache", "1MB 8-way 8-bank 10-cycle",
@@ -572,6 +572,7 @@ printConfidence(const FigureResults &f)
 // combinations of alternatives").
 
 constexpr unsigned kDists[] = {30, 60, 120, 240};
+constexpr const char *kDistLabels[] = {"d30", "d60", "d120", "d240"};
 constexpr const char *kFracLabels[] = {"f05", "f20", "f50"};
 constexpr double kFracs[] = {0.05, 0.20, 0.50};
 
@@ -579,10 +580,10 @@ std::vector<Cell>
 markerCells()
 {
     std::vector<Cell> cells = {cell("base", "base")};
-    for (unsigned d : kDists)
-        cells.push_back(cell("d" + std::to_string(d), "dmp-enhanced",
-                             [d](SimConfig &c) {
-                                 c.marker.maxCfmDistance = d;
+    for (int i = 0; i < 4; ++i)
+        cells.push_back(cell(kDistLabels[i], "dmp-enhanced",
+                             [i](SimConfig &c) {
+                                 c.marker.maxCfmDistance = kDists[i];
                                  c.marker.reconvergeFraction = 0.20;
                              }));
     for (int i = 0; i < 3; ++i)
@@ -604,10 +605,8 @@ printMarker(const FigureResults &f)
     for (const std::string &wl : f.workloads) {
         double base = f.get(wl, "base").ipc;
         std::printf("%-10s |", wl.c_str());
-        for (unsigned d : kDists)
-            std::printf(" %+8.1f%%",
-                        pctDelta(f.get(wl, "d" + std::to_string(d)).ipc,
-                                 base));
+        for (const char *label : kDistLabels)
+            std::printf(" %+8.1f%%", pctDelta(f.get(wl, label).ipc, base));
         std::printf("\n");
     }
 

@@ -24,6 +24,9 @@
 namespace dmp::workloads
 {
 
+/** Base address of every workload's data region. */
+inline constexpr Addr kDataBase = 0x100000;
+
 /**
  * Construction parameters shared by every workload.
  *
@@ -36,8 +39,6 @@ struct WorkloadParams
     std::uint64_t iterations = 4000;
     /** Data seed; the profiler uses a different seed ("train input"). */
     std::uint64_t seed = 0x5eed;
-    /** Base address of the workload's data region. */
-    Addr dataBase = 0x100000;
 };
 
 // Well-known registers.

@@ -32,8 +32,8 @@ fpPrologue(ProgramBuilder &b, Random &drng, const WorkloadParams &wp,
                                        1000);
     b.li(rCnt, 0);
     b.li(rBound, std::int64_t(iters));
-    b.li(rData, std::int64_t(wp.dataBase));
-    b.li(rOut, std::int64_t(wp.dataBase + (8u << 20)));
+    b.li(rData, std::int64_t(kDataBase));
+    b.li(rOut, std::int64_t(kDataBase + (8u << 20)));
     b.li(rRng, std::int64_t(drng.next() >> 1));
     for (ArchReg r = 15; r <= 22; ++r)
         b.li(r, std::int64_t(drng.below(1 << 20)));
@@ -60,7 +60,7 @@ make_mesa(const WorkloadParams &wp)
     ProgramBuilder b;
     Random srng(0x3E5A);
     Random drng(wp.seed);
-    seedData(b, drng, wp.dataBase, 4096);
+    seedData(b, drng, kDataBase, 4096);
     fpPrologue(b, drng, wp);
     Label loop = b.newLabel();
     b.bind(loop);
@@ -91,7 +91,7 @@ make_ammp(const WorkloadParams &wp)
     ProgramBuilder b;
     Random srng(0xA339);
     Random drng(wp.seed);
-    seedData(b, drng, wp.dataBase, 65536); // 512KB working set
+    seedData(b, drng, kDataBase, 65536); // 512KB working set
     fpPrologue(b, drng, wp, 800);
     Label loop = b.newLabel();
     b.bind(loop);
@@ -122,7 +122,7 @@ make_fma3d(const WorkloadParams &wp)
     ProgramBuilder b;
     Random srng(0xF3A3D);
     Random drng(wp.seed);
-    seedData(b, drng, wp.dataBase, 16384);
+    seedData(b, drng, kDataBase, 16384);
     fpPrologue(b, drng, wp);
     Label loop = b.newLabel();
     b.bind(loop);

@@ -51,8 +51,8 @@ prologue(ProgramBuilder &b, Random &drng, const WorkloadParams &wp,
                                        1000);
     b.li(rCnt, 0);
     b.li(rBound, std::int64_t(iters));
-    b.li(rData, std::int64_t(wp.dataBase));
-    b.li(rOut, std::int64_t(wp.dataBase + (8u << 20)));
+    b.li(rData, std::int64_t(kDataBase));
+    b.li(rOut, std::int64_t(kDataBase + (8u << 20)));
     b.li(rRng, std::int64_t(drng.next() >> 1));
     for (ArchReg r = 15; r <= 22; ++r)
         b.li(r, std::int64_t(drng.below(1 << 20)));
@@ -94,7 +94,7 @@ make_bzip2(const WorkloadParams &wp)
     ProgramBuilder b;
     Random srng(0xB21F2);
     Random drng(wp.seed);
-    seedData(b, drng, wp.dataBase, 8192);
+    seedData(b, drng, kDataBase, 8192);
     prologue(b, drng, wp);
     Label loop = b.newLabel();
     b.bind(loop);
@@ -124,7 +124,7 @@ make_crafty(const WorkloadParams &wp)
     ProgramBuilder b;
     Random srng(0xC4AF7);
     Random drng(wp.seed);
-    seedData(b, drng, wp.dataBase, 4096);
+    seedData(b, drng, kDataBase, 4096);
 
     Label fn = b.newLabel();
     Label over = b.newLabel();
@@ -157,7 +157,7 @@ make_eon(const WorkloadParams &wp)
     ProgramBuilder b;
     Random srng(0xE07);
     Random drng(wp.seed);
-    seedData(b, drng, wp.dataBase, 2048);
+    seedData(b, drng, kDataBase, 2048);
     prologue(b, drng, wp);
     Label loop = b.newLabel();
     b.bind(loop);
@@ -190,7 +190,7 @@ make_gap(const WorkloadParams &wp)
     ProgramBuilder b;
     Random srng(0x6A9);
     Random drng(wp.seed);
-    seedData(b, drng, wp.dataBase, 4096);
+    seedData(b, drng, kDataBase, 4096);
     prologue(b, drng, wp);
     Label loop = b.newLabel();
     b.bind(loop);
@@ -218,7 +218,7 @@ make_gcc(const WorkloadParams &wp)
     ProgramBuilder b;
     Random srng(0x6CC);
     Random drng(wp.seed);
-    seedData(b, drng, wp.dataBase, 4096);
+    seedData(b, drng, kDataBase, 4096);
     prologue(b, drng, wp, 600);
     Label loop = b.newLabel();
     b.bind(loop);
@@ -256,7 +256,7 @@ make_gzip(const WorkloadParams &wp)
     ProgramBuilder b;
     Random srng(0x6219);
     Random drng(wp.seed);
-    seedData(b, drng, wp.dataBase, 8192);
+    seedData(b, drng, kDataBase, 8192);
     prologue(b, drng, wp);
     Label loop = b.newLabel();
     b.bind(loop);
@@ -284,7 +284,7 @@ make_mcf(const WorkloadParams &wp)
     Random drng(wp.seed);
     // 4MB of random next-pointers (indices into the same table).
     constexpr unsigned table_log2 = 19; // 512K words = 4MB > 1MB L2
-    seedData(b, drng, wp.dataBase, 1u << table_log2,
+    seedData(b, drng, kDataBase, 1u << table_log2,
              (1u << table_log2) - 1);
     prologue(b, drng, wp, 500);
     b.li(25, 1); // current node index
@@ -324,7 +324,7 @@ make_parser(const WorkloadParams &wp)
     ProgramBuilder b;
     Random srng(0x9A45E);
     Random drng(wp.seed);
-    seedData(b, drng, wp.dataBase, 8192);
+    seedData(b, drng, kDataBase, 8192);
     prologue(b, drng, wp);
     Label loop = b.newLabel();
     b.bind(loop);
@@ -357,7 +357,7 @@ make_perlbmk(const WorkloadParams &wp)
     ProgramBuilder b;
     Random srng(0x9E41);
     Random drng(wp.seed);
-    seedData(b, drng, wp.dataBase, 2048);
+    seedData(b, drng, kDataBase, 2048);
     prologue(b, drng, wp);
     Label loop = b.newLabel();
     b.bind(loop);
@@ -391,7 +391,7 @@ make_twolf(const WorkloadParams &wp)
     ProgramBuilder b;
     Random srng(0x72013);
     Random drng(wp.seed);
-    seedData(b, drng, wp.dataBase, 16384);
+    seedData(b, drng, kDataBase, 16384);
     prologue(b, drng, wp);
     Label loop = b.newLabel();
     b.bind(loop);
@@ -425,7 +425,7 @@ make_vortex(const WorkloadParams &wp)
     ProgramBuilder b;
     Random srng(0x40127E);
     Random drng(wp.seed);
-    seedData(b, drng, wp.dataBase, 4096);
+    seedData(b, drng, kDataBase, 4096);
 
     Label fn = b.newLabel();
     Label over = b.newLabel();
@@ -465,7 +465,7 @@ make_vpr(const WorkloadParams &wp)
     ProgramBuilder b;
     Random srng(0x9912);
     Random drng(wp.seed);
-    seedData(b, drng, wp.dataBase, 8192);
+    seedData(b, drng, kDataBase, 8192);
     prologue(b, drng, wp);
     Label loop = b.newLabel();
     b.bind(loop);

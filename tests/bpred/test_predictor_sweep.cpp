@@ -202,8 +202,11 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair<unsigned, unsigned>{1021, 64},
                       std::pair<unsigned, unsigned>{127, 1}),
     [](const auto &info) {
-        return "e" + std::to_string(info.param.first) + "h" +
-               std::to_string(info.param.second);
+        std::string name = "e";
+        name += std::to_string(info.param.first);
+        name += "h";
+        name += std::to_string(info.param.second);
+        return name;
     });
 
 class GshareGeometry
@@ -225,8 +228,11 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair<unsigned, unsigned>{16, 16},
                       std::pair<unsigned, unsigned>{10, 0}),
     [](const auto &info) {
-        return "l" + std::to_string(info.param.first) + "h" +
-               std::to_string(info.param.second);
+        std::string name = "l";
+        name += std::to_string(info.param.first);
+        name += "h";
+        name += std::to_string(info.param.second);
+        return name;
     });
 
 TEST(PredictorStress, AdversarialStreamsDoNotCorruptState)

@@ -68,7 +68,10 @@ TEST(Json, EscapeRoundTripsEveryByte)
     std::string all;
     for (int c = 1; c < 256; ++c)
         all += char(c);
-    EXPECT_EQ(parseOk("\"" + escape(all) + "\"").string, all);
+    std::string quoted = "\"";
+    quoted += escape(all);
+    quoted += '"';
+    EXPECT_EQ(parseOk(quoted).string, all);
     // Names without control bytes keep their old spelling.
     EXPECT_EQ(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     EXPECT_EQ(escape(std::string("\t\x01\x1f")), "\\t\\u0001\\u001f");

@@ -105,9 +105,13 @@ INSTANTIATE_TEST_SUITE_P(
                       Geometry{65536, 8, 8}, Geometry{1 << 20, 8, 8},
                       Geometry{2048, 2, 2}),
     [](const auto &info) {
-        return "s" + std::to_string(info.param.sizeBytes) + "a" +
-               std::to_string(info.param.assoc) + "b" +
-               std::to_string(info.param.banks);
+        std::string name = "s";
+        name += std::to_string(info.param.sizeBytes);
+        name += "a";
+        name += std::to_string(info.param.assoc);
+        name += "b";
+        name += std::to_string(info.param.banks);
+        return name;
     });
 
 } // namespace

@@ -9,7 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/batch.hh"
@@ -147,6 +150,65 @@ TEST(BatchRunner, SingleJobExecutesInSubmissionOrder)
     for (const sim::SimConfig &cfg : grid)
         expected.push_back(sim::configFingerprint(cfg));
     EXPECT_EQ(runner.executionOrder(), expected);
+}
+
+/** FNV-1a over the bytes of `s`. */
+std::uint64_t
+fnv1a(const std::string &s)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (unsigned char c : s) {
+        h ^= c;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+/**
+ * The fingerprint bytes key the result memo, the profile cache and the
+ * `fingerprint` field of every stats record, so they stay fixed until
+ * the records are regenerated: the default config is pinned in full,
+ * and each named machine by a digest of both fingerprints.
+ */
+TEST(BatchRunner, FingerprintBytesArePinned)
+{
+    const sim::SimConfig def;
+    const std::string train = "wl:bzip2|train:it=4000,seed=517146,"
+                              "base=1048576";
+    const std::string marker =
+        "|marker:ms=0x1.0624dd2f1a9fcp-10,mr=0x1.999999999999ap-4,"
+        "rf=0x1.999999999999ap-3,cd=120,cp=4,es=0x1p+1,el=16,eh=192,"
+        "sr=4,lb=0,pd=0,pi=400000";
+    EXPECT_EQ(sim::configFingerprint(def),
+              train + "|ref:it=4000,seed=1263,base=1048576" + marker +
+                  "|core:fw=8,cb=3,fd=30,fq=0,rob=512,iw=8,rw=8,pr=0,"
+                  "sb=128,ck=96,la=1,lm=3,ld=20,lf=4,lb=1,lg=1,lw=1,"
+                  "bp=0,pc=0,pf=0,al=0,btb=4096,ras=64,itc=65536,md=0,"
+                  "ps=0,e1=0,e2=0,e3=0,x1=0,x2=0,se=96,fs=0,pg=32,cam=8,"
+                  "dp=256,cw=0,mem=16777216|mi=0|mc=0|sc=0");
+    EXPECT_EQ(sim::profileFingerprint(def),
+              train + marker + "|mem=16777216");
+
+    const std::pair<const char *, std::uint64_t> kDigests[] = {
+        {"base", 0x88b46472ab469e43ull},
+        {"dhp", 0x489f39125e4b5b82ull},
+        {"dmp", 0x10a649a42c646cf5ull},
+        {"mcfm", 0xe606474a0c18551eull},
+        {"mcfm-eexit", 0x99b258d3d8c741dbull},
+        {"dmp-enhanced", 0x34680195d32eac20ull},
+        {"dual", 0xa040b0d42e7892fcull},
+    };
+    ASSERT_EQ(sim::machines().size(), std::size(kDigests));
+    for (std::size_t i = 0; i < std::size(kDigests); ++i) {
+        const sim::Machine &m = sim::machines()[i];
+        sim::SimConfig cfg;
+        cfg.core = m.params;
+        EXPECT_STREQ(m.name, kDigests[i].first);
+        EXPECT_EQ(fnv1a(sim::configFingerprint(cfg) + "\n" +
+                        sim::profileFingerprint(cfg)),
+                  kDigests[i].second)
+            << m.name;
+    }
 }
 
 /**
