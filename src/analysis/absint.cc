@@ -805,7 +805,17 @@ Engine::applyTransfer(const Inst &inst, State &s) const
         }
         break;
       }
-      default:
+      case Opcode::BEQ:
+      case Opcode::BNE:
+      case Opcode::BLT:
+      case Opcode::BGE:
+      case Opcode::BLTU:
+      case Opcode::BGEU:
+      case Opcode::JMP:
+      case Opcode::JR:
+      case Opcode::CALL:
+      case Opcode::RET:
+      case Opcode::NUM_OPCODES: // not an instruction
         // Control transfers are handled by the edge generator.
         break;
     }

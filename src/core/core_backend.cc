@@ -96,7 +96,8 @@ Core::tryIssueLoad(InstRef ref)
 {
     DynInst &di = rob[ref.slot];
     Word base = di.src1 != kNoPhysReg ? prf.value(di.src1) : 0;
-    Addr addr = maskSpecAddr(base + Word(di.si.imm), p.memoryBytes);
+    Addr addr = maskSpecAddr(isa::memAddress(base, di.si.imm),
+                             p.memoryBytes);
     di.memAddr = addr;
 
     Word forwarded = 0;

@@ -140,82 +140,68 @@ assembleInst(Assembler &as, const Line &line)
             syntaxError(line, "wrong operand count");
     };
 
+    auto reg = [&](std::size_t i) { return parseReg(line, t[i]); };
+    auto imm = [&](std::size_t i) { return parseImm(line, t[i]); };
+    auto label = [&](std::size_t i) { return as.labelFor(t[i]); };
+
+    // Operands are read by the opcode's format, so a register where an
+    // immediate belongs (or the reverse) is a syntax error.
     ProgramBuilder &b = as.builder;
-    switch (op) {
-      case Opcode::NOP:
+    switch (opFormat(op)) {
+      case OpFormat::None:
         need(0);
-        b.nop();
+        b.emit({op, 0, 0, 0, 0, kNoAddr});
         break;
-      case Opcode::HALT:
-        need(0);
-        b.halt();
+      case OpFormat::RegReg:
+        need(3);
+        b.emit({op, reg(1), reg(2), reg(3), 0, kNoAddr});
         break;
-      case Opcode::LI:
+      case OpFormat::RegImm:
+        need(3);
+        b.emit({op, reg(1), reg(2), 0, imm(3), kNoAddr});
+        break;
+      case OpFormat::Li:
         need(2);
-        b.li(parseReg(line, t[1]), parseImm(line, t[2]));
+        b.emit({op, reg(1), 0, 0, imm(2), kNoAddr});
         break;
-      case Opcode::LD:
+      case OpFormat::Load:
         // ld rd, [rs1 + imm]  -> tokens: ld rd rs1 imm? (imm optional)
         if (t.size() == 3) {
-            b.ld(parseReg(line, t[1]), parseReg(line, t[2]), 0);
+            b.emit({op, reg(1), reg(2), 0, 0, kNoAddr});
         } else {
             need(3);
-            b.ld(parseReg(line, t[1]), parseReg(line, t[2]),
-                 parseImm(line, t[3]));
+            b.emit({op, reg(1), reg(2), 0, imm(3), kNoAddr});
         }
         break;
-      case Opcode::ST:
+      case OpFormat::Store:
         // st [rs1 + imm], rs2 -> tokens: st rs1 imm? rs2
         if (t.size() == 3) {
-            b.st(parseReg(line, t[1]), 0, parseReg(line, t[2]));
+            b.emit({op, 0, reg(1), reg(2), 0, kNoAddr});
         } else {
             need(3);
-            b.st(parseReg(line, t[1]), parseImm(line, t[2]),
-                 parseReg(line, t[3]));
+            b.emit({op, 0, reg(1), reg(3), imm(2), kNoAddr});
         }
         break;
-      case Opcode::JMP:
-        need(1);
-        b.jmp(as.labelFor(t[1]));
+      case OpFormat::CondBranch:
+        need(3);
+        b.emitBranch(op, reg(1), reg(2), label(3));
         break;
-      case Opcode::CALL:
+      case OpFormat::Jump:
         need(1);
-        b.call(as.labelFor(t[1]));
+        b.emitJump(op, label(1));
         break;
-      case Opcode::RET:
+      case OpFormat::Call:
+        need(1);
+        b.call(label(1));
+        break;
+      case OpFormat::Jr:
+        need(1);
+        b.emit({op, 0, reg(1), 0, 0, kNoAddr});
+        break;
+      case OpFormat::Ret:
         need(0);
         b.ret();
         break;
-      case Opcode::JR:
-        need(1);
-        b.jr(parseReg(line, t[1]));
-        break;
-      case Opcode::BEQ:
-      case Opcode::BNE:
-      case Opcode::BLT:
-      case Opcode::BGE:
-      case Opcode::BLTU:
-      case Opcode::BGEU:
-        need(3);
-        b.emitBranch(op, parseReg(line, t[1]), parseReg(line, t[2]),
-                     as.labelFor(t[3]));
-        break;
-      default: {
-        // Remaining formats: reg-reg-reg or reg-reg-imm.
-        need(3);
-        ArchReg rd = parseReg(line, t[1]);
-        ArchReg rs1 = parseReg(line, t[2]);
-        bool imm_form = !t[3].empty() &&
-            (t[3][0] != 'r' && t[3][0] != 'R');
-        // "r..." could still be a decimal like "-r"? No: immediates are
-        // numeric, registers start with r/R.
-        if (imm_form) {
-            b.emit({op, rd, rs1, 0, parseImm(line, t[3]), kNoAddr});
-        } else {
-            b.emit({op, rd, rs1, parseReg(line, t[3]), 0, kNoAddr});
-        }
-        break;
-      }
     }
 }
 

@@ -11,13 +11,14 @@ namespace
 /** Minimum straight-line run length worth entering as a superblock. */
 constexpr std::uint16_t kFuseMin = 4;
 
-/** True when the dispatch id is a straight-line simple ALU op. */
+/** True when the dispatch id is a straight-line simple op: NOP or an
+ *  ALU format, which the fused-run switch executes. */
 constexpr bool
 isSimpleExec(std::uint8_t exec) noexcept
 {
     return exec == std::uint8_t(Opcode::NOP) ||
-           (exec >= std::uint8_t(Opcode::ADD) &&
-            exec <= std::uint8_t(Opcode::FDIV));
+           (exec < std::uint8_t(Opcode::NUM_OPCODES) &&
+            isAluFormat(opFormat(Opcode(exec))));
 }
 
 } // namespace

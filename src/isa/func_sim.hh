@@ -10,14 +10,16 @@
  * The interpreter is a predecoded threaded-dispatch loop: construction
  * lowers the Program's instructions into a dense FastOp table (operands,
  * immediates, pre-resolved branch-target indices), and visitRun()
- * dispatches over it with computed goto on GNU compilers (a switch on
- * the rest). Straight-line runs of simple ALU ops are additionally fused
- * into superblocks executed with the per-instruction budget and bounds
- * checks hoisted out of the loop. All three consumers — the profiler's
- * whole-train pass, the oracle tracker, and the selfcheck lockstep
- * oracle — share this one dispatch engine, and its semantics are pinned
- * to isa::evaluate() by the lockstep checker and the func_sim unit
- * tests.
+ * dispatches over it with computed goto. Straight-line runs of simple
+ * ALU ops are additionally fused into superblocks executed with the
+ * per-instruction budget and bounds checks hoisted out of the loop. The
+ * ALU and branch handlers and the superblock switch are expanded from
+ * the opcode table (isa.hh), the same rows isa::evaluate() is expanded
+ * from. All three consumers — the profiler's whole-train pass, the
+ * oracle tracker, and the selfcheck lockstep oracle — share this one
+ * dispatch engine. OpcodeCorners.* (tests/isa/test_opcode_corners.cpp)
+ * runs every opcode through single steps and a superblock against
+ * literal expected values.
  */
 
 #ifndef DMP_ISA_FUNC_SIM_HH
@@ -163,15 +165,12 @@ class FuncSim
 };
 
 /*
- * The dispatch loop. GNU compilers get computed goto (one indirect
- * jump per handler, so the host branch predictor sees per-opcode jump
- * history); everything else gets a dense switch inside a loop. The
- * handler bodies are shared between both forms through DMP_FS_OP /
- * DMP_FS_NEXT, and between all visitors through the template.
+ * The dispatch loop: computed goto (a GNU extension that GCC and Clang
+ * both provide), one indirect jump per handler, so the host branch
+ * predictor sees per-opcode jump history. The handlers for the ALU and
+ * conditional-branch formats are expanded from DMP_OPCODE_TABLE; the
+ * other formats have one opcode each and are written out by hand.
  */
-#if defined(__GNUC__)
-#define DMP_FS_THREADED 1
-#define DMP_FS_OP(name) fs_##name:
 #define DMP_FS_NEXT()                                                   \
     do {                                                                \
         if (n >= max_insts)                                             \
@@ -180,11 +179,27 @@ class FuncSim
             (void)prog.fetch(basePc + (Addr(idx) << Program::kInstShift)); \
         goto *kFsLabels[opv[idx].op];                                   \
     } while (0)
-#else
-#define DMP_FS_THREADED 0
-#define DMP_FS_OP(name) case std::uint8_t(FastHandler_helper_##name):
-#define DMP_FS_NEXT() goto fs_redispatch
-#endif
+
+/*
+ * Route a table row to DMP_FS_ALU (the formats isAluFormat() names) or
+ * DMP_FS_BRANCH by its format. visitRun defines the pair three times,
+ * one of them empty in each: for the ALU handlers, for the branch
+ * handlers (emitted after the memory ones, keeping the hand-ordered
+ * handler layout the host predicts well) and for the fused-run switch.
+ */
+#define DMP_FS_GENERATE(name, mnem, fmt, cls, sem)                      \
+    DMP_FS_FORMAT_##fmt(name, sem)
+#define DMP_FS_FORMAT_RegReg(name, sem) DMP_FS_ALU(name, sem)
+#define DMP_FS_FORMAT_RegImm(name, sem) DMP_FS_ALU(name, sem)
+#define DMP_FS_FORMAT_Li(name, sem) DMP_FS_ALU(name, sem)
+#define DMP_FS_FORMAT_CondBranch(name, sem) DMP_FS_BRANCH(name, sem)
+#define DMP_FS_FORMAT_None(name, sem)
+#define DMP_FS_FORMAT_Load(name, sem)
+#define DMP_FS_FORMAT_Store(name, sem)
+#define DMP_FS_FORMAT_Jump(name, sem)
+#define DMP_FS_FORMAT_Call(name, sem)
+#define DMP_FS_FORMAT_Jr(name, sem)
+#define DMP_FS_FORMAT_Ret(name, sem)
 
 template <class Fn>
 std::uint64_t
@@ -216,83 +231,17 @@ FuncSim::visitRun(std::uint64_t max_insts, Fn &&fn)
         DMP_FS_NEXT();                                                  \
     } while (0)
 
-#if DMP_FS_THREADED
     static const void *const kFsLabels[kNumFastHandlers] = {
-        &&fs_NOP, &&fs_HALT,
-        &&fs_ADD, &&fs_SUB, &&fs_MUL, &&fs_DIVQ,
-        &&fs_AND, &&fs_OR, &&fs_XOR,
-        &&fs_SHL, &&fs_SHR, &&fs_SRA,
-        &&fs_SLT, &&fs_SLTU, &&fs_SEQ,
-        &&fs_ADDI, &&fs_MULI, &&fs_ANDI, &&fs_ORI, &&fs_XORI,
-        &&fs_SHLI, &&fs_SHRI, &&fs_SLTI, &&fs_SEQI,
-        &&fs_LI,
-        &&fs_FADD, &&fs_FMUL, &&fs_FDIV,
-        &&fs_LD, &&fs_ST,
-        &&fs_BEQ, &&fs_BNE, &&fs_BLT, &&fs_BGE, &&fs_BLTU, &&fs_BGEU,
-        &&fs_JMP, &&fs_JR, &&fs_CALL, &&fs_RET,
+#define DMP_FS_LABEL(name, mnem, fmt, cls, sem) &&fs_##name,
+        DMP_OPCODE_TABLE(DMP_FS_LABEL)
+#undef DMP_FS_LABEL
         &&fs_LOAD_DEAD, &&fs_FUSED,
     };
     DMP_FS_NEXT();
-#else
-    std::uint8_t dispatchOp;
-    // Mirror the label names onto FastHandler values for DMP_FS_OP.
-    enum
-    {
-        FastHandler_helper_NOP = int(Opcode::NOP),
-        FastHandler_helper_HALT = int(Opcode::HALT),
-        FastHandler_helper_ADD = int(Opcode::ADD),
-        FastHandler_helper_SUB = int(Opcode::SUB),
-        FastHandler_helper_MUL = int(Opcode::MUL),
-        FastHandler_helper_DIVQ = int(Opcode::DIVQ),
-        FastHandler_helper_AND = int(Opcode::AND),
-        FastHandler_helper_OR = int(Opcode::OR),
-        FastHandler_helper_XOR = int(Opcode::XOR),
-        FastHandler_helper_SHL = int(Opcode::SHL),
-        FastHandler_helper_SHR = int(Opcode::SHR),
-        FastHandler_helper_SRA = int(Opcode::SRA),
-        FastHandler_helper_SLT = int(Opcode::SLT),
-        FastHandler_helper_SLTU = int(Opcode::SLTU),
-        FastHandler_helper_SEQ = int(Opcode::SEQ),
-        FastHandler_helper_ADDI = int(Opcode::ADDI),
-        FastHandler_helper_MULI = int(Opcode::MULI),
-        FastHandler_helper_ANDI = int(Opcode::ANDI),
-        FastHandler_helper_ORI = int(Opcode::ORI),
-        FastHandler_helper_XORI = int(Opcode::XORI),
-        FastHandler_helper_SHLI = int(Opcode::SHLI),
-        FastHandler_helper_SHRI = int(Opcode::SHRI),
-        FastHandler_helper_SLTI = int(Opcode::SLTI),
-        FastHandler_helper_SEQI = int(Opcode::SEQI),
-        FastHandler_helper_LI = int(Opcode::LI),
-        FastHandler_helper_FADD = int(Opcode::FADD),
-        FastHandler_helper_FMUL = int(Opcode::FMUL),
-        FastHandler_helper_FDIV = int(Opcode::FDIV),
-        FastHandler_helper_LD = int(Opcode::LD),
-        FastHandler_helper_ST = int(Opcode::ST),
-        FastHandler_helper_BEQ = int(Opcode::BEQ),
-        FastHandler_helper_BNE = int(Opcode::BNE),
-        FastHandler_helper_BLT = int(Opcode::BLT),
-        FastHandler_helper_BGE = int(Opcode::BGE),
-        FastHandler_helper_BLTU = int(Opcode::BLTU),
-        FastHandler_helper_BGEU = int(Opcode::BGEU),
-        FastHandler_helper_JMP = int(Opcode::JMP),
-        FastHandler_helper_JR = int(Opcode::JR),
-        FastHandler_helper_CALL = int(Opcode::CALL),
-        FastHandler_helper_RET = int(Opcode::RET),
-        FastHandler_helper_LOAD_DEAD = int(kFhLoadDead),
-        FastHandler_helper_FUSED = int(kFhFused),
-    };
-fs_redispatch:
-    if (n >= max_insts)
-        goto fs_done;
-    if (idx >= sz) [[unlikely]]
-        (void)prog.fetch(basePc + (Addr(idx) << Program::kInstShift));
-    dispatchOp = opv[idx].op;
-fs_dispatch_as:
-    switch (dispatchOp) {
-#endif
 
-    DMP_FS_OP(NOP) { DMP_FS_STEP_SIMPLE(); }
-    DMP_FS_OP(HALT)
+fs_NOP:
+    DMP_FS_STEP_SIMPLE();
+fs_HALT:
     {
         const Addr pc_ = DMP_FS_PC();
         isHalted = true;
@@ -303,68 +252,28 @@ fs_dispatch_as:
         goto fs_done;
     }
 
-    // Register-register ALU. Table build guarantees rd != r0 here
-    // (dead-write instances dispatch as NOP), so regs[0] stays zero
-    // and source reads need no zero-register guard.
-#define DMP_FS_ALU_RR(name, expr)                                       \
-    DMP_FS_OP(name)                                                     \
+    // ALU formats. Table build guarantees rd != r0 here (dead-write
+    // instances dispatch as NOP), so regs[0] stays zero and source
+    // reads need no zero-register guard.
+#define DMP_FS_ALU(name, sem)                                           \
+    fs_##name:                                                          \
     {                                                                   \
         const FastOp &f = opv[idx];                                     \
-        const Word s1 = regs[f.rs1];                                    \
-        const Word s2 = regs[f.rs2];                                    \
-        (void)s1;                                                       \
-        (void)s2;                                                       \
-        regs[f.rd] = (expr);                                            \
+        [[maybe_unused]] const Word s1 = regs[f.rs1];                   \
+        [[maybe_unused]] const Word s2 = regs[f.rs2];                   \
+        [[maybe_unused]] const std::int64_t imm = f.imm;                \
+        regs[f.rd] = Word(sem);                                         \
         DMP_FS_STEP_SIMPLE();                                           \
     }
-#define DMP_FS_ALU_RI(name, expr)                                       \
-    DMP_FS_OP(name)                                                     \
-    {                                                                   \
-        const FastOp &f = opv[idx];                                     \
-        const Word s1 = regs[f.rs1];                                    \
-        (void)s1;                                                       \
-        regs[f.rd] = (expr);                                            \
-        DMP_FS_STEP_SIMPLE();                                           \
-    }
+#define DMP_FS_BRANCH(name, sem)
+    DMP_OPCODE_TABLE(DMP_FS_GENERATE)
+#undef DMP_FS_ALU
+#undef DMP_FS_BRANCH
 
-    DMP_FS_ALU_RR(ADD, s1 + s2)
-    DMP_FS_ALU_RR(SUB, s1 - s2)
-    DMP_FS_ALU_RR(MUL, s1 *s2)
-    DMP_FS_ALU_RR(DIVQ, s2 ? s1 / s2 : ~0ULL)
-    DMP_FS_ALU_RR(AND, s1 &s2)
-    DMP_FS_ALU_RR(OR, s1 | s2)
-    DMP_FS_ALU_RR(XOR, s1 ^ s2)
-    DMP_FS_ALU_RR(SHL, s1 << (s2 & 63))
-    DMP_FS_ALU_RR(SHR, s1 >> (s2 & 63))
-    DMP_FS_ALU_RR(SRA,
-                  static_cast<Word>(static_cast<SWord>(s1) >> (s2 & 63)))
-    DMP_FS_ALU_RR(SLT,
-                  static_cast<SWord>(s1) < static_cast<SWord>(s2))
-    DMP_FS_ALU_RR(SLTU, s1 < s2)
-    DMP_FS_ALU_RR(SEQ, s1 == s2)
-
-    DMP_FS_ALU_RI(ADDI, s1 + static_cast<Word>(f.imm))
-    DMP_FS_ALU_RI(MULI, s1 *static_cast<Word>(f.imm))
-    DMP_FS_ALU_RI(ANDI, s1 &static_cast<Word>(f.imm))
-    DMP_FS_ALU_RI(ORI, s1 | static_cast<Word>(f.imm))
-    DMP_FS_ALU_RI(XORI, s1 ^ static_cast<Word>(f.imm))
-    DMP_FS_ALU_RI(SHLI, s1 << (f.imm & 63))
-    DMP_FS_ALU_RI(SHRI, s1 >> (f.imm & 63))
-    DMP_FS_ALU_RI(SLTI, static_cast<SWord>(s1) < f.imm)
-    DMP_FS_ALU_RI(SEQI, s1 == static_cast<Word>(f.imm))
-    DMP_FS_ALU_RI(LI, static_cast<Word>(f.imm))
-
-    DMP_FS_ALU_RR(FADD, s1 + s2)
-    DMP_FS_ALU_RR(FMUL, s1 *s2)
-    DMP_FS_ALU_RR(FDIV, s2 ? s1 / s2 : ~0ULL)
-
-#undef DMP_FS_ALU_RR
-#undef DMP_FS_ALU_RI
-
-    DMP_FS_OP(LD)
+fs_LD:
     {
         const FastOp &f = opv[idx];
-        const Addr a = regs[f.rs1] + static_cast<Word>(f.imm);
+        const Addr a = memAddress(regs[f.rs1], f.imm);
         regs[f.rd] = memory.load(a);
         const Addr pc_ = DMP_FS_PC();
         fn(pc_, prog.instAt(idx), false, false, pc_ + kInstBytes, a);
@@ -372,10 +281,10 @@ fs_dispatch_as:
         ++idx;
         DMP_FS_NEXT();
     }
-    DMP_FS_OP(LOAD_DEAD)
+fs_LOAD_DEAD:
     {
         const FastOp &f = opv[idx];
-        const Addr a = regs[f.rs1] + static_cast<Word>(f.imm);
+        const Addr a = memAddress(regs[f.rs1], f.imm);
         (void)memory.load(a); // keep the bounds fault, drop the write
         const Addr pc_ = DMP_FS_PC();
         fn(pc_, prog.instAt(idx), false, false, pc_ + kInstBytes, a);
@@ -383,10 +292,10 @@ fs_dispatch_as:
         ++idx;
         DMP_FS_NEXT();
     }
-    DMP_FS_OP(ST)
+fs_ST:
     {
         const FastOp &f = opv[idx];
-        const Addr a = regs[f.rs1] + static_cast<Word>(f.imm);
+        const Addr a = memAddress(regs[f.rs1], f.imm);
         memory.store(a, regs[f.rs2]);
         const Addr pc_ = DMP_FS_PC();
         fn(pc_, prog.instAt(idx), false, false, pc_ + kInstBytes, a);
@@ -397,17 +306,16 @@ fs_dispatch_as:
 
     // Conditional branches. Taken targets use the pre-resolved index;
     // an out-of-image target lands on the resync path so the fault
-    // fires on the *next* dispatch, exactly like the per-step
-    // interpreter this replaces.
-#define DMP_FS_BRANCH(name, cond)                                       \
-    DMP_FS_OP(name)                                                     \
+    // fires on the *next* dispatch, exactly like a per-step
+    // interpreter.
+#define DMP_FS_ALU(name, sem)
+#define DMP_FS_BRANCH(name, sem)                                        \
+    fs_##name:                                                          \
     {                                                                   \
         const FastOp &f = opv[idx];                                     \
         const Word s1 = regs[f.rs1];                                    \
         const Word s2 = regs[f.rs2];                                    \
-        (void)s1;                                                       \
-        (void)s2;                                                       \
-        const bool taken = (cond);                                      \
+        const bool taken = (sem);                                       \
         const Addr pc_ = DMP_FS_PC();                                   \
         const Addr next_pc =                                            \
             taken ? prog.instAt(idx).target : pc_ + kInstBytes;         \
@@ -420,17 +328,11 @@ fs_dispatch_as:
         idx = taken ? f.targetIdx : idx + 1;                            \
         DMP_FS_NEXT();                                                  \
     }
-
-    DMP_FS_BRANCH(BEQ, s1 == s2)
-    DMP_FS_BRANCH(BNE, s1 != s2)
-    DMP_FS_BRANCH(BLT, static_cast<SWord>(s1) < static_cast<SWord>(s2))
-    DMP_FS_BRANCH(BGE, static_cast<SWord>(s1) >= static_cast<SWord>(s2))
-    DMP_FS_BRANCH(BLTU, s1 < s2)
-    DMP_FS_BRANCH(BGEU, s1 >= s2)
-
+    DMP_OPCODE_TABLE(DMP_FS_GENERATE)
+#undef DMP_FS_ALU
 #undef DMP_FS_BRANCH
 
-    DMP_FS_OP(JMP)
+fs_JMP:
     {
         const FastOp &f = opv[idx];
         const Addr pc_ = DMP_FS_PC();
@@ -444,7 +346,7 @@ fs_dispatch_as:
         idx = f.targetIdx;
         DMP_FS_NEXT();
     }
-    DMP_FS_OP(CALL)
+fs_CALL:
     {
         const FastOp &f = opv[idx];
         const Addr pc_ = DMP_FS_PC();
@@ -460,8 +362,8 @@ fs_dispatch_as:
         idx = f.targetIdx;
         DMP_FS_NEXT();
     }
-    DMP_FS_OP(JR)
-    DMP_FS_OP(RET)
+fs_JR:
+fs_RET:
     {
         const FastOp &f = opv[idx];
         const Addr pc_ = DMP_FS_PC();
@@ -476,19 +378,14 @@ fs_dispatch_as:
         DMP_FS_NEXT();
     }
 
-    DMP_FS_OP(FUSED)
+fs_FUSED:
     {
         const FastOp &head = opv[idx];
         const std::uint64_t len = head.run;
         if (len > max_insts - n) {
             // Not enough budget for the whole superblock: execute this
             // op alone through its underlying handler.
-#if DMP_FS_THREADED
             goto *kFsLabels[head.exec];
-#else
-            dispatchOp = head.exec;
-            goto fs_dispatch_as;
-#endif
         }
         // The whole run is straight-line simple ALU: no control, no
         // memory, no HALT — budget and bounds checks hoisted here.
@@ -503,51 +400,16 @@ fs_dispatch_as:
             switch (Opcode(f->exec)) {
               case Opcode::NOP:
                 goto fs_fused_visit; // dead write: skip the store
-              case Opcode::ADD: v = s1 + s2; break;
-              case Opcode::SUB: v = s1 - s2; break;
-              case Opcode::MUL: v = s1 * s2; break;
-              case Opcode::DIVQ: v = s2 ? s1 / s2 : ~0ULL; break;
-              case Opcode::AND: v = s1 & s2; break;
-              case Opcode::OR: v = s1 | s2; break;
-              case Opcode::XOR: v = s1 ^ s2; break;
-              case Opcode::SHL: v = s1 << (s2 & 63); break;
-              case Opcode::SHR: v = s1 >> (s2 & 63); break;
-              case Opcode::SRA:
-                v = static_cast<Word>(static_cast<SWord>(s1) >>
-                                      (s2 & 63));
-                break;
-              case Opcode::SLT:
-                v = static_cast<SWord>(s1) < static_cast<SWord>(s2);
-                break;
-              case Opcode::SLTU: v = s1 < s2; break;
-              case Opcode::SEQ: v = s1 == s2; break;
-              case Opcode::ADDI:
-                v = s1 + static_cast<Word>(f->imm);
-                break;
-              case Opcode::MULI:
-                v = s1 * static_cast<Word>(f->imm);
-                break;
-              case Opcode::ANDI:
-                v = s1 & static_cast<Word>(f->imm);
-                break;
-              case Opcode::ORI:
-                v = s1 | static_cast<Word>(f->imm);
-                break;
-              case Opcode::XORI:
-                v = s1 ^ static_cast<Word>(f->imm);
-                break;
-              case Opcode::SHLI: v = s1 << (f->imm & 63); break;
-              case Opcode::SHRI: v = s1 >> (f->imm & 63); break;
-              case Opcode::SLTI:
-                v = static_cast<SWord>(s1) < f->imm;
-                break;
-              case Opcode::SEQI:
-                v = s1 == static_cast<Word>(f->imm);
-                break;
-              case Opcode::LI: v = static_cast<Word>(f->imm); break;
-              case Opcode::FADD: v = s1 + s2; break;
-              case Opcode::FMUL: v = s1 * s2; break;
-              case Opcode::FDIV: v = s2 ? s1 / s2 : ~0ULL; break;
+#define DMP_FS_ALU(name, sem)                                           \
+              case Opcode::name: {                                      \
+                [[maybe_unused]] const std::int64_t imm = f->imm;       \
+                v = Word(sem);                                          \
+                break;                                                  \
+              }
+#define DMP_FS_BRANCH(name, sem)
+              DMP_OPCODE_TABLE(DMP_FS_GENERATE)
+#undef DMP_FS_ALU
+#undef DMP_FS_BRANCH
               default:
                 dmp_panic("fused run contains non-simple op ",
                           int(f->exec));
@@ -561,12 +423,6 @@ fs_dispatch_as:
         idx += len;
         DMP_FS_NEXT();
     }
-
-#if !DMP_FS_THREADED
-      default:
-        dmp_panic("visitRun: bad dispatch id");
-    } // switch
-#endif
 
 fs_resync:
     // arch.pc was redirected outside the program image. Stop cleanly
@@ -587,8 +443,19 @@ fs_done:
 #undef DMP_FS_STEP_SIMPLE
 }
 
-#undef DMP_FS_OP
 #undef DMP_FS_NEXT
+#undef DMP_FS_GENERATE
+#undef DMP_FS_FORMAT_RegReg
+#undef DMP_FS_FORMAT_RegImm
+#undef DMP_FS_FORMAT_Li
+#undef DMP_FS_FORMAT_CondBranch
+#undef DMP_FS_FORMAT_None
+#undef DMP_FS_FORMAT_Load
+#undef DMP_FS_FORMAT_Store
+#undef DMP_FS_FORMAT_Jump
+#undef DMP_FS_FORMAT_Call
+#undef DMP_FS_FORMAT_Jr
+#undef DMP_FS_FORMAT_Ret
 
 } // namespace dmp::isa
 

@@ -2,8 +2,6 @@
 
 #include <sstream>
 
-#include "common/logging.hh"
-
 namespace dmp::isa
 {
 
@@ -11,46 +9,10 @@ const char *
 opcodeName(Opcode op)
 {
     switch (op) {
-      case Opcode::NOP: return "nop";
-      case Opcode::HALT: return "halt";
-      case Opcode::ADD: return "add";
-      case Opcode::SUB: return "sub";
-      case Opcode::MUL: return "mul";
-      case Opcode::DIVQ: return "divq";
-      case Opcode::AND: return "and";
-      case Opcode::OR: return "or";
-      case Opcode::XOR: return "xor";
-      case Opcode::SHL: return "shl";
-      case Opcode::SHR: return "shr";
-      case Opcode::SRA: return "sra";
-      case Opcode::SLT: return "slt";
-      case Opcode::SLTU: return "sltu";
-      case Opcode::SEQ: return "seq";
-      case Opcode::ADDI: return "addi";
-      case Opcode::MULI: return "muli";
-      case Opcode::ANDI: return "andi";
-      case Opcode::ORI: return "ori";
-      case Opcode::XORI: return "xori";
-      case Opcode::SHLI: return "shli";
-      case Opcode::SHRI: return "shri";
-      case Opcode::SLTI: return "slti";
-      case Opcode::SEQI: return "seqi";
-      case Opcode::LI: return "li";
-      case Opcode::FADD: return "fadd";
-      case Opcode::FMUL: return "fmul";
-      case Opcode::FDIV: return "fdiv";
-      case Opcode::LD: return "ld";
-      case Opcode::ST: return "st";
-      case Opcode::BEQ: return "beq";
-      case Opcode::BNE: return "bne";
-      case Opcode::BLT: return "blt";
-      case Opcode::BGE: return "bge";
-      case Opcode::BLTU: return "bltu";
-      case Opcode::BGEU: return "bgeu";
-      case Opcode::JMP: return "jmp";
-      case Opcode::JR: return "jr";
-      case Opcode::CALL: return "call";
-      case Opcode::RET: return "ret";
+#define DMP_OPCODE_NAME(name, mnem, fmt, cls, sem)                      \
+      case Opcode::name: return mnem;
+      DMP_OPCODE_TABLE(DMP_OPCODE_NAME)
+#undef DMP_OPCODE_NAME
       default: return "???";
     }
 }
@@ -61,48 +23,36 @@ disassemble(const Inst &inst, Addr pc)
     std::ostringstream os;
     os << std::hex << "0x" << pc << std::dec << ": "
        << opcodeName(inst.op);
-    switch (execClass(inst.op)) {
-      case ExecClass::NONE:
+    const unsigned rd = inst.rd, rs1 = inst.rs1, rs2 = inst.rs2;
+    switch (opFormat(inst.op)) {
+      case OpFormat::None:
+      case OpFormat::Ret:
         break;
-      case ExecClass::MEM:
-        if (inst.op == Opcode::LD) {
-            os << " r" << unsigned(inst.rd) << ", [r" << unsigned(inst.rs1)
-               << " + " << inst.imm << "]";
-        } else {
-            os << " [r" << unsigned(inst.rs1) << " + " << inst.imm
-               << "], r" << unsigned(inst.rs2);
-        }
+      case OpFormat::RegReg:
+        os << " r" << rd << ", r" << rs1 << ", r" << rs2;
         break;
-      case ExecClass::BRANCH:
-        if (isCondBranch(inst.op)) {
-            os << " r" << unsigned(inst.rs1) << ", r" << unsigned(inst.rs2)
-               << ", 0x" << std::hex << inst.target << std::dec;
-        } else if (isDirectJump(inst.op)) {
-            os << " 0x" << std::hex << inst.target << std::dec;
-        } else if (inst.op == Opcode::JR) {
-            os << " r" << unsigned(inst.rs1);
-        }
+      case OpFormat::RegImm:
+        os << " r" << rd << ", r" << rs1 << ", " << inst.imm;
         break;
-      default:
-        os << " r" << unsigned(inst.rd);
-        if (readsSrc1(inst))
-            os << ", r" << unsigned(inst.rs1);
-        if (readsSrc2(inst))
-            os << ", r" << unsigned(inst.rs2);
-        else if (inst.op != Opcode::NOP && !readsSrc2(inst) &&
-                 execClass(inst.op) != ExecClass::BRANCH &&
-                 inst.op != Opcode::NOP) {
-            switch (inst.op) {
-              case Opcode::ADDI: case Opcode::MULI: case Opcode::ANDI:
-              case Opcode::ORI: case Opcode::XORI: case Opcode::SHLI:
-              case Opcode::SHRI: case Opcode::SLTI: case Opcode::SEQI:
-              case Opcode::LI:
-                os << ", " << inst.imm;
-                break;
-              default:
-                break;
-            }
-        }
+      case OpFormat::Li:
+        os << " r" << rd << ", " << inst.imm;
+        break;
+      case OpFormat::Load:
+        os << " r" << rd << ", [r" << rs1 << " + " << inst.imm << "]";
+        break;
+      case OpFormat::Store:
+        os << " [r" << rs1 << " + " << inst.imm << "], r" << rs2;
+        break;
+      case OpFormat::CondBranch:
+        os << " r" << rs1 << ", r" << rs2 << ", 0x" << std::hex
+           << inst.target << std::dec;
+        break;
+      case OpFormat::Jump:
+      case OpFormat::Call:
+        os << " 0x" << std::hex << inst.target << std::dec;
+        break;
+      case OpFormat::Jr:
+        os << " r" << rs1;
         break;
     }
     return os.str();

@@ -39,34 +39,92 @@ constexpr ArchReg kZeroReg = 0;
 /** r63 holds return addresses (written by CALL, consumed by RET). */
 constexpr ArchReg kLinkReg = 63;
 
-/** Every opcode in the ISA. */
+/**
+ * The opcode table: one row per opcode, in Opcode order.
+ *
+ *     X(NAME, "mnemonic", OpFormat, ExecClass, semantics)
+ *
+ * `semantics` is one expression over the operand values `Word s1`,
+ * `Word s2` and `std::int64_t imm`: the value written to rd for the
+ * ALU formats (RegReg, RegImm, Li), the taken condition for a
+ * CondBranch, and 0 for the rows whose effect the format alone fixes
+ * (NOP, HALT, memory, jumps). The Opcode enum, the mnemonics, the
+ * operand formats and latency classes, evaluate(), FuncSim's handlers
+ * and fused-run switch, disassemble() and the assembler are all
+ * expanded from this table at compile time.
+ *
+ * Adding an opcode: add its row (keeping each class a contiguous range;
+ * a static_assert below checks the range tests), then its abstract
+ * transfer in absint's Engine::applyTransfer, whose switch has no
+ * default so -Wswitch names the missing case; and its expected values
+ * in tests/isa/test_opcode_corners.cpp, which fails without them.
+ */
+#define DMP_OPCODE_TABLE(X)                                             \
+    X(NOP,  "nop",  None,       NONE,   0)                              \
+    X(HALT, "halt", None,       NONE,   0)                              \
+    X(ADD,  "add",  RegReg,     ALU,    s1 + s2)                        \
+    X(SUB,  "sub",  RegReg,     ALU,    s1 - s2)                        \
+    X(MUL,  "mul",  RegReg,     MUL,    s1 * s2)                        \
+    X(DIVQ, "divq", RegReg,     DIV,    s2 ? s1 / s2 : ~Word(0))        \
+    X(AND,  "and",  RegReg,     ALU,    s1 & s2)                        \
+    X(OR,   "or",   RegReg,     ALU,    s1 | s2)                        \
+    X(XOR,  "xor",  RegReg,     ALU,    s1 ^ s2)                        \
+    X(SHL,  "shl",  RegReg,     ALU,    s1 << (s2 & 63))                \
+    X(SHR,  "shr",  RegReg,     ALU,    s1 >> (s2 & 63))                \
+    X(SRA,  "sra",  RegReg,     ALU,    Word(SWord(s1) >> (s2 & 63)))   \
+    X(SLT,  "slt",  RegReg,     ALU,    SWord(s1) < SWord(s2))          \
+    X(SLTU, "sltu", RegReg,     ALU,    s1 < s2)                        \
+    X(SEQ,  "seq",  RegReg,     ALU,    s1 == s2)                       \
+    X(ADDI, "addi", RegImm,     ALU,    s1 + Word(imm))                 \
+    X(MULI, "muli", RegImm,     MUL,    s1 * Word(imm))                 \
+    X(ANDI, "andi", RegImm,     ALU,    s1 & Word(imm))                 \
+    X(ORI,  "ori",  RegImm,     ALU,    s1 | Word(imm))                 \
+    X(XORI, "xori", RegImm,     ALU,    s1 ^ Word(imm))                 \
+    X(SHLI, "shli", RegImm,     ALU,    s1 << (imm & 63))               \
+    X(SHRI, "shri", RegImm,     ALU,    s1 >> (imm & 63))               \
+    X(SLTI, "slti", RegImm,     ALU,    SWord(s1) < imm)                \
+    X(SEQI, "seqi", RegImm,     ALU,    s1 == Word(imm))                \
+    X(LI,   "li",   Li,         ALU,    Word(imm))                      \
+    /* "Floating point": integer semantics, FP latency class. */        \
+    X(FADD, "fadd", RegReg,     FP,     s1 + s2)                        \
+    X(FMUL, "fmul", RegReg,     FP,     s1 * s2)                        \
+    X(FDIV, "fdiv", RegReg,     FP,     s2 ? s1 / s2 : ~Word(0))        \
+    X(LD,   "ld",   Load,       MEM,    0)                              \
+    X(ST,   "st",   Store,      MEM,    0)                              \
+    X(BEQ,  "beq",  CondBranch, BRANCH, s1 == s2)                       \
+    X(BNE,  "bne",  CondBranch, BRANCH, s1 != s2)                       \
+    X(BLT,  "blt",  CondBranch, BRANCH, SWord(s1) < SWord(s2))          \
+    X(BGE,  "bge",  CondBranch, BRANCH, SWord(s1) >= SWord(s2))         \
+    X(BLTU, "bltu", CondBranch, BRANCH, s1 < s2)                        \
+    X(BGEU, "bgeu", CondBranch, BRANCH, s1 >= s2)                       \
+    X(JMP,  "jmp",  Jump,       BRANCH, 0)                              \
+    X(JR,   "jr",   Jr,         BRANCH, 0)                              \
+    X(CALL, "call", Call,       BRANCH, 0)                              \
+    X(RET,  "ret",  Ret,        BRANCH, 0)
+
+/** Every opcode in the ISA, in table order. */
 enum class Opcode : std::uint8_t
 {
-    NOP,
-    HALT,
-
-    // Register-register ALU.
-    ADD, SUB, MUL, DIVQ,
-    AND, OR, XOR,
-    SHL, SHR, SRA,
-    SLT, SLTU, SEQ,
-
-    // Register-immediate ALU.
-    ADDI, MULI, ANDI, ORI, XORI,
-    SHLI, SHRI, SLTI, SEQI,
-    LI,
-
-    // Long-latency arithmetic ("floating point" latency class).
-    FADD, FMUL, FDIV,
-
-    // Memory (64-bit words, 8-byte aligned).
-    LD, ST,
-
-    // Control.
-    BEQ, BNE, BLT, BGE, BLTU, BGEU,
-    JMP, JR, CALL, RET,
-
+#define DMP_OPCODE_ENUM(name, mnem, fmt, cls, sem) name,
+    DMP_OPCODE_TABLE(DMP_OPCODE_ENUM)
+#undef DMP_OPCODE_ENUM
     NUM_OPCODES
+};
+
+/** Operand format: which fields of an Inst an opcode uses, and how. */
+enum class OpFormat : std::uint8_t
+{
+    None,       ///< no operands (NOP, HALT)
+    RegReg,     ///< rd <- rs1 op rs2
+    RegImm,     ///< rd <- rs1 op imm
+    Li,         ///< rd <- imm
+    Load,       ///< rd <- mem[rs1 + imm]
+    Store,      ///< mem[rs1 + imm] <- rs2
+    CondBranch, ///< if (rs1 cmp rs2) pc <- target
+    Jump,       ///< pc <- target
+    Call,       ///< r63 <- pc + 4; pc <- target
+    Jr,         ///< pc <- rs1
+    Ret         ///< pc <- r63 (held in rs1)
 };
 
 /** Execution-latency class, mapped to functional units by the core. */
@@ -83,15 +141,7 @@ enum class ExecClass : std::uint8_t
 
 /**
  * One decoded instruction. This is the storage format: programs are
- * vectors of Inst. Field meaning by format:
- *  - ALU reg-reg:   rd <- rs1 op rs2
- *  - ALU reg-imm:   rd <- rs1 op imm      (LI: rd <- imm)
- *  - LD:            rd <- mem[rs1 + imm]
- *  - ST:            mem[rs1 + imm] <- rs2
- *  - Bxx:           if (rs1 cmp rs2) pc <- target
- *  - JMP/CALL:      pc <- target          (CALL: r63 <- pc + 4)
- *  - JR:            pc <- rs1
- *  - RET:           pc <- r63
+ * vectors of Inst. The opcode's OpFormat says which fields it uses.
  */
 struct Inst
 {
@@ -161,80 +211,29 @@ isStore(Opcode op) noexcept
     return op == Opcode::ST;
 }
 
-/** True when the instruction architecturally writes rd. */
-constexpr bool
-writesDest(const Inst &inst) noexcept
+/**
+ * `fact(f)` for op's operand format f, expanded as a switch over the
+ * opcodes: with a constant-folding `fact` the compiler reduces it to a
+ * bit test or range compare on the opcode, with no table load.
+ */
+template <class Fact>
+constexpr auto
+byFormat(Opcode op, Fact fact) noexcept
 {
-    switch (inst.op) {
-      case Opcode::NOP:
-      case Opcode::HALT:
-      case Opcode::ST:
-      case Opcode::BEQ:
-      case Opcode::BNE:
-      case Opcode::BLT:
-      case Opcode::BGE:
-      case Opcode::BLTU:
-      case Opcode::BGEU:
-      case Opcode::JMP:
-      case Opcode::JR:
-      case Opcode::RET:
-        return false;
-      case Opcode::CALL:
-        return true; // link register
-      default:
-        return inst.rd != kZeroReg;
+    switch (op) {
+#define DMP_OPCODE_BY_FORMAT(name, mnem, fmt, cls, sem)                 \
+      case Opcode::name: return fact(OpFormat::fmt);
+      DMP_OPCODE_TABLE(DMP_OPCODE_BY_FORMAT)
+#undef DMP_OPCODE_BY_FORMAT
+      default: return fact(OpFormat::None);
     }
 }
 
-/** True when rs1 (resp. rs2) is an architectural source. */
-constexpr bool
-readsSrc1(const Inst &inst) noexcept
+/** The opcode's operand format. */
+constexpr OpFormat
+opFormat(Opcode op) noexcept
 {
-    switch (inst.op) {
-      case Opcode::NOP:
-      case Opcode::HALT:
-      case Opcode::LI:
-      case Opcode::JMP:
-      case Opcode::CALL:
-        return false;
-      default:
-        // Everything else reads rs1 directly; RET reads it implicitly
-        // (the link register).
-        return true;
-    }
-}
-
-constexpr bool
-readsSrc2(const Inst &inst) noexcept
-{
-    switch (inst.op) {
-      case Opcode::ADD:
-      case Opcode::SUB:
-      case Opcode::MUL:
-      case Opcode::DIVQ:
-      case Opcode::AND:
-      case Opcode::OR:
-      case Opcode::XOR:
-      case Opcode::SHL:
-      case Opcode::SHR:
-      case Opcode::SRA:
-      case Opcode::SLT:
-      case Opcode::SLTU:
-      case Opcode::SEQ:
-      case Opcode::FADD:
-      case Opcode::FMUL:
-      case Opcode::FDIV:
-      case Opcode::ST:
-      case Opcode::BEQ:
-      case Opcode::BNE:
-      case Opcode::BLT:
-      case Opcode::BGE:
-      case Opcode::BLTU:
-      case Opcode::BGEU:
-        return true;
-      default:
-        return false;
-    }
+    return byFormat(op, [](OpFormat f) { return f; });
 }
 
 /** The latency class the core schedules this opcode on. */
@@ -242,24 +241,66 @@ constexpr ExecClass
 execClass(Opcode op) noexcept
 {
     switch (op) {
-      case Opcode::NOP:
-      case Opcode::HALT:
-        return ExecClass::NONE;
-      case Opcode::MUL:
-      case Opcode::MULI:
-        return ExecClass::MUL;
-      case Opcode::DIVQ:
-        return ExecClass::DIV;
-      case Opcode::FADD:
-      case Opcode::FMUL:
-      case Opcode::FDIV:
-        return ExecClass::FP;
-      case Opcode::LD:
-      case Opcode::ST:
-        return ExecClass::MEM;
-      default:
-        return isControl(op) ? ExecClass::BRANCH : ExecClass::ALU;
+#define DMP_OPCODE_CLASS(name, mnem, fmt, cls, sem)                     \
+      case Opcode::name: return ExecClass::cls;
+      DMP_OPCODE_TABLE(DMP_OPCODE_CLASS)
+#undef DMP_OPCODE_CLASS
+      default: return ExecClass::NONE;
     }
+}
+
+/** True for the formats whose table expression is an rd value. */
+constexpr bool
+isAluFormat(OpFormat f) noexcept
+{
+    return f == OpFormat::RegReg || f == OpFormat::RegImm ||
+           f == OpFormat::Li;
+}
+
+/** isCondBranch() and isControl() agree with the table's rows. */
+constexpr bool
+rangeTestsMatchTable() noexcept
+{
+    for (unsigned i = 0; i < unsigned(Opcode::NUM_OPCODES); ++i) {
+        const Opcode op = Opcode(i);
+        if (isCondBranch(op) != (opFormat(op) == OpFormat::CondBranch) ||
+            isControl(op) != (execClass(op) == ExecClass::BRANCH))
+            return false;
+    }
+    return true;
+}
+static_assert(rangeTestsMatchTable(),
+              "opcode table rows out of class order");
+
+/** True when the instruction architecturally writes rd. */
+constexpr bool
+writesDest(const Inst &inst) noexcept
+{
+    return byFormat(inst.op, [&](OpFormat f) {
+        return isAluFormat(f) || f == OpFormat::Load
+                   ? inst.rd != kZeroReg
+                   : f == OpFormat::Call; // link register
+    });
+}
+
+/** True when rs1 (resp. rs2) is an architectural source. RET reads
+ *  rs1 implicitly (the link register). */
+constexpr bool
+readsSrc1(const Inst &inst) noexcept
+{
+    return byFormat(inst.op, [](OpFormat f) {
+        return f != OpFormat::None && f != OpFormat::Li &&
+               f != OpFormat::Jump && f != OpFormat::Call;
+    });
+}
+
+constexpr bool
+readsSrc2(const Inst &inst) noexcept
+{
+    return byFormat(inst.op, [](OpFormat f) {
+        return f == OpFormat::RegReg || f == OpFormat::Store ||
+               f == OpFormat::CondBranch;
+    });
 }
 
 /** @name Pre-decoded instruction flags
@@ -336,6 +377,38 @@ struct ExecResult
     Addr memAddr = 0;      ///< effective address for LD/ST
 };
 
+/** Effective address of a load or store: rs1 + imm, wrapping. */
+constexpr Addr
+memAddress(Word base, std::int64_t imm) noexcept
+{
+    return base + Word(imm);
+}
+
+/** evaluate()'s per-format half: place `sem` (the table expression)
+ *  and the format's fixed effects into `r`. */
+template <OpFormat F>
+constexpr void
+applyFormat(ExecResult &r, const Inst &inst, Addr pc, Word s1, Word s2,
+            Word sem) noexcept
+{
+    if constexpr (isAluFormat(F)) {
+        r.value = sem;
+    } else if constexpr (F == OpFormat::Load || F == OpFormat::Store) {
+        r.memAddr = memAddress(s1, inst.imm);
+        if constexpr (F == OpFormat::Store)
+            r.value = s2; // store data passthrough
+    } else if constexpr (F == OpFormat::CondBranch) {
+        r.taken = sem != 0;
+        r.target = inst.target;
+    } else if constexpr (F != OpFormat::None) {
+        r.taken = true;
+        r.target = F == OpFormat::Jr || F == OpFormat::Ret ? s1
+                                                           : inst.target;
+        if constexpr (F == OpFormat::Call)
+            r.value = pc + kInstBytes; // link value
+    }
+}
+
 /**
  * Evaluate an instruction's dataflow function.
  *
@@ -352,104 +425,18 @@ inline ExecResult
 evaluate(const Inst &inst, Addr pc, Word s1, Word s2)
 {
     ExecResult r;
+    [[maybe_unused]] const std::int64_t imm = inst.imm;
     switch (inst.op) {
-      case Opcode::NOP:
-      case Opcode::HALT:
-        break;
-
-      case Opcode::ADD: r.value = s1 + s2; break;
-      case Opcode::SUB: r.value = s1 - s2; break;
-      case Opcode::MUL: r.value = s1 * s2; break;
-      case Opcode::DIVQ: r.value = s2 ? s1 / s2 : ~0ULL; break;
-      case Opcode::AND: r.value = s1 & s2; break;
-      case Opcode::OR: r.value = s1 | s2; break;
-      case Opcode::XOR: r.value = s1 ^ s2; break;
-      case Opcode::SHL: r.value = s1 << (s2 & 63); break;
-      case Opcode::SHR: r.value = s1 >> (s2 & 63); break;
-      case Opcode::SRA:
-        r.value = static_cast<Word>(static_cast<SWord>(s1) >> (s2 & 63));
-        break;
-      case Opcode::SLT:
-        r.value = static_cast<SWord>(s1) < static_cast<SWord>(s2);
-        break;
-      case Opcode::SLTU: r.value = s1 < s2; break;
-      case Opcode::SEQ: r.value = s1 == s2; break;
-
-      case Opcode::ADDI: r.value = s1 + static_cast<Word>(inst.imm); break;
-      case Opcode::MULI: r.value = s1 * static_cast<Word>(inst.imm); break;
-      case Opcode::ANDI: r.value = s1 & static_cast<Word>(inst.imm); break;
-      case Opcode::ORI: r.value = s1 | static_cast<Word>(inst.imm); break;
-      case Opcode::XORI: r.value = s1 ^ static_cast<Word>(inst.imm); break;
-      case Opcode::SHLI: r.value = s1 << (inst.imm & 63); break;
-      case Opcode::SHRI: r.value = s1 >> (inst.imm & 63); break;
-      case Opcode::SLTI:
-        r.value = static_cast<SWord>(s1) < inst.imm;
-        break;
-      case Opcode::SEQI:
-        r.value = s1 == static_cast<Word>(inst.imm);
-        break;
-      case Opcode::LI: r.value = static_cast<Word>(inst.imm); break;
-
-      // FP-latency-class arithmetic: integer semantics, FP timing.
-      case Opcode::FADD: r.value = s1 + s2; break;
-      case Opcode::FMUL: r.value = s1 * s2; break;
-      case Opcode::FDIV: r.value = s2 ? s1 / s2 : ~0ULL; break;
-
-      case Opcode::LD:
-        r.memAddr = s1 + static_cast<Word>(inst.imm);
-        break;
-      case Opcode::ST:
-        r.memAddr = s1 + static_cast<Word>(inst.imm);
-        r.value = s2;
-        break;
-
-      case Opcode::BEQ:
-        r.taken = s1 == s2;
-        r.target = inst.target;
-        break;
-      case Opcode::BNE:
-        r.taken = s1 != s2;
-        r.target = inst.target;
-        break;
-      case Opcode::BLT:
-        r.taken = static_cast<SWord>(s1) < static_cast<SWord>(s2);
-        r.target = inst.target;
-        break;
-      case Opcode::BGE:
-        r.taken = static_cast<SWord>(s1) >= static_cast<SWord>(s2);
-        r.target = inst.target;
-        break;
-      case Opcode::BLTU:
-        r.taken = s1 < s2;
-        r.target = inst.target;
-        break;
-      case Opcode::BGEU:
-        r.taken = s1 >= s2;
-        r.target = inst.target;
-        break;
-
-      case Opcode::JMP:
-        r.taken = true;
-        r.target = inst.target;
-        break;
-      case Opcode::JR:
-        r.taken = true;
-        r.target = s1;
-        break;
-      case Opcode::CALL:
-        r.taken = true;
-        r.target = inst.target;
-        r.value = pc + kInstBytes; // link value
-        break;
-      case Opcode::RET:
-        r.taken = true;
-        r.target = s1; // rs1 is the link register
-        break;
-
+#define DMP_OPCODE_EVALUATE(name, mnem, fmt, cls, sem)                  \
+      case Opcode::name:                                                \
+        applyFormat<OpFormat::fmt>(r, inst, pc, s1, s2, Word(sem));     \
+        return r;
+      DMP_OPCODE_TABLE(DMP_OPCODE_EVALUATE)
+#undef DMP_OPCODE_EVALUATE
       default:
-        dmp_panic("evaluate: bad opcode ", int(inst.op));
+        break;
     }
-    return r;
+    dmp_panic("evaluate: bad opcode ", int(inst.op));
 }
 
 } // namespace dmp::isa

@@ -170,5 +170,22 @@ TEST(AssemblerDeath, BadDataAddressOrImmediate)
                 ::testing::ExitedWithCode(1), "line 2");
 }
 
+// Operands are read by the opcode's format: an immediate where a
+// register-register op wants a register, or the reverse, is a syntax
+// error naming the line, never a silently different instruction.
+TEST(AssemblerDeath, RegRegOpRejectsImmediate)
+{
+    EXPECT_EXIT({ assemble("li r1, 6\nadd r2, r1, 5\nhalt\n"); },
+                ::testing::ExitedWithCode(1),
+                "line 2: expected register, got '5'");
+}
+
+TEST(AssemblerDeath, RegImmOpRejectsRegister)
+{
+    EXPECT_EXIT({ assemble("li r1, 6\naddi r3, r1, r1\nhalt\n"); },
+                ::testing::ExitedWithCode(1),
+                "line 2: bad immediate 'r1'");
+}
+
 } // namespace
 } // namespace dmp::isa

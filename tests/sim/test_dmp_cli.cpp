@@ -7,8 +7,9 @@
  * ROB too small for a predicated exit fails cleanly, and the text
  * trace closes every episode it opens without moving a single stats
  * counter, `dmp paper` rejects a bad figure or workload list
- * before it simulates anything, and `dmp lint/mark --json` to stdout
- * leaves nothing there but the document.
+ * before it simulates anything, `dmp lint/mark --json` to stdout
+ * leaves nothing there but the document, and `dmp lint` on a `.s` file
+ * with a malformed operand fails naming the line.
  */
 
 #include <gtest/gtest.h>
@@ -143,6 +144,19 @@ TEST(DmpCli, JsonToStdoutIsTheWholeDocument)
         EXPECT_EQ(slurp(path), piped.out) << what;
         std::remove(path.c_str());
     }
+}
+
+TEST(DmpCli, LintRejectsOperandOfTheWrongKind)
+{
+    const std::string path = tempPath("bad.s");
+    {
+        std::ofstream src(path);
+        src << "li r1, 6\nadd r2, r1, 5\nhalt\n";
+    }
+    test::CliResult r = runDmp({"lint", path});
+    std::remove(path.c_str());
+    EXPECT_NE(r.status, 0);
+    EXPECT_NE(r.err.find("line 2"), std::string::npos) << r.err;
 }
 
 TEST(DmpRun, StatsJsonMatchesLibraryResult)
