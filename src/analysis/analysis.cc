@@ -70,10 +70,11 @@ preflightOrThrow(const isa::Program &program, const AnalysisOptions &opts,
     Report report = analyzeProgram(program, opts);
     if (report.errors() == 0)
         return; // warnings/infos alone never block a run
-    throw LintError("static analysis of '" + subject + "' found " +
-                        std::to_string(report.errors()) +
-                        " error(s):\n" + report.text(),
-                    std::move(report));
+    // The message is built before the report moves into the exception.
+    std::string what = "static analysis of '" + subject + "' found " +
+                       std::to_string(report.errors()) + " error(s):\n" +
+                       report.text();
+    throw LintError(std::move(what), std::move(report));
 }
 
 } // namespace dmp::analysis

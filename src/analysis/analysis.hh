@@ -8,10 +8,10 @@
  * Consumers:
  *
  *  - `dmp lint` (src/tools/dmp.cc)
- *  - `dmp run --verify`
- *  - BatchRunner's pre-flight: every freshly profiled program is linted
- *    once per profile-cache entry before any simulation consumes it,
- *    and a marking error aborts the batch via LintError.
+ *  - the pre-flight of sim::markProgram, which marks every program
+ *    that `dmp run`, runSim and BatchRunner (once per profile-cache
+ *    entry) simulate: a marking error throws LintError before any
+ *    simulation consumes the program.
  */
 
 #ifndef DMP_ANALYSIS_ANALYSIS_HH

@@ -1,54 +1,9 @@
 #include "bpred/oracle.hh"
 
-#include <atomic>
-#include <cstdio>
-#include <cstdlib>
-
 #include "common/logging.hh"
 
 namespace dmp::bpred
 {
-
-namespace
-{
-/**
- * Process-wide debug accounting. Oracles from concurrently running
- * cores (sim::BatchRunner) all touch these, so every member is atomic;
- * this is diagnostics-only state and never feeds simulation results.
- */
-struct OracleDbgCounters
-{
-    std::atomic<unsigned long long> freezes{0};
-    std::atomic<unsigned long long> drifts{0};
-    std::atomic<unsigned long long> resyncs{0};
-    std::atomic<unsigned long long> misses{0};
-    std::atomic<int> dbgBudget{std::getenv("DMP_ORACLE_DEBUG") ? 40 : 0};
-
-    /** Claim one debug-print slot (caps log spam across all threads). */
-    bool
-    takeDbg()
-    {
-        int v = dbgBudget.load(std::memory_order_relaxed);
-        while (v > 0 &&
-               !dbgBudget.compare_exchange_weak(
-                   v, v - 1, std::memory_order_relaxed))
-            ;
-        return v > 0;
-    }
-
-    ~OracleDbgCounters()
-    {
-        if (std::getenv("DMP_ORACLE_DEBUG")) {
-            std::fprintf(stderr,
-                         "[oracle-total] freezes=%llu drifts=%llu "
-                         "resyncs=%llu redirect-misses=%llu\n",
-                         freezes.load(), drifts.load(), resyncs.load(),
-                         misses.load());
-        }
-    }
-};
-OracleDbgCounters g_oracleDbg;
-} // namespace
 
 OracleTracker::OracleTracker(const isa::Program &program,
                              std::size_t mem_bytes)
@@ -110,20 +65,12 @@ OracleTracker::onFetch(Addr pc, Addr chosen_next_pc)
         if (driftFrozen && pc == sim->state().pc && !sim->halted()) {
             isSynced = true;
             driftFrozen = false;
-            g_oracleDbg.resyncs++;
         } else {
             return;
         }
     }
     if (pc != sim->state().pc || sim->halted()) {
         // The caller drifted without a redirect; freeze defensively.
-        if (g_oracleDbg.takeDbg()) {
-            std::fprintf(stderr,
-                         "[oracle] drift-freeze pc=0x%llx true=0x%llx\n",
-                         (unsigned long long)pc,
-                         (unsigned long long)sim->state().pc);
-        }
-        g_oracleDbg.drifts++;
         isSynced = false;
         driftFrozen = true;
         return;
@@ -132,21 +79,6 @@ OracleTracker::onFetch(Addr pc, Addr chosen_next_pc)
     if (info.halted)
         return; // stay synced at the halt point
     if (chosen_next_pc != info.nextPc) {
-        if (g_oracleDbg.takeDbg()) {
-            std::fprintf(
-                stderr,
-                "[oracle] wrongpath-freeze pc=0x%llx chosen=0x%llx "
-                "true=0x%llx\n",
-                (unsigned long long)pc,
-                (unsigned long long)chosen_next_pc,
-                (unsigned long long)info.nextPc);
-        }
-        unsigned long long nFreeze = ++g_oracleDbg.freezes;
-        if (g_oracleDbg.takeDbg())
-            std::fprintf(stderr, "[oracle] freeze#%llu at true-inst %llu pc=0x%llx\n",
-                         nFreeze,
-                         (unsigned long long)sim->retiredInsts(),
-                         (unsigned long long)pc);
         isSynced = false; // front-end went down the wrong path
         driftFrozen = false;
     }
@@ -157,25 +89,9 @@ OracleTracker::onRedirect(Addr pc)
 {
     if (sim->halted())
         return;
-    if (!isSynced) {
-        if (g_oracleDbg.takeDbg()) {
-            std::fprintf(stderr,
-                         "[oracle] redirect pc=0x%llx frozen=0x%llx %s\n",
-                         (unsigned long long)pc,
-                         (unsigned long long)sim->state().pc,
-                         pc == sim->state().pc ? "RESYNC" : "miss");
-        }
-        if (pc == sim->state().pc) {
-            driftFrozen = false;
-            unsigned long long nResync = ++g_oracleDbg.resyncs;
-            if (g_oracleDbg.takeDbg())
-                std::fprintf(stderr, "[oracle] resync#%llu at true-inst %llu\n",
-                             nResync,
-                             (unsigned long long)sim->retiredInsts());
-            isSynced = true;
-        } else {
-            g_oracleDbg.misses++;
-        }
+    if (!isSynced && pc == sim->state().pc) {
+        driftFrozen = false;
+        isSynced = true;
     }
 }
 

@@ -48,8 +48,8 @@ enum class Mode : std::uint8_t
 const char *modeName(Mode m);
 
 /**
- * Parse a `--selfcheck[=...]` / DMP_SELFCHECK value. The empty string
- * means All (bare `--selfcheck`). @return false on an unknown name.
+ * Parse a `--selfcheck[=...]` value. The empty string means All (bare
+ * `--selfcheck`). @return false on an unknown name.
  */
 bool parseMode(const std::string &s, Mode &out);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <unordered_set>
 
@@ -351,14 +350,11 @@ Core::run(std::uint64_t max_insts, std::uint64_t max_cycles)
     // Cycle skipping: after an idle tick the machine state is a fixed
     // point until the next time-driven wake, so the clock can jump
     // there directly. Disabled when an attached observer needs every
-    // real tick (the checker samples per tick) or under
-    // DMP_FORCE_FULL_SCAN (the lockstep property tests compare the two
-    // modes). The skip length is capped so a bogus wake computation
-    // still trips the deadlock detector instead of spinning the clock
-    // forever.
-    const bool allow_skip =
-        (obs == nullptr || obs->allowsCycleSkip()) &&
-        std::getenv("DMP_FORCE_FULL_SCAN") == nullptr;
+    // real tick (the checker samples per tick; the skip tests attach
+    // one to compare the two schedules). The skip length is capped so
+    // a bogus wake computation still trips the deadlock detector
+    // instead of spinning the clock forever.
+    const bool allow_skip = obs == nullptr || obs->allowsCycleSkip();
     constexpr std::uint64_t kMaxSkip = 100000;
     while (!isHalted && st.retiredInsts.value() - start < max_insts &&
            now - start_cycle < max_cycles) {

@@ -252,22 +252,17 @@ class Core
     void renameRestoreMap(const FetchedInst &fi);
     void setupDependencies(InstRef ref);
     /**
-     * Allocate the next ROB slot. With reset_entry false the DynInst
-     * record is left stale and the caller owns writing every byte
-     * (renameProgramInst covers the record with its prefix memcpy plus
-     * a blank-tail copy, so the default reset here would be a second
-     * full write of the hottest store stream in rename).
+     * Allocate the next ROB slot and reset its scheduler arrays. The
+     * DynInst record is left stale: the caller writes the whole of it.
      */
     InstRef
-    allocRob(bool reset_entry = true)
+    allocRob()
     {
         dmp_assert(!robFull(), "allocRob on full ROB");
         std::uint32_t slot = robHead + robCount;
         if (slot >= p.robSize)
             slot -= p.robSize;
         ++robCount;
-        if (reset_entry)
-            rob[slot] = DynInst{};
 
         std::uint64_t seq = nextSeq++;
         robSeq[slot] = seq;

@@ -6,8 +6,6 @@
  * M bits of the two register alias tables.
  */
 
-#include <cstring>
-
 #include "common/logging.hh"
 #include "core/core.hh"
 
@@ -126,20 +124,8 @@ Core::renameOne(FetchedInst &fi)
 void
 Core::renameProgramInst(FetchedInst &fi)
 {
-    InstRef ref = allocRob(/*reset_entry=*/false);
-    DynInst &di = rob[ref.slot];
-
-    // The whole shared front-context prefix (identity, prediction
-    // context, predication tags) transfers in one bounded copy; layout
-    // equality is enforced by the static_asserts in dyn_inst.hh. The
-    // rest of the record is stamped from a default-constructed blank,
-    // so together the two copies write every byte of the (skipped)
-    // allocRob reset exactly once.
-    static const DynInst kBlank{};
-    std::memcpy(static_cast<void *>(&di), &fi, kFrontCtxBytes);
-    std::memcpy(reinterpret_cast<char *>(&di) + kFrontCtxBytes,
-                reinterpret_cast<const char *>(&kBlank) + kFrontCtxBytes,
-                sizeof(DynInst) - kFrontCtxBytes);
+    InstRef ref = allocRob();
+    DynInst &di = rob[ref.slot] = DynInst{fi};
     di.fetchedAt = std::uint32_t(fi.fetchedAt);
     di.renamedAt = std::uint32_t(now);
 
@@ -219,7 +205,7 @@ Core::renameEnterPred(const FetchedInst &fi)
     }
 
     InstRef ref = allocRob();
-    DynInst &di = rob[ref.slot];
+    DynInst &di = rob[ref.slot] = DynInst{};
     di.kind = UopKind::EnterPred;
     di.episode = fi.episode;
     di.fetchedAt = std::uint32_t(fi.fetchedAt);
@@ -245,7 +231,7 @@ Core::renameEnterAlt(const FetchedInst &fi)
     }
 
     InstRef ref = allocRob();
-    DynInst &di = rob[ref.slot];
+    DynInst &di = rob[ref.slot] = DynInst{};
     di.kind = UopKind::EnterAlt;
     di.episode = fi.episode;
     di.fetchedAt = std::uint32_t(fi.fetchedAt);
@@ -285,7 +271,7 @@ Core::renameExitPred(const FetchedInst &fi)
     episode(fi.episode).pendingMarkers--;
 
     InstRef exit_ref = allocRob();
-    DynInst &exit_uop = rob[exit_ref.slot];
+    DynInst &exit_uop = rob[exit_ref.slot] = DynInst{};
     exit_uop.kind = UopKind::ExitPred;
     exit_uop.episode = fi.episode;
     exit_uop.fetchedAt = std::uint32_t(fi.fetchedAt);
@@ -300,7 +286,7 @@ Core::renameExitPred(const FetchedInst &fi)
             continue;
         }
         InstRef ref = allocRob();
-        DynInst &sel = rob[ref.slot];
+        DynInst &sel = rob[ref.slot] = DynInst{};
         sel.kind = UopKind::Select;
         sel.episode = ep->id;
         sel.fetchedAt = std::uint32_t(fi.fetchedAt);

@@ -7,9 +7,7 @@
 #ifndef DMP_CORE_DYN_INST_HH
 #define DMP_CORE_DYN_INST_HH
 
-#include <cstddef>
 #include <cstdint>
-#include <type_traits>
 
 #include "bpred/predictor.hh"
 
@@ -61,36 +59,34 @@ constexpr EpisodeId kNoEpisode = ~0ULL;
 
 /**
  * The fields rename transfers verbatim from a fetch-queue entry into
- * the ROB record. FetchedInst and DynInst both lay this block out
- * byte-identically at offset 0 (enforced by the static_asserts below),
- * so renameProgramInst moves it with one bounded memcpy instead of a
- * field-by-field copy — this runs once per renamed instruction. Do not
- * reorder one struct's block without the other.
+ * the ROB record: identity, branch prediction context and
+ * dynamic-predication tags. FetchedInst and DynInst both derive from
+ * it, so renameProgramInst builds the ROB entry as DynInst{fi}.
  */
-#define DMP_FRONT_CTX_FIELDS \
-    UopKind kind = UopKind::Normal; \
-    PathId path = PathId::None; \
-    bool isCondBranch = false; \
-    bool isControl = false; \
-    bool predTaken = false; \
-    bool lowConfidence = false; \
-    /** This conditional branch started the episode. */ \
-    bool isDivergeStarter = false; \
-    /** Fetched while the front-end was (transitively) on a wrong path \
-     *  according to the oracle tracker; measurement only. */ \
-    bool oracleWrongPath = false; \
-    Addr pc = 0; \
-    isa::Inst si; \
-    Addr predNextPc = 0; \
-    bpred::PredictionInfo predInfo; \
-    EpisodeId episode = kNoEpisode; \
+struct FrontCtx
+{
+    UopKind kind = UopKind::Normal;
+    PathId path = PathId::None;
+    bool isCondBranch = false;
+    bool isControl = false;
+    bool predTaken = false;
+    bool lowConfidence = false;
+    /** This conditional branch started the episode. */
+    bool isDivergeStarter = false;
+    /** Fetched while the front-end was (transitively) on a wrong path
+     *  according to the oracle tracker; measurement only. */
+    bool oracleWrongPath = false;
+    Addr pc = 0;
+    isa::Inst si;
+    Addr predNextPc = 0;
+    bpred::PredictionInfo predInfo;
+    EpisodeId episode = kNoEpisode;
     std::uint32_t confIndex = 0;
+};
 
 /** A fetched, not-yet-renamed entry in the front-end pipeline. */
-struct FetchedInst
+struct FetchedInst : FrontCtx
 {
-    DMP_FRONT_CTX_FIELDS
-
     /** Cycle this entry reaches the rename stage. */
     Cycle renameReadyAt = 0;
     /** Cycle this entry was fetched (trace/pipeview lifecycle). */
@@ -123,13 +119,8 @@ struct FetchedInst
  * and predicate broadcast walk dense cache lines instead of striding
  * through this record.
  */
-struct DynInst
+struct DynInst : FrontCtx
 {
-    // Shared prefix (see DMP_FRONT_CTX_FIELDS): identity, branch
-    // prediction context, and dynamic-predication tags, byte-identical
-    // to the front of FetchedInst.
-    DMP_FRONT_CTX_FIELDS
-
     // Renaming. (The allocated destination lives in Core::robDest.)
     PhysReg src1 = kNoPhysReg;
     PhysReg src2 = kNoPhysReg;
@@ -180,43 +171,10 @@ struct DynInst
     }
 };
 
-/**
- * Byte span of the shared front-context prefix: everything up to and
- * including confIndex, the last DMP_FRONT_CTX_FIELDS member. The
- * offset checks below pin each member to the same position in both
- * structs, so renameProgramInst's prefix memcpy is exact.
- */
-inline constexpr std::size_t kFrontCtxBytes =
-    offsetof(DynInst, confIndex) + sizeof(std::uint32_t);
-
-static_assert(std::is_trivially_copyable_v<FetchedInst>);
-static_assert(std::is_trivially_copyable_v<DynInst>);
-static_assert(offsetof(FetchedInst, kind) == offsetof(DynInst, kind));
-static_assert(offsetof(FetchedInst, path) == offsetof(DynInst, path));
-static_assert(offsetof(FetchedInst, isCondBranch) ==
-              offsetof(DynInst, isCondBranch));
-static_assert(offsetof(FetchedInst, isControl) ==
-              offsetof(DynInst, isControl));
-static_assert(offsetof(FetchedInst, predTaken) ==
-              offsetof(DynInst, predTaken));
-static_assert(offsetof(FetchedInst, lowConfidence) ==
-              offsetof(DynInst, lowConfidence));
-static_assert(offsetof(FetchedInst, isDivergeStarter) ==
-              offsetof(DynInst, isDivergeStarter));
-static_assert(offsetof(FetchedInst, oracleWrongPath) ==
-              offsetof(DynInst, oracleWrongPath));
-static_assert(offsetof(FetchedInst, pc) == offsetof(DynInst, pc));
-static_assert(offsetof(FetchedInst, si) == offsetof(DynInst, si));
-static_assert(offsetof(FetchedInst, predNextPc) ==
-              offsetof(DynInst, predNextPc));
-static_assert(offsetof(FetchedInst, predInfo) ==
-              offsetof(DynInst, predInfo));
-static_assert(offsetof(FetchedInst, episode) ==
-              offsetof(DynInst, episode));
-static_assert(offsetof(FetchedInst, confIndex) ==
-              offsetof(DynInst, confIndex));
-static_assert(offsetof(FetchedInst, confIndex) + sizeof(std::uint32_t) ==
-              kFrontCtxBytes);
+// The shared base grows neither record: DynInst::src1 sits in
+// FrontCtx's tail padding, as it did when the fields were inline.
+static_assert(sizeof(DynInst) == 160);
+static_assert(sizeof(FetchedInst) == 168);
 
 /** Stable reference into the ROB slot array. */
 struct InstRef

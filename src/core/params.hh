@@ -68,12 +68,7 @@ inline constexpr unsigned kBtbEntries = 4096;
 inline constexpr unsigned kRasEntries = 64;
 inline constexpr unsigned kItcEntries = 65536;
 
-/**
- * All knobs of one core instance.
- *
- * Serialized field-by-field into sim::configFingerprint (sim/batch.cc)
- * — extend the fingerprint when adding a knob here.
- */
+/** All knobs of one core instance. */
 struct CoreParams
 {
     // ---- Front end (Table 2) ----

@@ -84,12 +84,7 @@ inline constexpr unsigned kEarlyExitMax = 192;
  */
 unsigned earlyExitThreshold(double meanDistance);
 
-/**
- * Thresholds of section 3.2 plus implementation knobs.
- *
- * Serialized field-by-field into sim::configFingerprint and the batch
- * profile-cache key (sim/batch.cc) — extend both when adding a knob.
- */
+/** Thresholds of section 3.2 plus implementation knobs. */
 struct MarkerConfig
 {
     /**

@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "analysis/analysis.hh"
 #include "common/logging.hh"
 
 namespace dmp::sim
@@ -75,6 +74,39 @@ coreFp(const core::CoreParams &c)
        << ",cw=" << c.classifyWrongPath << ",mem=" << c.memoryBytes;
     return os.str();
 }
+
+/** Converts to any field type, to count an aggregate's fields. */
+struct AnyField
+{
+    template <class T>
+    operator T() const;
+};
+
+/** Number of fields of aggregate T: the most initializers T{...} takes. */
+template <class T, class... Fields>
+constexpr std::size_t
+fieldCount()
+{
+    if constexpr (requires { T{Fields{}..., AnyField{}}; })
+        return fieldCount<T, Fields..., AnyField>();
+    else
+        return sizeof...(Fields);
+}
+
+// A new field must join its serializer (and the pinned bytes of
+// BatchRunner.FingerprintBytesArePinned), or cache entries alias.
+static_assert(fieldCount<core::CoreParams>() == 26,
+              "CoreParams changed: update coreFp and "
+              "FingerprintBytesArePinned");
+static_assert(fieldCount<profile::MarkerConfig>() == 8,
+              "MarkerConfig changed: update markerFp and "
+              "FingerprintBytesArePinned");
+static_assert(fieldCount<workloads::WorkloadParams>() == 2,
+              "WorkloadParams changed: update workloadFp and "
+              "FingerprintBytesArePinned");
+static_assert(fieldCount<SimConfig>() == 11,
+              "SimConfig changed: update configFingerprint and "
+              "FingerprintBytesArePinned");
 
 } // namespace
 
@@ -161,103 +193,73 @@ BatchRunner::workerLoop(std::stop_token st)
     }
 }
 
-std::shared_ptr<const BatchRunner::RefEntry>
+std::shared_ptr<const BatchRunner::Marked>
+BatchRunner::once(MarkedCache &cache, const std::string &key,
+                  std::atomic<std::uint64_t> *hits,
+                  std::atomic<std::uint64_t> &misses,
+                  const std::function<std::shared_ptr<const Marked>()> &make)
+{
+    std::promise<std::shared_ptr<const Marked>> prom;
+    std::shared_future<std::shared_ptr<const Marked>> fut;
+    bool own = false;
+    {
+        std::lock_guard lk(mtx);
+        auto [it, inserted] = cache.try_emplace(key);
+        if (inserted) {
+            own = true;
+            it->second = prom.get_future().share();
+            misses.fetch_add(1, std::memory_order_relaxed);
+        } else if (hits) {
+            hits->fetch_add(1, std::memory_order_relaxed);
+        }
+        fut = it->second;
+    }
+    if (own) {
+        try {
+            prom.set_value(make());
+        } catch (...) {
+            prom.set_exception(std::current_exception());
+        }
+    }
+    return fut.get();
+}
+
+std::shared_ptr<const BatchRunner::Marked>
 BatchRunner::preparedProgram(const SimConfig &cfg)
 {
     const std::string pkey = profileFingerprint(cfg);
 
-    // Static synthesis needs no training run and must analyze the
-    // binary that executes (the train build's seeded immediates
-    // differ, so value-analysis proofs made there need not hold on
-    // the ref build). Level 1 is skipped entirely; the marking and
-    // its pre-flight happen on the ref program in level 2.
-    const bool staticMarks = cfg.markMode == MarkMode::Static;
-
-    // Level 1: profile + mark the train binary, once per pkey. The
-    // first requester computes; concurrent requesters for the same key
-    // block on the shared_future instead of re-profiling.
-    std::shared_ptr<const TrainEntry> train;
-    if (!staticMarks) {
-        std::shared_future<std::shared_ptr<const TrainEntry>> trainFut;
-        std::promise<std::shared_ptr<const TrainEntry>> trainProm;
-        bool ownTrain = false;
-        {
-            std::lock_guard lk(mtx);
-            auto it = trainCache.find(pkey);
-            if (it != trainCache.end()) {
-                nProfileHits.fetch_add(1, std::memory_order_relaxed);
-                trainFut = it->second;
-            } else {
-                ownTrain = true;
-                trainFut = trainProm.get_future().share();
-                trainCache.emplace(pkey, trainFut);
-                nProfileRuns.fetch_add(1, std::memory_order_relaxed);
-            }
-        }
-        if (ownTrain) {
-            try {
-                auto e = std::make_shared<TrainEntry>();
-                e->train =
-                    workloads::buildWorkload(cfg.workload, cfg.train);
-                e->report = markTrainProgram(e->train, cfg);
-                // Pre-flight: lint the freshly marked program once per
-                // cache entry. An illegal marking throws here, before
-                // any simulation consumes it, and every waiter of this
-                // entry observes the same LintError through the
-                // shared_future.
-                analysis::AnalysisOptions ao;
-                ao.marker = cfg.marker;
-                ao.maxPredicateDepth = cfg.core.predRegisters;
-                ao.memoryBytes = cfg.core.memoryBytes;
-                analysis::preflightOrThrow(e->train, ao, cfg.workload);
-                trainProm.set_value(std::move(e));
-            } catch (...) {
-                trainProm.set_exception(std::current_exception());
-            }
-        }
-        train = trainFut.get();
+    // Level 1: profile + mark the train binary, once per pkey. Static
+    // synthesis needs no training run and must analyze the binary that
+    // executes (the train build's seeded immediates differ, so
+    // value-analysis proofs made there need not hold on the ref
+    // build), so it skips this level and marks in level 2.
+    std::shared_ptr<const Marked> train;
+    if (cfg.markMode != MarkMode::Static) {
+        train = once(trainCache, pkey, &nProfileHits, nProfileRuns, [&] {
+            auto e = std::make_shared<Marked>();
+            e->program = workloads::buildWorkload(cfg.workload, cfg.train);
+            e->report = markProgram(e->program, cfg);
+            return e;
+        });
     }
 
     // Level 2: build the ref binary and transfer the marks, once per
     // (pkey, ref input). All core configurations of a figure share the
     // resulting program read-only.
-    const std::string rkey = pkey + "|ref:" + workloadFp(cfg.ref);
-    std::shared_future<std::shared_ptr<const RefEntry>> refFut;
-    std::promise<std::shared_ptr<const RefEntry>> refProm;
-    bool ownRef = false;
-    {
-        std::lock_guard lk(mtx);
-        auto it = refCache.find(rkey);
-        if (it != refCache.end()) {
-            refFut = it->second;
-        } else {
-            ownRef = true;
-            refFut = refProm.get_future().share();
-            refCache.emplace(rkey, refFut);
-            nMarkedBuilds.fetch_add(1, std::memory_order_relaxed);
-        }
-    }
-    if (ownRef) {
-        try {
-            auto e = std::make_shared<RefEntry>();
-            e->ref = workloads::buildWorkload(cfg.workload, cfg.ref);
-            if (staticMarks) {
-                e->report = markTrainProgram(e->ref, cfg);
-                analysis::AnalysisOptions ao;
-                ao.marker = cfg.marker;
-                ao.maxPredicateDepth = cfg.core.predRegisters;
-                ao.memoryBytes = cfg.core.memoryBytes;
-                analysis::preflightOrThrow(e->ref, ao, cfg.workload);
-            } else {
-                profile::transferMarks(train->train, e->ref);
-                e->report = train->report;
-            }
-            refProm.set_value(std::move(e));
-        } catch (...) {
-            refProm.set_exception(std::current_exception());
-        }
-    }
-    return refFut.get();
+    return once(refCache, pkey + "|ref:" + workloadFp(cfg.ref), nullptr,
+                nMarkedBuilds, [&] {
+                    auto e = std::make_shared<Marked>();
+                    e->program =
+                        workloads::buildWorkload(cfg.workload, cfg.ref);
+                    if (train) {
+                        profile::transferMarks(train->program, e->program);
+                        e->report = train->report;
+                    } else {
+                        e->report = markProgram(e->program, cfg);
+                    }
+                    return e;
+                });
 }
 
 std::shared_ptr<const SimResult>
@@ -268,8 +270,8 @@ BatchRunner::execute(const Task &task)
         execOrder.push_back(task.key);
     }
     nSimRuns.fetch_add(1, std::memory_order_relaxed);
-    std::shared_ptr<const RefEntry> prep = preparedProgram(task.cfg);
-    SimResult r = runSimOnProgram(prep->ref, prep->report, task.cfg);
+    std::shared_ptr<const Marked> prep = preparedProgram(task.cfg);
+    SimResult r = runSimOnProgram(prep->program, prep->report, task.cfg);
     nSimNanos.fetch_add(std::uint64_t(r.hostSeconds * 1e9),
                         std::memory_order_relaxed);
     return std::make_shared<const SimResult>(std::move(r));

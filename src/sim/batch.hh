@@ -37,6 +37,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -130,19 +131,19 @@ class BatchRunner
     std::vector<std::string> executionOrder() const;
 
   private:
-    /** Marked train program + report: one per profileFingerprint. */
-    struct TrainEntry
+    /**
+     * A marked program and its report: the train binary (one per
+     * profileFingerprint) or the ref binary that all core
+     * configurations share read-only.
+     */
+    struct Marked
     {
-        isa::Program train; ///< marked train-input binary
+        isa::Program program;
         profile::MarkingReport report;
     };
-
-    /** Marked ref program shared read-only by all core configs. */
-    struct RefEntry
-    {
-        isa::Program ref; ///< ref-input binary with transferred marks
-        profile::MarkingReport report;
-    };
+    using MarkedCache =
+        std::unordered_map<std::string,
+                           std::shared_future<std::shared_ptr<const Marked>>>;
 
     struct Task
     {
@@ -153,7 +154,18 @@ class BatchRunner
 
     void workerLoop(std::stop_token st);
     std::shared_ptr<const SimResult> execute(const Task &task);
-    std::shared_ptr<const RefEntry> preparedProgram(const SimConfig &cfg);
+    std::shared_ptr<const Marked> preparedProgram(const SimConfig &cfg);
+    /**
+     * The entry of `cache` under `key`, made by `make` on the first
+     * request (counted in `misses`; later requests count in `hits` when
+     * given). Concurrent requesters of one key wait on the first one's
+     * future instead of making it again, and an exception from `make`
+     * reaches all of them.
+     */
+    std::shared_ptr<const Marked>
+    once(MarkedCache &cache, const std::string &key,
+         std::atomic<std::uint64_t> *hits, std::atomic<std::uint64_t> &misses,
+         const std::function<std::shared_ptr<const Marked>()> &make);
 
     mutable std::mutex mtx;
     std::condition_variable_any cv;
@@ -161,12 +173,8 @@ class BatchRunner
     std::unordered_map<std::string,
                        std::shared_future<std::shared_ptr<const SimResult>>>
         memo;
-    std::unordered_map<std::string,
-                       std::shared_future<std::shared_ptr<const TrainEntry>>>
-        trainCache;
-    std::unordered_map<std::string,
-                       std::shared_future<std::shared_ptr<const RefEntry>>>
-        refCache;
+    MarkedCache trainCache;
+    MarkedCache refCache;
     std::vector<std::string> execOrder;
     std::vector<std::jthread> workers;
 

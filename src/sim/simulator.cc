@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "analysis/accounting.hh"
+#include "analysis/analysis.hh"
 #include "analysis/markgen.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
@@ -135,12 +136,14 @@ simResultJson(const SimResult &r, const std::string &label,
 }
 
 profile::MarkingReport
-markTrainProgram(isa::Program &train, const SimConfig &cfg)
+markProgram(isa::Program &program, const SimConfig &cfg)
 {
+    profile::MarkingReport report;
     switch (cfg.markMode) {
     case MarkMode::Profile:
-        return profile::profileAndMark(train, cfg.core.memoryBytes,
-                                       cfg.marker);
+        report = profile::profileAndMark(program, cfg.core.memoryBytes,
+                                         cfg.marker);
+        break;
     case MarkMode::Static: {
         // No training run: synthesize from the program text. The cost
         // model deliberately uses fixed Table 2 constants rather than
@@ -148,19 +151,26 @@ markTrainProgram(isa::Program &train, const SimConfig &cfg)
         // (profileFingerprint excludes core knobs).
         analysis::MarkGenConfig mg;
         mg.marker = cfg.marker;
-        analysis::MarkGenReport mr = analysis::synthesizeMarks(train, mg);
-        profile::MarkingReport report;
+        analysis::MarkGenReport mr = analysis::synthesizeMarks(program, mg);
         report.candidateBranches = mr.candidates.size();
         report.markedDiverge = mr.markedDiverge;
         report.markedSimpleHammock = mr.markedSimpleHammock;
         report.markedLoop = mr.markedLoop;
-        return report;
+        break;
     }
     case MarkMode::None:
-        train.clearMarks();
-        return {};
+        program.clearMarks();
+        break;
     }
-    dmp_fatal("unknown mark mode");
+
+    // Pre-flight: an illegal marking throws here, before any
+    // simulation consumes it.
+    analysis::AnalysisOptions ao;
+    ao.marker = cfg.marker;
+    ao.maxPredicateDepth = cfg.core.predRegisters;
+    ao.memoryBytes = cfg.core.memoryBytes;
+    analysis::preflightOrThrow(program, ao, cfg.workload);
+    return report;
 }
 
 std::pair<isa::Program, profile::MarkingReport>
@@ -175,13 +185,13 @@ prepareMarkedProgram(const SimConfig &cfg)
     // marks transferred from the train build could embed train-only
     // "proofs" (a branch one-sided under the train constants only).
     if (cfg.markMode == MarkMode::Static) {
-        profile::MarkingReport report = markTrainProgram(ref, cfg);
+        profile::MarkingReport report = markProgram(ref, cfg);
         return {std::move(ref), std::move(report)};
     }
 
     isa::Program train =
         workloads::buildWorkload(cfg.workload, cfg.train);
-    profile::MarkingReport report = markTrainProgram(train, cfg);
+    profile::MarkingReport report = markProgram(train, cfg);
     profile::transferMarks(train, ref);
     return {std::move(ref), std::move(report)};
 }

@@ -65,20 +65,16 @@ const char *markModeName(MarkMode m);
 /** Parse a markModeName spelling (false on anything else). */
 bool parseMarkMode(const std::string &name, MarkMode &out);
 
-/**
- * One experiment's configuration.
- *
- * NOTE: every field here (and in the nested param structs) is part of
- * sim::configFingerprint (batch.hh) — when adding a field, extend the
- * fingerprint serialization or batch-cache entries may alias.
- */
+/** One experiment's configuration. */
 struct SimConfig
 {
     std::string workload = "bzip2";
     core::CoreParams core;             ///< Table 2 defaults
     profile::MarkerConfig marker;      ///< section 3.2 heuristics
-    workloads::WorkloadParams train;   ///< profile ("train") input
-    workloads::WorkloadParams ref;     ///< measurement ("ref") input
+    /** Profile ("train") input. */
+    workloads::WorkloadParams train{.seed = 0x7e41a};
+    /** Measurement ("ref") input. */
+    workloads::WorkloadParams ref{.seed = 0x4ef};
     /**
      * Marking source for the ref program. Profile reproduces the
      * paper's train-run flow; Static needs no training run at all
@@ -106,12 +102,6 @@ struct SimConfig
      * JSON block.
      */
     bool accounting = false;
-
-    SimConfig()
-    {
-        train.seed = 0x7e41a; // "train input"
-        ref.seed = 0x4ef;     // "ref input"
-    }
 };
 
 /** Condensed results of one timing run. */
@@ -208,21 +198,25 @@ SimResult runSimOnProgram(const isa::Program &ref,
                           const SimConfig &cfg);
 
 /**
- * Mark `train` in place according to cfg.markMode: profile-and-mark
- * (Profile), static synthesis (Static), or clear (None). Shared by
- * prepareMarkedProgram and the batch profile cache. For Static, pass
- * the program that will actually run — synthesis leans on a value
+ * Mark `program` in place according to cfg.markMode — profile-and-mark
+ * (Profile), static synthesis (Static) or clear (None) — and lint the
+ * result against the bounds of cfg.marker, cfg.core.predRegisters and
+ * cfg.core.memoryBytes. An illegal marking throws analysis::LintError
+ * before anything simulates it. Every run
+ * is marked here: prepareMarkedProgram, both levels of the batch
+ * profile cache and `dmp run` on a `.s` file. For Static, pass the
+ * program that will actually run — synthesis leans on a value
  * analysis whose proofs are exact only for the analyzed image, and
  * the workload generators bake the data seed into code immediates.
  */
-profile::MarkingReport markTrainProgram(isa::Program &train,
-                                        const SimConfig &cfg);
+profile::MarkingReport markProgram(isa::Program &program,
+                                   const SimConfig &cfg);
 
 /**
  * Marking only: returns the marked ref program and the marking report
  * (for callers that need the program itself). Profile mode marks
  * the train build and transfers by PC; Static synthesizes directly on
- * the ref build (see markTrainProgram).
+ * the ref build (see markProgram).
  */
 std::pair<isa::Program, profile::MarkingReport>
 prepareMarkedProgram(const SimConfig &cfg);

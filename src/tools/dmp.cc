@@ -16,7 +16,9 @@
  * prints the subcommand list).
  *
  * dmp run — run one workload (or an assembly file) through a chosen
- * machine configuration and print the full statistics dump.
+ * machine configuration and print the full statistics dump. The
+ * marked program is linted first, as dmp lint does; an error finding
+ * refuses the run (exit 1), and dmp lint prints the full report.
  *
  *   --mode=NAME          machine mode, from sim::machines(): base,
  *                        dhp, dmp, mcfm, mcfm-eexit, dmp-enhanced
@@ -38,15 +40,11 @@
  *                        profile (train-run profiler, the paper's
  *                        flow; default), static (profile-free
  *                        synthesis, see dmp mark), none (unmarked)
- *   --verify             statically verify the marked program before
- *                        simulating (error findings abort the run;
- *                        see dmp lint for the standalone checker)
  *   --selfcheck[=MODE]   run under the microarchitectural self-checker
  *                        (MODE: all | invariants | lockstep | off;
- *                        bare --selfcheck = all). Also: DMP_SELFCHECK
- *                        env. The first broken invariant or
- *                        architectural divergence aborts with a
- *                        diagnosis and exit 1
+ *                        bare --selfcheck = all). The first broken
+ *                        invariant or architectural divergence aborts
+ *                        with a diagnosis and exit 1
  *   --selfcheck-json=PATH  write the self-check outcome (schema 1,
  *                        see EXPERIMENTS.md) to PATH
  *   --list               list workloads and exit
@@ -403,9 +401,7 @@ struct RunOptions
     bool perfectConf = false;
     bool loopExt = false;
     sim::MarkMode markMode = sim::MarkMode::Profile;
-    bool verify = false;
     check::Mode selfcheck = check::Mode::Off;
-    bool selfcheckGiven = false;
     std::string selfcheckJsonPath;
     bool list = false;
     bool marks = false;
@@ -456,13 +452,10 @@ parseRun(int argc, char **argv)
             if (!sim::parseMarkMode(v, o.markMode))
                 dmp_fatal("--mark: unknown mode: ", v);
         }
-        else if (option(a, "--verify"))
-            o.verify = true;
         else if (option(a, "--selfcheck") ||
                  option(a, "--selfcheck", &v)) {
             if (!check::parseMode(v, o.selfcheck))
                 dmp_fatal("--selfcheck: unknown mode: ", v);
-            o.selfcheckGiven = true;
         }
         else if (option(a, "--selfcheck-json", &v))
             o.selfcheckJsonPath = v;
@@ -685,12 +678,6 @@ runCommand(int argc, char **argv)
     if (o.target.empty())
         usage("run");
 
-    if (!o.selfcheckGiven) {
-        if (const char *env = std::getenv("DMP_SELFCHECK")) {
-            if (!check::parseMode(env, o.selfcheck))
-                dmp_fatal("DMP_SELFCHECK: unknown mode: ", env);
-        }
-    }
     if (!o.sweep.empty()) {
         const char *single_run = !o.perfetto.empty() ? "--perfetto"
                                  : !o.pipeview.empty() ? "--pipeview"
@@ -703,7 +690,8 @@ runCommand(int argc, char **argv)
     }
 
     // A workload goes through the same train/ref flow as the batch
-    // pool; an assembly file is marked in place.
+    // pool; an assembly file is marked in place. Either way the marked
+    // program is linted first, and an error finding refuses the run.
     const sim::SimConfig cfg = simConfigFor(o, o.mode);
     const core::CoreParams &params = cfg.core;
     isa::Program prog;
@@ -712,27 +700,12 @@ runCommand(int argc, char **argv)
         std::tie(prog, report) = sim::prepareMarkedProgram(cfg);
     } else {
         prog = loadTarget(o.target, cfg.ref);
-        report = sim::markTrainProgram(prog, cfg);
+        report = sim::markProgram(prog, cfg);
     }
 
     if (o.marks) {
         std::fputs(prog.listing().c_str(), stdout);
         return 0;
-    }
-
-    if (o.verify) {
-        analysis::AnalysisOptions ao;
-        ao.marker.markLoopBranches = o.loopExt;
-        ao.maxPredicateDepth = params.predRegisters;
-        ao.memoryBytes = params.memoryBytes;
-        analysis::Report vr = analysis::analyzeProgram(prog, ao);
-        if (!vr.empty())
-            std::fputs(vr.text().c_str(), stderr);
-        if (!vr.clean())
-            dmp_fatal("--verify: ", vr.errors(),
-                      " error finding(s); not simulating");
-        std::printf("verify: clean (%zu warning(s), %zu info(s))\n",
-                    vr.warnings(), vr.infos());
     }
 
     std::printf("target=%s mode=%s mark=%s marked: %llu diverge, "
@@ -1262,8 +1235,8 @@ main(int argc, char **argv)
 {
     const std::string sub = argc > 1 ? argv[1] : "";
     // Each subcommand sees argv[0] as its own name. Stray exceptions
-    // (LintError from --verify, assembler or filesystem errors) become
-    // a clean diagnostic instead of std::terminate.
+    // (LintError from the pre-flight lint, assembler or filesystem
+    // errors) become a clean diagnostic instead of std::terminate.
     try {
         if (sub == "run")
             return runCommand(argc - 1, argv + 1);

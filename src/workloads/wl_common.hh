@@ -27,12 +27,7 @@ namespace dmp::workloads
 /** Base address of every workload's data region. */
 inline constexpr Addr kDataBase = 0x100000;
 
-/**
- * Construction parameters shared by every workload.
- *
- * Serialized field-by-field into sim::configFingerprint and the batch
- * profile-cache key (sim/batch.cc) — extend both when adding a field.
- */
+/** Construction parameters shared by every workload. */
 struct WorkloadParams
 {
     /** Outer-loop iterations (sized for a few hundred K instructions). */

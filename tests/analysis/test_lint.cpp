@@ -401,6 +401,9 @@ TEST(Lint, PreflightThrowsOnCorruptedMarking)
             << e.report().text();
         EXPECT_GE(e.report().errors(), 1u);
         EXPECT_NE(std::string(e.what()).find("vpr"), std::string::npos);
+        // The message carries the findings, not a moved-from report.
+        EXPECT_NE(std::string(e.what()).find("cfm-oob"), std::string::npos)
+            << e.what();
     }
 }
 

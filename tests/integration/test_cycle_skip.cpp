@@ -1,14 +1,13 @@
 /**
  * @file
  * Event-driven cycle skipping: lockstep equivalence against the
- * forced full-scan scheduler (DMP_FORCE_FULL_SCAN) plus directed
+ * full-scan scheduler (a test::NoCycleSkip observer) plus directed
  * clock-jump corner cases — a flush landing exactly on the resume
  * cycle, and an episode whose predicate resolves on the resume cycle.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -21,13 +20,6 @@ namespace dmp
 namespace
 {
 
-/** Scoped DMP_FORCE_FULL_SCAN=1 (run() reads the variable per call). */
-struct ForceFullScanGuard
-{
-    ForceFullScanGuard() { ::setenv("DMP_FORCE_FULL_SCAN", "1", 1); }
-    ~ForceFullScanGuard() { ::unsetenv("DMP_FORCE_FULL_SCAN"); }
-};
-
 /** Everything the skip transformation must leave bit-identical. */
 struct RunObservation
 {
@@ -39,10 +31,15 @@ struct RunObservation
     std::vector<std::pair<std::string, DistSnapshot>> dists;
 };
 
+/** Run to completion; with `full_scan`, tick every cycle. */
 RunObservation
-observeRun(const isa::Program &prog, const core::CoreParams &params)
+observeRun(const isa::Program &prog, const core::CoreParams &params,
+           bool full_scan)
 {
     core::Core machine(prog, params);
+    test::NoCycleSkip no_skip;
+    if (full_scan)
+        machine.addObserver(&no_skip);
     machine.run(~0ULL, 400'000'000ULL);
     EXPECT_TRUE(machine.halted()) << "core did not halt";
 
@@ -82,7 +79,7 @@ expectSameDist(const std::string &name, const DistSnapshot &a,
 }
 
 /**
- * Run with cycle skipping, then again under DMP_FORCE_FULL_SCAN, and
+ * Run with cycle skipping, then again ticking every cycle, and
  * assert the two machines are indistinguishable (architectural state,
  * cycle count, every stat but the skip diagnostic). Returns the
  * skip-enabled run's skipped-cycle count so callers can assert the
@@ -92,13 +89,8 @@ std::uint64_t
 expectSkipLockstep(const isa::Program &prog,
                    const core::CoreParams &params, const std::string &what)
 {
-    ::unsetenv("DMP_FORCE_FULL_SCAN"); // defensive: guard hygiene
-    RunObservation fast = observeRun(prog, params);
-    RunObservation slow;
-    {
-        ForceFullScanGuard guard;
-        slow = observeRun(prog, params);
-    }
+    RunObservation fast = observeRun(prog, params, false);
+    RunObservation slow = observeRun(prog, params, true);
     EXPECT_EQ(slow.skipped, 0u)
         << what << ": full-scan run must not skip";
     EXPECT_EQ(fast.cycles, slow.cycles) << what << ": cycle count";

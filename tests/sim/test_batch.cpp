@@ -65,7 +65,10 @@ expectSameResult(const sim::SimResult &a, const sim::SimResult &b,
         << what;
 }
 
-/** (1) Parallel execution is bit-identical to serial runSim. */
+/**
+ * (1) Parallel execution is bit-identical to serial runSim, under
+ * every mark mode.
+ */
 TEST(BatchRunner, ParallelMatchesSerial)
 {
     const char *wls[] = {"bzip2", "mcf", "parser"};
@@ -75,6 +78,11 @@ TEST(BatchRunner, ParallelMatchesSerial)
     for (const char *wl : wls)
         for (const char *mode : modes)
             grid.push_back(withCore(smallConfig(wl), mode));
+    for (sim::MarkMode marks : {sim::MarkMode::Static, sim::MarkMode::None})
+        for (const char *wl : wls) {
+            grid.push_back(withCore(smallConfig(wl), "dmp-enhanced"));
+            grid.back().markMode = marks;
+        }
 
     std::vector<sim::SimResult> serial;
     for (const sim::SimConfig &cfg : grid)

@@ -8,8 +8,9 @@
  * trace closes every episode it opens without moving a single stats
  * counter, `dmp paper` rejects a bad figure or workload list
  * before it simulates anything, `dmp lint/mark --json` to stdout
- * leaves nothing there but the document, and `dmp lint` on a `.s` file
- * with a malformed operand fails naming the line.
+ * leaves nothing there but the document, `dmp lint` on a `.s` file
+ * with a malformed operand fails naming the line, and `dmp run` refuses
+ * a program that `dmp lint` rejects.
  */
 
 #include <gtest/gtest.h>
@@ -157,6 +158,26 @@ TEST(DmpCli, LintRejectsOperandOfTheWrongKind)
     std::remove(path.c_str());
     EXPECT_NE(r.status, 0);
     EXPECT_NE(r.err.find("line 2"), std::string::npos) << r.err;
+}
+
+TEST(DmpRun, RefusesWhatDmpLintRejects)
+{
+    // No halt: execution falls off the end of the image, an error
+    // finding. dmp run lints before it simulates, so it refuses the
+    // program with the findings instead of running into a deadlock.
+    const std::string path = tempPath("fallthrough.s");
+    {
+        std::ofstream src(path);
+        src << "li r1, 6\nadd r2, r1, r1\n";
+    }
+    test::CliResult lint = runDmp({"lint", "--no-mark", path});
+    test::CliResult run = runDmp({"run", "--mark=none", path});
+    std::remove(path.c_str());
+    EXPECT_EQ(lint.status, 1);
+    EXPECT_EQ(run.status, 1);
+    EXPECT_NE(run.err.find("fallthrough-end"), std::string::npos)
+        << run.err;
+    EXPECT_EQ(run.out.find("IPC"), std::string::npos) << run.out;
 }
 
 TEST(DmpRun, StatsJsonMatchesLibraryResult)

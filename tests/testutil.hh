@@ -26,6 +26,16 @@ namespace dmp::test
 inline const std::string kJsonName =
     std::string("we\"ird\\na\tme") + '\x01';
 
+/**
+ * An observer that only turns Core::run's cycle skipping off: attached,
+ * the core ticks every cycle (the full-scan schedule the skip tests
+ * compare against).
+ */
+struct NoCycleSkip : core::CoreObserver
+{
+    bool allowsCycleSkip() const override { return false; }
+};
+
 /** Run the functional reference to completion (bounded). */
 inline isa::ArchState
 runReference(const isa::Program &prog, isa::MemoryImage &mem,
