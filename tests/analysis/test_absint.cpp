@@ -5,8 +5,8 @@
  * property — every value FuncSim retires lies inside the abstract
  * value at that program point, over all 15 workloads (both marker
  * configurations) and a sweep of random programs — plus directed tests
- * of the smear, iteration-cap and forced-widening paths and a golden
- * digest of the engine's complete output.
+ * of the smear, iteration-cap, forced-widening and memory-slot paths
+ * and a golden digest of the engine's complete output.
  */
 
 #include <cstdio>
@@ -568,11 +568,11 @@ TEST(AbsintSoundness, IndirectLoopConvergesViaForcedWidening)
 // ---------------------------------------------------------------------
 // Golden digest: the fixpoint engine's complete output (every in-state,
 // slot, proof, resolved indirect and counter, iterations included) on
-// the 15 workloads at the train and ref data seeds plus a random-program
-// sweep, each at two narrowing depths. The expected digests were taken
-// before the in-place join rewrite of the worklist loop; any change to
-// join order, widening, a transfer function or a program generator
-// moves them.
+// the 15 workloads at the train and ref data seeds, a random-program
+// sweep and directed memory-slot programs, each at two narrowing
+// depths. The expected digests were taken before the in-place join
+// rewrite of the worklist loop; any change to join order, widening, a
+// transfer function or a program generator moves them.
 
 namespace
 {
@@ -648,7 +648,107 @@ struct GoldenCase
 {
     std::string name;
     isa::Program prog;
+    bool assumeInitialData = true;
 };
+
+constexpr Addr kSlotA = 0x8000; ///< seeded by the initial data
+constexpr Addr kSlotB = 0x8008; ///< seeded by the initial data
+constexpr Addr kSlotC = 0x8010; ///< only ever stored to
+
+/**
+ * Strong slot updates: r0-relative loads and stores at constant
+ * addresses, a counter kept in a slot round a loop (so slot joins and
+ * widening at the loop head), and a slot with no initial data.
+ */
+isa::Program
+slotConstProgram()
+{
+    isa::ProgramBuilder b;
+    b.dataWord(kSlotA, 7);
+    b.dataWord(kSlotB, 100);
+    b.ld(2, 0, SWord(kSlotB));
+    isa::Label loop = b.newLabel();
+    isa::Label done = b.newLabel();
+    b.bind(loop);
+    b.ld(1, 0, SWord(kSlotA));
+    b.addi(1, 1, 3);
+    b.st(0, SWord(kSlotA), 1);
+    b.ld(3, 0, SWord(kSlotA));
+    b.blt(3, 2, loop);
+    b.st(0, SWord(kSlotC), 3);
+    b.ld(4, 0, SWord(kSlotC));
+    b.ld(5, 0, SWord(kSlotB));
+    b.beq(5, 2, done); // provable from the untouched slot
+    b.addi(6, 6, 1);
+    b.bind(done);
+    b.halt();
+    return b.build();
+}
+
+/**
+ * Weak slot updates: a store through a computed base whose range
+ * covers two tracked slots joins into both, and the loads after it
+ * decide a branch.
+ */
+isa::Program
+slotWeakProgram()
+{
+    isa::ProgramBuilder b;
+    b.dataWord(kSlotA, 1);
+    b.dataWord(kSlotB, 2);
+    b.li(9, 4);
+    isa::Label loop = b.newLabel();
+    isa::Label skip = b.newLabel();
+    b.bind(loop);
+    b.andi(6, 7, 8); // 0 or 8
+    b.li(5, SWord(kSlotA));
+    b.add(5, 5, 6);
+    b.addi(8, 7, 40);
+    b.st(5, 0, 8); // may write kSlotA or kSlotB
+    b.ld(1, 0, SWord(kSlotA));
+    b.ld(2, 0, SWord(kSlotB));
+    b.bltu(1, 2, skip);
+    b.addi(10, 10, 1);
+    b.bind(skip);
+    b.addi(7, 7, 8);
+    b.addi(9, 9, -1);
+    b.bne(9, 0, loop);
+    b.ld(3, 0, SWord(kSlotC));
+    b.halt();
+    return b.build();
+}
+
+/**
+ * A call between slot accesses: the callee's edge sees the caller's
+ * slots, and the summary edge havocs every slot and register.
+ */
+isa::Program
+slotCallProgram()
+{
+    isa::ProgramBuilder b;
+    b.dataWord(kSlotA, 5);
+    isa::Label fn = b.newLabel();
+    isa::Label start = b.newLabel();
+    isa::Label same = b.newLabel();
+    b.jmp(start);
+    b.bind(fn);
+    b.ld(7, 0, SWord(kSlotB));
+    b.addi(7, 7, 1);
+    b.st(0, SWord(kSlotA), 7);
+    b.ret();
+    b.bind(start);
+    b.li(3, 11);
+    b.st(0, SWord(kSlotB), 3);
+    b.ld(1, 0, SWord(kSlotA));
+    b.call(fn);
+    b.ld(2, 0, SWord(kSlotA));
+    b.ld(4, 0, SWord(kSlotB));
+    b.beq(2, 1, same);
+    b.addi(6, 6, 1);
+    b.bind(same);
+    b.halt();
+    return b.build();
+}
 
 std::vector<GoldenCase>
 goldenPrograms()
@@ -676,6 +776,11 @@ goldenPrograms()
                                      0xda7a00 + data)});
         }
     }
+    // No generated program tracks a memory slot; these do.
+    out.push_back({"slot-const", slotConstProgram()});
+    out.push_back({"slot-weak", slotWeakProgram()});
+    out.push_back({"slot-call", slotCallProgram()});
+    out.push_back({"slot-const/no-initial-data", slotConstProgram(), false});
     return out;
 }
 
@@ -684,7 +789,8 @@ goldenPrograms()
 /**
  * Expected digests in goldenPrograms() order, narrowIters 2 then 1 for
  * each program (so four per workload: train/n2, train/n1, ref/n2,
- * ref/n1).
+ * ref/n1). The slot programs' digests were taken with an engine whose
+ * states held whole AbsVals, one per register and slot.
  */
 constexpr std::uint64_t kGoldenDigests[] = {
     0xc19c513e905cb361ull, 0xa4f9fcd869504b21ull, 0xcd7a9a8c8cbefa5dull,
@@ -746,7 +852,11 @@ constexpr std::uint64_t kGoldenDigests[] = {
     0xed69e33d4dcce230ull, 0xb0871782f963e570ull, 0x524aa84a991de281ull,
     0x18ef0efb028eb2c1ull, 0xa2555753876b46a9ull, 0xa2555753876b46a9ull,
     0x8034942aaf294ba1ull, 0x8034942aaf294ba1ull, 0xbc4af6e506d083b2ull,
-    0x04ede03377c422b2ull, 0x973d34be5ae7babaull, 0x79b7c497d77ef33aull
+    0x04ede03377c422b2ull, 0x973d34be5ae7babaull, 0x79b7c497d77ef33aull,
+    // The directed slot programs.
+    0x48d0b7f338b09eeaull, 0x23eb3698081ade7eull, 0x9fb366f479622537ull,
+    0x9fb366f479622537ull, 0xb84bb6c84703fdf1ull, 0xb84bb6c84703fdf1ull,
+    0x1448662af9520b1eull, 0x1448662af9520b1eull
 };
 
 TEST(AbsintGolden, DigestsMatchReference)
@@ -758,6 +868,7 @@ TEST(AbsintGolden, DigestsMatchReference)
         for (unsigned narrow : {2u, 1u}) {
             AbsintOptions ao;
             ao.narrowIters = narrow;
+            ao.assumeInitialData = c.assumeInitialData;
             const std::uint64_t got =
                 digestResult(analysis::runAbsint(c.prog, ao));
             ASSERT_EQ(got, kGoldenDigests[at++])
@@ -766,4 +877,56 @@ TEST(AbsintGolden, DigestsMatchReference)
                 << std::hex << got << ")";
         }
     }
+}
+
+TEST(AbsintSoundness, SlotPrograms)
+{
+    const std::vector<Word> slots{kSlotA, kSlotB, kSlotC};
+    for (const auto &[name, prog] :
+         {std::pair<const char *, isa::Program>{"slot-const",
+                                                slotConstProgram()},
+          {"slot-weak", slotWeakProgram()},
+          {"slot-call", slotCallProgram()}}) {
+        const AbsintResult r = analysis::runAbsint(prog);
+        ASSERT_TRUE(r.ran) << name;
+        const std::vector<Word> want =
+            name == std::string("slot-call")
+                ? std::vector<Word>{kSlotA, kSlotB}
+                : slots;
+        EXPECT_EQ(r.slotAddrs, want) << name;
+        checkLockstep(prog, name, 2000);
+    }
+
+    // The untouched slot keeps its initial value across the loop, so
+    // the final beq is proved taken; without the initial data it is
+    // not.
+    const isa::Program cp = slotConstProgram();
+    const Addr beq = cp.baseAddr() + 9 * isa::kInstBytes;
+    ASSERT_EQ(cp.instAt(cp.indexOf(beq)).op, isa::Opcode::BEQ);
+    EXPECT_EQ(analysis::runAbsint(cp).proofAt(beq).status,
+              BranchProof::Status::Taken);
+    AbsintOptions noData;
+    noData.assumeInitialData = false;
+    EXPECT_EQ(analysis::runAbsint(cp, noData).proofAt(beq).status,
+              BranchProof::Status::None);
+
+    // The weak store joins into both slots its address range covers
+    // and leaves the third alone.
+    const isa::Program wp = slotWeakProgram();
+    const AbsintResult wr = analysis::runAbsint(wp);
+    const analysis::AbsState &tail = wr.in[wp.size() - 1];
+    EXPECT_TRUE(tail.memHavoc);
+    EXPECT_TRUE(tail.slots[0].contains(1));
+    EXPECT_TRUE(tail.slots[0].contains(40));
+    EXPECT_TRUE(tail.slots[1].contains(2));
+    EXPECT_TRUE(tail.slots[1].contains(48));
+    EXPECT_TRUE(tail.slots[2].isConstant());
+
+    // The call's summary edge havocs every slot.
+    const isa::Program kp = slotCallProgram();
+    const AbsintResult kr = analysis::runAbsint(kp);
+    const analysis::AbsState &after = kr.in[9]; // the ld after the call
+    EXPECT_TRUE(after.memHavoc);
+    for (const AbsVal &v : after.slots)
+        EXPECT_TRUE(v.isTop());
 }
