@@ -138,9 +138,19 @@ simResultJson(const SimResult &r, const std::string &label,
 profile::MarkingReport
 markProgram(isa::Program &program, const SimConfig &cfg)
 {
+    analysis::AnalysisOptions ao;
+    ao.marker = cfg.marker;
+    ao.maxPredicateDepth = cfg.core.predRegisters;
+    ao.memoryBytes = cfg.core.memoryBytes;
+
     profile::MarkingReport report;
     switch (cfg.markMode) {
     case MarkMode::Profile:
+        // The train run executes the program, so the verifier sees it
+        // first, unmarked: one that falls off its end is refused with
+        // that finding instead of dying inside the run.
+        program.clearMarks();
+        analysis::preflightOrThrow(program, ao, cfg.workload);
         report = profile::profileAndMark(program, cfg.core.memoryBytes,
                                          cfg.marker);
         break;
@@ -165,10 +175,6 @@ markProgram(isa::Program &program, const SimConfig &cfg)
 
     // Pre-flight: an illegal marking throws here, before any
     // simulation consumes it.
-    analysis::AnalysisOptions ao;
-    ao.marker = cfg.marker;
-    ao.maxPredicateDepth = cfg.core.predRegisters;
-    ao.memoryBytes = cfg.core.memoryBytes;
     analysis::preflightOrThrow(program, ao, cfg.workload);
     return report;
 }
