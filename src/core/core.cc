@@ -223,7 +223,7 @@ Core::Core(const isa::Program &program, const CoreParams &params)
         oracle = std::make_unique<bpred::OracleTracker>(prog,
                                                         p.memoryBytes);
     }
-    reset();
+    resetState();
 }
 
 Core::~Core() = default;
@@ -245,6 +245,22 @@ Core::addObserver(CoreObserver *o)
 
 void
 Core::reset()
+{
+    // Recreate the prediction structures so reset() reproduces a fresh
+    // machine bit-for-bit.
+    predictor = makePredictor(p);
+    perceptron = p.predictor == PredictorKind::Perceptron
+        ? static_cast<bpred::PerceptronPredictor *>(predictor.get())
+        : nullptr;
+    jrs = std::make_unique<bpred::JrsConfidenceEstimator>();
+    btb = bpred::Btb(kBtbEntries);
+    ras = bpred::ReturnAddressStack(kRasEntries);
+    itc = bpred::IndirectTargetCache(kItcEntries);
+    resetState();
+}
+
+void
+Core::resetState()
 {
     memory->clear();
     for (const auto &[addr, value] : prog.initialData())
@@ -295,17 +311,6 @@ Core::reset()
     now = 0;
     isHalted = prog.size() == 0;
     lastTickIdle = false;
-
-    // Recreate the prediction structures so reset() reproduces a fresh
-    // machine bit-for-bit.
-    predictor = makePredictor(p);
-    perceptron = p.predictor == PredictorKind::Perceptron
-        ? static_cast<bpred::PerceptronPredictor *>(predictor.get())
-        : nullptr;
-    jrs = std::make_unique<bpred::JrsConfidenceEstimator>();
-    btb = bpred::Btb(kBtbEntries);
-    ras = bpred::ReturnAddressStack(kRasEntries);
-    itc = bpred::IndirectTargetCache(kItcEntries);
 
     caches.reset();
     if (oracle)

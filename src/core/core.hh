@@ -177,6 +177,10 @@ class Core
 
   private:
     friend class dmp::check::CoreChecker;
+    /** Everything reset() restores but the prediction tables, which
+     *  the constructor has just built and reset() rebuilds. */
+    void resetState();
+
     // ---- Pipeline stages (called oldest-stage-first each cycle) ----
     // Each returns true when it mutated machine state this cycle; an
     // all-false cycle is provably idempotent until the next wake event
