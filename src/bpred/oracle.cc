@@ -13,15 +13,6 @@ OracleTracker::OracleTracker(const isa::Program &program,
 {
 }
 
-void
-OracleTracker::reset()
-{
-    memory->clear();
-    sim->reset();
-    isSynced = true;
-    driftFrozen = false;
-}
-
 Addr
 OracleTracker::truePc() const
 {

@@ -35,9 +35,6 @@ class OracleTracker
   public:
     OracleTracker(const isa::Program &program, std::size_t mem_bytes);
 
-    /** Restart from the program entry point. */
-    void reset();
-
     /** True while the fetch stream is known to be on the correct path. */
     bool synced() const { return isSynced; }
 

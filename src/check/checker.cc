@@ -241,16 +241,6 @@ CoreChecker::onFlush(const core::FlushEvent &e)
     }
 }
 
-void
-CoreChecker::onReset()
-{
-    refMem.clear();
-    oracle.reset();
-    history.clear();
-    flushes.clear();
-    skipNextStep = false;
-}
-
 // ---------------------------------------------------------------------
 // Structural invariants
 // ---------------------------------------------------------------------

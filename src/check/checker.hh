@@ -152,7 +152,6 @@ class CoreChecker final : public core::CoreObserver
     void onRetire(const core::DynInst &di, std::uint64_t seq,
                   PredId pred) override;
     void onFlush(const core::FlushEvent &e) override;
-    void onReset() override;
     bool allowsCycleSkip() const override { return false; }
 
   private:

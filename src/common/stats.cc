@@ -30,18 +30,6 @@ Distribution::init(std::uint64_t min_v, std::uint64_t max_v,
         std::size_t((max_v - min_v) / bucket_size + 1), 0);
 }
 
-void
-Distribution::reset()
-{
-    std::uint64_t mn = snap.min, mx = snap.max, bs = snap.bucketSize;
-    std::size_t n = snap.buckets.size();
-    snap = DistSnapshot{};
-    snap.min = mn;
-    snap.max = mx;
-    snap.bucketSize = bs;
-    snap.buckets.assign(n, 0);
-}
-
 // ---------------------------------------------------------------------
 // Formula
 // ---------------------------------------------------------------------
@@ -214,15 +202,6 @@ distSnapshotJson(json::Writer &w, const DistSnapshot &s)
     for (std::uint64_t b : s.buckets)
         w.value(b);
     w.endArray().endObject();
-}
-
-void
-StatGroup::resetAll()
-{
-    for (auto &e : entries)
-        e.counter->reset();
-    for (auto &e : distEntries)
-        e.dist->reset();
 }
 
 } // namespace dmp

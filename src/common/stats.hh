@@ -43,7 +43,6 @@ class Counter
     void operator+=(std::uint64_t d) { val += d; }
 
     std::uint64_t value() const { return val; }
-    void reset() { val = 0; }
 
   private:
     std::uint64_t val = 0;
@@ -122,9 +121,6 @@ class Distribution
 
     /** Copyable view of the current state. */
     const DistSnapshot &snapshot() const { return snap; }
-
-    /** Zero all sample state; the geometry is kept. */
-    void reset();
 
   private:
     DistSnapshot snap;
@@ -212,9 +208,6 @@ class StatGroup
      * formulas evaluated now.
      */
     std::string dump() const;
-
-    /** Reset every registered counter and distribution. */
-    void resetAll();
 
     const std::string &name() const { return groupName; }
 

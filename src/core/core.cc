@@ -121,12 +121,6 @@ CoreStats::CoreStats()
         "executed (incl. uops) / retired program instructions (Fig. 12)");
 }
 
-void
-CoreStats::reset()
-{
-    group.resetAll();
-}
-
 namespace
 {
 
@@ -223,7 +217,14 @@ Core::Core(const isa::Program &program, const CoreParams &params)
         oracle = std::make_unique<bpred::OracleTracker>(prog,
                                                         p.memoryBytes);
     }
-    resetState();
+    for (const auto &[addr, value] : prog.initialData())
+        memory->store(addr, value);
+    retiredArch.pc = prog.baseAddr();
+    // Identity rename map: arch reg i -> phys reg i.
+    for (unsigned r = 0; r < isa::kNumArchRegs; ++r)
+        activeMap.map[r] = PhysReg(r);
+    fetchPc = prog.size() ? prog.baseAddr() : kNoAddr;
+    isHalted = prog.size() == 0;
 }
 
 Core::~Core() = default;
@@ -241,84 +242,6 @@ Core::addObserver(CoreObserver *o)
         obs = fanout.get();
     }
     fanout->add(o);
-}
-
-void
-Core::reset()
-{
-    // Recreate the prediction structures so reset() reproduces a fresh
-    // machine bit-for-bit.
-    predictor = makePredictor(p);
-    perceptron = p.predictor == PredictorKind::Perceptron
-        ? static_cast<bpred::PerceptronPredictor *>(predictor.get())
-        : nullptr;
-    jrs = std::make_unique<bpred::JrsConfidenceEstimator>();
-    btb = bpred::Btb(kBtbEntries);
-    ras = bpred::ReturnAddressStack(kRasEntries);
-    itc = bpred::IndirectTargetCache(kItcEntries);
-    resetState();
-}
-
-void
-Core::resetState()
-{
-    memory->clear();
-    for (const auto &[addr, value] : prog.initialData())
-        memory->store(addr, value);
-    retiredArch = isa::ArchState{};
-    retiredArch.pc = prog.baseAddr();
-
-    // Identity rename map: arch reg i -> phys reg i.
-    activeMap = RenameMap{};
-    for (unsigned r = 0; r < isa::kNumArchRegs; ++r)
-        activeMap.map[r] = PhysReg(r);
-    activeMap.clearMBits();
-    dualAltMap = RenameMap{};
-    dualAltMapValid = false;
-
-    prf.reset();
-    cpPool.reset();
-    sb.clear();
-    preds.reset();
-
-    std::fill(robSeq.begin(), robSeq.end(), std::uint64_t(0));
-    std::fill(robState.begin(), robState.end(), std::uint8_t(0));
-    std::fill(robDeps.begin(), robDeps.end(), std::uint32_t(0));
-    std::fill(robDest.begin(), robDest.end(), kNoPhysReg);
-    std::fill(robCompleteAt.begin(), robCompleteAt.end(), kNeverCycle);
-    std::fill(robPred.begin(), robPred.end(), kNoPred);
-    robHead = 0;
-
-    robCount = 0;
-    nextSeq = 1;
-
-    fetchQueue.clear();
-    fetchPc = prog.size() ? prog.baseAddr() : kNoAddr;
-    fetchStallUntil = 0;
-    ghr = 0;
-    fdp.clear();
-    fdual.clear();
-
-    for (Episode &ep : episodeTable)
-        ep = Episode{};
-    nextEpisodeId = 1;
-
-    readyQueue = {};
-    events.clear();
-    stalledLoads.clear();
-
-
-    now = 0;
-    isHalted = prog.size() == 0;
-    lastTickIdle = false;
-
-    caches.reset();
-    if (oracle)
-        oracle->reset();
-    wpRecords.clear();
-
-    if (obs)
-        obs->onReset();
 }
 
 bool

@@ -106,7 +106,6 @@ struct CoreStats
     StatGroup group{"core"};
 
     CoreStats();
-    void reset();
 };
 
 static_assert(isa::kZeroReg < isa::kNumArchRegs);
@@ -133,9 +132,6 @@ class Core
 
     Core(const Core &) = delete;
     Core &operator=(const Core &) = delete;
-
-    /** Restart the machine from the program entry point. */
-    void reset();
 
     /** Advance one cycle. @return false once HALT has retired. */
     bool tick();
@@ -177,9 +173,6 @@ class Core
 
   private:
     friend class dmp::check::CoreChecker;
-    /** Everything reset() restores but the prediction tables, which
-     *  the constructor has just built and reset() rebuilds. */
-    void resetState();
 
     // ---- Pipeline stages (called oldest-stage-first each cycle) ----
     // Each returns true when it mutated machine state this cycle; an

@@ -69,13 +69,9 @@ struct FrontCtx
     PathId path = PathId::None;
     bool isCondBranch = false;
     bool isControl = false;
-    bool predTaken = false;
     bool lowConfidence = false;
     /** This conditional branch started the episode. */
     bool isDivergeStarter = false;
-    /** Fetched while the front-end was (transitively) on a wrong path
-     *  according to the oracle tracker; measurement only. */
-    bool oracleWrongPath = false;
     Addr pc = 0;
     isa::Inst si;
     Addr predNextPc = 0;
@@ -87,6 +83,10 @@ struct FrontCtx
 /** A fetched, not-yet-renamed entry in the front-end pipeline. */
 struct FetchedInst : FrontCtx
 {
+    bool predTaken = false;
+    /** Fetched while the front-end was (transitively) on a wrong path
+     *  according to the oracle tracker; measurement only. */
+    bool oracleWrongPath = false;
     /** Cycle this entry reaches the rename stage. */
     Cycle renameReadyAt = 0;
     /** Cycle this entry was fetched (trace/pipeview lifecycle). */
@@ -171,8 +171,8 @@ struct DynInst : FrontCtx
     }
 };
 
-// The shared base grows neither record: DynInst::src1 sits in
-// FrontCtx's tail padding, as it did when the fields were inline.
+// The shared base grows neither record: DynInst::src1 and
+// FetchedInst's two fetch-only flags sit in FrontCtx's tail padding.
 static_assert(sizeof(DynInst) == 160);
 static_assert(sizeof(FetchedInst) == 168);
 

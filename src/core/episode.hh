@@ -221,15 +221,6 @@ class PredicateFile
         s.state.assumed = assumed;
     }
 
-    void
-    reset()
-    {
-        for (Slot &s : slots)
-            s = Slot{};
-        unresolved = 0;
-        nextId = 0;
-    }
-
   private:
     struct Slot
     {

@@ -8,7 +8,9 @@
  *
  * The core calls each event behind a single null test and no build
  * switch; with several subscribers it dispatches through an
- * ObserverFanout it owns (Core::addObserver). This header is
+ * ObserverFanout it owns (Core::addObserver). A core starts only by
+ * construction and is never reset, so a subscriber attached to a fresh
+ * core sees one whole run and needs no reset event. This header is
  * self-contained (DynInst is only forward-declared) so dmp_analysis,
  * which does not link dmp_core, can subscribe too.
  */
@@ -134,9 +136,6 @@ class CoreObserver
      */
     virtual void onPredicatedRetire(Addr /*diverge_pc*/, bool /*is_uop*/) {}
 
-    /** Core::reset() finished; subscriber state must restart too. */
-    virtual void onReset() {}
-
     /**
      * False when this subscriber samples every cycle as a real tick,
      * which turns Core::run's cycle skipping off.
@@ -198,12 +197,6 @@ class ObserverFanout final : public CoreObserver
     {
         for (CoreObserver *o : subs)
             o->onPredicatedRetire(diverge_pc, is_uop);
-    }
-    void
-    onReset() override
-    {
-        for (CoreObserver *o : subs)
-            o->onReset();
     }
     bool
     allowsCycleSkip() const override

@@ -152,23 +152,6 @@ class PhysRegFile
         return out;
     }
 
-    /** Reset to the initial state (all arch mappings ready). */
-    void
-    reset()
-    {
-        std::fill(values.begin(), values.end(), 0);
-        std::fill(readyBits.begin(), readyBits.end(), true);
-        std::fill(freeFlags.begin(), freeFlags.end(), false);
-        freeList.clear();
-        for (unsigned i = unsigned(values.size()); i > isa::kNumArchRegs;
-             --i) {
-            freeList.push_back(PhysReg(i - 1));
-            freeFlags[i - 1] = true;
-        }
-        waiters.clear();
-        waiters.resize(values.size());
-    }
-
   private:
     std::vector<Word> values;
     std::vector<char> readyBits;
@@ -251,16 +234,6 @@ class CheckpointPool
         if (pool[id].inUse && pool[id].ownerSeq == owner_seq) {
             pool[id].inUse = false;
             freeIds.push_back(id);
-        }
-    }
-
-    void
-    reset()
-    {
-        freeIds.clear();
-        for (unsigned i = unsigned(pool.size()); i > 0; --i) {
-            pool[i - 1].inUse = false;
-            freeIds.push_back(std::int32_t(i - 1));
         }
     }
 

@@ -160,8 +160,6 @@ class StoreBuffer
             entries.pop_back();
     }
 
-    void clear() { entries.clear(); }
-
   private:
     SbEntry *
     find(std::uint64_t seq)

@@ -26,7 +26,10 @@ isSimpleExec(std::uint8_t exec) noexcept
 FuncSim::FuncSim(const Program &program, MemoryImage &mem)
     : prog(program), memory(mem), ops(buildFastOps(program))
 {
-    reset();
+    arch.pc = prog.baseAddr();
+    isHalted = prog.size() == 0;
+    for (const auto &[addr, value] : prog.initialData())
+        memory.store(addr, value);
 }
 
 std::shared_ptr<const std::vector<FastOp>>
@@ -80,17 +83,6 @@ FuncSim::buildFastOps(const Program &program)
             ops[i].op = kFhFused;
     }
     return table;
-}
-
-void
-FuncSim::reset()
-{
-    arch = ArchState{};
-    arch.pc = prog.baseAddr();
-    isHalted = prog.size() == 0;
-    retired = 0;
-    for (const auto &[addr, value] : prog.initialData())
-        memory.store(addr, value);
 }
 
 StepInfo

@@ -127,9 +127,6 @@ class FuncSim
      */
     FuncSim(const Program &program, MemoryImage &mem);
 
-    /** Reset PC/registers and re-seed memory from the program image. */
-    void reset();
-
     /** Execute one instruction. No-op when halted. */
     StepInfo step();
 

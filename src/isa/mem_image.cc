@@ -23,15 +23,6 @@ MemoryImage::~MemoryImage()
     munmap(words, sizeBytes());
 }
 
-void
-MemoryImage::clear()
-{
-    // On a private anonymous mapping, MADV_DONTNEED drops the pages and
-    // the next access to each reads zero again.
-    if (madvise(words, sizeBytes(), MADV_DONTNEED) != 0)
-        dmp_panic("madvise(MADV_DONTNEED) failed on the memory image");
-}
-
 bool
 MemoryImage::operator==(const MemoryImage &other) const
 {

@@ -7,8 +7,9 @@
  * aligned accesses, flat backing store sized at construction.
  *
  * The store is a private anonymous mapping, so the kernel zero-fills a
- * page only when a program first touches it: building and clearing an
- * image costs O(pages touched), not O(image size).
+ * page only when a program first touches it: building an image costs
+ * O(pages touched), not O(image size). An image starts zeroed only by
+ * construction; each run builds its own.
  */
 
 #ifndef DMP_ISA_MEM_IMAGE_HH
@@ -48,9 +49,6 @@ class MemoryImage
     {
         words[wordIndex(addr)] = value;
     }
-
-    /** Zero the whole image by handing its touched pages back. */
-    void clear();
 
     bool operator==(const MemoryImage &other) const;
 

@@ -104,16 +104,6 @@ Cache::probe(Addr addr) const
     return false;
 }
 
-void
-Cache::reset()
-{
-    std::fill(lines.begin(), lines.end(), Line{});
-    std::fill(bankFreeAt.begin(), bankFreeAt.end(), 0);
-    lruClock = 0;
-    hitCount.reset();
-    missCount.reset();
-}
-
 CacheHierarchy::CacheHierarchy() : CacheHierarchy(Params{})
 {
 }
@@ -201,15 +191,6 @@ CacheHierarchy::storeAccess(Addr addr, Cycle now)
             l2Cache.setFillTime(addr, l2_done + p.memLatency);
         l1dCache.setFillTime(addr, ready + p.l2.hitLatency);
     }
-}
-
-void
-CacheHierarchy::reset()
-{
-    l1iCache.reset();
-    l1dCache.reset();
-    l2Cache.reset();
-    std::fill(memBankFreeAt.begin(), memBankFreeAt.end(), 0);
 }
 
 } // namespace dmp::mem

@@ -60,9 +60,6 @@ class Cache final
     /** Probe without filling or LRU update (for tests/diagnostics). */
     bool probe(Addr addr) const;
 
-    /** Invalidate everything (between benchmark runs). */
-    void reset();
-
     /** Line-granular address (the fetch loop's same-line test). */
     Addr lineOf(Addr addr) const noexcept { return addr >> lineShift; }
 
@@ -148,8 +145,6 @@ class CacheHierarchy final
      * as fire-and-forget through a write buffer).
      */
     void storeAccess(Addr addr, Cycle now);
-
-    void reset();
 
     Cache &l1i() { return l1iCache; }
     Cache &l1d() { return l1dCache; }

@@ -7,6 +7,8 @@
 #include <unordered_set>
 #include <utility>
 
+#include "sim/report.hh"
+
 namespace dmp::sim
 {
 
@@ -339,9 +341,7 @@ printFig11(const FigureResults &f)
         std::uint64_t base = f.get(wl, "base").require("pipeline_flushes");
         std::uint64_t enh =
             f.get(wl, "enhanced").require("pipeline_flushes");
-        double red =
-            base ? 100.0 * (double(base) - double(enh)) / double(base)
-                 : 0.0;
+        double red = flushReductionPct(base, enh);
         std::printf("%-10s %10llu %10llu | %9.1f%%\n", wl.c_str(),
                     (unsigned long long)base, (unsigned long long)enh,
                     red);

@@ -143,14 +143,16 @@ markProgram(isa::Program &program, const SimConfig &cfg)
     ao.maxPredicateDepth = cfg.core.predRegisters;
     ao.memoryBytes = cfg.core.memoryBytes;
 
+    // The verifier reads no marks, so it runs once, on the unmarked
+    // program: a Profile train run executes it, and one that falls off
+    // its end is refused with that finding instead of dying inside the
+    // run.
+    program.clearMarks();
+    analysis::preflightOrThrow(program, ao, cfg.workload);
+
     profile::MarkingReport report;
     switch (cfg.markMode) {
     case MarkMode::Profile:
-        // The train run executes the program, so the verifier sees it
-        // first, unmarked: one that falls off its end is refused with
-        // that finding instead of dying inside the run.
-        program.clearMarks();
-        analysis::preflightOrThrow(program, ao, cfg.workload);
         report = profile::profileAndMark(program, cfg.core.memoryBytes,
                                          cfg.marker);
         break;
@@ -169,12 +171,12 @@ markProgram(isa::Program &program, const SimConfig &cfg)
         break;
     }
     case MarkMode::None:
-        program.clearMarks();
         break;
     }
 
-    // Pre-flight: an illegal marking throws here, before any
-    // simulation consumes it.
+    // Pre-flight the marking with the linter alone: an illegal marking
+    // throws here, before any simulation consumes it.
+    ao.verify = false;
     analysis::preflightOrThrow(program, ao, cfg.workload);
     return report;
 }

@@ -201,9 +201,9 @@ SimResult runSimOnProgram(const isa::Program &ref,
  * Mark `program` in place according to cfg.markMode — profile-and-mark
  * (Profile), static synthesis (Static) or clear (None) — and lint the
  * result against the bounds of cfg.marker, cfg.core.predRegisters and
- * cfg.core.memoryBytes. An illegal marking throws analysis::LintError
- * before anything simulates it, and so does a program the verifier
- * rejects before the Profile train run executes it. Every run
+ * cfg.core.memoryBytes. The verifier checks the unmarked program once,
+ * before marking. A program it rejects, or an illegal marking, throws
+ * analysis::LintError before anything runs it. Every run
  * is marked here: prepareMarkedProgram, both levels of the batch
  * profile cache and `dmp run` on a `.s` file. For Static, pass the
  * program that will actually run — synthesis leans on a value

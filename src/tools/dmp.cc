@@ -28,7 +28,7 @@
  *   --sweep=m1,m2,...    run several machine modes in parallel and
  *                        print a comparison table ("all" = every mode)
  *   --jobs=N             worker threads for --sweep (default: all
- *                        cores)
+ *                        cores, at most 256)
  *   --iters=N            workload loop iterations (default 2000)
  *   --seed=N             data seed of the measured run
  *   --rob=N              reorder buffer size
@@ -162,7 +162,8 @@
  *
  *   --iters=N            workload loop iterations (default 2000)
  *   --workloads=a,b,...  table rows (default: all 15 workloads)
- *   --jobs=N             worker threads (default: all cores)
+ *   --jobs=N             worker threads (default: all cores, at
+ *                        most 256)
  *   --accounting         attach cycle accounting to every run (the
  *                        records gain the accounting block)
  *   --stats-json=PATH    append one JSONL record per distinct run to
@@ -209,6 +210,9 @@ namespace
 
 /** Workload loop iterations when --iters is not given. */
 constexpr std::uint64_t kDefaultIters = 2000;
+
+/** Largest --jobs: each job is one worker thread. */
+constexpr std::uint64_t kMaxJobs = 256;
 
 /** Each subcommand's name and synopsis, in the order usage lists them. */
 constexpr const char *kSubcommands[][2] = {
@@ -444,7 +448,7 @@ parseRun(int argc, char **argv)
             o.sweep = v;
         }
         else if (option(a, "--jobs", &v))
-            o.jobs = unsigned(number("--jobs", v, UINT_MAX));
+            o.jobs = unsigned(number("--jobs", v, kMaxJobs));
         else if (option(a, "--iters", &v))
             o.iters = number("--iters", v);
         else if (option(a, "--seed", &v))
@@ -1198,7 +1202,7 @@ paperCommand(int argc, char **argv)
             workloadList = v;
             workloadsGiven = true;
         } else if (option(a, "--jobs", &v))
-            jobs = unsigned(number("--jobs", v, UINT_MAX));
+            jobs = unsigned(number("--jobs", v, kMaxJobs));
         else if (option(a, "--accounting"))
             opts.accounting = true;
         else if (option(a, "--stats-json", &v))

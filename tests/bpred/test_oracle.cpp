@@ -99,17 +99,6 @@ TEST(Oracle, StaysSyncedThroughHalt)
     EXPECT_TRUE(o.halted());
 }
 
-TEST(Oracle, ResetRestartsTracking)
-{
-    Program p = branchy();
-    OracleTracker o(p, 1 << 20);
-    o.onFetch(0x1000, 0x1004);
-    o.onFetch(0x1004, 0x100c); // desync
-    o.reset();
-    EXPECT_TRUE(o.synced());
-    EXPECT_EQ(o.truePc(), 0x1000u);
-}
-
 TEST(Oracle, PeekDoesNotAdvance)
 {
     Program p = branchy();

@@ -17,8 +17,6 @@ TEST(Stats, CounterArithmetic)
     c++;
     c += 5;
     EXPECT_EQ(c.value(), 7u);
-    c.reset();
-    EXPECT_EQ(c.value(), 0u);
 }
 
 TEST(Stats, GroupLookup)
@@ -58,19 +56,6 @@ TEST(Stats, DumpContainsGroupPrefix)
     std::string dump = g.dump();
     EXPECT_NE(dump.find("core.cycles 42"), std::string::npos);
     EXPECT_NE(dump.find("simulated cycles"), std::string::npos);
-}
-
-TEST(Stats, ResetAllZeroesCounters)
-{
-    StatGroup g("g");
-    Counter a, b;
-    g.addStat("a", &a);
-    g.addStat("b", &b);
-    a += 10;
-    b += 20;
-    g.resetAll();
-    EXPECT_EQ(g.get("a"), 0u);
-    EXPECT_EQ(g.get("b"), 0u);
 }
 
 TEST(StatsDeath, DuplicateNamePanics)
@@ -129,21 +114,6 @@ TEST(Distribution, UnderflowAndOverflow)
     EXPECT_EQ(s.sum, 5u + 10 + 25 + 100);
     EXPECT_EQ(s.minVal, 5u);
     EXPECT_EQ(s.maxVal, 100u);
-}
-
-TEST(Distribution, ResetKeepsGeometry)
-{
-    Distribution d;
-    d.init(0, 7, 2);
-    d.sample(6, 3);
-    d.reset();
-    const DistSnapshot &s = d.snapshot();
-    EXPECT_EQ(s.samples, 0u);
-    EXPECT_EQ(s.sum, 0u);
-    ASSERT_EQ(s.buckets.size(), 4u);
-    EXPECT_EQ(s.buckets[3], 0u);
-    d.sample(6);
-    EXPECT_EQ(d.snapshot().buckets[3], 1u);
 }
 
 TEST(Formula, EvaluatesLazily)
@@ -254,17 +224,6 @@ TEST(Formula, DefaultConstructedEvaluatesToZero)
 {
     Formula f;
     EXPECT_DOUBLE_EQ(f.value(), 0.0);
-}
-
-TEST(Stats, ResetAllClearsDistributions)
-{
-    StatGroup g("g");
-    Distribution d;
-    d.init(0, 10, 1);
-    d.sample(4, 5);
-    g.addDistribution("d", &d);
-    g.resetAll();
-    EXPECT_EQ(d.samples(), 0u);
 }
 
 } // namespace

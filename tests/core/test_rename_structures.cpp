@@ -89,15 +89,6 @@ TEST(PhysRegFileDeath, DoubleFreePanics)
     EXPECT_DEATH(prf.free(p), "double free");
 }
 
-TEST(PhysRegFile, ResetRestoresEverything)
-{
-    PhysRegFile prf(80);
-    for (int i = 0; i < 10; ++i)
-        prf.alloc();
-    prf.reset();
-    EXPECT_EQ(prf.numFree(), 80u - isa::kNumArchRegs);
-}
-
 TEST(CheckpointPool, AllocateReleaseValidated)
 {
     CheckpointPool pool(4);

@@ -173,18 +173,5 @@ TEST(Determinism, SameConfigSameCycleCount)
                   b.retiredState().read(ArchReg(r)));
 }
 
-TEST(Determinism, ResetReproducesRun)
-{
-    isa::Program p = markedRandomProgram(9);
-    core::CoreParams params = sim::machine("dmp-enhanced");
-    core::Core m(p, params);
-    m.run();
-    std::uint64_t cycles1 = m.stats().cycles.value();
-    m.stats().reset();
-    m.reset();
-    m.run();
-    EXPECT_EQ(m.stats().cycles.value(), cycles1);
-}
-
 } // namespace
 } // namespace dmp

@@ -17,8 +17,6 @@ TEST(MemoryImage, LoadStoreRoundTrip)
     mem.store(0x100, 0xdeadbeef);
     EXPECT_EQ(mem.load(0x100), 0xdeadbeefu);
     EXPECT_EQ(mem.load(0x108), 0u);
-    mem.clear();
-    EXPECT_EQ(mem.load(0x100), 0u);
 }
 
 TEST(MemoryImage, Equality)
@@ -43,20 +41,6 @@ TEST(MemoryImage, FreshImageReadsZeroAtBothEnds)
     EXPECT_EQ(mem.sizeBytes(), kBytes);
     EXPECT_EQ(mem.load(0), 0u);
     EXPECT_EQ(mem.load(kBytes - sizeof(Word)), 0u);
-}
-
-/** clear() zeroes every word, across every page a store touched. */
-TEST(MemoryImage, ClearZeroesEveryWord)
-{
-    constexpr std::size_t kBytes = 1 << 16;
-    MemoryImage mem(kBytes);
-    for (Addr a = 0; a < kBytes; a += 13 * sizeof(Word))
-        mem.store(a, a + 1);
-    mem.store(kBytes - sizeof(Word), 42);
-    mem.clear();
-    for (Addr a = 0; a < kBytes; a += sizeof(Word))
-        ASSERT_EQ(mem.load(a), 0u) << "word at 0x" << std::hex << a;
-    EXPECT_TRUE(mem == MemoryImage(kBytes));
 }
 
 TEST(FuncSim, ZeroRegisterIsImmutable)
@@ -110,28 +94,6 @@ TEST(FuncSim, HaltStopsExecution)
     StepInfo info = sim.step();
     EXPECT_TRUE(info.halted);
     EXPECT_EQ(sim.retiredInsts(), 2u);
-}
-
-TEST(FuncSim, ResetReseedsDataAndState)
-{
-    ProgramBuilder b;
-    b.dataWord(0x2000, 7);
-    b.li(1, 0x2000);
-    b.ld(2, 1, 0);
-    b.addi(2, 2, 1);
-    b.st(1, 0, 2);
-    b.halt();
-    Program p = b.build();
-    MemoryImage mem(1 << 16);
-    FuncSim sim(p, mem);
-    sim.run(100);
-    EXPECT_EQ(mem.load(0x2000), 8u);
-    sim.reset();
-    EXPECT_EQ(mem.load(0x2000), 7u); // reseeded
-    EXPECT_FALSE(sim.halted());
-    EXPECT_EQ(sim.retiredInsts(), 0u);
-    sim.run(100);
-    EXPECT_EQ(mem.load(0x2000), 8u);
 }
 
 TEST(FuncSim, LoopComputesSum)

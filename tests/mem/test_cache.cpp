@@ -116,15 +116,6 @@ TEST(Hierarchy, FetchAndLoadUseSeparateL1s)
     EXPECT_GT(d - (f + 1), 2u);
 }
 
-TEST(Hierarchy, ResetColdensCaches)
-{
-    CacheHierarchy h;
-    Cycle t = h.loadAccess(0x1000, 0);
-    h.reset();
-    Cycle again = h.loadAccess(0x1000, t + 1000);
-    EXPECT_GE(again - (t + 1000), 300u);
-}
-
 TEST(Hierarchy, StoreWarmsL1)
 {
     CacheHierarchy h;

@@ -154,7 +154,7 @@ TEST(Report, FormatParsing)
 
 TEST(Report, FlushReductionMatchesFig11Formula)
 {
-    // The bench (bench/fig11_flush_reduction.cpp) computes
+    // `dmp paper fig11_flush_reduction` (printFig11) computes
     // base ? 100*(base-enh)/base : 0 per workload, then the average.
     EXPECT_DOUBLE_EQ(flushReductionPct(200, 62), 69.0);
     EXPECT_DOUBLE_EQ(flushReductionPct(100, 100), 0.0);
