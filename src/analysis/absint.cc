@@ -697,15 +697,20 @@ class Engine
         return e.id;
     }
 
-    /** The initial data word at addr (0 when none): a binary search
-     *  over the program's address-sorted data, read in place. */
+    /** The initial data word at addr (0 when none or unaligned): a
+     *  binary search for the program's data run holding addr, then an
+     *  index into that run. */
     Word imageWord(Word addr) const
     {
-        const auto &data = prog.initialData();
-        auto it = std::lower_bound(
-            data.begin(), data.end(), addr,
-            [](const auto &e, Word a) { return e.first < a; });
-        return it != data.end() && it->first == addr ? it->second : 0;
+        const auto &segs = prog.dataSegments();
+        auto it = std::upper_bound(
+            segs.begin(), segs.end(), addr,
+            [](Word a, const isa::DataSegment &s) { return a < s.base; });
+        if (it == segs.begin() || addr % sizeof(Word) != 0)
+            return 0;
+        const isa::DataSegment &seg = *--it;
+        return addr < seg.end() ? seg.words[(addr - seg.base) / sizeof(Word)]
+                                : 0;
     }
 
     std::size_t slotIndex(Word addr) const

@@ -580,8 +580,6 @@ CoreChecker::checkRatValidity()
         if (!pool[id].inUse)
             continue;
         validateMap(pool[id].map, "cp:" + std::to_string(id));
-        if (pool[id].hasAltMap)
-            validateMap(pool[id].altMap, "cp:" + std::to_string(id));
     }
 }
 
@@ -606,8 +604,6 @@ CoreChecker::checkLeaks()
         if (!cp.inUse)
             continue;
         markMap(cp.map);
-        if (cp.hasAltMap)
-            markMap(cp.altMap);
     }
     for (std::uint32_t i = 0; i < core.robCount; ++i) {
         const std::uint32_t slot = core.robSlotAt(i);

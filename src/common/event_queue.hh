@@ -114,16 +114,6 @@ class CalendarQueue
         return !out.empty();
     }
 
-    /** Drop every pending event (bucket capacity is kept). */
-    void
-    clear()
-    {
-        for (auto &bucket : ring)
-            bucket.clear();
-        ringCount = 0;
-        far = {};
-    }
-
     /** Live events across ring and heap (stale ones included). */
     std::size_t size() const { return ringCount + far.size(); }
 

@@ -217,8 +217,8 @@ Core::Core(const isa::Program &program, const CoreParams &params)
         oracle = std::make_unique<bpred::OracleTracker>(prog,
                                                         p.memoryBytes);
     }
-    for (const auto &[addr, value] : prog.initialData())
-        memory->store(addr, value);
+    for (const isa::DataSegment &seg : prog.dataSegments())
+        memory->storeWords(seg.base, seg.words);
     retiredArch.pc = prog.baseAddr();
     // Identity rename map: arch reg i -> phys reg i.
     for (unsigned r = 0; r < isa::kNumArchRegs; ++r)

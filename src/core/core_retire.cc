@@ -40,7 +40,8 @@ Core::retireStage()
                     !(di.predResolved && !di.predValue);
 
         robSeq[slot] = 0;
-        robHead = (robHead + 1) % p.robSize;
+        if (++robHead == p.robSize)
+            robHead = 0;
         --robCount;
 
         if (halt) {

@@ -175,10 +175,6 @@ struct Checkpoint
     PathId dpredPath = PathId::None;
     Addr chosenCfm = kNoAddr;
     std::uint32_t pathInstCount = 0;
-
-    /** Dual-path secondary rename map (valid during dual episodes). */
-    bool hasAltMap = false;
-    RenameMap altMap;
 };
 
 /** Fixed pool of recovery checkpoints with a free list. */

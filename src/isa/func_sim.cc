@@ -28,8 +28,8 @@ FuncSim::FuncSim(const Program &program, MemoryImage &mem)
 {
     arch.pc = prog.baseAddr();
     isHalted = prog.size() == 0;
-    for (const auto &[addr, value] : prog.initialData())
-        memory.store(addr, value);
+    for (const DataSegment &seg : prog.dataSegments())
+        memory.storeWords(seg.base, seg.words);
 }
 
 std::shared_ptr<const std::vector<FastOp>>

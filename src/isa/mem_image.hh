@@ -16,6 +16,8 @@
 #define DMP_ISA_MEM_IMAGE_HH
 
 #include <cstddef>
+#include <cstring>
+#include <span>
 
 #include "common/logging.hh"
 #include "common/types.hh"
@@ -48,6 +50,20 @@ class MemoryImage
     store(Addr addr, Word value)
     {
         words[wordIndex(addr)] = value;
+    }
+
+    /** Write consecutive words from a byte address in one copy; fatal,
+     *  as store() is, when any of them falls outside the image. */
+    void
+    storeWords(Addr addr, std::span<const Word> src)
+    {
+        if (src.empty())
+            return;
+        const std::size_t idx = wordIndex(addr);
+        if (src.size() > numWords - idx)
+            dmp_fatal("memory access out of bounds: 0x", std::hex,
+                      addr + src.size() * sizeof(Word) - sizeof(Word));
+        std::memcpy(words + idx, src.data(), src.size_bytes());
     }
 
     bool operator==(const MemoryImage &other) const;

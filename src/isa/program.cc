@@ -9,7 +9,7 @@ namespace dmp::isa
 {
 
 Program::Program(Addr base_, std::vector<Inst> insts_,
-                 std::vector<std::pair<Addr, Word>> data_,
+                 std::vector<DataSegment> data_,
                  std::unordered_map<std::string, Addr> labels_)
     : base(base_), insts(std::move(insts_)), data(std::move(data_)),
       labelMap(std::move(labels_))
@@ -166,10 +166,24 @@ ProgramBuilder::emitJump(Opcode op, Label target)
 void
 ProgramBuilder::dataWord(Addr addr, Word value)
 {
+    dataBlock(addr, 1)[0] = value;
+}
+
+std::span<Word>
+ProgramBuilder::dataBlock(Addr addr, std::size_t words)
+{
     dmp_assert(addr % sizeof(Word) == 0, "unaligned data word");
-    if (!data.empty() && addr <= data.back().first)
-        dataAscending = false;
-    data.emplace_back(addr, value);
+    if (words == 0)
+        return {};
+    // A block that starts where the last run ends extends that run.
+    if (data.empty() || addr != data.back().end()) {
+        if (!data.empty() && addr < data.back().end())
+            dataAscending = false;
+        data.push_back({addr, {}});
+    }
+    std::vector<Word> &run = data.back().words;
+    run.resize(run.size() + words);
+    return {run.end() - std::ptrdiff_t(words), words};
 }
 
 Inst &
@@ -244,18 +258,27 @@ ProgramBuilder::build()
         debugVerifyImage(base, insts);
 #endif
 
-    // Sort the data by address and keep the last write to each one, so
-    // readers can binary-search it. dataWord() saw whether it ascends.
+    // Data written out of order or twice: sort the writes by address,
+    // keep the last write to each word, and cut them into runs again so
+    // readers can binary-search them. dataBlock() saw whether it ascends.
     if (!dataAscending) {
-        std::stable_sort(data.begin(), data.end(),
+        std::vector<std::pair<Addr, Word>> writes;
+        for (const DataSegment &s : data) {
+            for (std::size_t i = 0; i < s.words.size(); ++i)
+                writes.emplace_back(s.base + i * sizeof(Word), s.words[i]);
+        }
+        std::stable_sort(writes.begin(), writes.end(),
                          [](const auto &x, const auto &y) {
                              return x.first < y.first;
                          });
         // Over the reversed range, unique keeps each address's last write.
         const auto kept = std::unique(
-            data.rbegin(), data.rend(),
+            writes.rbegin(), writes.rend(),
             [](const auto &x, const auto &y) { return x.first == y.first; });
-        data.erase(data.begin(), kept.base());
+        writes.erase(writes.begin(), kept.base());
+        data.clear();
+        for (const auto &[addr, value] : writes)
+            dataWord(addr, value);
     }
 
     std::unordered_map<std::string, Addr> named;

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -44,6 +45,16 @@ struct DivergeMark
      * (section 2.7.2). Zero means "use the machine's static default".
      */
     std::uint32_t earlyExitThreshold = 0;
+};
+
+/** One run of consecutive initial data words, the first at `base`. */
+struct DataSegment
+{
+    Addr base = 0;
+    std::vector<Word> words;
+
+    /** One past the last byte address of the run. */
+    Addr end() const noexcept { return base + words.size() * sizeof(Word); }
 };
 
 /** An immutable, fully linked program image. */
@@ -119,14 +130,12 @@ class Program
     }
 
     /**
-     * Initial data image: (byte address, word value) pairs, strictly
-     * ascending by address. When the builder wrote one address more
-     * than once, the last write is the one kept.
+     * Initial data image: maximal runs of consecutive words, ascending
+     * by address, with at least one unwritten word between two runs.
+     * When the builder wrote one address more than once, the last
+     * write is the one kept.
      */
-    const std::vector<std::pair<Addr, Word>> &initialData() const
-    {
-        return data;
-    }
+    const std::vector<DataSegment> &dataSegments() const { return data; }
 
     /** Address of a label; fatal when unknown. */
     Addr labelAddr(const std::string &name) const;
@@ -167,9 +176,9 @@ class Program
   private:
     friend class ProgramBuilder;
     /** Only ProgramBuilder::build() links a program; it hands over
-     *  data already sorted as initialData() promises. */
+     *  data already cut into runs as dataSegments() promises. */
     Program(Addr base, std::vector<Inst> insts_,
-            std::vector<std::pair<Addr, Word>> data_,
+            std::vector<DataSegment> data_,
             std::unordered_map<std::string, Addr> labels_);
 
     [[noreturn]] void fetchFault(Addr pc) const;
@@ -181,7 +190,7 @@ class Program
     std::vector<PreDecode> preDec;
     /** Parallel to insts: marks-map node for each pc (or nullptr). */
     std::vector<const DivergeMark *> markIndex;
-    std::vector<std::pair<Addr, Word>> data;
+    std::vector<DataSegment> data;
     std::unordered_map<std::string, Addr> labelMap;
     std::map<Addr, DivergeMark> marks;
 };
@@ -325,6 +334,13 @@ class ProgramBuilder
     void dataWord(Addr addr, Word value);
 
     /**
+     * Seed `words` consecutive data words from `addr`, zero until the
+     * caller fills the returned span. The span is valid until the next
+     * data write; a later write to one of its words replaces it.
+     */
+    std::span<Word> dataBlock(Addr addr, std::size_t words);
+
+    /**
      * Silence the debug-build link-time sanity warnings for this
      * builder. Only for tests that construct deliberately malformed
      * programs to exercise the full verifier (src/analysis).
@@ -339,8 +355,9 @@ class ProgramBuilder
 
     Addr base;
     std::vector<Inst> insts;
-    std::vector<std::pair<Addr, Word>> data;
-    bool dataAscending = true; ///< data's addresses strictly ascend
+    /** The data runs in write order; build() sorts them if needed. */
+    std::vector<DataSegment> data;
+    bool dataAscending = true; ///< each run starts past the previous one
     std::vector<Addr> labelAddrs;       // kNoAddr while unbound
     std::vector<std::string> labelNames; // empty when anonymous
     struct Fixup

@@ -319,8 +319,8 @@ Addr
 seedData(ProgramBuilder &b, Random &rng, Addr base, std::size_t words,
          std::uint64_t value_mask)
 {
-    for (std::size_t i = 0; i < words; ++i)
-        b.dataWord(base + i * sizeof(Word), rng.next() & value_mask);
+    for (Word &w : b.dataBlock(base, words))
+        w = rng.next() & value_mask;
     return base;
 }
 

@@ -312,6 +312,9 @@ TEST(Absint, InitialDataOptionGatesImageProofs)
         Addr addr;
         Word expect;
     };
+    // Two runs, 0x100-0x110 and 0x120-0x128, one unwritten word between.
+    const std::vector<std::pair<Addr, Word>> twoRuns = {
+        {0x100, 11}, {0x108, 12}, {0x110, 13}, {0x120, 21}, {0x128, 22}};
     const Case cases[] = {
         {"slot", {{64, 7}}, false, 64, 7},
         {"slot, later of two writes", {{64, 5}, {8, 1}, {64, 7}}, false,
@@ -321,6 +324,13 @@ TEST(Absint, InitialDataOptionGatesImageProofs)
          {0x110, 13}}, true, 0x100, 11},
         {"constant load, last word", {{0x100, 11}, {0x108, 12},
          {0x110, 13}}, true, 0x110, 13},
+        {"two runs, before the first", twoRuns, true, 0x0f8, 0},
+        {"two runs, first word of the first", twoRuns, true, 0x100, 11},
+        {"two runs, last word of the first", twoRuns, true, 0x110, 13},
+        {"two runs, the gap between them", twoRuns, true, 0x118, 0},
+        {"two runs, first word of the second", twoRuns, true, 0x120, 21},
+        {"two runs, last word of the second", twoRuns, true, 0x128, 22},
+        {"two runs, past the second", twoRuns, true, 0x130, 0},
     };
     for (const Case &c : cases) {
         SCOPED_TRACE(c.what);

@@ -178,20 +178,6 @@ TEST(CalendarQueue, DrainAppendsWhenOutIsNonEmpty)
     EXPECT_EQ(due[1].seq, 7u);
 }
 
-TEST(CalendarQueue, ClearCancelsEverything)
-{
-    Queue q;
-    q.schedule(0, 3, Ev{1});
-    q.schedule(0, 500, Ev{2}); // one in the ring, one in the heap
-    EXPECT_EQ(q.size(), 2u);
-    q.clear();
-    EXPECT_TRUE(q.empty());
-    std::vector<Ev> due;
-    EXPECT_FALSE(q.drainDue(3, due));
-    EXPECT_FALSE(q.drainDue(500, due));
-    EXPECT_EQ(q.nextEventCycle(0), kNeverCycle);
-}
-
 /**
  * The cancellation contract the core uses on flush: events are NOT
  * removed from the queue; the caller re-checks validity at drain time

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/core.hh"
 #include "isa/func_sim.hh"
 #include "isa/mem_image.hh"
 #include "sim/simulator.hh"
@@ -58,6 +59,42 @@ TEST(Workloads, SeedChangesDataNotCode)
             const isa::Inst &ib = pb.fetch(pc);
             EXPECT_EQ(int(ia.op), int(ib.op)) << info.name;
             EXPECT_EQ(ia.target, ib.target) << info.name;
+        }
+    }
+}
+
+/**
+ * The data image FuncSim and Core load by block copy equals one filled
+ * a word at a time, on every workload at the train and ref seeds, and
+ * the runs it comes from ascend with a gap between any two.
+ */
+TEST(Workloads, DataImageLoadsMatchWordByWordFill)
+{
+    const sim::SimConfig cfg;
+    const core::CoreParams &params = sim::machine("base");
+    for (const auto &info : workloads::workloadList()) {
+        for (const workloads::WorkloadParams &wp : {cfg.train, cfg.ref}) {
+            SCOPED_TRACE(info.name + " seed " + std::to_string(wp.seed));
+            isa::Program p = workloads::buildWorkload(info.name, wp);
+            ASSERT_FALSE(p.dataSegments().empty());
+
+            isa::MemoryImage expect(params.memoryBytes);
+            const isa::DataSegment *prev = nullptr;
+            for (const isa::DataSegment &seg : p.dataSegments()) {
+                ASSERT_FALSE(seg.words.empty());
+                if (prev) {
+                    ASSERT_GT(seg.base, prev->end());
+                }
+                prev = &seg;
+                for (std::size_t i = 0; i < seg.words.size(); ++i)
+                    expect.store(seg.base + i * sizeof(Word), seg.words[i]);
+            }
+
+            isa::MemoryImage mem(params.memoryBytes);
+            isa::FuncSim sim(p, mem);
+            EXPECT_TRUE(mem == expect);
+            core::Core machine(p, params);
+            EXPECT_TRUE(machine.retiredMemory() == expect);
         }
     }
 }

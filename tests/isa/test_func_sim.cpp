@@ -43,6 +43,22 @@ TEST(MemoryImage, FreshImageReadsZeroAtBothEnds)
     EXPECT_EQ(mem.load(kBytes - sizeof(Word)), 0u);
 }
 
+/** A block copy that reaches past the image end is fatal, as a store
+ *  there is; one that ends on the last word is not. */
+TEST(MemoryImage, BlockCopyPastEndIsFatal)
+{
+    constexpr std::size_t kBytes = 1 << 12;
+    const std::vector<Word> two{1, 2};
+    MemoryImage mem(kBytes);
+    mem.storeWords(kBytes - 2 * sizeof(Word), two);
+    EXPECT_EQ(mem.load(kBytes - 2 * sizeof(Word)), 1u);
+    EXPECT_EQ(mem.load(kBytes - sizeof(Word)), 2u);
+    EXPECT_DEATH(mem.store(kBytes, 1), "out of bounds");
+    EXPECT_DEATH(mem.storeWords(kBytes - sizeof(Word), two),
+                 "out of bounds");
+    EXPECT_DEATH(mem.storeWords(kBytes, two), "out of bounds");
+}
+
 TEST(FuncSim, ZeroRegisterIsImmutable)
 {
     ProgramBuilder b;

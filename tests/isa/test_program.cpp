@@ -92,23 +92,53 @@ TEST(Program, ContainsAndBounds)
 
 TEST(Program, InitialData)
 {
-    // Out of order, and 0x100010 written twice: the image keeps one
-    // entry per address, ascending, with the later value.
+    using Words = std::vector<Word>;
+    {
+        // In order: adjacent words merge into one run, a block that
+        // starts at a run's end extends it, and a gap starts a new run.
+        ProgramBuilder b;
+        b.dataWord(0x100000, 1);
+        b.dataWord(0x100008, 2);
+        b.dataWord(0x100018, 3); // 0x100010 is never written
+        std::span<Word> blk = b.dataBlock(0x100020, 2);
+        ASSERT_EQ(blk.size(), 2u);
+        blk[0] = 4;
+        blk[1] = 5;
+        EXPECT_TRUE(b.dataBlock(0x200000, 0).empty());
+        b.halt();
+        Program p = b.build();
+
+        const auto &d = p.dataSegments();
+        ASSERT_EQ(d.size(), 2u);
+        EXPECT_EQ(d[0].base, 0x100000u);
+        EXPECT_EQ(d[0].words, (Words{1, 2}));
+        EXPECT_EQ(d[0].end(), 0x100010u);
+        EXPECT_EQ(d[1].base, 0x100018u);
+        EXPECT_EQ(d[1].words, (Words{3, 4, 5}));
+    }
+
+    // Out of order, and 0x100010 written three times (once inside a
+    // block): the image keeps one word per address, ascending, with
+    // the last write, cut into runs at the gap before 0x100028.
     ProgramBuilder b;
     b.dataWord(0x100010, 3);
     b.dataWord(0x100000, 42);
+    b.dataBlock(0x100010, 1)[0] = 9;
     b.dataWord(0x100010, 4);
+    b.dataWord(0x100030, 7);
     b.dataWord(0x100008, 43);
+    b.dataWord(0x100028, 6);
     b.li(1, 0x100010);
     b.ld(2, 1, 0);
     b.halt();
     Program p = b.build();
 
-    const auto &d = p.initialData();
-    ASSERT_EQ(d.size(), 3u);
-    EXPECT_EQ(d[0], std::make_pair(Addr(0x100000), Word(42)));
-    EXPECT_EQ(d[1], std::make_pair(Addr(0x100008), Word(43)));
-    EXPECT_EQ(d[2], std::make_pair(Addr(0x100010), Word(4)));
+    const auto &d = p.dataSegments();
+    ASSERT_EQ(d.size(), 2u);
+    EXPECT_EQ(d[0].base, 0x100000u);
+    EXPECT_EQ(d[0].words, (Words{42, 43, 4}));
+    EXPECT_EQ(d[1].base, 0x100028u);
+    EXPECT_EQ(d[1].words, (Words{6, 7}));
 
     MemoryImage mem(1 << 21);
     FuncSim sim(p, mem);
