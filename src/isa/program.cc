@@ -78,6 +78,15 @@ Program::setMark(Addr pc, DivergeMark mark_)
     markIndex[indexOf(pc)] = &node;
 }
 
+void
+Program::setMarks(std::map<Addr, DivergeMark> marks_)
+{
+    for (const auto &[pc, m] : marks_)
+        dmp_assert(contains(pc), "marking outside program image");
+    marks = std::move(marks_);
+    rebuildMarkIndex();
+}
+
 std::string
 Program::listing() const
 {

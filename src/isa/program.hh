@@ -151,6 +151,13 @@ class Program
     void setMark(Addr pc, DivergeMark mark);
 
     /**
+     * Replace every marking with `marks_`. Only the image bounds are
+     * asserted: marks copied from another build may sit on a
+     * non-branch here, which the linter reports (`mark-not-branch`).
+     */
+    void setMarks(std::map<Addr, DivergeMark> marks_);
+
+    /**
      * The marking on the branch at pc, or nullptr. O(1): indexes the
      * per-static-instruction pointer table rather than searching the map
      * (fetch asks this question for every conditional branch).

@@ -19,90 +19,143 @@ using isa::kInstBytes;
 namespace
 {
 
+/**
+ * A retired instruction whose successor is not the next static
+ * instruction: a taken branch, a jump, a call or a return.
+ */
+struct Jump
+{
+    std::size_t at;       ///< retirement index
+    std::uint32_t target; ///< successor's static index
+};
+
 /** One conditional branch retired by the train run. */
 struct BranchEvent
 {
-    std::size_t at;    ///< retirement index into TrainRecord::succ
+    std::size_t at;    ///< retirement index
+    std::size_t jump;  ///< index of the first jump retired at or after it
     std::uint32_t idx; ///< static instruction index
     bool taken;
 };
 
 /**
- * The train run, recorded once: the branch profile, each retired
- * instruction's successor as a static index (the instruction retired
- * at i + 1 is succ[i]) and every conditional branch. Only the last
+ * The train run, recorded once: the branch profile, every retired
+ * jump and every conditional branch. The instruction retired at i + 1
+ * is the successor of the one retired at i: the jump's target when a
+ * jump sits at i, else the next static instruction. Only the last
  * retired instruction can leave the image (a HALT that ends it, or a
  * jump out on the last budgeted instruction); that successor is
- * recorded as program.size().
+ * program.size(). `jumps` ends with a sentinel at `profile.totalInsts`,
+ * so a walk needs no bounds check.
  */
 struct TrainRecord
 {
     BranchProfile profile;
-    std::vector<std::uint32_t> succ;
+    std::vector<Jump> jumps;
     std::vector<BranchEvent> branches;
 };
+
+/**
+ * Replay the train run's conditional branches, in retirement order,
+ * through the simulated predictor to fill rec.profile.
+ */
+void
+replayPredictor(const isa::Program &program, TrainRecord &rec)
+{
+    BranchProfile &out = rec.profile;
+    std::vector<BranchStats> stats(program.size());
+    bpred::PerceptronPredictor predictor;
+    std::uint64_t ghr = 0;
+    for (const BranchEvent &ev : rec.branches) {
+        const Addr pc = program.baseAddr() + Addr(ev.idx) * kInstBytes;
+        bpred::PredictionInfo pi;
+        const bool mispred = predictor.predict(pc, ghr, pi) != ev.taken;
+        predictor.train(pc, ev.taken, pi);
+        ghr = (ghr << 1) | (ev.taken ? 1 : 0);
+
+        BranchStats &bs = stats[ev.idx];
+        ++bs.execs;
+        bs.taken += ev.taken;
+        bs.mispredicts += mispred;
+        out.totalMispredicts += mispred;
+    }
+    out.totalCondBranches = rec.branches.size();
+
+    for (std::size_t i = 0; i < stats.size(); ++i) {
+        if (stats[i].execs == 0)
+            continue;
+        const Addr pc = program.baseAddr() + Addr(i) * kInstBytes;
+        const Addr target = program.instAt(i).target;
+        stats[i].isBackward = target != kNoAddr && target <= pc;
+        out.branches.emplace_hint(out.branches.end(), pc, stats[i]);
+    }
+}
 
 TrainRecord
 recordTrainRun(const isa::Program &program, std::size_t mem_bytes,
                std::uint64_t max_insts)
 {
     TrainRecord rec;
-    BranchProfile &out = rec.profile;
-    std::vector<BranchStats> stats(program.size());
     isa::MemoryImage mem(mem_bytes);
     isa::FuncSim sim(program, mem);
-    bpred::PerceptronPredictor predictor;
-    std::uint64_t ghr = 0;
 
     // One threaded-dispatch pass over the whole train input; the
-    // visitor records every successor and runs the predictor on
-    // conditional branches.
-    sim.visitRun(max_insts, [&](Addr pc, const isa::Inst &inst,
+    // visitor records only jumps and conditional branches.
+    std::size_t at = 0;
+    sim.visitRun(max_insts, [&](Addr pc, const isa::Inst &,
                                 bool is_cond_branch, bool taken,
                                 Addr next_pc, Addr) {
-        const std::size_t at = rec.succ.size();
-        rec.succ.push_back(program.contains(next_pc)
-                               ? std::uint32_t(program.indexOf(next_pc))
-                               : std::uint32_t(program.size()));
-        if (!is_cond_branch)
-            return;
-        ++out.totalCondBranches;
-
-        bpred::PredictionInfo pi;
-        bool pred = predictor.predict(pc, ghr, pi);
-        bool mispred = pred != taken;
-        predictor.train(pc, taken, pi);
-        ghr = (ghr << 1) | (taken ? 1 : 0);
-
-        const auto idx = std::uint32_t(program.indexOf(pc));
-        BranchStats &bs = stats[idx];
-        ++bs.execs;
-        bs.taken += taken;
-        bs.mispredicts += mispred;
-        bs.isBackward = inst.target != kNoAddr && inst.target <= pc;
-        out.totalMispredicts += mispred;
-        rec.branches.push_back({at, idx, taken});
-    });
-
-    out.totalInsts = rec.succ.size();
-    for (std::size_t i = 0; i < stats.size(); ++i) {
-        if (stats[i].execs != 0) {
-            out.branches.emplace_hint(
-                out.branches.end(),
-                program.baseAddr() + Addr(i) * kInstBytes, stats[i]);
+        if (is_cond_branch) {
+            rec.branches.push_back({at, rec.jumps.size(),
+                                    std::uint32_t(program.indexOf(pc)),
+                                    taken});
         }
-    }
+        if (next_pc != pc + kInstBytes) {
+            rec.jumps.push_back(
+                {at, program.contains(next_pc)
+                         ? std::uint32_t(program.indexOf(next_pc))
+                         : std::uint32_t(program.size())});
+        }
+        ++at;
+    });
+    rec.profile.totalInsts = at;
+    rec.jumps.push_back({at, std::uint32_t(program.size())});
+
+    replayPredictor(program, rec);
     return rec;
 }
 
-/** A sampled instance: it credits succ[f], f in [begin, end), at
- *  distance f - begin + 1. */
+/**
+ * A sampled instance: it credits the successor of each instruction
+ * retired at f in [begin, end), at distance f - begin + 1. `jump`
+ * indexes the first jump retired at or after `begin`.
+ */
 struct Window
 {
     std::size_t begin;
     std::size_t end;
+    std::size_t jump;
     bool taken;
 };
+
+/**
+ * Walk window `w` of the branch at static index `idx`: call fn(a, d)
+ * with each successor a and its distance d, in order, until fn
+ * returns true.
+ */
+template <class Fn>
+void
+walkWindow(const TrainRecord &rec, std::uint32_t idx, const Window &w,
+           Fn &&fn)
+{
+    const Jump *j = &rec.jumps[w.jump];
+    std::uint32_t cur = idx;
+    for (std::size_t f = w.begin; f < w.end; ++f) {
+        cur = j->at == f ? (j++)->target : cur + 1;
+        if (fn(cur, f - w.begin + 1))
+            return;
+    }
+}
 
 /** Instances of one side that reach one address, and their distance. */
 struct Reach
@@ -174,7 +227,7 @@ discoverCfms(const isa::Program &program, const TrainRecord &rec,
     // loop iteration would make every loop-body address look like a
     // merge point for both sides), after maxCfmDistance further
     // instructions, or at the end of the budget.
-    const std::size_t n = rec.succ.size();
+    const std::size_t n = rec.profile.totalInsts;
     const std::size_t span = std::size_t(cfg.maxCfmDistance) + 1;
     std::vector<std::vector<Window>> windows(program.size());
     std::vector<unsigned> sample_counter(program.size(), 0);
@@ -185,7 +238,8 @@ discoverCfms(const isa::Program &program, const TrainRecord &rec,
         if (!ws.empty())
             ws.back().end = std::min(ws.back().end, ev.at);
         if (sample_counter[ev.idx]++ % cfg.cfmSampleRate == 0)
-            ws.push_back({ev.at, std::min(n, ev.at + span), ev.taken});
+            ws.push_back(
+                {ev.at, std::min(n, ev.at + span), ev.jump, ev.taken});
     }
 
     // Indexed by static instruction plus the outside-successor slot.
@@ -211,15 +265,16 @@ discoverCfms(const isa::Program &program, const TrainRecord &rec,
             side.assign(slots, Reach{});
         for (const Window &w : windows[idx]) {
             ++epoch; // stamps the addresses this window has credited
-            for (std::size_t f = w.begin; f < w.end; ++f) {
-                const std::uint32_t a = rec.succ[f];
-                if (stamp[a] == epoch)
-                    continue;
-                stamp[a] = epoch;
-                Reach &r = reach[w.taken][a];
-                ++r.hits;
-                r.distSum += f - w.begin + 1;
-            }
+            walkWindow(rec, std::uint32_t(idx), w,
+                       [&](std::uint32_t a, std::size_t dist) {
+                           if (stamp[a] != epoch) {
+                               stamp[a] = epoch;
+                               Reach &r = reach[w.taken][a];
+                               ++r.hits;
+                               r.distSum += dist;
+                           }
+                           return false;
+                       });
         }
         const std::vector<CfmCandidate> qualified =
             extractCandidates(program, pc, reach, instances, cfg);
@@ -238,14 +293,15 @@ discoverCfms(const isa::Program &program, const TrainRecord &rec,
         for (auto &side : reach)
             side.assign(slots, Reach{});
         for (const Window &w : windows[idx]) {
-            for (std::size_t f = w.begin; f < w.end; ++f) {
-                if (stamp[rec.succ[f]] == epoch) {
-                    Reach &r = reach[w.taken][rec.succ[f]];
-                    ++r.hits;
-                    r.distSum += f - w.begin + 1;
-                    break;
-                }
-            }
+            walkWindow(rec, std::uint32_t(idx), w,
+                       [&](std::uint32_t a, std::size_t dist) {
+                           if (stamp[a] != epoch)
+                               return false;
+                           Reach &r = reach[w.taken][a];
+                           ++r.hits;
+                           r.distSum += dist;
+                           return true;
+                       });
         }
 
         CfmProfile prof;
@@ -437,9 +493,7 @@ profileAndMark(isa::Program &program, std::size_t mem_bytes,
 void
 transferMarks(const isa::Program &from, isa::Program &to)
 {
-    to.clearMarks();
-    for (const auto &[pc, mark] : from.allMarks())
-        to.setMark(pc, mark);
+    to.setMarks(from.allMarks());
 }
 
 } // namespace dmp::profile

@@ -2,12 +2,14 @@
  * @file
  * The compiler/profiling side of the diverge-merge system (paper
  * section 3.2). profileAndMark runs the train input once on FuncSim,
- * training a simulated branch predictor to count mispredictions per
- * static branch and recording every retired instruction's successor.
- * CFM discovery then replays that record: each sampled instance of a
- * candidate owns an interval of it, and two replays over the same
- * intervals first qualify the addresses both paths reach and then
- * credit each instance's first qualifying one. The marker applies the
+ * recording every retired jump (an instruction whose successor is not
+ * the next one) and every conditional branch's direction. A simulated
+ * branch predictor then replays the branches to count mispredictions
+ * per static branch. CFM discovery walks that record: each sampled
+ * instance of a candidate owns an interval of it, rebuilt from the
+ * branch and its position among the jumps, and two walks over the
+ * same intervals first qualify the addresses both paths reach and
+ * then credit each instance's first qualifying one. The marker applies the
  * paper's heuristics (>= 0.1% of total mispredictions; CFM reached on
  * both paths by >= 20% of dynamic instances; <= 120 dynamic
  * instructions away), marks simple hammocks statically (CFG analysis)
@@ -168,7 +170,8 @@ MarkingReport profileAndMark(isa::Program &program, std::size_t mem_bytes,
 
 /**
  * Copy the markings of `from` onto `to` (same code, different data):
- * the paper profiles with the train input and measures with ref.
+ * the paper profiles with the train input and measures with ref. The
+ * marks are copied unchecked: lint `to` before anything runs it.
  */
 void transferMarks(const isa::Program &from, isa::Program &to);
 

@@ -253,7 +253,8 @@ BatchRunner::preparedProgram(const SimConfig &cfg)
                     e->program =
                         workloads::buildWorkload(cfg.workload, cfg.ref);
                     if (train) {
-                        profile::transferMarks(train->program, e->program);
+                        transferAndPreflight(train->program, e->program,
+                                             cfg);
                         e->report = train->report;
                     } else {
                         e->report = markProgram(e->program, cfg);

@@ -135,13 +135,26 @@ simResultJson(const SimResult &r, const std::string &label,
     return w.take();
 }
 
-profile::MarkingReport
-markProgram(isa::Program &program, const SimConfig &cfg)
+namespace
+{
+
+/** Verifier and linter bounds of `cfg`, verifier on. */
+analysis::AnalysisOptions
+analysisOptions(const SimConfig &cfg)
 {
     analysis::AnalysisOptions ao;
     ao.marker = cfg.marker;
     ao.maxPredicateDepth = cfg.core.predRegisters;
     ao.memoryBytes = cfg.core.memoryBytes;
+    return ao;
+}
+
+} // namespace
+
+profile::MarkingReport
+markProgram(isa::Program &program, const SimConfig &cfg)
+{
+    analysis::AnalysisOptions ao = analysisOptions(cfg);
 
     // The verifier reads no marks, so it runs once, on the unmarked
     // program: a Profile train run executes it, and one that falls off
@@ -181,6 +194,14 @@ markProgram(isa::Program &program, const SimConfig &cfg)
     return report;
 }
 
+void
+transferAndPreflight(const isa::Program &train, isa::Program &ref,
+                     const SimConfig &cfg)
+{
+    profile::transferMarks(train, ref);
+    analysis::preflightOrThrow(ref, analysisOptions(cfg), cfg.workload);
+}
+
 std::pair<isa::Program, profile::MarkingReport>
 prepareMarkedProgram(const SimConfig &cfg)
 {
@@ -200,7 +221,7 @@ prepareMarkedProgram(const SimConfig &cfg)
     isa::Program train =
         workloads::buildWorkload(cfg.workload, cfg.train);
     profile::MarkingReport report = markProgram(train, cfg);
-    profile::transferMarks(train, ref);
+    transferAndPreflight(train, ref, cfg);
     return {std::move(ref), std::move(report)};
 }
 

@@ -214,10 +214,19 @@ profile::MarkingReport markProgram(isa::Program &program,
                                    const SimConfig &cfg);
 
 /**
+ * Copy the marks of the marked `train` build onto the `ref` build of
+ * the same workload, then verify and lint `ref` as markProgram does:
+ * the marks are checked on the image that runs. Throws
+ * analysis::LintError on an error finding.
+ */
+void transferAndPreflight(const isa::Program &train, isa::Program &ref,
+                          const SimConfig &cfg);
+
+/**
  * Marking only: returns the marked ref program and the marking report
  * (for callers that need the program itself). Profile mode marks
- * the train build and transfers by PC; Static synthesizes directly on
- * the ref build (see markProgram).
+ * the train build and transfers by PC (transferAndPreflight); Static
+ * synthesizes directly on the ref build (see markProgram).
  */
 std::pair<isa::Program, profile::MarkingReport>
 prepareMarkedProgram(const SimConfig &cfg);

@@ -3,7 +3,8 @@
  * Adversarial markings for the diverge-marking legality linter: each
  * deliberately illegal marking must trigger exactly the expected
  * finding, with the expected severity, at the expected PC — and a
- * corrupted marking must abort a batch pre-flight before simulation.
+ * corrupted marking, or one transferred onto a build whose code
+ * differs, must abort a pre-flight before simulation.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include "isa/program.hh"
 #include "profile/profiler.hh"
 #include "sim/batch.hh"
+#include "sim/simulator.hh"
 #include "workloads/workloads.hh"
 
 using namespace dmp;
@@ -403,6 +405,45 @@ TEST(Lint, PreflightThrowsOnCorruptedMarking)
         EXPECT_NE(std::string(e.what()).find("vpr"), std::string::npos);
         // The message carries the findings, not a moved-from report.
         EXPECT_NE(std::string(e.what()).find("cfm-oob"), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(Lint, RefPreflightRejectsMarkOnNonBranch)
+{
+    // A hand-assembled train/ref pair whose ref build holds an ADDI
+    // where the train build's marked branch sits: the transferred mark
+    // is refused on the ref image, the one that would run.
+    auto build = [](bool branch, Addr *pc_out, Addr *join_out) {
+        isa::ProgramBuilder b;
+        isa::Label join = b.newLabel();
+        b.li(1, 0);
+        *pc_out = branch ? b.beq(1, 0, join) : b.addi(2, 2, 1);
+        b.addi(3, 3, 1);
+        b.bind(join);
+        *join_out = b.halt();
+        return b.build();
+    };
+    Addr pc = 0, join = 0;
+    isa::Program train = build(true, &pc, &join);
+    train.setMark(pc, divergeMark({join}));
+    sim::SimConfig cfg;
+    cfg.workload = "hand";
+
+    isa::Program same = train;
+    EXPECT_NO_THROW(sim::transferAndPreflight(train, same, cfg));
+
+    isa::Program ref = build(false, &pc, &join);
+    try {
+        sim::transferAndPreflight(train, ref, cfg);
+        FAIL() << "mark on a non-branch not caught";
+    } catch (const analysis::LintError &e) {
+        const analysis::Finding *f = e.report().first("mark-not-branch");
+        ASSERT_NE(f, nullptr) << e.report().text();
+        EXPECT_EQ(f->severity, Severity::Error);
+        EXPECT_EQ(f->pc, pc);
+        EXPECT_NE(std::string(e.what()).find("mark-not-branch"),
+                  std::string::npos)
             << e.what();
     }
 }

@@ -450,6 +450,152 @@ TEST(CfmProfiler, ExactTiesOrderByAddress)
     }
 }
 
+/**
+ * Every instance of `branch` in the first `budget` instructions of `p`
+ * reconverges at `join` and nowhere earlier: `join` is the only
+ * candidate, reached at mean distance `mean` over both sides.
+ */
+void
+expectOnlyCfm(const Program &p, Addr branch, std::uint64_t budget,
+              Addr join, double mean)
+{
+    MarkerConfig cfg;
+    cfg.cfmSampleRate = 1;
+    auto profiles = profileCfmPoints(p, kMem, budget, {branch}, cfg);
+    ASSERT_TRUE(profiles.count(branch));
+    const auto &cands = profiles.at(branch).candidates;
+    ASSERT_EQ(cands.size(), 1u);
+    EXPECT_EQ(cands[0].addr, join);
+    EXPECT_EQ(cands[0].takenFraction, 1.0);
+    EXPECT_EQ(cands[0].notTakenFraction, 1.0);
+    EXPECT_EQ(cands[0].meanDistance, mean);
+}
+
+TEST(CfmProfiler, TakenBranchIsFirstJumpOfItsWindow)
+{
+    // A taken B jumps straight to J, so the jump that opens each taken
+    // window is B itself: J lies 1 instruction away when taken and 2
+    // when not.
+    ProgramBuilder b;
+    b.li(10, 0);
+    b.li(11, 400);
+    Label loop = b.newLabel(), join = b.newLabel();
+    b.bind(loop);
+    b.andi(2, 10, 1);
+    Addr branch = b.beq(2, 0, join);
+    b.addi(5, 5, 1);
+    b.bind(join);
+    Addr join_addr = b.addi(10, 10, 1);
+    b.blt(10, 11, loop);
+    b.halt();
+    expectOnlyCfm(b.build(), branch, 1u << 20, join_addr, 1.5);
+}
+
+TEST(CfmProfiler, BackToBackJumpsInOneWindow)
+{
+    // The taken side runs a chain of three jumps (T1 -> T2 -> T3 -> J)
+    // laid out out of order, so J lies 4 instructions away; the
+    // not-taken side reaches it at 3.
+    ProgramBuilder b;
+    b.li(10, 0);
+    b.li(11, 400);
+    Label loop = b.newLabel(), t1 = b.newLabel(), t2 = b.newLabel(),
+          t3 = b.newLabel(), join = b.newLabel();
+    b.bind(loop);
+    b.andi(2, 10, 1);
+    Addr branch = b.beq(2, 0, t1);
+    b.addi(5, 5, 1);
+    b.jmp(join);
+    b.bind(t1);
+    b.jmp(t2);
+    b.bind(t3);
+    b.jmp(join);
+    b.bind(t2);
+    b.jmp(t3);
+    b.bind(join);
+    Addr join_addr = b.addi(10, 10, 1);
+    b.blt(10, 11, loop);
+    b.halt();
+    expectOnlyCfm(b.build(), branch, 1u << 20, join_addr, 3.5);
+}
+
+TEST(CfmProfiler, IndirectJumpAndReturnSuccessors)
+{
+    // Taken: JR through r20 to J (distance 2). Not taken: CALL F,
+    // whose RET comes back to the JMP after the call (distance 5).
+    ProgramBuilder b;
+    constexpr Addr kJoin = 0x1000 + 8 * isa::kInstBytes;
+    b.li(10, 0);
+    b.li(11, 400);
+    b.li(20, std::int64_t(kJoin));
+    Label loop = b.newLabel(), tk = b.newLabel(), join = b.newLabel(),
+          fn = b.newLabel();
+    b.bind(loop);
+    b.andi(2, 10, 1);
+    Addr branch = b.beq(2, 0, tk);
+    b.call(fn);
+    b.jmp(join);
+    b.bind(tk);
+    b.jr(20);
+    b.bind(join);
+    ASSERT_EQ(b.addi(10, 10, 1), kJoin);
+    b.blt(10, 11, loop);
+    b.halt();
+    b.bind(fn);
+    b.addi(6, 6, 1);
+    b.ret();
+    expectOnlyCfm(b.build(), branch, 1u << 20, kJoin, 3.5);
+}
+
+/**
+ * alternatingProgram's loop over 10 iterations (55 instructions after
+ * a 2-instruction prologue) with no HALT: the image ends with the
+ * loop branch, or with a JR out of the image when `exit_out`.
+ */
+Program
+endlessProgram(bool exit_out, Addr *branch_out, Addr *join_out)
+{
+    ProgramBuilder b;
+    b.li(10, 0);
+    b.li(11, 10);
+    Label loop = b.newLabel(), els = b.newLabel(), join = b.newLabel();
+    b.bind(loop);
+    b.andi(2, 10, 1);
+    *branch_out = b.beq(2, 0, els);
+    b.addi(5, 5, 1);
+    b.jmp(join);
+    b.bind(els);
+    b.addi(5, 5, 2);
+    b.bind(join);
+    *join_out = b.addi(10, 10, 1);
+    b.blt(10, 11, loop);
+    if (exit_out)
+        b.jr(0); // to address 0, below the image
+    return b.build();
+}
+
+TEST(CfmProfiler, JumpOutOfImageOnLastBudgetedInstruction)
+{
+    // The budget ends on the JR, whose successor lies outside the
+    // image, inside the last (not-taken) instance's open window.
+    Addr branch = 0, join = 0;
+    Program p = endlessProgram(true, &branch, &join);
+    EXPECT_EQ(profileBranches(p, kMem, 58).totalInsts, 58u);
+    expectOnlyCfm(p, branch, 58, join, 2.5);
+}
+
+TEST(CfmProfiler, FallOffLastInstruction)
+{
+    // The last instruction is the loop branch: not taken, it falls
+    // off the image inside the last instance's open window.
+    Addr branch = 0, join = 0;
+    Program p = endlessProgram(false, &branch, &join);
+    BranchProfile bp = profileBranches(p, kMem, 57);
+    EXPECT_EQ(bp.totalInsts, 57u);
+    EXPECT_EQ(bp.totalCondBranches, 20u);
+    expectOnlyCfm(p, branch, 57, join, 2.5);
+}
+
 TEST(ProfilerDeath, ZeroSampleRateIsFatal)
 {
     Addr hammock_pc = 0;

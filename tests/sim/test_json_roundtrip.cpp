@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -154,12 +155,18 @@ TEST(JsonRoundTrip, DmpReportTables)
     std::remove(path.c_str());
 }
 
-/** `dmp lint [extra] --json` on a file named kName: its target entry. */
+/**
+ * `dmp lint [extra] --json` on a file named kName: its target entry.
+ * The files live in a directory private to the running test, so the
+ * callers can run in parallel.
+ */
 json::Value
 lintTargetPath(const std::vector<std::string> &extra)
 {
-    const std::string path = ::testing::TempDir() + kName + ".s";
-    const std::string out = ::testing::TempDir() + "roundtrip_lint.json";
+    const std::string dir = test::tempPath("lint") + "/";
+    std::filesystem::create_directories(dir);
+    const std::string path = dir + kName + ".s";
+    const std::string out = dir + "roundtrip_lint.json";
     {
         std::ofstream asm_file(path);
         EXPECT_TRUE(asm_file) << "cannot create " << path;
@@ -171,8 +178,7 @@ lintTargetPath(const std::vector<std::string> &extra)
     EXPECT_EQ(test::runDmp(args).status, 0);
 
     json::Value doc = parseOk(test::slurp(out));
-    std::remove(path.c_str());
-    std::remove(out.c_str());
+    std::filesystem::remove_all(dir);
     const json::Value *targets = doc.get("targets");
     if (!targets || !targets->isArray() || targets->array.size() != 1) {
         ADD_FAILURE() << "expected one target entry";
