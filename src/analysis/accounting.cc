@@ -1,7 +1,6 @@
 #include "analysis/accounting.hh"
 
 #include <algorithm>
-#include <sstream>
 #include <vector>
 
 #include "common/json.hh"
@@ -369,54 +368,6 @@ CycleAccounting::json() const
     }
     w.endArray().endObject();
     return w.take();
-}
-
-std::string
-CycleAccounting::summary() const
-{
-    std::ostringstream os;
-    std::uint64_t total = totalCycles();
-    os << "top-down cycle accounting (" << total << " cycles):\n";
-    for (unsigned i = 0; i < unsigned(CycleBucket::NumBuckets); ++i) {
-        std::uint64_t c = buckets[i].value();
-        double pct = total ? 100.0 * double(c) / double(total) : 0.0;
-        char line[96];
-        std::snprintf(line, sizeof(line), "  %-18s %12llu  %5.1f%%\n",
-                      bucketName(CycleBucket(i)),
-                      (unsigned long long)c, pct);
-        os << line;
-    }
-    auto rows = sortedRows(table, *this);
-    if (!rows.empty()) {
-        os << "per-branch diverge analytics (net benefit order):\n"
-           << "  pc          episodes  mergedCFM  overshot  flushAvoid"
-              "  flushes  falseInsts  uops  netCycles\n";
-    }
-    std::size_t shown = 0;
-    for (const DivergeBranchStats *r : rows) {
-        // Pure-flush rows (no episodes) are base-mode noise for this
-        // view; the full set is in json().
-        if (r->episodes + r->dualEpisodes == 0)
-            continue;
-        char line[160];
-        std::snprintf(line, sizeof(line),
-                      "  %-10s %9llu %10llu %9llu %11llu %8llu %11llu "
-                      "%5llu %10.1f\n",
-                      trace::hex(r->pc).c_str(),
-                      (unsigned long long)(r->episodes + r->dualEpisodes),
-                      (unsigned long long)r->mergedAtCfm,
-                      (unsigned long long)r->overshot,
-                      (unsigned long long)r->flushesAvoided,
-                      (unsigned long long)r->flushes,
-                      (unsigned long long)r->falseInsts,
-                      (unsigned long long)r->extraUops, netCycles(*r));
-        os << line;
-        if (++shown >= 20) {
-            os << "  ... (" << rows.size() << " branches total)\n";
-            break;
-        }
-    }
-    return os.str();
 }
 
 } // namespace dmp::analysis

@@ -139,8 +139,6 @@ class CycleAccounting final : public core::CoreObserver
      */
     std::string json() const;
 
-    /** Human-readable top-down + per-branch summary. */
-    std::string summary() const;
 
   private:
     DivergeBranchStats &rowFor(Addr pc);

@@ -28,12 +28,20 @@ Value::get(std::string_view a, std::string_view b) const
     return v ? v->get(b) : nullptr;
 }
 
+bool
+Value::isU64() const
+{
+    return isNumber() && number >= 0 && number < 0x1p64 &&
+           number == std::floor(number);
+}
+
 std::uint64_t
 Value::asU64() const
 {
-    if (!isNumber() || number < 0)
+    if (!isNumber() || !(number >= 0))
         return 0;
-    return std::uint64_t(number);
+    // Converting a double at or past 2^64 to an integer is undefined.
+    return number < 0x1p64 ? std::uint64_t(number) : ~std::uint64_t(0);
 }
 
 std::string

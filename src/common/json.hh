@@ -59,7 +59,10 @@ class Value
     /** Nested counter-style lookup: get(a) then ->get(b). */
     const Value *get(std::string_view a, std::string_view b) const;
 
-    /** Number as u64 (0 when not a number or negative). */
+    /** A whole number in [0, 2^64) (parsed as a double: exact to 2^53). */
+    bool isU64() const;
+
+    /** Number as u64: 0 below 0 or for a non-number, 2^64-1 from 2^64. */
     std::uint64_t asU64() const;
 
     /** Number value (0 when not a number). */

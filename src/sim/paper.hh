@@ -2,20 +2,22 @@
  * @file
  * The paper's evaluation as data: Table 2, Table 3, Figures 1 and
  * 6-13, the section 5.3 dual-path comparison and the ablations, each a
- * named list of cells plus the function that prints its table. `dmp
+ * named list of cells plus the function that builds its tables. `dmp
  * paper` runs the cells of every selected figure through one
- * BatchRunner, so a configuration two figures share simulates once.
+ * BatchRunner, so a configuration two figures share simulates once,
+ * and renders the tables from the stats records of those runs; `dmp
+ * report --figure` renders the same tables from a records file.
  */
 
 #ifndef DMP_SIM_PAPER_HH
 #define DMP_SIM_PAPER_HH
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
 #include "sim/batch.hh"
+#include "sim/report.hh"
 #include "sim/simulator.hh"
 
 namespace dmp::sim
@@ -30,21 +32,21 @@ struct Cell
     SimConfig cfg;
 };
 
-class FigureResults;
+class CellRecords;
 
 /** One table or figure of the evaluation. */
 struct Figure
 {
     const char *name; ///< e.g. "fig09_enhanced_dmp"
     std::vector<Cell> cells;
-    /** Print the table to stdout from the figure's results. */
-    void (*print)(const FigureResults &);
+    /** The figure's tables, from the record of each cell. */
+    std::vector<ReportTable> (*tables)(const CellRecords &);
 };
 
 /** Every figure, in the order `dmp paper all` prints them. */
 const std::vector<Figure> &figures();
 
-/** What one `dmp paper` invocation simulates and exports. */
+/** What one `dmp paper` invocation simulates. */
 struct PaperOptions
 {
     /** Table rows, in order: distinct names from workloadList(). */
@@ -52,8 +54,6 @@ struct PaperOptions
     std::uint64_t iters = 2000;
     /** Attach cycle accounting to every run (changes fingerprints). */
     bool accounting = false;
-    /** When set, receives one JSONL record per distinct run. */
-    std::ostream *records = nullptr;
 };
 
 /** The simulation of `cell` on `workload` under `opts`. */
@@ -62,12 +62,28 @@ SimConfig cellConfig(const Cell &cell, const std::string &workload,
 
 /**
  * Submit every cell of every figure in `figs` on every workload to
- * `runner`, then print the tables in the order of `figs`. Records go
- * out in figure, workload, cell order, one per distinct
- * configFingerprint, each with its `fingerprint` and `bench_iters`.
+ * `runner` and wait for them. Returns one stats record (simResultJson)
+ * per distinct configFingerprint, in figure, workload, cell order,
+ * each with its `fingerprint` and `bench_iters`.
  */
-void runPaper(const std::vector<const Figure *> &figs,
-              const PaperOptions &opts, BatchRunner &runner);
+std::vector<std::string> runPaper(const std::vector<const Figure *> &figs,
+                                  const PaperOptions &opts,
+                                  BatchRunner &runner);
+
+/**
+ * Append the tables of `figs` to `out`, built from `records` as `dmp
+ * paper --stats-json` wrote them: the iterations come from
+ * `bench_iters`, accounting from the accounting block, and the rows are
+ * the workloads in order of first appearance. Each cell's record is
+ * the one whose fingerprint is configFingerprint(cellConfig(...)).
+ * @return false, with `err` saying why, when a record is not a schema
+ *         2 dmp paper record, the records mix iteration counts or
+ *         accounting, or a cell lacks a record or a counter it reads
+ *         (naming the figure, workload and cell).
+ */
+bool figureTables(const std::vector<const Figure *> &figs,
+                  const std::vector<StatsRecord> &records,
+                  std::vector<ReportTable> &out, std::string &err);
 
 } // namespace dmp::sim
 

@@ -6,20 +6,13 @@
 #include <sstream>
 
 #include "common/json.hh"
+#include "sim/simulator.hh"
 
 namespace dmp::sim
 {
 
 namespace
 {
-
-std::string
-fmtDouble(double v, const char *spec = "%.3f")
-{
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), spec, v);
-    return buf;
-}
 
 std::string
 fmtU64(std::uint64_t v)
@@ -47,10 +40,69 @@ tableJson(json::Writer &w, const ReportTable &t)
             w.value(cell);
         w.endArray();
     }
-    w.endArray().endObject();
+    w.endArray();
+    if (!t.note.empty())
+        w.field("note", t.note);
+    w.endObject();
 }
 
+/** A record field that breaks the schema; the message names it. */
+struct BadField
+{
+    std::string what;
+};
+
+/** The members of one object of a record, named by `path` in errors. */
+struct Fields
+{
+    const json::Value &obj;
+    std::string path;
+
+    [[noreturn]] void
+    fail(const std::string &key, const std::string &why) const
+    {
+        throw BadField{"field \"" + path + key + "\" " + why};
+    }
+
+    /**
+     * Member `key`, which must be of `kind`; throws when it is not, or
+     * is absent unless `optional`.
+     */
+    const json::Value *
+    at(const std::string &key, json::Value::Kind kind,
+       bool optional = false) const
+    {
+        using Kind = json::Value::Kind;
+        const json::Value *v = obj.get(key);
+        if (!v && !optional)
+            fail(key, "is missing");
+        if (v && v->kind != kind)
+            fail(key, kind == Kind::String   ? "is not a string"
+                      : kind == Kind::Object ? "is not an object"
+                                             : "is not a number");
+        return v;
+    }
+
+    /** Member `key` as a whole number in [0, 2^64). */
+    std::uint64_t
+    whole(const std::string &key, bool optional = false) const
+    {
+        const json::Value *v = at(key, json::Value::Kind::Number, optional);
+        if (v && !v->isU64())
+            fail(key, "is not an integer in [0, 2^64)");
+        return v ? v->asU64() : 0;
+    }
+};
+
 } // namespace
+
+std::string
+fmtDouble(double v, const char *spec)
+{
+    char buf[48];
+    std::snprintf(buf, sizeof(buf), spec, v);
+    return buf;
+}
 
 std::uint64_t
 StatsRecord::counter(const std::string &name) const
@@ -71,58 +123,75 @@ parseStatsRecord(const std::string &line, StatsRecord &out, std::string &err)
         return false;
     }
 
-    if (const json::Value *v = doc.get("schema"))
-        out.schema = int(v->asU64());
-    if (const json::Value *v = doc.get("label"); v && v->isString())
-        out.label = v->string;
-    if (const json::Value *v = doc.get("workload"); v && v->isString())
-        out.workload = v->string;
-    if (const json::Value *v = doc.get("ipc"))
-        out.ipc = v->asDouble();
-    out.cycles = memberU64(doc, "cycles");
-    out.retiredInsts = memberU64(doc, "retired_insts");
-
-    if (const json::Value *c = doc.get("counters"); c && c->isObject()) {
-        for (const auto &[k, v] : c->object)
-            out.counters.emplace(k, v.asU64());
-    }
-    if (const json::Value *f = doc.get("formulas"); f && f->isObject()) {
-        for (const auto &[k, v] : f->object)
-            out.formulas.emplace(k, v.asDouble());
-    }
-
-    const json::Value *acct = doc.get("accounting");
-    if (acct && acct->isObject()) {
-        out.hasAccounting = true;
-        if (const json::Value *b = acct->get("buckets"); b && b->isObject())
+    try {
+        const Fields rec{doc, ""};
+        const std::uint64_t schema = rec.whole("schema");
+        if (schema < 1 || schema > kStatsSchemaVersion)
+            rec.fail("schema", "is not a schema this build reads (1 to " +
+                                   std::to_string(kStatsSchemaVersion) + ")");
+        out.schema = int(schema);
+        using Kind = json::Value::Kind;
+        out.label = rec.at("label", Kind::String)->string;
+        out.workload = rec.at("workload", Kind::String)->string;
+        out.ipc = rec.at("ipc", Kind::Number)->number;
+        out.cycles = rec.whole("cycles");
+        out.retiredInsts = rec.whole("retired_insts");
+        if (const json::Value *fp = rec.at("fingerprint", Kind::String, true)) {
+            out.fingerprint = fp->string;
+            out.benchIters = rec.whole("bench_iters");
+        }
+        const Fields counters{*rec.at("counters", Kind::Object), "counters."};
+        for (const auto &[k, v] : counters.obj.object)
+            out.counters.emplace(k, counters.whole(k));
+        if (const json::Value *f = doc.get("formulas"); f && f->isObject()) {
+            for (const auto &[k, v] : f->object)
+                out.formulas.emplace(k, v.asDouble());
+        }
+        out.hasMarking = rec.at("marking", Kind::Object, true) != nullptr;
+        if (out.hasMarking) {
+            const Fields m{*rec.at("marking", Kind::Object), "marking."};
+            out.marking.candidateBranches = m.whole("candidates");
+            out.marking.markedDiverge = m.whole("diverge");
+            out.marking.markedSimpleHammock = m.whole("hammock");
+            out.marking.markedLoop = m.whole("loop");
+            const Fields c{*m.at("classification", Kind::Object),
+                           "marking.classification."};
+            out.marking.classification = {
+                c.whole("simple_hammock_diverge"), c.whole("complex_diverge"),
+                c.whole("other_complex"), c.whole("total_insts")};
+        }
+        const json::Value *acct = doc.get("accounting");
+        out.hasAccounting = acct && acct->isObject();
+        if (const json::Value *b = acct ? acct->get("buckets") : nullptr;
+            b && b->isObject()) {
+            const Fields buckets{*b, "accounting.buckets."};
             for (const auto &[k, v] : b->object)
-                out.buckets.emplace_back(k, v.asU64());
-        if (const json::Value *br = acct->get("branches");
+                out.buckets.emplace_back(k, buckets.whole(k));
+        }
+        if (const json::Value *br = acct ? acct->get("branches") : nullptr;
             br && br->isArray()) {
-            for (const json::Value &row : br->array) {
-                if (!row.isObject())
-                    continue;
-                ReportBranchRow r;
-                if (const json::Value *pc = row.get("pc");
-                    pc && pc->isString())
-                    r.pc = pc->string;
-                r.episodes = memberU64(row, "episodes");
-                r.dualEpisodes = memberU64(row, "dual_episodes");
-                r.mergedAtCfm = memberU64(row, "merged_at_cfm");
-                r.overshot = memberU64(row, "overshot");
-                r.earlyExits = memberU64(row, "early_exits");
-                r.converted = memberU64(row, "converted");
-                r.squashed = memberU64(row, "squashed");
-                r.fetchedInsts = memberU64(row, "fetched_insts");
-                r.falseInsts = memberU64(row, "false_insts");
-                r.extraUops = memberU64(row, "extra_uops");
-                r.flushesAvoided = memberU64(row, "flushes_avoided");
-                r.flushes = memberU64(row, "flushes");
-                if (const json::Value *nc = row.get("net_cycles"))
-                    r.netCycles = nc->asDouble();
-                out.branches.push_back(std::move(r));
+            for (std::size_t i = 0; i < br->array.size(); ++i) {
+                const std::string at = "branches[" + std::to_string(i) + "]";
+                const Fields row{br->array[i], "accounting." + at + "."};
+                if (!row.obj.isObject())
+                    Fields{*acct, "accounting."}.fail(at, "is not an object");
+                const json::Value *pc = row.obj.get("pc");
+                const json::Value *net = row.obj.get("net_cycles");
+                out.branches.push_back(
+                    {pc && pc->isString() ? pc->string : "",
+                     row.whole("episodes", true),
+                     row.whole("dual_episodes", true),
+                     row.whole("merged_at_cfm", true),
+                     row.whole("overshot", true),
+                     row.whole("false_insts", true),
+                     row.whole("extra_uops", true),
+                     row.whole("flushes_avoided", true),
+                     row.whole("flushes", true), net ? net->asDouble() : 0});
             }
         }
+    } catch (const BadField &bad) {
+        err = bad.what;
+        return false;
     }
     return true;
 }
@@ -201,6 +270,8 @@ ReportTable::render(ReportFormat f) const
                 os << ' ' << cell << " |";
             os << '\n';
         }
+        if (!note.empty())
+            os << '\n' << note << '\n';
         return os.str();
     }
 
@@ -229,6 +300,8 @@ ReportTable::render(ReportFormat f) const
     emitRow(header);
     for (const auto &row : rows)
         emitRow(row);
+    if (!note.empty())
+        os << note << '\n';
     return os.str();
 }
 
@@ -384,38 +457,6 @@ branchTable(const std::vector<StatsRecord> &records, std::size_t top_n)
     return t;
 }
 
-ReportTable
-flushReductionTable(const std::vector<StatsRecord> &records,
-                    const std::string &base_label,
-                    const std::string &enh_label)
-{
-    ReportTable t;
-    t.title = "pipeline-flush reduction: " + enh_label + " vs " +
-              base_label + " (Fig. 11)";
-    t.header = {"workload", base_label, enh_label, "reduction %"};
-    double sum = 0;
-    unsigned n = 0;
-    for (const StatsRecord &r : records) {
-        if (r.label != base_label)
-            continue;
-        const StatsRecord *enh = findRecord(records, enh_label,
-                                            r.workload);
-        if (!enh)
-            continue;
-        std::uint64_t base_f = r.counter("pipeline_flushes");
-        std::uint64_t enh_f = enh->counter("pipeline_flushes");
-        double red = flushReductionPct(base_f, enh_f);
-        t.rows.push_back({r.workload, fmtU64(base_f), fmtU64(enh_f),
-                          fmtDouble(red, "%.1f")});
-        sum += red;
-        ++n;
-    }
-    if (n)
-        t.rows.push_back({"average", "-", "-",
-                          fmtDouble(sum / n, "%.1f")});
-    return t;
-}
-
 double
 flushReductionPct(std::uint64_t base, std::uint64_t enh)
 {
@@ -423,28 +464,47 @@ flushReductionPct(std::uint64_t base, std::uint64_t enh)
                 : 0.0;
 }
 
-bool
-loadMarkingsTable(const std::string &path, ReportTable &out,
-                  std::string &err)
+namespace
+{
+
+/**
+ * The "targets" array of the dmp `what` JSON report at `path`, parsed
+ * into `doc`; null, with `err` set, when it cannot be read.
+ */
+const json::Value *
+loadTargets(const std::string &path, const char *what, json::Value &doc,
+            std::string &err)
 {
     std::ifstream in(path);
     if (!in) {
         err = "cannot open " + path;
-        return false;
+        return nullptr;
     }
     std::ostringstream text;
     text << in.rdbuf();
-    json::Value doc;
     if (!json::parse(text.str(), doc, err)) {
         err = path + ": " + err;
-        return false;
+        return nullptr;
     }
     const json::Value *targets = doc.get("targets");
     if (!doc.isObject() || !targets || !targets->isArray()) {
-        err = path + ": not a dmp mark JSON report "
-              "(missing \"targets\" array)";
-        return false;
+        err = path + ": not a dmp " + what +
+              " JSON report (missing \"targets\" array)";
+        return nullptr;
     }
+    return targets;
+}
+
+} // namespace
+
+bool
+loadMarkingsTable(const std::string &path, ReportTable &out,
+                  std::string &err)
+{
+    json::Value doc;
+    const json::Value *targets = loadTargets(path, "mark", doc, err);
+    if (!targets)
+        return false;
 
     out = ReportTable{};
     out.title = "static markings (dmp mark vs profiled marker)";
@@ -502,24 +562,10 @@ bool
 loadProofsTable(const std::string &path, ReportTable &out,
                 std::string &err)
 {
-    std::ifstream in(path);
-    if (!in) {
-        err = "cannot open " + path;
-        return false;
-    }
-    std::ostringstream text;
-    text << in.rdbuf();
     json::Value doc;
-    if (!json::parse(text.str(), doc, err)) {
-        err = path + ": " + err;
+    const json::Value *targets = loadTargets(path, "lint", doc, err);
+    if (!targets)
         return false;
-    }
-    const json::Value *targets = doc.get("targets");
-    if (!doc.isObject() || !targets || !targets->isArray()) {
-        err = path + ": not a dmp lint JSON report "
-              "(missing \"targets\" array)";
-        return false;
-    }
 
     out = ReportTable{};
     out.title = "absint proofs (dmp lint --deep)";

@@ -4,13 +4,14 @@
  * figure-ready tables (the `dmp report` subcommand is a thin shell over
  * this).
  *
- * A StatsRecord is one parsed simResultJson line (schema 1, see
- * EXPERIMENTS.md). The table builders turn a set of records into the
- * views the paper's evaluation uses: per-run summaries, top-down cycle
- * breakdowns, mode-vs-mode diffs, per-branch "who benefits from DMP"
- * rankings, and the Figure 11 flush-reduction computation — all from
- * the raw JSONL alone, no re-simulation. Tables render as aligned
- * text, Markdown, or JSON.
+ * A StatsRecord is one parsed simResultJson line (schema 1 or 2, see
+ * EXPERIMENTS.md). The parser is strict: a field of the wrong type or
+ * a count that is not a whole number in [0, 2^64) refuses the record,
+ * naming the field. The table builders here turn a set of records into
+ * per-run summaries, top-down cycle breakdowns, mode-vs-mode diffs and
+ * per-branch "who benefits from DMP" rankings; the paper's figures are
+ * built from the same records in sim/paper.hh. Every table renders as
+ * aligned text, Markdown or JSON.
  */
 
 #ifndef DMP_SIM_REPORT_HH
@@ -22,10 +23,12 @@
 #include <utility>
 #include <vector>
 
+#include "profile/profiler.hh"
+
 namespace dmp::sim
 {
 
-/** One per-branch analytics row from a record's accounting block. */
+/** A record's per-branch analytics row: the fields branchTable reads. */
 struct ReportBranchRow
 {
     std::string pc; ///< "0x..." as emitted
@@ -33,10 +36,6 @@ struct ReportBranchRow
     std::uint64_t dualEpisodes = 0;
     std::uint64_t mergedAtCfm = 0;
     std::uint64_t overshot = 0;
-    std::uint64_t earlyExits = 0;
-    std::uint64_t converted = 0;
-    std::uint64_t squashed = 0;
-    std::uint64_t fetchedInsts = 0;
     std::uint64_t falseInsts = 0;
     std::uint64_t extraUops = 0;
     std::uint64_t flushesAvoided = 0;
@@ -47,14 +46,21 @@ struct ReportBranchRow
 /** One parsed stats-JSONL record. */
 struct StatsRecord
 {
-    int schema = 0; ///< 0: record predates the schema field
+    int schema = 0;
     std::string label;
     std::string workload;
     double ipc = 0;
     std::uint64_t cycles = 0;
     std::uint64_t retiredInsts = 0;
+    /** dmp paper records only: the configFingerprint and iterations. */
+    std::string fingerprint;
+    std::uint64_t benchIters = 0;
     std::unordered_map<std::string, std::uint64_t> counters;
     std::unordered_map<std::string, double> formulas;
+
+    /** The marking block (schema 2): counts and classification only. */
+    bool hasMarking = false;
+    profile::MarkingReport marking;
 
     bool hasAccounting = false;
     /** Top-down buckets in emission order (name -> cycles). */
@@ -66,8 +72,11 @@ struct StatsRecord
 };
 
 /**
- * Parse one JSONL line into a record.
- * @return true on success; on failure `err` explains why.
+ * Parse one JSONL line into a record. Refused: an unknown or missing
+ * schema, a label or workload that is not a string, an ipc that is not
+ * a number, and a cycle, instruction or counter value that is not a
+ * whole number in [0, 2^64).
+ * @return true on success; on failure `err` names the field.
  */
 bool parseStatsRecord(const std::string &line, StatsRecord &out,
                       std::string &err);
@@ -95,12 +104,16 @@ enum class ReportFormat
 /** Parse "text" | "json" | "md" (false on anything else). */
 bool parseReportFormat(const std::string &name, ReportFormat &out);
 
-/** One rendered-agnostic table: a title, a header, string cells. */
+/**
+ * One rendered-agnostic table: a title, a header, string cells and an
+ * optional note (the paper's value, a caveat) printed below the rows.
+ */
 struct ReportTable
 {
     std::string title;
     std::vector<std::string> header;
     std::vector<std::vector<std::string>> rows;
+    std::string note;
 
     std::string render(ReportFormat f) const;
 };
@@ -134,17 +147,11 @@ ReportTable diffTable(const std::vector<StatsRecord> &records,
 ReportTable branchTable(const std::vector<StatsRecord> &records,
                         std::size_t top_n);
 
-/**
- * Figure 11: percentage reduction in pipeline flushes of `enh_label`
- * relative to `base_label`, per workload, with the arithmetic average
- * (the paper reports 31%).
- */
-ReportTable flushReductionTable(const std::vector<StatsRecord> &records,
-                                const std::string &base_label,
-                                const std::string &enh_label);
-
 /** 100 * (base - enh) / base; 0 when base is 0 (as Figure 11). */
 double flushReductionPct(std::uint64_t base, std::uint64_t enh);
+
+/** `v` printed with the printf conversion `spec`, as a table cell. */
+std::string fmtDouble(double v, const char *spec = "%.3f");
 
 /**
  * Static-marking agreement section: parse a dmp mark --json report

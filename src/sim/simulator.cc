@@ -128,7 +128,16 @@ simResultJson(const SimResult &r, const std::string &label,
     w.endObject().key("formulas").beginObject();
     for (const auto &[k, v] : std::map(r.formulas.begin(), r.formulas.end()))
         w.field(k, v);
-    w.endObject();
+    const profile::MarkingReport &m = r.marking;
+    const profile::MispredictClassification &c = m.classification;
+    w.endObject().key("marking").beginObject();
+    w.field("candidates", m.candidateBranches);
+    w.field("diverge", m.markedDiverge).field("hammock", m.markedSimpleHammock);
+    w.field("loop", m.markedLoop).key("classification").beginObject();
+    w.field("simple_hammock_diverge", c.simpleHammockDiverge);
+    w.field("complex_diverge", c.complexDiverge);
+    w.field("other_complex", c.otherComplex);
+    w.field("total_insts", c.totalInsts).endObject().endObject();
     if (r.hasAccounting)
         w.key("accounting").raw(r.accountingJson);
     w.endObject();

@@ -142,18 +142,19 @@ struct SimResult
  * Version of the JSONL stats-record schema emitted by simResultJson
  * (dmp run --stats-json, dmp paper --stats-json; documented in
  * EXPERIMENTS.md). Every record carries it as its first field,
- * "schema". Bump when a field is renamed or removed; adding fields is
- * backward compatible.
+ * "schema". Bump when a field is renamed or removed, or when a field
+ * that readers rely on is added: schema 2 added "marking".
  */
-constexpr int kStatsSchemaVersion = 1;
+constexpr int kStatsSchemaVersion = 2;
 
 /**
  * Render one run as a single-line JSON object (a JSONL record):
- * {"schema":1, "label":..., "workload":..., "ipc":..., "cycles":...,
+ * {"schema":2, "label":..., "workload":..., "ipc":..., "cycles":...,
  *  "retired_insts":..., "host_seconds":..., "host_inst_rate":...,
- *  "counters":{...}, "distributions":{...}, "formulas":{...}[,
- *  "accounting":{...}]}. The accounting block appears only for runs
- * with SimConfig::accounting.
+ *  "counters":{...}, "distributions":{...}, "formulas":{...},
+ *  "marking":{...}[, "accounting":{...}]}. The marking block holds
+ * `r.marking`'s counts and misprediction classification; the
+ * accounting block appears only for runs with SimConfig::accounting.
  *
  * @param fingerprint when non-empty, "fingerprint" (this string) and
  *        "bench_iters" (`bench_iters`) follow host_inst_rate: dmp

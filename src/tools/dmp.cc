@@ -26,7 +26,8 @@
  *                        dhp, dmp, mcfm, mcfm-eexit, dmp-enhanced
  *                        (default) or dual
  *   --sweep=m1,m2,...    run several machine modes in parallel and
- *                        print a comparison table ("all" = every mode)
+ *                        print dmp report's summary table of the runs
+ *                        ("all" = every mode)
  *   --jobs=N             worker threads for --sweep (default: all
  *                        cores, at most 256)
  *   --iters=N            workload loop iterations (default 2000)
@@ -59,10 +60,10 @@
  *   --pipeview=PATH      write a Konata/O3PipeView pipeline trace
  *                        (single-run only)
  *   --stats-json=PATH    append one JSONL stats record per run to PATH
- *   --accounting         attach top-down cycle accounting: prints the
- *                        bucket breakdown and per-branch diverge
- *                        analytics, and embeds the accounting block
- *                        in --stats-json records
+ *   --accounting         attach top-down cycle accounting: prints dmp
+ *                        report's --topdown and --branches tables of
+ *                        the run, and embeds the accounting block in
+ *                        --stats-json records
  *   --perfetto=PATH      write a Chrome/Perfetto trace-event JSON file
  *                        (top-down slices, episode async spans, flush
  *                        instants; implies --accounting; single-run
@@ -133,9 +134,10 @@
  *   --branches[=N]       per-branch "who benefits from DMP" ranking by
  *                        estimated net cycles (top N rows; default 20,
  *                        0 = all); needs accounting records
- *   --flush-reduction=BASE,ENH
- *                        Figure 11: % reduction in pipeline flushes of
- *                        label ENH relative to label BASE
+ *   --figure=NAME        dmp paper's tables of figure NAME ("all" =
+ *                        every one) from its --stats-json records, each
+ *                        cell found by config fingerprint; a missing
+ *                        cell fails naming figure, workload and cell
  *   --markings=PATH      static-marking agreement table from a
  *                        dmp mark --json report (per workload: mark
  *                        counts, lint totals, diverge precision /
@@ -158,7 +160,8 @@
  * dmp paper — regenerate tables and figures of the paper's evaluation
  * (sim/paper.hh; "all" = every one, in order). Every cell of every
  * selected figure runs through one worker pool, so a configuration
- * two figures share simulates once; then the tables print in order.
+ * two figures share simulates once; then the tables print in order,
+ * rendered from the runs' stats records as dmp report --figure does.
  *
  *   --iters=N            workload loop iterations (default 2000)
  *   --workloads=a,b,...  table rows (default: all 15 workloads)
@@ -642,21 +645,21 @@ runSweep(const RunOptions &o)
         return 1;
     }
 
-    std::printf("=== %s: %zu modes on %u worker(s) ===\n",
-                o.target.c_str(), modes.size(), runner.jobs());
-    std::printf("%-14s %8s %12s %12s %10s\n", "mode", "IPC", "cycles",
-                "retired", "flushes");
+    std::vector<sim::StatsRecord> records(modes.size());
     for (std::size_t i = 0; i < modes.size(); ++i) {
-        const sim::SimResult &r = results[i];
-        std::printf("%-14s %8.3f %12llu %12llu %10llu\n",
-                    modes[i].c_str(), r.ipc,
-                    (unsigned long long)r.cycles,
-                    (unsigned long long)r.retiredInsts,
-                    (unsigned long long)r.require("pipeline_flushes"));
+        const std::string line =
+            sim::simResultJson(results[i], modes[i], o.target);
         if (!o.statsJson.empty())
-            appendStatsJson(o.statsJson,
-                            sim::simResultJson(r, modes[i], o.target));
+            appendStatsJson(o.statsJson, line);
+        std::string err;
+        if (!sim::parseStatsRecord(line, records[i], err))
+            dmp_fatal("--sweep: ", err);
     }
+    sim::ReportTable table = sim::summaryTable(records);
+    table.title = o.target + ": " + std::to_string(modes.size()) +
+                  " modes on " + std::to_string(runner.jobs()) + " worker(s)";
+    std::fputs(sim::renderTables({table}, sim::ReportFormat::Text).c_str(),
+               stdout);
     sim::BatchStats st = runner.stats();
     std::printf("profile passes: %llu (hits %llu), sims: %llu "
                 "(%.2fs sim wall-clock)\n",
@@ -796,16 +799,27 @@ runCommand(int argc, char **argv)
 
     if (acct)
         acct->finish();
-    const sim::SimResult r =
-        sim::resultOfRun(machine, acct.get(), host_seconds);
+    sim::SimResult r = sim::resultOfRun(machine, acct.get(), host_seconds);
+    r.marking = std::move(report);
     std::printf("IPC %.3f over %llu cycles\n\n", r.ipc,
                 (unsigned long long)r.cycles);
     std::fputs(machine.stats().group.dump().c_str(), stdout);
     if (pv)
         std::printf("pipeview: %llu records -> %s\n",
                     (unsigned long long)pv->count(), o.pipeview.c_str());
-    if (acct)
-        std::fputs(acct->summary().c_str(), stdout);
+    const std::string record = sim::simResultJson(r, o.mode, o.target);
+    if (acct) {
+        // The same tables dmp report --topdown --branches prints.
+        std::vector<sim::StatsRecord> recs(1);
+        std::string err;
+        if (!sim::parseStatsRecord(record, recs[0], err))
+            dmp_fatal("dmp run: ", err);
+        std::fputs(sim::renderTables({sim::topdownTable(recs),
+                                      sim::branchTable(recs, 20)},
+                                     sim::ReportFormat::Text)
+                       .c_str(),
+                   stdout);
+    }
     if (perfetto) {
         perfetto->close();
         std::printf("perfetto: %llu events -> %s\n",
@@ -814,8 +828,7 @@ runCommand(int argc, char **argv)
     }
 
     if (!o.statsJson.empty())
-        appendStatsJson(o.statsJson,
-                        sim::simResultJson(r, o.mode, o.target));
+        appendStatsJson(o.statsJson, record);
     return machine.halted() ? 0 : 1;
 }
 
@@ -1067,12 +1080,30 @@ splitPair(const std::string &v, const char *flag, std::string &a,
 struct Section
 {
     enum Kind {
-        Summary, Topdown, Diff, Branches, FlushReduction, Markings,
-        Proofs
+        Summary, Topdown, Diff, Branches, Figure, Markings, Proofs
     } kind;
-    std::string a, b;     // Diff / FlushReduction labels; report paths
+    std::string a, b;     // Diff labels; figure name; report paths
     std::size_t topN = 0; // Branches
 };
+
+/** The figures called `name` ("all" = every one); fatal on none. */
+std::vector<const sim::Figure *>
+figuresNamed(const std::string &name, const char *what)
+{
+    std::vector<const sim::Figure *> figs;
+    for (const sim::Figure &f : sim::figures())
+        if (name == "all" || name == f.name)
+            figs.push_back(&f);
+    if (figs.empty()) {
+        std::fprintf(stderr, "%s: unknown figure: %s\nfigures: all", what,
+                     name.c_str());
+        for (const sim::Figure &f : sim::figures())
+            std::fprintf(stderr, " %s", f.name);
+        std::fputc('\n', stderr);
+        std::exit(2);
+    }
+    return figs;
+}
 
 int
 reportCommand(int argc, char **argv)
@@ -1097,10 +1128,9 @@ reportCommand(int argc, char **argv)
         } else if (option(arg, "--branches", &v)) {
             sections.push_back(
                 {Section::Branches, "", "", number("--branches", v)});
-        } else if (option(arg, "--flush-reduction", &v)) {
-            Section s{Section::FlushReduction, "", "", 0};
-            splitPair(v, "--flush-reduction", s.a, s.b);
-            sections.push_back(std::move(s));
+        } else if (option(arg, "--figure", &v)) {
+            figuresNamed(v, "dmp report: --figure");
+            sections.push_back({Section::Figure, v, "", 0});
         } else if (option(arg, "--markings", &v)) {
             sections.push_back({Section::Markings, v, "", 0});
         } else if (option(arg, "--proofs", &v)) {
@@ -1150,10 +1180,13 @@ reportCommand(int argc, char **argv)
           case Section::Branches:
             tables.push_back(sim::branchTable(records, s.topN));
             break;
-          case Section::FlushReduction:
-            tables.push_back(
-                sim::flushReductionTable(records, s.a, s.b));
-            break;
+          case Section::Figure: {
+            std::string err;
+            if (!sim::figureTables(figuresNamed(s.a, "dmp report: --figure"),
+                                   records, tables, err))
+                dmp_fatal("dmp report: --figure: ", err);
+            continue;
+          }
           case Section::Markings: {
             sim::ReportTable t;
             std::string err;
@@ -1215,18 +1248,8 @@ paperCommand(int argc, char **argv)
     if (name.empty())
         usage("paper");
 
-    std::vector<const sim::Figure *> figs;
-    for (const sim::Figure &f : sim::figures())
-        if (name == "all" || name == f.name)
-            figs.push_back(&f);
-    if (figs.empty()) {
-        std::fprintf(stderr, "dmp paper: unknown figure: %s\nfigures: all",
-                     name.c_str());
-        for (const sim::Figure &f : sim::figures())
-            std::fprintf(stderr, " %s", f.name);
-        std::fputc('\n', stderr);
-        return 2;
-    }
+    const std::vector<const sim::Figure *> figs =
+        figuresNamed(name, "dmp paper");
 
     // Every name is checked before any job is submitted, so a bad list
     // fails here rather than inside the worker pool.
@@ -1245,15 +1268,27 @@ paperCommand(int argc, char **argv)
     if (opts.workloads.empty())
         dmp_fatal("--workloads: no workloads given");
 
-    std::ofstream records;
+    std::ofstream out;
     if (!statsJson.empty()) {
-        records.open(statsJson, std::ios::app);
-        if (!records)
+        out.open(statsJson, std::ios::app);
+        if (!out)
             dmp_fatal("--stats-json: cannot open ", statsJson);
-        opts.records = &records;
     }
     sim::BatchRunner runner(jobs);
-    sim::runPaper(figs, opts, runner);
+    const std::vector<std::string> lines = sim::runPaper(figs, opts, runner);
+    std::vector<sim::StatsRecord> records(lines.size());
+    std::string err;
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+        if (out.is_open())
+            out << lines[i] << "\n";
+        if (!sim::parseStatsRecord(lines[i], records[i], err))
+            dmp_fatal("dmp paper: ", err);
+    }
+    std::vector<sim::ReportTable> tables;
+    if (!sim::figureTables(figs, records, tables, err))
+        dmp_fatal("dmp paper: ", err);
+    std::fputs(sim::renderTables(tables, sim::ReportFormat::Text).c_str(),
+               stdout);
     return 0;
 }
 

@@ -115,6 +115,23 @@ TEST(Json, AsU64Conversions)
     EXPECT_EQ(parseOk("-7").asU64(), 0u);     // negative clamps to 0
     EXPECT_EQ(parseOk("\"7\"").asU64(), 0u);  // not a number
     EXPECT_DOUBLE_EQ(parseOk("\"x\"").asDouble(), 0.0);
+    // Past 2^64 a cast would be undefined; asU64 saturates instead.
+    EXPECT_EQ(parseOk("1e30").asU64(), ~std::uint64_t(0));
+    EXPECT_EQ(parseOk("18446744073709551616").asU64(), ~std::uint64_t(0));
+    EXPECT_EQ(parseOk("1e999").asU64(), ~std::uint64_t(0));
+    EXPECT_EQ(parseOk("2.5").asU64(), 2u);
+}
+
+TEST(Json, IsU64AcceptsOnlyWholeNumbersBelow2To64)
+{
+    EXPECT_TRUE(parseOk("0").isU64());
+    EXPECT_TRUE(parseOk("9007199254740992").isU64()); // 2^53
+    EXPECT_FALSE(parseOk("18446744073709551616").isU64()); // 2^64
+    EXPECT_FALSE(parseOk("1e30").isU64());
+    EXPECT_FALSE(parseOk("-3").isU64());
+    EXPECT_FALSE(parseOk("2.5").isU64());
+    EXPECT_FALSE(parseOk("\"3\"").isU64());
+    EXPECT_FALSE(parseOk("null").isU64());
 }
 
 TEST(Json, ErrorsCarryOffset)

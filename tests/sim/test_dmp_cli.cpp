@@ -12,8 +12,11 @@
  * with a malformed operand fails naming the line, `dmp run` refuses
  * a program that `dmp lint` rejects, the `dmp lint --deep` and
  * `dmp mark` reports on every workload equal the copies committed
- * under tests/sim/reference, and `dmp report --flush-reduction`
- * reproduces the Fig. 11 table from `dmp paper`'s records.
+ * under tests/sim/reference, `dmp report --figure` renders every table
+ * `dmp paper` prints from its records and refuses records it cannot
+ * place, `dmp run --sweep` prints dmp report's summary table, and each
+ * generated table in EXPERIMENTS.md equals `dmp report --figure
+ * --format=md` over the committed figure records.
  */
 
 #include <gtest/gtest.h>
@@ -326,56 +329,126 @@ TEST(DmpPaper, BadFigureOrWorkloadsFailBeforeSimulating)
             << f.name << " missing from:\n" << r.err;
 }
 
-/**
- * Reduction column of the table whose title line starts with `title`:
- * each row's first cell -> its first cell with a decimal point, less
- * any '%'. The table ends at the first blank line; no table, no rows.
- */
-std::map<std::string, std::string>
-reductions(const std::string &text, const std::string &title)
+TEST(DmpReport, FigureReproducesEveryPaperTable)
 {
-    std::map<std::string, std::string> out;
-    const std::size_t at = text.find(title);
-    if (at == std::string::npos)
-        return out;
-    std::istringstream in(text.substr(at));
-    std::string line;
-    std::getline(in, line); // title
-    std::getline(in, line); // header
-    while (std::getline(in, line) && !line.empty()) {
-        std::istringstream cells(line);
-        std::string name, cell;
-        cells >> name;
-        while (cells >> cell && cell.find('.') == std::string::npos)
-            cell.clear();
-        if (!cell.empty() && cell.back() == '%')
-            cell.pop_back();
-        out[name] = cell;
-    }
-    return out;
-}
-
-TEST(DmpReport, FlushReductionReproducesFig11)
-{
-    const std::string stats = tempPath("fig11.jsonl");
+    const std::string stats = tempPath("paper.jsonl");
     std::remove(stats.c_str());
     test::CliResult paper =
-        runDmp({"paper", "fig11_flush_reduction", "--iters=60",
-                "--workloads=bzip2,mcf", "--stats-json=" + stats});
+        runDmp({"paper", "all", "--iters=60", "--workloads=mcf",
+                "--stats-json=" + stats});
     ASSERT_EQ(paper.status, 0) << paper.err;
-    test::CliResult report =
-        runDmp({"report", "--flush-reduction=base,enhanced", stats});
-    ASSERT_EQ(report.status, 0) << report.err;
-    std::remove(stats.c_str());
 
-    const auto figure = reductions(paper.out, "=== Figure 11");
-    ASSERT_EQ(figure.size(), 3u) << paper.out;
-    for (const char *row : {"bzip2", "mcf", "average"})
-        EXPECT_FALSE(figure.count(row) == 0 || figure.at(row).empty())
-            << row << " missing from:\n" << paper.out;
-    EXPECT_EQ(reductions(report.out, "=== pipeline-flush reduction"),
-              figure)
-        << paper.out << report.out;
+    std::string rendered;
+    for (const sim::Figure &f : sim::figures()) {
+        test::CliResult report =
+            runDmp({"report", std::string("--figure=") + f.name, stats});
+        EXPECT_EQ(report.status, 0) << f.name << ": " << report.err;
+        EXPECT_NE(paper.out.find(report.out), std::string::npos)
+            << f.name << ":\n" << report.out;
+        rendered += (rendered.empty() ? "" : "\n") + report.out;
+    }
+    EXPECT_TRUE(rendered == paper.out) << "dmp paper printed:\n"
+                                       << paper.out << "\ndmp report:\n"
+                                       << rendered;
+    test::CliResult all = runDmp({"report", "--figure=all", stats});
+    EXPECT_TRUE(all.out == paper.out) << all.err;
+    std::remove(stats.c_str());
+}
+
+TEST(DmpReport, FigureRefusesRecordsItCannotPlace)
+{
+    // dmp run records carry no fingerprint.
+    const std::string run = tempPath("run.jsonl");
+    std::remove(run.c_str());
+    ASSERT_EQ(runDmp({"run", "--mode=base", "--iters=60",
+                      "--stats-json=" + run, "mcf"})
+                  .status,
+              0);
+    test::CliResult r =
+        runDmp({"report", "--figure=table3_baseline", run});
+    EXPECT_EQ(r.status, 1);
+    EXPECT_NE(r.err.find("record base on mcf has no fingerprint"),
+              std::string::npos)
+        << r.err;
+
+    // One file, two iteration counts.
+    const std::string mixed = tempPath("mixed.jsonl");
+    std::remove(mixed.c_str());
+    for (const char *iters : {"--iters=60", "--iters=70"})
+        ASSERT_EQ(runDmp({"paper", "fig11_flush_reduction", iters,
+                          "--workloads=mcf", "--stats-json=" + mixed})
+                      .status,
+                  0);
+    r = runDmp({"report", "--figure=fig11_flush_reduction", mixed});
+    EXPECT_EQ(r.status, 1);
+    EXPECT_NE(r.err.find("the records mix bench_iters 60 and 70"),
+              std::string::npos)
+        << r.err;
+
+    // A figure whose cells the file does not hold.
+    const std::string fig11 = tempPath("fig11.jsonl");
+    std::remove(fig11.c_str());
+    ASSERT_EQ(runDmp({"paper", "fig11_flush_reduction", "--iters=60",
+                      "--workloads=mcf", "--stats-json=" + fig11})
+                  .status,
+              0);
+    r = runDmp({"report", "--figure=fig07_basic_dmp", fig11});
+    EXPECT_EQ(r.status, 1);
+    EXPECT_NE(r.err.find("fig07_basic_dmp: workload mcf: no record of "
+                         "cell dhp_jrs"),
+              std::string::npos)
+        << r.err;
+    r = runDmp({"report", "--figure=nosuch", fig11});
+    EXPECT_EQ(r.status, 2);
+    EXPECT_NE(r.err.find("unknown figure: nosuch"), std::string::npos)
+        << r.err;
+    for (const std::string &p : {run, mixed, fig11})
+        std::remove(p.c_str());
+}
+
+TEST(DmpRun, SweepPrintsTheSummaryTable)
+{
+    test::CliResult r =
+        runDmp({"run", "--sweep=base,dmp", "--jobs=2", "--iters=60", "mcf"});
+    ASSERT_EQ(r.status, 0) << r.err;
+    EXPECT_EQ(r.out.rfind("=== mcf: 2 modes on 2 worker(s) ===\nlabel", 0),
+              0u)
+        << r.out;
+    for (const char *col : {"workload", "IPC", "cycles", "retired",
+                            "flushes", "MPKI", "\nbase ", "\ndmp "})
+        EXPECT_NE(r.out.find(col), std::string::npos) << col << "\n" << r.out;
+}
+
+TEST(DmpReport, ExperimentsBlocksMatchCommittedRecords)
+{
+    // Each generated block of EXPERIMENTS.md opens with the command
+    // that renders it and closes with kEnd. After the committed
+    // records change, paste each command's output over its block.
+    const std::string kBegin = "<!-- dmp report --figure=";
+    const std::string kEnd = "<!-- end of generated block -->\n";
+    const std::string records =
+        std::string(DMP_TEST_REFERENCE_DIR) + "/paper_records.jsonl";
+    const std::string doc = slurp(DMP_EXPERIMENTS_MD);
+    ASSERT_FALSE(doc.empty());
+    std::set<std::string> seen;
+    for (std::size_t at = doc.find(kBegin); at != std::string::npos;
+         at = doc.find(kBegin, at + 1)) {
+        const std::size_t name_at = at + kBegin.size();
+        const std::string name =
+            doc.substr(name_at, doc.find(' ', name_at) - name_at);
+        const std::size_t body = doc.find('\n', at) + 1;
+        const std::size_t end = doc.find(kEnd, body);
+        ASSERT_NE(end, std::string::npos) << name << " block never ends";
+        test::CliResult r = runDmp({"report", "--figure=" + name,
+                                    "--format=md", records});
+        EXPECT_EQ(r.status, 0) << name << ": " << r.err;
+        EXPECT_TRUE(doc.substr(body, end - body) == r.out)
+            << "EXPERIMENTS.md's " << name
+            << " block differs from dmp report; it should read:\n" << r.out;
+        seen.insert(name);
+    }
+    for (const sim::Figure &f : sim::figures())
+        EXPECT_TRUE(seen.count(f.name)) << f.name << " has no block";
 }
 
 TEST(DmpRun, RobBelowPredicationMinimumFailsCleanly)

@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for the stats-JSONL aggregation layer behind dmp report:
- * record parsing (including real simResultJson output round-trips),
- * table building, and the Figure 11 flush-reduction computation.
+ * record parsing (including real simResultJson output round-trips and
+ * the refusal of each kind of malformed field), table building, and
+ * the Figure 11 flush-reduction computation.
  */
 
 #include <gtest/gtest.h>
@@ -154,26 +155,151 @@ TEST(Report, FormatParsing)
 
 TEST(Report, FlushReductionMatchesFig11Formula)
 {
-    // `dmp paper fig11_flush_reduction` (printFig11) computes
-    // base ? 100*(base-enh)/base : 0 per workload, then the average.
+    // Figure 11 and diffTable compute base ? 100*(base-enh)/base : 0
+    // per workload, then the average.
     EXPECT_DOUBLE_EQ(flushReductionPct(200, 62), 69.0);
     EXPECT_DOUBLE_EQ(flushReductionPct(100, 100), 0.0);
     EXPECT_DOUBLE_EQ(flushReductionPct(0, 5), 0.0); // no div-by-zero
     EXPECT_DOUBLE_EQ(flushReductionPct(50, 75), -50.0);
+}
 
-    std::vector<StatsRecord> recs = {
-        parseOk(recordLine("base", "bzip2", 0.4, 100, 200)),
-        parseOk(recordLine("enhanced", "bzip2", 0.5, 80, 62)),
-        parseOk(recordLine("base", "mcf", 0.3, 100, 100)),
-        parseOk(recordLine("enhanced", "mcf", 0.3, 100, 50)),
-    };
-    ReportTable t = flushReductionTable(recs, "base", "enhanced");
-    ASSERT_EQ(t.rows.size(), 3u); // two workloads + average
-    EXPECT_EQ(t.rows[0][0], "bzip2");
-    EXPECT_EQ(t.rows[0][3], "69.0");
-    EXPECT_EQ(t.rows[1][3], "50.0");
-    EXPECT_EQ(t.rows[2][0], "average");
-    EXPECT_EQ(t.rows[2][3], "59.5");
+/** `line` is refused, and the error names `field`. */
+void
+expectRefused(const std::string &line, const std::string &field)
+{
+    StatsRecord rec;
+    std::string err;
+    EXPECT_FALSE(parseStatsRecord(line, rec, err)) << line;
+    EXPECT_NE(err.find("\"" + field + "\""), std::string::npos)
+        << "error does not name " << field << ": " << err;
+}
+
+/** recordLine's text with `from` replaced by `to` (which must occur). */
+std::string
+recordWith(const std::string &from, const std::string &to)
+{
+    std::string line = recordLine("base", "bzip2", 0.5, 100, 10);
+    const std::size_t at = line.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return at == std::string::npos ? line : line.replace(at, from.size(), to);
+}
+
+TEST(ReportRefuses, UnknownSchema)
+{
+    expectRefused(recordWith("\"schema\":1", "\"schema\":7"), "schema");
+    expectRefused(recordWith("\"schema\":1", "\"schema\":0"), "schema");
+    expectRefused(recordWith("\"schema\":1", "\"schema\":\"1\""),
+                  "schema");
+}
+
+TEST(ReportRefuses, MissingSchema)
+{
+    expectRefused(recordWith("\"schema\":1,", ""), "schema");
+}
+
+TEST(ReportRefuses, LabelThatIsNotAString)
+{
+    expectRefused(recordWith("\"label\":\"base\"", "\"label\":5"), "label");
+}
+
+TEST(ReportRefuses, WorkloadThatIsNotAString)
+{
+    expectRefused(recordWith("\"workload\":\"bzip2\"", "\"workload\":null"),
+                  "workload");
+}
+
+TEST(ReportRefuses, IpcThatIsNotANumber)
+{
+    expectRefused(recordWith("\"ipc\":0.500000", "\"ipc\":\"x\""), "ipc");
+}
+
+TEST(ReportRefuses, CyclesThatAreNotAnInteger)
+{
+    expectRefused(recordWith("\"cycles\":100", "\"cycles\":\"lots\""),
+                  "cycles");
+    expectRefused(recordWith("\"cycles\":100", "\"cycles\":12.5"), "cycles");
+}
+
+TEST(ReportRefuses, NegativeRetiredInstructions)
+{
+    expectRefused(recordWith("\"retired_insts\":1000",
+                             "\"retired_insts\":-3"),
+                  "retired_insts");
+}
+
+TEST(ReportRefuses, CyclesFrom2To64Up)
+{
+    // Converting these to an integer would be undefined behaviour.
+    expectRefused(recordWith("\"cycles\":100", "\"cycles\":1e30"), "cycles");
+    expectRefused(recordWith("\"cycles\":100",
+                             "\"cycles\":18446744073709551616"),
+                  "cycles");
+}
+
+TEST(ReportRefuses, CounterThatIsNotAnInteger)
+{
+    expectRefused(recordWith("\"pipeline_flushes\":10",
+                             "\"pipeline_flushes\":2.5"),
+                  "counters.pipeline_flushes");
+    expectRefused(recordWith("\"pipeline_flushes\":10",
+                             "\"pipeline_flushes\":-1"),
+                  "counters.pipeline_flushes");
+}
+
+TEST(ReportRefuses, BucketThatIsNotAnInteger)
+{
+    expectRefused(recordWith("\"formulas\":{}",
+                             "\"formulas\":{},\"accounting\":{\"buckets\":"
+                             "{\"idle\":\"many\"}}"),
+                  "accounting.buckets.idle");
+}
+
+TEST(ReportRefuses, MarkingBlockWithoutAllItsCounts)
+{
+    expectRefused(recordWith("\"formulas\":{}",
+                             "\"formulas\":{},\"marking\":{\"candidates\":1,"
+                             "\"diverge\":1,\"hammock\":0}"),
+                  "marking.loop");
+}
+
+TEST(ReportRefuses, TheWholeBadRecordWithItsLineNumber)
+{
+    const std::string path = testing::TempDir() + "dmp_report_strict.jsonl";
+    {
+        std::ofstream out(path);
+        out << recordLine("base", "bzip2", 0.4, 100, 10) << "\n"
+            << "{\"schema\":7,\"label\":5,\"ipc\":\"x\",\"cycles\":"
+               "\"lots\",\"retired_insts\":-3}\n";
+    }
+    std::vector<StatsRecord> recs;
+    std::string err;
+    EXPECT_FALSE(loadStatsJsonl(path, recs, err));
+    EXPECT_EQ(err.rfind(path + ":2: ", 0), 0u) << err;
+    EXPECT_NE(err.find("\"schema\""), std::string::npos) << err;
+    std::remove(path.c_str());
+}
+
+TEST(Report, ParsesMarkingBlockAndFingerprint)
+{
+    SimResult r;
+    r.marking.candidateBranches = 9;
+    r.marking.markedDiverge = 4;
+    r.marking.markedSimpleHammock = 2;
+    r.marking.markedLoop = 1;
+    r.marking.classification = {3, 5, 7, 11000};
+    const StatsRecord rec = parseOk(simResultJson(r, "l", "w", "fp", 60));
+    EXPECT_EQ(rec.fingerprint, "fp");
+    EXPECT_EQ(rec.benchIters, 60u);
+    ASSERT_TRUE(rec.hasMarking);
+    EXPECT_EQ(rec.marking.candidateBranches, 9u);
+    EXPECT_EQ(rec.marking.markedDiverge, 4u);
+    EXPECT_EQ(rec.marking.markedSimpleHammock, 2u);
+    EXPECT_EQ(rec.marking.markedLoop, 1u);
+    const profile::MispredictClassification &c = rec.marking.classification;
+    EXPECT_EQ(c.simpleHammockDiverge, 3u);
+    EXPECT_EQ(c.complexDiverge, 5u);
+    EXPECT_EQ(c.otherComplex, 7u);
+    EXPECT_EQ(c.totalInsts, 11000u);
 }
 
 TEST(Report, SummaryAndDiffTables)

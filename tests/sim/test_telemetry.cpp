@@ -143,7 +143,8 @@ TEST(Telemetry, JsonRecordBytesArePinned)
 {
     // Every kind of value a record holds, byte for byte: top-level
     // doubles and formulas at 12 digits, the distribution mean and the
-    // accounting net_cycles at 6, a NaN formula as null.
+    // accounting net_cycles at 6, a NaN formula as null, and the
+    // marking block's counts.
     sim::SimResult r;
     r.ipc = 1.0 / 3;
     r.cycles = 9;
@@ -163,6 +164,11 @@ TEST(Telemetry, JsonRecordBytesArePinned)
     r.distributions.emplace("lat", d);
     r.formulas.emplace("ratio", 2.0 / 3);
     r.formulas.emplace("empty", std::nan(""));
+    r.marking.candidateBranches = 8;
+    r.marking.markedDiverge = 5;
+    r.marking.markedSimpleHammock = 2;
+    r.marking.markedLoop = 1;
+    r.marking.classification = {4, 6, 7, 2000};
     analysis::CycleAccounting acct(4, 3);
     acct.onEpisodeStart(1, 0x10d8, false, 0);
     acct.onPredicatedRetire(0x3000, false);
@@ -170,7 +176,7 @@ TEST(Telemetry, JsonRecordBytesArePinned)
     r.hasAccounting = true;
     r.accountingJson = acct.json();
     EXPECT_EQ(sim::simResultJson(r, "dmp", "mcf"),
-              "{\"schema\":1,\"label\":\"dmp\",\"workload\":\"mcf\","
+              "{\"schema\":2,\"label\":\"dmp\",\"workload\":\"mcf\","
               "\"ipc\":0.333333333333,\"cycles\":9,\"retired_insts\":3,"
               "\"host_seconds\":0.5,\"host_inst_rate\":6,"
               "\"counters\":{\"pipeline_flushes\":17},"
@@ -178,7 +184,11 @@ TEST(Telemetry, JsonRecordBytesArePinned)
               "\"bucket_size\":2,\"samples\":3,\"sum\":14,\"mean\":4.66667,"
               "\"min_val\":1,\"max_val\":9,\"underflow\":0,\"overflow\":1,"
               "\"buckets\":[1,1]}},\"formulas\":{\"empty\":null,"
-              "\"ratio\":0.666666666667},\"accounting\":{\"frontend_depth\":4,"
+              "\"ratio\":0.666666666667},\"marking\":{\"candidates\":8,"
+              "\"diverge\":5,\"hammock\":2,\"loop\":1,\"classification\":"
+              "{\"simple_hammock_diverge\":4,\"complex_diverge\":6,"
+              "\"other_complex\":7,\"total_insts\":2000}},"
+              "\"accounting\":{\"frontend_depth\":4,"
               "\"retire_width\":3,\"total_cycles\":0,"
               "\"buckets\":{\"retire_useful\":0,\"retire_false_path\":0,"
               "\"flush_recovery\":0,\"backend_stall\":0,\"fetch_stall\":0,"
