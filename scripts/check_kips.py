@@ -1,152 +1,121 @@
 #!/usr/bin/env python3
-"""Compare two perf_kips BENCH_core.json files and fail on regression.
+"""Same-host KIPS regression gate over `dmp paper --stats-json` records.
 
 Usage:
-  check_kips.py BASELINE.json CURRENT.json [--threshold 0.85]
-                [--per-workload-threshold R] [--update-baseline]
+  check_kips.py --baseline BASE.jsonl... --change CHANGE.jsonl...
 
-The gate is the single-job total KIPS (sum of retired instructions over
-sum of per-run timing seconds): CURRENT must reach at least
-``threshold * BASELINE``. On top of the total, every (workload, config)
-run's current/baseline ratio is reported so a regression localized to
-one workload is visible even when the total stays green; pass
---per-workload-threshold to also gate on the worst per-run ratio
-(off by default — single runs are noisier than the total).
+Each file holds the records of one `dmp paper` run. Within a side,
+every configuration (a record's `fingerprint`) keeps its smallest
+`host_seconds` across the files given: the simulator is deterministic,
+so the spread between repeats is host noise and the best of N is the
+least noisy estimate. A side's total KIPS is the sum of retired
+instructions over the sum of those best times. The change fails when
+its total falls below 0.85 x the baseline's.
 
-With --update-baseline, a passing comparison ends by copying CURRENT
-over BASELINE (refusing on regression unless --force), so raising the
-committed baseline after an intentional speedup is one flag instead of
-a manual copy.
+Stdout is a Markdown table of the per-(workload, label) ratios, worst
+first, ending in the totals, so CI can append it to the job summary.
 
-KIPS is host- and build-dependent, so only compare files produced on
-the same machine with the same CMake preset and the same
-DMP_BENCH_ITERS / DMP_BENCH_WORKLOADS — in CI both files are generated
-on the same runner (HEAD vs. the baseline commit).
+KIPS is host- and build-dependent: time both sides on the same machine,
+with the same preset and the same `dmp paper` command, so that they
+cover the same fingerprints.
 
-Exit status: 0 ok, 1 regression, 2 usage/parse error.
+Exit status: 0 ok, 1 regression, 2 usage or input error (a malformed
+record, or a fingerprint timed on one side only).
 """
 
 import argparse
 import json
-import shutil
 import sys
 
-
-def load(path):
-    try:
-        with open(path) as f:
-            return json.load(f)
-    except (OSError, ValueError) as e:
-        print(f"check_kips: cannot read {path}: {e}", file=sys.stderr)
-        sys.exit(2)
+THRESHOLD = 0.85
 
 
-def total_kips(doc, path):
-    try:
-        return float(doc["single_job"]["kips_total"])
-    except (ValueError, KeyError, TypeError) as e:
-        print(f"check_kips: bad schema in {path}: {e}", file=sys.stderr)
-        sys.exit(2)
+def fail(msg):
+    print(f"check_kips: {msg}", file=sys.stderr)
+    sys.exit(2)
 
 
-def per_run_kips(doc):
-    """(workload, config) -> kips for every single-job run."""
-    out = {}
-    for run in doc.get("single_job", {}).get("runs", []):
+def load_side(paths):
+    """fingerprint -> (workload, label, retired_insts, best host_seconds)."""
+    best = {}
+    for path in paths:
         try:
-            out[(run["workload"], run["config"])] = float(run["kips"])
-        except (KeyError, TypeError, ValueError):
-            continue
-    return out
+            with open(path) as f:
+                lines = f.read().splitlines()
+        except OSError as e:
+            fail(f"cannot read {path}: {e}")
+        for n, line in enumerate(lines, 1):
+            if not line.strip():
+                continue
+            try:
+                r = json.loads(line)
+                fp = r["fingerprint"]
+                row = (r["workload"], r["label"], int(r["retired_insts"]),
+                       float(r["host_seconds"]))
+            except (ValueError, KeyError, TypeError) as e:
+                fail(f"{path}:{n}: not a dmp paper record ({e!r})")
+            if row[3] <= 0:
+                fail(f"{path}:{n}: host_seconds is {row[3]}")
+            old = best.get(fp)
+            if old and old[2] != row[2]:
+                fail(f"{path}:{n}: {row[0]}/{row[1]} retired {row[2]} "
+                     f"instructions, {old[2]} in another file")
+            if old is None or row[3] < old[3]:
+                best[fp] = row
+    if not best:
+        fail("no records in " + " ".join(paths))
+    return best
 
 
-def report_per_workload(base_doc, cur_doc):
-    """Print per-run ratios, worst first. Returns the worst ratio."""
-    base_runs = per_run_kips(base_doc)
-    cur_runs = per_run_kips(cur_doc)
-    shared = sorted(set(base_runs) & set(cur_runs))
-    if not shared:
-        print("check_kips: no shared per-workload runs to compare")
-        return None
+def kips(insts, seconds):
+    return insts / seconds / 1000.0
 
-    rows = []
-    for key in shared:
-        b, c = base_runs[key], cur_runs[key]
-        if b > 0:
-            rows.append((c / b, key, b, c))
-    rows.sort()
 
-    print(f"per-workload single-job KIPS ({len(rows)} runs, worst first):")
-    print(f"  {'workload':<12} {'config':<14} {'base':>9} "
-          f"{'current':>9} {'ratio':>7}")
-    for ratio, (workload, config), b, c in rows:
-        print(f"  {workload:<12} {config:<14} {b:>9.1f} {c:>9.1f} "
-              f"{ratio:>7.3f}")
-
-    missing = sorted(set(base_runs) ^ set(cur_runs))
-    if missing:
-        print(f"  ({len(missing)} runs present in only one file: "
-              + ", ".join(f"{w}/{c}" for w, c in missing[:6])
-              + (" ..." if len(missing) > 6 else "") + ")")
-    return rows[0][0] if rows else None
+def total_kips(side):
+    return kips(sum(r[2] for r in side.values()),
+                sum(r[3] for r in side.values()))
 
 
 def main():
-    ap = argparse.ArgumentParser()
-    ap.add_argument("baseline")
-    ap.add_argument("current")
-    ap.add_argument("--threshold", type=float, default=0.85,
-                    help="minimum current/baseline total ratio "
-                         "(default 0.85)")
-    ap.add_argument("--per-workload-threshold", type=float, default=None,
-                    help="also fail when any single run's ratio drops "
-                         "below this (default: report only)")
-    ap.add_argument("--update-baseline", action="store_true",
-                    help="on success, copy CURRENT over BASELINE")
-    ap.add_argument("--force", action="store_true",
-                    help="with --update-baseline, copy even on "
-                         "regression")
+    ap = argparse.ArgumentParser(
+        description="Fail when the change's total KIPS falls below "
+                    f"{THRESHOLD} x the baseline's.")
+    ap.add_argument("--baseline", nargs="+", required=True,
+                    metavar="JSONL")
+    ap.add_argument("--change", nargs="+", required=True, metavar="JSONL")
     args = ap.parse_args()
 
-    base_doc = load(args.baseline)
-    cur_doc = load(args.current)
-    base = total_kips(base_doc, args.baseline)
-    cur = total_kips(cur_doc, args.current)
-    if base <= 0:
-        print("check_kips: baseline KIPS is zero; nothing to compare",
-              file=sys.stderr)
-        sys.exit(2)
-    ratio = cur / base
-    print(f"baseline {base:.1f} KIPS, current {cur:.1f} KIPS, "
-          f"ratio {ratio:.3f} (threshold {args.threshold})")
+    base = load_side(args.baseline)
+    change = load_side(args.change)
+    one_sided = sorted(set(base) ^ set(change))
+    if one_sided:
+        names = [f"{w}/{l}" for w, l, *_ in
+                 (base.get(fp) or change[fp] for fp in one_sided)]
+        fail(f"{len(names)} configurations timed on one side only: "
+             + ", ".join(names))
 
-    worst = report_per_workload(base_doc, cur_doc)
+    rows = []
+    for fp, (wl, label, insts, secs) in base.items():
+        b = kips(insts, secs)
+        c = kips(change[fp][2], change[fp][3])
+        rows.append((c / b, wl, label, b, c))
+    rows.sort()
+    b_total, c_total = total_kips(base), total_kips(change)
+    ratio = c_total / b_total
 
-    failed = False
-    if ratio < args.threshold:
-        print(f"check_kips: REGRESSION: single-job KIPS dropped by "
-              f"{(1 - ratio) * 100:.1f}% (> "
-              f"{(1 - args.threshold) * 100:.0f}% allowed)",
-              file=sys.stderr)
-        failed = True
-    if (args.per_workload_threshold is not None and worst is not None
-            and worst < args.per_workload_threshold):
-        print(f"check_kips: REGRESSION: worst per-workload ratio "
-              f"{worst:.3f} below {args.per_workload_threshold}",
-              file=sys.stderr)
-        failed = True
+    print(f"### KIPS, change vs baseline (best of {len(args.baseline)} "
+          f"and {len(args.change)} runs, worst first)\n")
+    print("| workload | label | baseline KIPS | change KIPS | ratio |")
+    print("|---|---|---:|---:|---:|")
+    for r, wl, label, b, c in rows:
+        print(f"| {wl} | {label} | {b:.1f} | {c:.1f} | {r:.3f} |")
+    print(f"| **total** | | **{b_total:.1f}** | **{c_total:.1f}** | "
+          f"**{ratio:.3f}** |")
 
-    if args.update_baseline:
-        if failed and not args.force:
-            print("check_kips: refusing --update-baseline on a "
-                  "regression (pass --force to override)",
-                  file=sys.stderr)
-        else:
-            shutil.copyfile(args.current, args.baseline)
-            print(f"check_kips: baseline updated: {args.baseline} <- "
-                  f"{args.current}")
-
-    sys.exit(1 if failed else 0)
+    if ratio < THRESHOLD:
+        print(f"check_kips: REGRESSION: total KIPS ratio {ratio:.3f} is "
+              f"below {THRESHOLD}", file=sys.stderr)
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -143,10 +143,6 @@ parseStatsRecord(const std::string &line, StatsRecord &out, std::string &err)
         const Fields counters{*rec.at("counters", Kind::Object), "counters."};
         for (const auto &[k, v] : counters.obj.object)
             out.counters.emplace(k, counters.whole(k));
-        if (const json::Value *f = doc.get("formulas"); f && f->isObject()) {
-            for (const auto &[k, v] : f->object)
-                out.formulas.emplace(k, v.asDouble());
-        }
         out.hasMarking = rec.at("marking", Kind::Object, true) != nullptr;
         if (out.hasMarking) {
             const Fields m{*rec.at("marking", Kind::Object), "marking."};
@@ -332,13 +328,17 @@ summaryTable(const std::vector<StatsRecord> &records)
     t.header = {"label", "workload", "IPC", "cycles",
                 "retired", "flushes", "MPKI"};
     for (const StatsRecord &r : records) {
-        auto mpki = r.formulas.find("mispred_per_kilo_insts");
+        // From the counters, so records without formulas get it too;
+        // the same expression as the core's mispred_per_kilo_insts.
+        double mispred = double(r.counter("retired_mispred_cond_branches"));
+        double mpki = 1000.0 * (r.retiredInsts
+                                    ? mispred / double(r.retiredInsts)
+                                    : 0.0);
         t.rows.push_back(
             {r.label, r.workload, fmtDouble(r.ipc), fmtU64(r.cycles),
              fmtU64(r.retiredInsts),
              fmtU64(r.counter("pipeline_flushes")),
-             mpki == r.formulas.end() ? "-" : fmtDouble(mpki->second,
-                                                        "%.2f")});
+             fmtDouble(mpki, "%.2f")});
     }
     return t;
 }

@@ -56,7 +56,6 @@ struct StatsRecord
     std::string fingerprint;
     std::uint64_t benchIters = 0;
     std::unordered_map<std::string, std::uint64_t> counters;
-    std::unordered_map<std::string, double> formulas;
 
     /** The marking block (schema 2): counts and classification only. */
     bool hasMarking = false;

@@ -93,7 +93,6 @@ TEST(Report, RoundTripsRealSimResultJson)
     EXPECT_EQ(rec.workload, "twolf");
     EXPECT_DOUBLE_EQ(rec.ipc, 0.75);
     EXPECT_EQ(rec.counter("pipeline_flushes"), 17u);
-    EXPECT_DOUBLE_EQ(rec.formulas.at("mispred_per_kilo_insts"), 5.5);
 }
 
 TEST(Report, RejectsMalformedLine)
@@ -318,6 +317,33 @@ TEST(Report, SummaryAndDiffTables)
     EXPECT_EQ(d.rows[0][0], "bzip2");
     EXPECT_EQ(d.rows[0][3], "25.0"); // IPC delta %
     EXPECT_EQ(d.rows[0][6], "50.0"); // flush reduction %
+}
+
+TEST(Report, SummaryMpkiFromCountersWhenRecordHasNoFormulas)
+{
+    // The committed figure records carry no formulas.
+    StatsRecord rec = parseOk(
+        "{\"schema\":1,\"label\":\"base\",\"workload\":\"mcf\","
+        "\"ipc\":0.5,\"cycles\":8000,\"retired_insts\":3000,"
+        "\"counters\":{\"retired_mispred_cond_branches\":37}}");
+    ReportTable s = summaryTable({rec});
+    ASSERT_EQ(s.rows.size(), 1u);
+    EXPECT_EQ(s.rows[0][6], "12.33");
+}
+
+TEST(Report, SummaryMpkiMatchesTheCoreFormula)
+{
+    SimConfig cfg;
+    cfg.workload = "mcf";
+    cfg.train.iterations = 100;
+    cfg.ref.iterations = 100;
+    SimResult r = runSim(cfg);
+    StatsRecord rec = parseOk(simResultJson(r, "base", "mcf"));
+    ASSERT_GT(rec.counter("retired_mispred_cond_branches"), 0u);
+    char want[48];
+    std::snprintf(want, sizeof(want), "%.2f",
+                  r.formulas.at("mispred_per_kilo_insts"));
+    EXPECT_EQ(summaryTable({rec}).rows[0][6], want);
 }
 
 TEST(Report, RenderersProduceAllThreeFormats)
