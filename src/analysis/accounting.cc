@@ -57,20 +57,6 @@ CycleAccounting::CycleAccounting(unsigned frontend_depth,
     : frontendDepth(frontend_depth), retireWidth(retire_width)
 {
     dmp_assert(retireWidth > 0, "accounting needs a non-zero retire width");
-    for (unsigned i = 0; i < unsigned(CycleBucket::NumBuckets); ++i) {
-        group.addStat(std::string("cycles_") + bucketName(CycleBucket(i)),
-                      &buckets[i]);
-    }
-    group.addStat("rename_blocked_cycles", &renameBlockedCycles,
-                  "cycles rename stalled on a backend resource");
-    group.addStat("episodes", &episodesTracked, "episodes observed");
-    group.addStat("flushes", &flushesSeen, "pipeline flushes observed");
-    group.addStat("pred_false_retired", &predFalseRetired,
-                  "predicated-FALSE insts attributed to a diverge branch");
-    group.addStat("pred_uops_retired", &predUopsRetired,
-                  "marker/select uops attributed to a diverge branch");
-    group.addStat("flushes_avoided", &flushesAvoidedTotal,
-                  "episodes that absorbed a misprediction without a flush");
 }
 
 void
@@ -101,9 +87,9 @@ CycleAccounting::onCycleEnd(const core::AcctCycleSample &s)
     else
         b = CycleBucket::Idle;
 
-    ++buckets[unsigned(b)];
+    ++st.buckets[unsigned(b)];
     if (s.renameBlocked)
-        ++renameBlockedCycles;
+        ++st.renameBlockedCycles;
 
     if (traceW && int(b) != curBucket) {
         closeTopdownSlice(s.cycle);
@@ -117,7 +103,7 @@ CycleAccounting::onCycleEnd(const core::AcctCycleSample &s)
 void
 CycleAccounting::chargeRun(CycleBucket b, Cycle start, std::uint64_t len)
 {
-    buckets[unsigned(b)] += len;
+    st.buckets[unsigned(b)] += len;
     if (traceW && int(b) != curBucket) {
         closeTopdownSlice(start);
         curBucket = int(b);
@@ -155,7 +141,7 @@ CycleAccounting::onIdleSpan(const core::AcctCycleSample &first,
         chargeRun(b, first.cycle + recovery, span - recovery);
     }
     if (first.renameBlocked)
-        renameBlockedCycles += span;
+        st.renameBlockedCycles += span;
     lastCycle = first.cycle + span - 1;
     sawCycle = true;
 }
@@ -169,7 +155,7 @@ CycleAccounting::onEpisodeStart(EpisodeId id, Addr diverge_pc,
         ++row.dualEpisodes;
     else
         ++row.episodes;
-    ++episodesTracked;
+    ++st.episodesTracked;
     openEpisodes.emplace(id, diverge_pc);
     if (traceW) {
         traceW->asyncBegin(kTidEpisodes, now, id,
@@ -195,7 +181,7 @@ CycleAccounting::onEpisodeEnd(const core::AcctEpisodeEnd &e, Cycle now)
         // misprediction that would have flushed the baseline.
         if (!e.resolvedCorrect) {
             ++row.flushesAvoided;
-            ++flushesAvoidedTotal;
+            ++st.flushesAvoidedTotal;
         }
     } else {
         if (e.converted != kNotConverted) {
@@ -207,11 +193,11 @@ CycleAccounting::onEpisodeEnd(const core::AcctEpisodeEnd &e, Cycle now)
           case kCase2:
             ++row.mergedAtCfm;
             ++row.flushesAvoided;
-            ++flushesAvoidedTotal;
+            ++st.flushesAvoidedTotal;
             break;
           case kCase4:
             ++row.flushesAvoided;
-            ++flushesAvoidedTotal;
+            ++st.flushesAvoidedTotal;
             break;
           case kCase3:
             ++row.overshot;
@@ -233,7 +219,7 @@ CycleAccounting::onEpisodeEnd(const core::AcctEpisodeEnd &e, Cycle now)
 void
 CycleAccounting::onFlush(const core::FlushEvent &e)
 {
-    ++flushesSeen;
+    ++st.flushesSeen;
     ++rowFor(e.branchPc).flushes;
     // Everything between now and the refilled front end is recovery.
     flushShadowEnd = e.cycle + frontendDepth;
@@ -251,10 +237,10 @@ CycleAccounting::onPredicatedRetire(Addr diverge_pc, bool is_uop)
     DivergeBranchStats &row = rowFor(diverge_pc);
     if (is_uop) {
         ++row.extraUops;
-        ++predUopsRetired;
+        ++st.predUopsRetired;
     } else {
         ++row.falseInsts;
-        ++predFalseRetired;
+        ++st.predFalseRetired;
     }
 }
 
@@ -297,7 +283,7 @@ CycleAccounting::rowFor(Addr pc)
 std::uint64_t
 CycleAccounting::bucketCycles(CycleBucket b) const
 {
-    return buckets[unsigned(b)].value();
+    return st.buckets[unsigned(b)].value();
 }
 
 std::uint64_t
@@ -305,7 +291,7 @@ CycleAccounting::totalCycles() const
 {
     std::uint64_t sum = 0;
     for (unsigned i = 0; i < unsigned(CycleBucket::NumBuckets); ++i)
-        sum += buckets[i].value();
+        sum += st.buckets[i].value();
     return sum;
 }
 
@@ -350,7 +336,7 @@ CycleAccounting::json() const
     w.field("retire_width", retireWidth).field("total_cycles", totalCycles());
     w.key("buckets").beginObject();
     for (unsigned i = 0; i < unsigned(CycleBucket::NumBuckets); ++i)
-        w.field(bucketName(CycleBucket(i)), buckets[i].value());
+        w.field(bucketName(CycleBucket(i)), st.buckets[i].value());
     w.endObject().key("branches").beginArray();
     for (const DivergeBranchStats *r : sortedRows(table, *this)) {
         w.beginObject().field("pc", trace::hex(r->pc));

@@ -54,6 +54,41 @@ enum class CycleBucket : std::uint8_t
 /** Stable kebab-free name of a bucket ("retire_useful", ...). */
 const char *bucketName(CycleBucket b);
 
+/** The accounting's counters: one per top-down bucket, then supplements. */
+struct AccountingStats
+{
+    Counter buckets[unsigned(CycleBucket::NumBuckets)];
+    Counter renameBlockedCycles;
+    Counter episodesTracked;
+    Counter flushesSeen;
+    Counter predFalseRetired;
+    Counter predUopsRetired;
+    Counter flushesAvoidedTotal;
+
+    /**
+     * Visit every counter (see common/stats.hh). A stats record lists
+     * them with an "acct_" prefix.
+     */
+    template <class F>
+    void
+    forEachStat(F &&f) const
+    {
+        for (unsigned i = 0; i < unsigned(CycleBucket::NumBuckets); ++i)
+            f(std::string("cycles_") + bucketName(CycleBucket(i)),
+              buckets[i], "");
+        f("rename_blocked_cycles", renameBlockedCycles,
+          "cycles rename stalled on a backend resource");
+        f("episodes", episodesTracked, "episodes observed");
+        f("flushes", flushesSeen, "pipeline flushes observed");
+        f("pred_false_retired", predFalseRetired,
+          "predicated-FALSE insts attributed to a diverge branch");
+        f("pred_uops_retired", predUopsRetired,
+          "marker/select uops attributed to a diverge branch");
+        f("flushes_avoided", flushesAvoidedTotal,
+          "episodes that absorbed a misprediction without a flush");
+    }
+};
+
 /** Analytics row for one branch PC (diverge branch or flush source). */
 struct DivergeBranchStats
 {
@@ -74,7 +109,7 @@ struct DivergeBranchStats
 
 /**
  * Accounting observer: top-down bucket counters plus the per-branch
- * table, exported through a StatGroup ("acct") and JSON renderers.
+ * table, exported through AccountingStats and JSON renderers.
  * Attach with Core::addObserver; call finish() once after the run
  * (closes open trace slices and freezes the data).
  */
@@ -111,8 +146,8 @@ class CycleAccounting final : public core::CoreObserver
     /** Close open trace slices/spans; call exactly once, after the run. */
     void finish();
 
-    /** Bucket counters + supplements, as a StatGroup named "acct". */
-    const StatGroup &stats() const { return group; }
+    /** Bucket counters + supplements. */
+    const AccountingStats &counters() const { return st; }
 
     std::uint64_t bucketCycles(CycleBucket b) const;
 
@@ -148,14 +183,7 @@ class CycleAccounting final : public core::CoreObserver
     unsigned frontendDepth;
     unsigned retireWidth;
 
-    Counter buckets[unsigned(CycleBucket::NumBuckets)];
-    Counter renameBlockedCycles;
-    Counter episodesTracked;
-    Counter flushesSeen;
-    Counter predFalseRetired;
-    Counter predUopsRetired;
-    Counter flushesAvoidedTotal;
-    StatGroup group{"acct"};
+    AccountingStats st;
 
     std::unordered_map<Addr, DivergeBranchStats> table;
     /** Open episodes (id -> diverge pc); end events deduplicate here. */

@@ -115,26 +115,12 @@ synthesizeMarks(isa::Program &program, const MarkGenConfig &cfg)
 
     program.clearMarks();
 
-    // Simple-hammock marks (the DHP baseline) exactly as the profiled
-    // marker writes them: purely structural, so both markers agree on
-    // this set by construction.
+    // Simple-hammock marks (the DHP baseline), the same set the
+    // profiled marker writes.
     std::map<Addr, Addr> hammockJoins;
     if (cfg.markHammocks) {
-        for (BlockId b = 0; b < BlockId(graph.size()); ++b) {
-            const BasicBlock &bb = graph.block(b);
-            if (!bb.endsInCondBranch)
-                continue;
-            cfg::HammockInfo h = cfg::classifyHammock(graph, program, b);
-            if (h.isSimpleHammock)
-                hammockJoins[bb.lastInstPc()] = h.joinAddr;
-        }
-        for (const auto &[pc, join] : hammockJoins) {
-            isa::DivergeMark mark;
-            mark.isSimpleHammock = true;
-            mark.cfmPoints.push_back(join);
-            program.setMark(pc, mark);
-            ++report.markedSimpleHammock;
-        }
+        hammockJoins = cfg::markSimpleHammocks(graph, program);
+        report.markedSimpleHammock = hammockJoins.size();
     }
 
     // Examine every conditional branch in address order.

@@ -82,4 +82,25 @@ classifyHammock(const Cfg &cfg, const isa::Program &program,
     return info;
 }
 
+std::map<Addr, Addr>
+markSimpleHammocks(const Cfg &cfg, isa::Program &program)
+{
+    std::map<Addr, Addr> joins;
+    for (BlockId b = 0; b < BlockId(cfg.size()); ++b) {
+        const BasicBlock &bb = cfg.block(b);
+        if (!bb.endsInCondBranch)
+            continue;
+        HammockInfo h = classifyHammock(cfg, program, b);
+        if (h.isSimpleHammock)
+            joins[bb.lastInstPc()] = h.joinAddr;
+    }
+    for (const auto &[pc, join] : joins) {
+        isa::DivergeMark mark;
+        mark.isSimpleHammock = true;
+        mark.cfmPoints.push_back(join);
+        program.setMark(pc, mark);
+    }
+    return joins;
+}
+
 } // namespace dmp::cfg

@@ -12,6 +12,8 @@
 #ifndef DMP_CFG_HAMMOCK_HH
 #define DMP_CFG_HAMMOCK_HH
 
+#include <map>
+
 #include "cfg/cfg.hh"
 
 namespace dmp::cfg
@@ -40,6 +42,16 @@ struct HammockInfo
  */
 HammockInfo classifyHammock(const Cfg &cfg, const isa::Program &program,
                             BlockId branch_block);
+
+/**
+ * Mark every simple-hammock branch of `program` (the DHP baseline): a
+ * mark with isSimpleHammock set and the join as its only CFM point.
+ * Purely structural, so the profiled and the static marker write the
+ * same set. `cfg` is `program`'s graph.
+ * @return the join of each marked branch, by branch PC
+ */
+std::map<Addr, Addr> markSimpleHammocks(const Cfg &cfg,
+                                        isa::Program &program);
 
 } // namespace dmp::cfg
 

@@ -1,7 +1,6 @@
 #include "common/stats.hh"
 
 #include <bit>
-#include <cmath>
 #include <sstream>
 
 #include "common/json.hh"
@@ -31,163 +30,62 @@ Distribution::init(std::uint64_t min_v, std::uint64_t max_v,
 }
 
 // ---------------------------------------------------------------------
-// Formula
+// Text dump
 // ---------------------------------------------------------------------
 
-double
-Formula::value() const
+namespace
 {
-    if (!fn)
-        return 0.0;
-    double v = fn();
-    if (!std::isfinite(v)) {
-        dmp_warn_once("formula produced a non-finite value (zero or "
-                      "absent denominator?); emitting 0 instead");
-        return 0.0;
-    }
-    return v;
+
+/** End a dump line with its "  # desc" comment, if any, and append it. */
+void
+endLine(std::string &out, std::ostringstream &os, std::string_view desc)
+{
+    if (!desc.empty())
+        os << "  # " << desc;
+    os << '\n';
+    out += os.str();
 }
 
-// ---------------------------------------------------------------------
-// StatGroup
-// ---------------------------------------------------------------------
+} // namespace
 
 void
-StatGroup::claimName(const std::string &name)
-{
-    dmp_assert(index.find(name) == index.end() &&
-                   distIndex.find(name) == distIndex.end() &&
-                   formulaIndex.find(name) == formulaIndex.end(),
-               "duplicate stat name: ", groupName, ".", name);
-}
-
-void
-StatGroup::addStat(const std::string &name, Counter *c, std::string desc)
-{
-    dmp_assert(c != nullptr, "null counter registered: ", name);
-    claimName(name);
-    index[name] = entries.size();
-    entries.push_back(Entry{name, c, std::move(desc)});
-}
-
-void
-StatGroup::addDistribution(const std::string &name, Distribution *d,
-                           std::string desc)
-{
-    dmp_assert(d != nullptr, "null distribution registered: ", name);
-    claimName(name);
-    distIndex[name] = distEntries.size();
-    distEntries.push_back(DistEntry{name, d, std::move(desc)});
-}
-
-void
-StatGroup::addFormula(const std::string &name, std::function<double()> fn,
-                      std::string desc)
-{
-    dmp_assert(bool(fn), "null formula registered: ", name);
-    claimName(name);
-    formulaIndex[name] = formulaEntries.size();
-    formulaEntries.push_back(
-        FormulaEntry{name, Formula(std::move(fn)), std::move(desc)});
-}
-
-std::uint64_t
-StatGroup::get(const std::string &name) const
-{
-    auto it = index.find(name);
-    if (it == index.end())
-        dmp_fatal("unknown stat: ", groupName, ".", name);
-    return entries[it->second].counter->value();
-}
-
-const Distribution &
-StatGroup::distribution(const std::string &name) const
-{
-    auto it = distIndex.find(name);
-    if (it == distIndex.end())
-        dmp_fatal("unknown distribution: ", groupName, ".", name);
-    return *distEntries[it->second].dist;
-}
-
-double
-StatGroup::formula(const std::string &name) const
-{
-    auto it = formulaIndex.find(name);
-    if (it == formulaIndex.end())
-        dmp_fatal("unknown formula: ", groupName, ".", name);
-    return formulaEntries[it->second].formula.value();
-}
-
-bool
-StatGroup::has(const std::string &name) const
-{
-    return index.find(name) != index.end();
-}
-
-std::vector<std::string>
-StatGroup::names() const
-{
-    std::vector<std::string> out;
-    out.reserve(entries.size());
-    for (const auto &e : entries)
-        out.push_back(e.name);
-    return out;
-}
-
-std::vector<std::string>
-StatGroup::distributionNames() const
-{
-    std::vector<std::string> out;
-    out.reserve(distEntries.size());
-    for (const auto &e : distEntries)
-        out.push_back(e.name);
-    return out;
-}
-
-std::vector<std::string>
-StatGroup::formulaNames() const
-{
-    std::vector<std::string> out;
-    out.reserve(formulaEntries.size());
-    for (const auto &e : formulaEntries)
-        out.push_back(e.name);
-    return out;
-}
-
-std::string
-StatGroup::dump() const
+dumpStat(std::string &out, std::string_view group, std::string_view name,
+         const Counter &c, std::string_view desc)
 {
     std::ostringstream os;
-    for (const auto &e : entries) {
-        os << groupName << '.' << e.name << ' ' << e.counter->value();
-        if (!e.desc.empty())
-            os << "  # " << e.desc;
-        os << '\n';
+    os << group << '.' << name << ' ' << c.value();
+    endLine(out, os, desc);
+}
+
+void
+dumpStat(std::string &out, std::string_view group, std::string_view name,
+         const Distribution &d, std::string_view desc)
+{
+    const DistSnapshot &s = d.snapshot();
+    std::ostringstream os;
+    os << group << '.' << name << " samples=" << s.samples
+       << " mean=" << s.mean() << " min=" << s.minVal
+       << " max=" << s.maxVal << " underflow=" << s.underflow
+       << " overflow=" << s.overflow;
+    endLine(out, os, desc);
+    for (std::size_t i = 0; i < s.buckets.size(); ++i) {
+        if (s.buckets[i] == 0)
+            continue; // sparse histograms stay readable
+        std::uint64_t lo = s.min + i * s.bucketSize;
+        std::ostringstream bucket;
+        bucket << group << '.' << name << "::" << lo << '-'
+               << (lo + s.bucketSize - 1) << ' ' << s.buckets[i];
+        endLine(out, bucket, "");
     }
-    for (const auto &e : distEntries) {
-        const DistSnapshot &s = e.dist->snapshot();
-        os << groupName << '.' << e.name << " samples=" << s.samples
-           << " mean=" << s.mean() << " min=" << s.minVal
-           << " max=" << s.maxVal << " underflow=" << s.underflow
-           << " overflow=" << s.overflow;
-        if (!e.desc.empty())
-            os << "  # " << e.desc;
-        os << '\n';
-        for (std::size_t i = 0; i < s.buckets.size(); ++i) {
-            if (s.buckets[i] == 0)
-                continue; // sparse histograms stay readable
-            std::uint64_t lo = s.min + i * s.bucketSize;
-            os << groupName << '.' << e.name << "::" << lo << '-'
-               << (lo + s.bucketSize - 1) << ' ' << s.buckets[i] << '\n';
-        }
-    }
-    for (const auto &e : formulaEntries) {
-        os << groupName << '.' << e.name << ' ' << e.formula.value();
-        if (!e.desc.empty())
-            os << "  # " << e.desc;
-        os << '\n';
-    }
-    return os.str();
+}
+
+void
+dumpStat(std::string &out, std::string_view group, std::string_view name,
+         double value, std::string_view desc)
+{
+    std::ostringstream os;
+    os << group << '.' << name << ' ' << value;
+    endLine(out, os, desc);
 }
 
 void

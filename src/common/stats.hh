@@ -1,29 +1,30 @@
 /**
  * @file
- * Lightweight named-statistics registry.
+ * Statistics as plain data.
  *
- * Each simulator component owns stats registered in a StatGroup;
- * experiment harnesses read them by name to build the paper's tables.
- * Three stat kinds exist:
+ * A component's stats are a plain struct of two stat kinds:
  *
  *  - Counter: a single monotonically updated value.
  *  - Distribution: a bucketed histogram (episode lengths, flush depths,
  *    fetch-to-retire latencies, ...) with mean and under/overflow.
- *  - Formula: a derived value (IPC, flush rate, ...) evaluated lazily
- *    at dump/export time, so it always reflects the current counters.
  *
- * The registry is plain data: no global state, no macros. A StatGroup
- * renders as a human-readable dump; the JSON export is the stats
- * record of a finished run (sim::simResultJson).
+ * Each such struct lists its stats through one member template,
+ *
+ *     template <class F> void forEachStat(F &&f) const;
+ *
+ * which calls `f(name, stat, desc)` once per stat: the counters, then
+ * the distributions, then any derived values (a double such as IPC,
+ * computed from the counters at the call). The names are the keys of a
+ * stats record (sim::simResultJson) and of the text dump (dumpStats);
+ * an empty desc prints none.
  */
 
 #ifndef DMP_COMMON_STATS_HH
 #define DMP_COMMON_STATS_HH
 
 #include <cstdint>
-#include <functional>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "common/json.hh"
@@ -129,118 +130,43 @@ class Distribution
 };
 
 /**
- * A named derived statistic: a function over other stats, evaluated at
- * read time so it always reflects the current counter values.
+ * Combine lambdas into one visitor, one overload per stat kind:
+ * `s.forEachStat(Overloaded{[&](std::string_view n, const Counter &c,
+ * std::string_view) {...}, ...})`.
  */
-class Formula
+template <class... Fs>
+struct Overloaded : Fs...
 {
-  public:
-    Formula() = default;
-    explicit Formula(std::function<double()> fn_) : fn(std::move(fn_)) {}
-
-    /**
-     * Evaluated result. A non-finite value (a zero or absent
-     * denominator counter, typically from an empty or truncated run)
-     * is flattened to 0 with a dmp_warn_once instead of leaking
-     * NaN/Inf into dumps and JSON exports.
-     */
-    double value() const;
-
-    bool valid() const { return bool(fn); }
-
-  private:
-    std::function<double()> fn;
+    using Fs::operator()...;
 };
+
+/** Append the dump line(s) of one stat to `out` (see dumpStats). */
+void dumpStat(std::string &out, std::string_view group,
+              std::string_view name, const Counter &c,
+              std::string_view desc);
+void dumpStat(std::string &out, std::string_view group,
+              std::string_view name, const Distribution &d,
+              std::string_view desc);
+void dumpStat(std::string &out, std::string_view group,
+              std::string_view name, double value, std::string_view desc);
 
 /**
- * A flat group of named stats. Components register their stats at
- * construction; harnesses dump or query them after a run. Counter,
- * Distribution, and Formula names share one namespace.
+ * Render a stats struct as "group.name value  # desc" lines, in visit
+ * order. A distribution's line shows samples/mean/min/max/under/overflow
+ * and is followed by one "group.name::lo-hi count" line per non-empty
+ * bucket.
  */
-class StatGroup
+template <class S>
+std::string
+dumpStats(std::string_view group, const S &stats)
 {
-  public:
-    explicit StatGroup(std::string name_) : groupName(std::move(name_))
-    {
-        // A core registers a few dozen counters; avoid rehashing and
-        // keep name->entry lookups O(1) on the per-counter read path.
-        index.reserve(64);
-    }
-
-    StatGroup(const StatGroup &) = delete;
-    StatGroup &operator=(const StatGroup &) = delete;
-
-    /** Register a counter under this group. The counter must outlive us. */
-    void addStat(const std::string &name, Counter *c, std::string desc = "");
-
-    /** Register a distribution (must be init()ed and outlive us). */
-    void addDistribution(const std::string &name, Distribution *d,
-                         std::string desc = "");
-
-    /** Register a derived stat evaluated at read time. */
-    void addFormula(const std::string &name, std::function<double()> fn,
-                    std::string desc = "");
-
-    /** Value of a registered counter; fatal if the name is unknown. */
-    std::uint64_t get(const std::string &name) const;
-
-    /** Registered distribution; fatal if the name is unknown. */
-    const Distribution &distribution(const std::string &name) const;
-
-    /** Current value of a registered formula; fatal if unknown. */
-    double formula(const std::string &name) const;
-
-    /** True when a counter with the given name is registered. */
-    bool has(const std::string &name) const;
-
-    /** All registered counter names, in registration order. */
-    std::vector<std::string> names() const;
-
-    /** All registered distribution names, in registration order. */
-    std::vector<std::string> distributionNames() const;
-
-    /** All registered formula names, in registration order. */
-    std::vector<std::string> formulaNames() const;
-
-    /**
-     * Render "group.name value # desc" lines: counters first, then
-     * distributions (samples/mean/under/overflow + buckets), then
-     * formulas evaluated now.
-     */
-    std::string dump() const;
-
-    const std::string &name() const { return groupName; }
-
-  private:
-    struct Entry
-    {
-        std::string name;
-        Counter *counter;
-        std::string desc;
-    };
-    struct DistEntry
-    {
-        std::string name;
-        Distribution *dist;
-        std::string desc;
-    };
-    struct FormulaEntry
-    {
-        std::string name;
-        Formula formula;
-        std::string desc;
-    };
-
-    void claimName(const std::string &name);
-
-    std::string groupName;
-    std::vector<Entry> entries;
-    std::vector<DistEntry> distEntries;
-    std::vector<FormulaEntry> formulaEntries;
-    std::unordered_map<std::string, std::size_t> index;
-    std::unordered_map<std::string, std::size_t> distIndex;
-    std::unordered_map<std::string, std::size_t> formulaIndex;
-};
+    std::string out;
+    stats.forEachStat([&](std::string_view name, const auto &stat,
+                          std::string_view desc) {
+        dumpStat(out, group, name, stat, desc);
+    });
+    return out;
+}
 
 /**
  * Write a DistSnapshot as one JSON object (the value of a stats

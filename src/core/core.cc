@@ -15,110 +15,10 @@ namespace dmp::core
 
 CoreStats::CoreStats()
 {
-    group.addStat("cycles", &cycles, "simulated cycles");
-    group.addStat("retired_insts", &retiredInsts,
-                  "committed program instructions");
-    group.addStat("retired_false_insts", &retiredFalseInsts,
-                  "predicated-FALSE program instructions");
-    group.addStat("retired_extra_uops", &retiredExtraUops,
-                  "enter/exit dpred uops");
-    group.addStat("retired_select_uops", &retiredSelectUops, "select-uops");
-    group.addStat("fetched_insts", &fetchedInsts,
-                  "program instructions fetched (incl. wrong path)");
-    group.addStat("executed_insts", &executedInsts,
-                  "program instructions issued");
-    group.addStat("executed_extra_uops", &executedExtraUops, "");
-    group.addStat("executed_select_uops", &executedSelectUops, "");
-    group.addStat("retired_cond_branches", &retiredCondBranches, "");
-    group.addStat("retired_mispred_cond_branches",
-                  &retiredMispredCondBranches, "");
-    group.addStat("retired_control", &retiredControl, "");
-    group.addStat("pipeline_flushes", &pipelineFlushes, "all flush events");
-    group.addStat("cond_branch_flushes", &condBranchFlushes,
-                  "flushes caused by conditional branches");
-    group.addStat("flushed_insts", &flushedInsts, "");
-    group.addStat("dpred_entries", &dpredEntries,
-                  "dynamic predication episodes started");
-    group.addStat("exit_case1", &exitCase[0], "Table 1 case 1");
-    group.addStat("exit_case2", &exitCase[1], "Table 1 case 2");
-    group.addStat("exit_case3", &exitCase[2], "Table 1 case 3");
-    group.addStat("exit_case4", &exitCase[3], "Table 1 case 4");
-    group.addStat("exit_case5", &exitCase[4], "Table 1 case 5");
-    group.addStat("exit_case6", &exitCase[5], "Table 1 case 6");
-    group.addStat("early_exits", &earlyExits, "section 2.7.2 early exits");
-    group.addStat("mdb_conversions", &mdbConversions,
-                  "section 2.7.3 conversions");
-    group.addStat("overflow_conversions", &overflowConversions,
-                  "path-length cap conversions");
-    group.addStat("squashed_episodes", &squashedEpisodes,
-                  "episodes killed by an older misprediction");
-    group.addStat("dual_forks", &dualForks, "dual-path episodes");
-    group.addStat("wrong_path_fetched", &wrongPathFetched,
-                  "wrong-path program instructions fetched");
-    group.addStat("wp_control_dependent", &wpControlDependent,
-                  "flushed insts before reconvergence");
-    group.addStat("wp_control_independent", &wpControlIndependent,
-                  "flushed insts after reconvergence");
-    group.addStat("btb_misses", &btbMisses, "");
-    group.addStat("low_conf_diverge_fetches", &lowConfDivergeFetches, "");
-    group.addStat("cycles_skipped", &cyclesSkipped,
-                  "quiescent cycles jumped over by the run loop");
-
     episodeLength.init(0, 255, 8);
     flushDepth.init(0, 255, 8);
     fetchToRetire.init(0, 511, 16);
     stageActiveCycles.init(0, 7, 1);
-
-    group.addDistribution("episode_length", &episodeLength,
-                          "program insts fetched per dpred episode");
-    group.addDistribution("flush_depth", &flushDepth,
-                          "program insts squashed per pipeline flush");
-    group.addDistribution("fetch_to_retire", &fetchToRetire,
-                          "fetch-to-retire latency of retired insts");
-    group.addDistribution("stage_active_cycles", &stageActiveCycles,
-                          "pipeline stages that did work, per cycle");
-
-
-    // Derived stats, evaluated at dump/export time. `this` is stable:
-    // CoreStats is neither copyable nor movable (it owns a StatGroup).
-    auto ratio = [](std::uint64_t a, std::uint64_t b) {
-        return b ? double(a) / double(b) : 0.0;
-    };
-    group.addFormula(
-        "ipc",
-        [this, ratio] {
-            return ratio(retiredInsts.value(), cycles.value());
-        },
-        "retired program instructions per cycle");
-    group.addFormula(
-        "flushes_per_kilo_insts",
-        [this, ratio] {
-            return 1000.0 *
-                   ratio(pipelineFlushes.value(), retiredInsts.value());
-        },
-        "pipeline flushes per 1000 retired instructions");
-    group.addFormula(
-        "mispred_per_kilo_insts",
-        [this, ratio] {
-            return 1000.0 * ratio(retiredMispredCondBranches.value(),
-                                  retiredInsts.value());
-        },
-        "retired cond-branch mispredictions per 1000 insts (MPKI)");
-    group.addFormula(
-        "fetch_overhead",
-        [this, ratio] {
-            return ratio(fetchedInsts.value(), retiredInsts.value());
-        },
-        "fetched / retired program instructions (Fig. 12)");
-    group.addFormula(
-        "exec_overhead",
-        [this, ratio] {
-            return ratio(executedInsts.value() +
-                             executedExtraUops.value() +
-                             executedSelectUops.value(),
-                         retiredInsts.value());
-        },
-        "executed (incl. uops) / retired program instructions (Fig. 12)");
 }
 
 namespace

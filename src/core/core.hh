@@ -102,10 +102,91 @@ struct CoreStats
     Distribution fetchToRetire;  ///< fetch-to-retire latency (retired)
     Distribution stageActiveCycles; ///< pipeline stages active per cycle
 
-
-    StatGroup group{"core"};
-
     CoreStats();
+
+    /**
+     * Visit every stat (see common/stats.hh): the counters, the
+     * histograms, then the derived ratios, each under its record name.
+     */
+    template <class F>
+    void
+    forEachStat(F &&f) const
+    {
+        f("cycles", cycles, "simulated cycles");
+        f("retired_insts", retiredInsts, "committed program instructions");
+        f("retired_false_insts", retiredFalseInsts,
+          "predicated-FALSE program instructions");
+        f("retired_extra_uops", retiredExtraUops, "enter/exit dpred uops");
+        f("retired_select_uops", retiredSelectUops, "select-uops");
+        f("fetched_insts", fetchedInsts,
+          "program instructions fetched (incl. wrong path)");
+        f("executed_insts", executedInsts, "program instructions issued");
+        f("executed_extra_uops", executedExtraUops, "");
+        f("executed_select_uops", executedSelectUops, "");
+        f("retired_cond_branches", retiredCondBranches, "");
+        f("retired_mispred_cond_branches", retiredMispredCondBranches, "");
+        f("retired_control", retiredControl, "");
+        f("pipeline_flushes", pipelineFlushes, "all flush events");
+        f("cond_branch_flushes", condBranchFlushes,
+          "flushes caused by conditional branches");
+        f("flushed_insts", flushedInsts, "");
+        f("dpred_entries", dpredEntries,
+          "dynamic predication episodes started");
+        f("exit_case1", exitCase[0], "Table 1 case 1");
+        f("exit_case2", exitCase[1], "Table 1 case 2");
+        f("exit_case3", exitCase[2], "Table 1 case 3");
+        f("exit_case4", exitCase[3], "Table 1 case 4");
+        f("exit_case5", exitCase[4], "Table 1 case 5");
+        f("exit_case6", exitCase[5], "Table 1 case 6");
+        f("early_exits", earlyExits, "section 2.7.2 early exits");
+        f("mdb_conversions", mdbConversions, "section 2.7.3 conversions");
+        f("overflow_conversions", overflowConversions,
+          "path-length cap conversions");
+        f("squashed_episodes", squashedEpisodes,
+          "episodes killed by an older misprediction");
+        f("dual_forks", dualForks, "dual-path episodes");
+        f("wrong_path_fetched", wrongPathFetched,
+          "wrong-path program instructions fetched");
+        f("wp_control_dependent", wpControlDependent,
+          "flushed insts before reconvergence");
+        f("wp_control_independent", wpControlIndependent,
+          "flushed insts after reconvergence");
+        f("btb_misses", btbMisses, "");
+        f("low_conf_diverge_fetches", lowConfDivergeFetches, "");
+        f("cycles_skipped", cyclesSkipped,
+          "quiescent cycles jumped over by the run loop");
+
+        f("episode_length", episodeLength,
+          "program insts fetched per dpred episode");
+        f("flush_depth", flushDepth,
+          "program insts squashed per pipeline flush");
+        f("fetch_to_retire", fetchToRetire,
+          "fetch-to-retire latency of retired insts");
+        f("stage_active_cycles", stageActiveCycles,
+          "pipeline stages that did work, per cycle");
+
+        // A zero denominator (an empty run) reads as 0.
+        auto ratio = [](std::uint64_t a, std::uint64_t b) {
+            return b ? double(a) / double(b) : 0.0;
+        };
+        const std::uint64_t retired = retiredInsts.value();
+        f("ipc", ratio(retired, cycles.value()),
+          "retired program instructions per cycle");
+        f("flushes_per_kilo_insts",
+          1000.0 * ratio(pipelineFlushes.value(), retired),
+          "pipeline flushes per 1000 retired instructions");
+        f("mispred_per_kilo_insts",
+          1000.0 * ratio(retiredMispredCondBranches.value(), retired),
+          "retired cond-branch mispredictions per 1000 insts (MPKI)");
+        f("fetch_overhead", ratio(fetchedInsts.value(), retired),
+          "fetched / retired program instructions (Fig. 12)");
+        f("exec_overhead",
+          ratio(executedInsts.value() + executedExtraUops.value() +
+                    executedSelectUops.value(),
+                retired),
+          "executed (incl. uops) / retired program instructions "
+          "(Fig. 12)");
+    }
 };
 
 static_assert(isa::kZeroReg < isa::kNumArchRegs);

@@ -203,51 +203,6 @@ ProgramBuilder::instAt(Addr pc)
     return insts[(pc - base) / kInstBytes];
 }
 
-#ifndef NDEBUG
-/**
- * Self-contained link-time sanity checks, mirroring the structural
- * passes of the full verifier (src/analysis, which cannot be linked
- * from here without a dependency cycle). Debug builds warn about
- * programs the verifier would reject so bad images fail at the
- * construction site, not inside the core. Disabled per builder with
- * skipDebugVerify() — deliberately broken programs built by the
- * adversarial analysis tests must reach the verifier unannounced.
- */
-static void
-debugVerifyImage(Addr base, const std::vector<Inst> &insts)
-{
-    const Addr end = base + insts.size() * kInstBytes;
-    for (std::size_t i = 0; i < insts.size(); ++i) {
-        const Inst &inst = insts[i];
-        const bool direct = isCondBranch(inst.op) ||
-                            inst.op == Opcode::JMP ||
-                            inst.op == Opcode::CALL;
-        if (!direct)
-            continue;
-        const Addr pc = base + i * kInstBytes;
-        if (inst.target == kNoAddr)
-            dmp_warn("build(): control transfer at 0x", std::hex, pc,
-                     " has no target");
-        else if (inst.target < base || inst.target >= end)
-            dmp_warn("build(): target 0x", std::hex, inst.target,
-                     " of instruction at 0x", pc,
-                     " is outside the program image");
-        else if (inst.target % kInstBytes != 0)
-            dmp_warn("build(): target 0x", std::hex, inst.target,
-                     " of instruction at 0x", pc,
-                     " is not on an instruction boundary");
-    }
-    if (!insts.empty()) {
-        const Opcode last = insts.back().op;
-        if (last != Opcode::HALT && last != Opcode::JMP &&
-            last != Opcode::JR && last != Opcode::RET)
-            dmp_warn("build(): execution can fall off the end of the "
-                     "program image (last instruction is not "
-                     "HALT/JMP/JR/RET)");
-    }
-}
-#endif
-
 Program
 ProgramBuilder::build()
 {
@@ -261,11 +216,6 @@ ProgramBuilder::build()
                       f.instIndex);
         insts[f.instIndex].target = target;
     }
-
-#ifndef NDEBUG
-    if (debugVerify)
-        debugVerifyImage(base, insts);
-#endif
 
     // Data written out of order or twice: sort the writes by address,
     // keep the last write to each word, and cut them into runs again so

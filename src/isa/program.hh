@@ -347,13 +347,6 @@ class ProgramBuilder
      */
     std::span<Word> dataBlock(Addr addr, std::size_t words);
 
-    /**
-     * Silence the debug-build link-time sanity warnings for this
-     * builder. Only for tests that construct deliberately malformed
-     * programs to exercise the full verifier (src/analysis).
-     */
-    void skipDebugVerify() { debugVerify = false; }
-
     /** Link: resolve label fixups and produce the immutable Program. */
     Program build();
 
@@ -374,7 +367,6 @@ class ProgramBuilder
     };
     std::vector<Fixup> fixups;
     bool built = false;
-    bool debugVerify = true;
 };
 
 } // namespace dmp::isa

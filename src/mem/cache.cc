@@ -22,8 +22,7 @@ Cache::Cache(const CacheParams &params)
     : p(params),
       numSets(p.sizeBytes / (p.lineBytes * p.assoc)),
       lines(std::size_t(numSets) * p.assoc),
-      bankFreeAt(p.banks, 0),
-      statGroup(p.name)
+      bankFreeAt(p.banks, 0)
 {
     dmp_assert(isPowerOfTwo(p.lineBytes), "line size must be 2^n");
     dmp_assert(isPowerOfTwo(numSets), "set count must be 2^n: ", p.name);
@@ -35,8 +34,6 @@ Cache::Cache(const CacheParams &params)
         ++tagShift;
     banksPow2 = isPowerOfTwo(p.banks);
     bankMask = p.banks - 1;
-    statGroup.addStat("hits", &hitCount, "demand hits");
-    statGroup.addStat("misses", &missCount, "demand misses");
 }
 
 bool
@@ -55,14 +52,14 @@ Cache::access(Addr addr, Cycle now, Cycle &ready_out, Cycle &avail_out)
     for (std::uint32_t w = 0; w < p.assoc; ++w) {
         if (set[w].valid && set[w].tag == tag) {
             set[w].lruStamp = ++lruClock;
-            ++hitCount;
+            ++st.hits;
             avail_out = std::max(start, set[w].fillAt);
             return true;
         }
     }
 
     // Miss: allocate the LRU way; the caller announces the fill time.
-    ++missCount;
+    ++st.misses;
     Line *victim = &set[0];
     for (std::uint32_t w = 1; w < p.assoc; ++w) {
         if (!set[w].valid) {

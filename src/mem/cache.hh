@@ -31,6 +31,22 @@ struct CacheParams
     Cycle hitLatency = 2;
 };
 
+/** Demand-access counters of one cache level. */
+struct CacheStats
+{
+    Counter hits;
+    Counter misses;
+
+    /** Visit every counter (see common/stats.hh). */
+    template <class F>
+    void
+    forEachStat(F &&f) const
+    {
+        f("hits", hits, "demand hits");
+        f("misses", misses, "demand misses");
+    }
+};
+
 /** One cache level with true-LRU replacement and banked ports. */
 class Cache final
 {
@@ -64,10 +80,10 @@ class Cache final
     Addr lineOf(Addr addr) const noexcept { return addr >> lineShift; }
 
     const CacheParams &params() const { return p; }
-    StatGroup &stats() { return statGroup; }
+    const CacheStats &counters() const { return st; }
 
-    std::uint64_t hits() const { return hitCount.value(); }
-    std::uint64_t misses() const { return missCount.value(); }
+    std::uint64_t hits() const { return st.hits.value(); }
+    std::uint64_t misses() const { return st.misses.value(); }
 
   private:
     struct Line
@@ -106,9 +122,7 @@ class Cache final
     std::vector<Cycle> bankFreeAt;
     std::uint64_t lruClock = 0;
 
-    Counter hitCount;
-    Counter missCount;
-    StatGroup statGroup;
+    CacheStats st;
 };
 
 /**

@@ -1,7 +1,6 @@
 #include "profile/profiler.hh"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "bpred/perceptron.hh"
 #include "cfg/cfg.hh"
@@ -382,23 +381,8 @@ profileAndMark(isa::Program &program, std::size_t mem_bytes,
 
     // Static simple-hammock marks (for the DHP baseline) on every
     // conditional branch with the right local shape.
-    std::unordered_map<Addr, Addr> hammock_joins;
-    for (cfg::BlockId b = 0; b < cfg::BlockId(graph.size()); ++b) {
-        const cfg::BasicBlock &bb = graph.block(b);
-        if (!bb.endsInCondBranch)
-            continue;
-        cfg::HammockInfo h = cfg::classifyHammock(graph, program, b);
-        if (h.isSimpleHammock)
-            hammock_joins[bb.lastInstPc()] = h.joinAddr;
-    }
-
-    for (const auto &[pc, join] : hammock_joins) {
-        isa::DivergeMark mark;
-        mark.isSimpleHammock = true;
-        mark.cfmPoints.push_back(join);
-        program.setMark(pc, mark);
-        ++report.markedSimpleHammock;
-    }
+    report.markedSimpleHammock =
+        cfg::markSimpleHammocks(graph, program).size();
 
     // Diverge marks from the CFM profile.
     for (const auto &[pc, prof] : cfm_profiles) {

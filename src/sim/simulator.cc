@@ -246,19 +246,22 @@ resultOfRun(const core::Core &machine,
     r.hostSeconds = hostSeconds;
     r.hostInstRate =
         hostSeconds > 0 ? double(r.retiredInsts) / hostSeconds : 0.0;
-    std::vector<std::string> names = st.group.names();
-    r.counters.reserve(names.size());
-    for (const std::string &name : names)
-        r.counters.emplace(name, st.group.get(name));
-    for (const std::string &name : st.group.distributionNames())
-        r.distributions.emplace(name,
-                                st.group.distribution(name).snapshot());
-    for (const std::string &name : st.group.formulaNames())
-        r.formulas.emplace(name, st.group.formula(name));
+    st.forEachStat(Overloaded{
+        [&](std::string_view name, const Counter &c, std::string_view) {
+            r.counters.emplace(name, c.value());
+        },
+        [&](std::string_view name, const Distribution &d,
+            std::string_view) {
+            r.distributions.emplace(name, d.snapshot());
+        },
+        [&](std::string_view name, double v, std::string_view) {
+            r.formulas.emplace(name, v);
+        }});
     if (acct) {
-        const StatGroup &ag = acct->stats();
-        for (const std::string &name : ag.names())
-            r.counters.emplace("acct_" + name, ag.get(name));
+        acct->counters().forEachStat(
+            [&](std::string_view name, const Counter &c, std::string_view) {
+                r.counters.emplace("acct_" + std::string(name), c.value());
+            });
         r.hasAccounting = true;
         r.accountingJson = acct->json();
     }

@@ -803,7 +803,7 @@ runCommand(int argc, char **argv)
     r.marking = std::move(report);
     std::printf("IPC %.3f over %llu cycles\n\n", r.ipc,
                 (unsigned long long)r.cycles);
-    std::fputs(machine.stats().group.dump().c_str(), stdout);
+    std::fputs(dumpStats("core", machine.stats()).c_str(), stdout);
     if (pv)
         std::printf("pipeview: %llu records -> %s\n",
                     (unsigned long long)pv->count(), o.pipeview.c_str());

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -65,12 +66,17 @@ TEST(CycleAccounting, BucketNames)
 {
     EXPECT_STREQ(bucketName(CycleBucket::RetireUseful), "retire_useful");
     EXPECT_STREQ(bucketName(CycleBucket::Idle), "idle");
-    // Every bucket has a distinct, registered counter.
+    // Every bucket has a distinct, listed counter.
     CycleAccounting acct(8, 4);
+    std::set<std::string> names;
+    acct.counters().forEachStat(
+        [&](std::string_view name, const Counter &, std::string_view) {
+            EXPECT_TRUE(names.emplace(name).second) << name;
+        });
     for (unsigned i = 0; i < unsigned(CycleBucket::NumBuckets); ++i) {
         std::string name =
             std::string("cycles_") + bucketName(CycleBucket(i));
-        EXPECT_TRUE(acct.stats().has(name)) << name;
+        EXPECT_EQ(names.count(name), 1u) << name;
     }
 }
 
@@ -192,8 +198,8 @@ TEST(CycleAccounting, PredicatedRetireAttribution)
     const DivergeBranchStats &row = acct.branches().at(0x3000);
     EXPECT_EQ(row.falseInsts, 2u);
     EXPECT_EQ(row.extraUops, 1u);
-    EXPECT_EQ(acct.stats().get("pred_false_retired"), 2u);
-    EXPECT_EQ(acct.stats().get("pred_uops_retired"), 1u);
+    EXPECT_EQ(acct.counters().predFalseRetired.value(), 2u);
+    EXPECT_EQ(acct.counters().predUopsRetired.value(), 1u);
 }
 
 TEST(CycleAccounting, JsonParsesAndBucketsSumToTotal)

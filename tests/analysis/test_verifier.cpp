@@ -44,7 +44,6 @@ TEST(Verifier, CleanProgramHasNoFindings)
 TEST(Verifier, BranchTargetOutOfRange)
 {
     isa::ProgramBuilder b;
-    b.skipDebugVerify();
     b.li(1, 1);
     // Hand-emitted branch to an address far outside the image.
     Addr bad = b.emit(
@@ -62,7 +61,6 @@ TEST(Verifier, BranchTargetOutOfRange)
 TEST(Verifier, BranchTargetMisaligned)
 {
     isa::ProgramBuilder b;
-    b.skipDebugVerify();
     b.li(1, 1);
     // In range but off the 4-byte instruction grid.
     Addr bad = b.emit(
@@ -79,7 +77,6 @@ TEST(Verifier, BranchTargetMisaligned)
 TEST(Verifier, MissingTarget)
 {
     isa::ProgramBuilder b;
-    b.skipDebugVerify();
     Addr bad = b.emit({isa::Opcode::JMP, 0, 0, 0, 0, kNoAddr});
     b.halt();
     analysis::Report r = analyze(b.build());
@@ -93,7 +90,6 @@ TEST(Verifier, MissingTarget)
 TEST(Verifier, FallThroughOffProgramEnd)
 {
     isa::ProgramBuilder b;
-    b.skipDebugVerify();
     b.li(1, 1);
     Addr last = b.addi(1, 1, 1); // no HALT: execution runs off the image
     analysis::Report r = analyze(b.build());
@@ -164,7 +160,6 @@ TEST(Verifier, DefThenUseInSameBlockIsClean)
 TEST(Verifier, AbsintProvesOobAndDeadArm)
 {
     isa::ProgramBuilder b;
-    b.skipDebugVerify();
     b.li(1, 1 << 21);
     Addr oob = b.ld(2, 1, 0); // base proved 2 MiB, beyond 1 MiB
     b.li(3, 4);
@@ -221,7 +216,6 @@ TEST(Verifier, MatchedCallRetIsClean)
 TEST(Verifier, RetAgainstWrongRegister)
 {
     isa::ProgramBuilder b;
-    b.skipDebugVerify();
     isa::Label fn = b.newLabel();
     b.call(fn);
     b.halt();
@@ -269,7 +263,6 @@ TEST(Verifier, NoReachableHalt)
 TEST(Verifier, MemOpsAgainstZeroBase)
 {
     isa::ProgramBuilder b;
-    b.skipDebugVerify();
     Addr mis = b.ld(1, 0, 12);           // r0 base, 12 % 8 != 0
     Addr oob = b.st(0, 1 << 21, 1);      // r0 base, beyond 1 MiB
     Addr odd = b.ld(2, 3, 9);            // unknown base, odd offset
@@ -295,7 +288,6 @@ TEST(Verifier, MemOpsAgainstZeroBase)
 TEST(Verifier, ReportJsonRoundTrips)
 {
     isa::ProgramBuilder b;
-    b.skipDebugVerify();
     b.emit({isa::Opcode::BEQ, 0, 1, 0, 0, Addr(0x20000)});
     b.halt();
     analysis::Report r = analyze(b.build());

@@ -1,13 +1,38 @@
-/** @file Unit tests for the stats registry. */
+/** @file Unit tests for the stat kinds, the visitor and the text dump. */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "common/stats.hh"
+#include "core/core.hh"
 
 namespace dmp
 {
 namespace
 {
+
+/** One stat of each kind, the smallest forEachStat struct. */
+struct TinyStats
+{
+    Counter cycles;
+    Counter idle;
+    Distribution lat;
+
+    TinyStats() { lat.init(0, 15, 4); }
+
+    template <class F>
+    void
+    forEachStat(F &&f) const
+    {
+        f("cycles", cycles, "simulated cycles");
+        f("idle", idle, "");
+        f("lat", lat, "latency");
+        f("pi", 3.25, "circle constant");
+    }
+};
 
 TEST(Stats, CounterArithmetic)
 {
@@ -19,63 +44,39 @@ TEST(Stats, CounterArithmetic)
     EXPECT_EQ(c.value(), 7u);
 }
 
-TEST(Stats, GroupLookup)
-{
-    StatGroup g("test");
-    Counter a, b;
-    g.addStat("a", &a, "first");
-    g.addStat("b", &b);
-    a += 3;
-    ++b;
-    EXPECT_EQ(g.get("a"), 3u);
-    EXPECT_EQ(g.get("b"), 1u);
-    EXPECT_TRUE(g.has("a"));
-    EXPECT_FALSE(g.has("c"));
-}
-
 TEST(Stats, NamesInRegistrationOrder)
 {
-    StatGroup g("test");
-    Counter a, b, c;
-    g.addStat("z", &a);
-    g.addStat("y", &b);
-    g.addStat("x", &c);
-    auto names = g.names();
-    ASSERT_EQ(names.size(), 3u);
-    EXPECT_EQ(names[0], "z");
-    EXPECT_EQ(names[1], "y");
-    EXPECT_EQ(names[2], "x");
+    // The core lists every counter, then every distribution, then every
+    // derived value: the order its dump prints them in.
+    core::CoreStats st;
+    std::vector<std::string> names;
+    std::vector<int> kinds;
+    st.forEachStat(Overloaded{
+        [&](std::string_view n, const Counter &, std::string_view) {
+            names.emplace_back(n);
+            kinds.push_back(0);
+        },
+        [&](std::string_view n, const Distribution &, std::string_view) {
+            names.emplace_back(n);
+            kinds.push_back(1);
+        },
+        [&](std::string_view n, double, std::string_view) {
+            names.emplace_back(n);
+            kinds.push_back(2);
+        }});
+    ASSERT_FALSE(names.empty());
+    EXPECT_EQ(names.front(), "cycles");
+    EXPECT_EQ(names.back(), "exec_overhead");
+    EXPECT_TRUE(std::is_sorted(kinds.begin(), kinds.end()));
 }
 
 TEST(Stats, DumpContainsGroupPrefix)
 {
-    StatGroup g("core");
-    Counter a;
-    g.addStat("cycles", &a, "simulated cycles");
-    a += 42;
-    std::string dump = g.dump();
+    TinyStats s;
+    s.cycles += 42;
+    std::string dump = dumpStats("core", s);
     EXPECT_NE(dump.find("core.cycles 42"), std::string::npos);
     EXPECT_NE(dump.find("simulated cycles"), std::string::npos);
-}
-
-TEST(StatsDeath, DuplicateNamePanics)
-{
-    StatGroup g("g");
-    Counter a, b;
-    g.addStat("a", &a);
-    EXPECT_DEATH(g.addStat("a", &b), "duplicate stat name");
-}
-
-TEST(StatsDeath, DuplicateNameAcrossKindsPanics)
-{
-    StatGroup g("g");
-    Counter a;
-    Distribution d;
-    d.init(0, 10, 1);
-    g.addStat("x", &a);
-    EXPECT_DEATH(g.addDistribution("x", &d), "duplicate stat name");
-    EXPECT_DEATH(g.addFormula("x", [] { return 0.0; }),
-                 "duplicate stat name");
 }
 
 TEST(Distribution, BucketsAndRange)
@@ -116,51 +117,21 @@ TEST(Distribution, UnderflowAndOverflow)
     EXPECT_EQ(s.maxVal, 100u);
 }
 
-TEST(Formula, EvaluatesLazily)
-{
-    StatGroup g("g");
-    Counter num, den;
-    g.addStat("num", &num);
-    g.addStat("den", &den);
-    g.addFormula("ratio", [&] {
-        return den.value() ? double(num.value()) / double(den.value())
-                           : 0.0;
-    });
-    EXPECT_DOUBLE_EQ(g.formula("ratio"), 0.0);
-    num += 6;
-    den += 4;
-    // No re-registration needed: the formula reads current counters.
-    EXPECT_DOUBLE_EQ(g.formula("ratio"), 1.5);
-}
-
-TEST(Stats, GroupRegistersAllThreeKinds)
-{
-    StatGroup g("g");
-    Counter c;
-    Distribution d;
-    d.init(0, 10, 1);
-    g.addStat("c", &c);
-    g.addDistribution("d", &d);
-    g.addFormula("f", [] { return 2.5; });
-    EXPECT_TRUE(g.has("c"));
-    ASSERT_EQ(g.distributionNames().size(), 1u);
-    EXPECT_EQ(g.distributionNames()[0], "d");
-    ASSERT_EQ(g.formulaNames().size(), 1u);
-    EXPECT_EQ(g.formulaNames()[0], "f");
-    EXPECT_EQ(&g.distribution("d"), &d);
-}
-
 TEST(Stats, DumpIncludesDistributionsAndFormulas)
 {
-    StatGroup g("core");
-    Distribution d;
-    d.init(0, 15, 4);
-    d.sample(5, 2);
-    g.addDistribution("lat", &d, "latency");
-    g.addFormula("pi", [] { return 3.25; }, "circle constant");
-    std::string dump = g.dump();
-    EXPECT_NE(dump.find("core.lat"), std::string::npos) << dump;
-    EXPECT_NE(dump.find("core.pi 3.25"), std::string::npos) << dump;
+    TinyStats s;
+    s.cycles += 42;
+    s.lat.sample(5, 2);
+    s.lat.sample(14);
+    s.lat.sample(20);
+    EXPECT_EQ(dumpStats("core", s),
+              "core.cycles 42  # simulated cycles\n"
+              "core.idle 0\n"
+              "core.lat samples=4 mean=11 min=5 max=20 underflow=0 "
+              "overflow=1  # latency\n"
+              "core.lat::4-7 2\n"
+              "core.lat::12-15 1\n"
+              "core.pi 3.25  # circle constant\n");
 }
 
 TEST(Distribution, NonPowerOfTwoBucketWidth)
@@ -198,32 +169,6 @@ TEST(Distribution, NonPowerOfTwoOffsetRange)
     EXPECT_EQ(s.buckets[0], 2u);
     EXPECT_EQ(s.buckets[1], 2u);
     EXPECT_EQ(s.underflow, 1u);
-}
-
-TEST(Formula, NonFiniteValueIsClampedToZero)
-{
-    StatGroup g("g");
-    Counter num, den; // both zero: naive num/den is 0/0 = NaN
-    g.addStat("num", &num);
-    g.addStat("den", &den);
-    g.addFormula("nan_ratio", [&] {
-        return double(num.value()) / double(den.value());
-    });
-    g.addFormula("inf_ratio",
-                 [&] { return 1.0 / double(den.value()); });
-    EXPECT_DOUBLE_EQ(g.formula("nan_ratio"), 0.0);
-    EXPECT_DOUBLE_EQ(g.formula("inf_ratio"), 0.0);
-    // A finite value passes through untouched once the counters move.
-    num += 6;
-    den += 4;
-    EXPECT_DOUBLE_EQ(g.formula("nan_ratio"), 1.5);
-    EXPECT_DOUBLE_EQ(g.formula("inf_ratio"), 0.25);
-}
-
-TEST(Formula, DefaultConstructedEvaluatesToZero)
-{
-    Formula f;
-    EXPECT_DOUBLE_EQ(f.value(), 0.0);
 }
 
 } // namespace

@@ -54,14 +54,14 @@ observeRun(const isa::Program &prog, const core::CoreParams &params,
     // be unaffected by how the clock advances. stage_active_cycles is
     // deliberately included: skipped cycles bulk-sample zero, exactly
     // like the full scan samples each idle cycle.
-    for (const std::string &name : st.group.names()) {
-        if (name == "cycles_skipped")
-            continue;
-        obs.counters.emplace_back(name, st.group.get(name));
-    }
-    for (const std::string &name : st.group.distributionNames())
-        obs.dists.emplace_back(name,
-                               st.group.distribution(name).snapshot());
+    st.forEachStat(Overloaded{
+        [&](std::string_view name, const Counter &c, std::string_view) {
+            if (name != "cycles_skipped")
+                obs.counters.emplace_back(name, c.value());
+        },
+        [&](std::string_view name, const Distribution &d,
+            std::string_view) { obs.dists.emplace_back(name, d.snapshot()); },
+        [](std::string_view, double, std::string_view) {}});
     return obs;
 }
 

@@ -23,6 +23,20 @@ TEST(Cache, MissThenHit)
     EXPECT_EQ(c.misses(), 1u);
 }
 
+TEST(Cache, CountersDumpByName)
+{
+    CacheParams p;
+    Cache c(p);
+    Cycle ready, avail;
+    c.access(0x1000, 0, ready, avail);
+    c.setFillTime(0x1000, 10);
+    c.access(0x1000, 20, ready, avail);
+    c.access(0x1008, 30, ready, avail);
+    EXPECT_EQ(dumpStats("l1d", c.counters()),
+              "l1d.hits 2  # demand hits\n"
+              "l1d.misses 1  # demand misses\n");
+}
+
 TEST(Cache, SameLineDifferentWordHits)
 {
     CacheParams p;

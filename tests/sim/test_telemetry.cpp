@@ -1,15 +1,17 @@
 /**
  * @file
  * Tests for SimResult telemetry: checked counter lookup (require vs.
- * warn-once get), distribution/formula export from the core StatGroup,
+ * warn-once get), distribution/formula export from the core's stats,
  * host-side wall-clock counters, and the JSONL record format consumed
  * by the figure pipeline (dmp run / dmp paper --stats-json).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
+#include <vector>
 
 #include "analysis/accounting.hh"
 #include "sim/batch.hh"
@@ -85,6 +87,84 @@ TEST(Telemetry, FormulasExported)
     EXPECT_NEAR(it->second, r.ipc, 1e-9);
     EXPECT_TRUE(r.formulas.count("flushes_per_kilo_insts"));
     EXPECT_TRUE(r.formulas.count("fetch_overhead"));
+}
+
+/** Sorted keys of a map. */
+template <class M>
+std::vector<std::string>
+sortedKeys(const M &m)
+{
+    std::vector<std::string> out;
+    for (const auto &kv : m)
+        out.push_back(kv.first);
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
+// Every stat name a core run exports. The benchmark's golden outputs
+// and the committed figure records key on these names, so a rename,
+// an addition or a drop must show up here first.
+const std::vector<std::string> kCoreCounters = {
+    "btb_misses", "cond_branch_flushes", "cycles", "cycles_skipped",
+    "dpred_entries", "dual_forks", "early_exits", "executed_extra_uops",
+    "executed_insts", "executed_select_uops", "exit_case1", "exit_case2",
+    "exit_case3", "exit_case4", "exit_case5", "exit_case6",
+    "fetched_insts", "flushed_insts", "low_conf_diverge_fetches",
+    "mdb_conversions", "overflow_conversions", "pipeline_flushes",
+    "retired_cond_branches", "retired_control", "retired_extra_uops",
+    "retired_false_insts", "retired_insts",
+    "retired_mispred_cond_branches", "retired_select_uops",
+    "squashed_episodes", "wp_control_dependent", "wp_control_independent",
+    "wrong_path_fetched"};
+const std::vector<std::string> kAcctCounters = {
+    "acct_cycles_backend_stall", "acct_cycles_fetch_stall",
+    "acct_cycles_flush_recovery", "acct_cycles_frontend_starved",
+    "acct_cycles_idle", "acct_cycles_retire_false_path",
+    "acct_cycles_retire_useful", "acct_episodes", "acct_flushes",
+    "acct_flushes_avoided", "acct_pred_false_retired",
+    "acct_pred_uops_retired", "acct_rename_blocked_cycles"};
+const std::vector<std::string> kDistributions = {
+    "episode_length", "fetch_to_retire", "flush_depth",
+    "stage_active_cycles"};
+const std::vector<std::string> kDerived = {
+    "exec_overhead", "fetch_overhead", "flushes_per_kilo_insts", "ipc",
+    "mispred_per_kilo_insts"};
+
+TEST(Telemetry, StatNamesArePinned)
+{
+    const sim::SimResult &r = sharedResult();
+    EXPECT_EQ(sortedKeys(r.counters), kCoreCounters);
+    EXPECT_EQ(sortedKeys(r.distributions), kDistributions);
+    EXPECT_EQ(sortedKeys(r.formulas), kDerived);
+
+    sim::SimConfig cfg = smallConfig();
+    cfg.accounting = true;
+    const sim::SimResult acct = sim::runSim(cfg);
+    std::vector<std::string> counters = kCoreCounters;
+    counters.insert(counters.begin(), kAcctCounters.begin(),
+                    kAcctCounters.end());
+    EXPECT_EQ(sortedKeys(acct.counters), counters);
+    EXPECT_EQ(sortedKeys(acct.distributions), kDistributions);
+    EXPECT_EQ(sortedKeys(acct.formulas), kDerived);
+}
+
+TEST(Telemetry, DerivedValuesOfAZeroCycleRunAreZero)
+{
+    const isa::Program prog = workloads::buildWorkload("bzip2");
+    core::Core machine(prog, sim::machine("dmp-enhanced"));
+    sim::SimResult r = sim::resultOfRun(machine, nullptr, 0.0);
+    EXPECT_EQ(r.cycles, 0u);
+    ASSERT_EQ(sortedKeys(r.formulas), kDerived);
+    for (const auto &[name, v] : r.formulas)
+        EXPECT_EQ(v, 0.0) << name; // exactly 0: no NaN, no Inf
+    EXPECT_EQ(r.ipc, 0.0);
+
+    // Derived values are read from the counters at export time.
+    machine.stats().cycles += 4;
+    machine.stats().retiredInsts += 6;
+    r = sim::resultOfRun(machine, nullptr, 0.0);
+    EXPECT_EQ(r.formulas.at("ipc"), 1.5);
+    EXPECT_EQ(r.formulas.at("fetch_overhead"), 0.0);
 }
 
 TEST(Telemetry, HostTelemetryPopulated)
