@@ -5,11 +5,12 @@ Usage:
   check_kips.py --baseline BASE.jsonl... --change CHANGE.jsonl...
 
 Each file holds the records of one `dmp paper` run. Within a side,
-every configuration (a record's `fingerprint`) keeps its smallest
-`host_seconds` across the files given: the simulator is deterministic,
+every configuration (a record's `(workload, label)`, unique within one
+run) keeps its smallest `host_seconds` across the files given: the simulator is deterministic,
 so the spread between repeats is host noise and the best of N is the
 least noisy estimate. A side's total KIPS is the sum of retired
-instructions over the sum of those best times. The change fails when
+instructions (`counters.retired_insts`) over the sum of those best
+times. The change fails when
 its total falls below 0.85 x the baseline's.
 
 Stdout is a Markdown table of the per-(workload, label) ratios, worst
@@ -17,10 +18,11 @@ first, ending in the totals, so CI can append it to the job summary.
 
 KIPS is host- and build-dependent: time both sides on the same machine,
 with the same preset and the same `dmp paper` command, so that they
-cover the same fingerprints.
+cover the same configurations. Pairing by (workload, label) rather
+than by fingerprint lets the two sides straddle a record-schema change.
 
 Exit status: 0 ok, 1 regression, 2 usage or input error (a malformed
-record, or a fingerprint timed on one side only).
+record, or a configuration timed on one side only).
 """
 
 import argparse
@@ -36,7 +38,7 @@ def fail(msg):
 
 
 def load_side(paths):
-    """fingerprint -> (workload, label, retired_insts, best host_seconds)."""
+    """(workload, label) -> (workload, label, retired_insts, best secs)."""
     best = {}
     for path in paths:
         try:
@@ -49,19 +51,20 @@ def load_side(paths):
                 continue
             try:
                 r = json.loads(line)
-                fp = r["fingerprint"]
-                row = (r["workload"], r["label"], int(r["retired_insts"]),
+                row = (r["workload"], r["label"],
+                       int(r["counters"]["retired_insts"]),
                        float(r["host_seconds"]))
             except (ValueError, KeyError, TypeError) as e:
                 fail(f"{path}:{n}: not a dmp paper record ({e!r})")
             if row[3] <= 0:
                 fail(f"{path}:{n}: host_seconds is {row[3]}")
-            old = best.get(fp)
+            key = row[:2]
+            old = best.get(key)
             if old and old[2] != row[2]:
                 fail(f"{path}:{n}: {row[0]}/{row[1]} retired {row[2]} "
                      f"instructions, {old[2]} in another file")
             if old is None or row[3] < old[3]:
-                best[fp] = row
+                best[key] = row
     if not best:
         fail("no records in " + " ".join(paths))
     return best
@@ -89,15 +92,14 @@ def main():
     change = load_side(args.change)
     one_sided = sorted(set(base) ^ set(change))
     if one_sided:
-        names = [f"{w}/{l}" for w, l, *_ in
-                 (base.get(fp) or change[fp] for fp in one_sided)]
+        names = [f"{w}/{l}" for w, l in one_sided]
         fail(f"{len(names)} configurations timed on one side only: "
              + ", ".join(names))
 
     rows = []
-    for fp, (wl, label, insts, secs) in base.items():
+    for key, (wl, label, insts, secs) in base.items():
         b = kips(insts, secs)
-        c = kips(change[fp][2], change[fp][3])
+        c = kips(change[key][2], change[key][3])
         rows.append((c / b, wl, label, b, c))
     rows.sort()
     b_total, c_total = total_kips(base), total_kips(change)

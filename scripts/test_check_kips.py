@@ -18,14 +18,26 @@ CELLS = [("bzip2", "base", 80000), ("bzip2", "mcfm_eexit_mdb", 80000),
          ("mcf", "base", 35000), ("mcf", "mcfm_eexit_mdb", 35000)]
 
 
-def records(seconds, cells=CELLS):
+def record(wl, label, insts, seconds, schema=3):
+    """One record in the shape of `schema` (2 or 3)."""
+    r = {"schema": schema, "label": label, "workload": wl,
+         "host_seconds": seconds,
+         "fingerprint": f"workload={wl},label={label}",
+         "counters": {"cycles": 2 * insts, "retired_insts": insts}}
+    if schema == 2:
+        # Schema 2 repeated the counters at the top level and named the
+        # configuration in another fingerprint format.
+        r.update(ipc=0.5, cycles=2 * insts, retired_insts=insts,
+                 fingerprint=f"wl:{wl}|{label}")
+    return r
+
+
+def records(seconds, cells=CELLS, schema=3):
     """One JSONL run: each cell timed at `seconds` (or seconds[i])."""
     if not isinstance(seconds, list):
         seconds = [seconds] * len(cells)
     return "".join(
-        json.dumps({"schema": 2, "label": label, "workload": wl,
-                    "fingerprint": f"wl:{wl}|{label}",
-                    "retired_insts": insts, "host_seconds": s}) + "\n"
+        json.dumps(record(wl, label, insts, s, schema)) + "\n"
         for (wl, label, insts), s in zip(cells, seconds))
 
 
@@ -60,7 +72,7 @@ class CheckKipsTest(unittest.TestCase):
     def test_total_10_percent_slower_passes(self):
         self.assertEqual(self.gate([records(0.05)], [records(0.0555)]), 0)
 
-    def test_best_of_n_takes_the_minimum_per_fingerprint(self):
+    def test_best_of_n_takes_the_minimum_per_configuration(self):
         # Every slow run is 50% slower, but each cell has one fast run;
         # a mean or a last-wins reading would fail the gate.
         slow_first = records([0.075, 0.05, 0.075, 0.05])
@@ -69,7 +81,7 @@ class CheckKipsTest(unittest.TestCase):
                                    [slow_first, slow_second]), 0)
         self.assertEqual(self.gate([records(0.05)], [slow_first]), 1)
 
-    def test_fingerprint_on_one_side_only_is_an_input_error(self):
+    def test_configuration_on_one_side_only_is_an_input_error(self):
         self.assertEqual(self.gate([records(0.05)],
                                    [records(0.05, CELLS[:3])]), 2)
         self.assertEqual(self.gate([records(0.05, CELLS[:3])],
@@ -78,11 +90,18 @@ class CheckKipsTest(unittest.TestCase):
     def test_malformed_line_is_an_input_error(self):
         self.assertEqual(self.gate([records(0.05)],
                                    [records(0.05) + "{not json\n"]), 2)
-        no_fingerprint = json.dumps({"label": "base", "workload": "mcf",
-                                     "retired_insts": 1,
-                                     "host_seconds": 0.1})
-        self.assertEqual(self.gate([records(0.05) + no_fingerprint],
+        no_counters = json.dumps({"label": "base", "workload": "mcf",
+                                  "retired_insts": 1, "host_seconds": 0.1})
+        self.assertEqual(self.gate([records(0.05) + no_counters],
                                    [records(0.05)]), 2)
+
+    def test_schema_2_baseline_against_schema_3_change(self):
+        # The fingerprints differ across the schema bump; the cells pair
+        # by (workload, label) and compare their counters' work.
+        self.assertEqual(self.gate([records(0.05, schema=2)],
+                                   [records(0.05)]), 0)
+        self.assertEqual(self.gate([records(0.05, schema=2)],
+                                   [records(0.0625)]), 1)
 
     def test_runs_of_one_side_that_disagree_on_work_are_an_input_error(self):
         other = [(wl, label, insts + 1) for wl, label, insts in CELLS]

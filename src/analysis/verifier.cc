@@ -447,8 +447,6 @@ checkAbsintDeadCode(const isa::Program &prog, const cfg::Cfg &graph,
                     const FlowGraph &flow, const AbsintResult &absint,
                     Report &report)
 {
-    if (!absint.ran)
-        return;
     const std::size_t n = prog.size();
 
     for (std::size_t i = 0; i < n; ++i) {
@@ -494,6 +492,26 @@ checkAbsintDeadCode(const isa::Program &prog, const cfg::Cfg &graph,
     }
 }
 
+/** JR/RET proved to jump outside the image: the next fetch faults. */
+void
+checkIndirectTargets(const isa::Program &prog, const cfg::Cfg &graph,
+                     const AbsintResult &absint, Report &report)
+{
+    for (const auto &[idx, targets] : absint.resolvedIndirects) {
+        const Inst &inst = prog.instAt(idx);
+        const AbsVal v = absint.regBefore(idx, inst.rs1);
+        if (!targets.empty() || v.isEmpty())
+            continue;
+        const Addr pc = prog.baseAddr() + idx * kInstBytes;
+        const std::string to =
+            v.isConstant() ? hex(v.umin) : hex(v.umin) + ".." + hex(v.umax);
+        report.add(Severity::Error, "indirect-target-oob", pc,
+                   blockOf(graph, pc),
+                   std::string(isa::opcodeName(inst.op)) + " target " + to +
+                       " is proved outside the program image");
+    }
+}
+
 } // namespace
 
 void
@@ -508,8 +526,10 @@ verifyProgram(const isa::Program &program, const cfg::Cfg &graph,
     checkCallDiscipline(program, graph, report);
     checkRegisterInit(program, graph, flow, report);
     checkMemOps(program, graph, opts, absint, report);
-    if (absint)
+    if (absint && absint->ran) {
         checkAbsintDeadCode(program, graph, flow, *absint, report);
+        checkIndirectTargets(program, graph, *absint, report);
+    }
 }
 
 } // namespace dmp::analysis

@@ -23,8 +23,9 @@
  *    violations on computed addresses when an abstract-interpretation
  *    result (absint.hh) is supplied
  *  - with an absint result: conditional-branch arms proved infeasible
- *    (`dead-branch-arm`) and semantically unreachable code the purely
+ *    (`dead-branch-arm`), semantically unreachable code the purely
  *    structural reachability sweep cannot see (`unreachable-code-absint`)
+ *    and JR/RET proved to jump outside the image (`indirect-target-oob`)
  *
  * Every check is read-only; findings are appended to the caller's
  * Report.
@@ -60,8 +61,8 @@ struct VerifyOptions
  * @param graph block-level Cfg of the same program (for block ids)
  * @param flow instruction-level may-reach graph of the same program
  * @param absint optional value-analysis result over the same program;
- *        enables proved-address memory errors, dead-arm findings, and
- *        semantic unreachability
+ *        enables proved-address memory errors, dead-arm findings,
+ *        semantic unreachability and proved out-of-image indirect jumps
  */
 void verifyProgram(const isa::Program &program, const cfg::Cfg &graph,
                    const FlowGraph &flow, const VerifyOptions &opts,

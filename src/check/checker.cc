@@ -93,21 +93,6 @@ parseMode(const std::string &s, Mode &out)
     return true;
 }
 
-const char *
-faultKindName(FaultKind k)
-{
-    switch (k) {
-      case FaultKind::None: return "none";
-      case FaultKind::LeakPhysReg: return "leak-phys-reg";
-      case FaultKind::ReorderStore: return "reorder-store";
-      case FaultKind::SkipFuncSimStep: return "skip-funcsim-step";
-      case FaultKind::ClobberCheckpoint: return "clobber-checkpoint";
-      case FaultKind::DanglingPredicate: return "dangling-predicate";
-      case FaultKind::RobSeqSwap: return "rob-seq-swap";
-    }
-    return "?";
-}
-
 CheckError::CheckError(std::string what_, analysis::Report report_,
                        std::string diagnosis_)
     : std::runtime_error(std::move(what_)), rep(std::move(report_)),

@@ -81,14 +81,21 @@ enum class FaultKind : std::uint8_t
     RobSeqSwap,        ///< swap the seqs of the two oldest ROB entries
 };
 
-const char *faultKindName(FaultKind k);
-
 /** An armed fault: injected at the first opportunity >= notBefore. */
 struct FaultPlan
 {
     FaultKind kind = FaultKind::None;
     /** Earliest cycle at which injection is attempted. */
     Cycle notBefore = 0;
+
+    /** Visit every field as f(name, value), in declaration order. */
+    template <class F>
+    constexpr void
+    forEachField(F &&f) const
+    {
+        f("kind", kind);
+        f("notBefore", notBefore);
+    }
 };
 
 struct CheckerOptions

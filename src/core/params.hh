@@ -148,6 +148,39 @@ struct CoreParams
     {
         return numPhysRegs ? numPhysRegs : robSize + 128;
     }
+
+    /** Visit every field as f(name, value), in declaration order. */
+    template <class F>
+    constexpr void
+    forEachField(F &&f) const
+    {
+        f("fetchWidth", fetchWidth);
+        f("frontendDepth", frontendDepth);
+        f("robSize", robSize);
+        f("issueWidth", issueWidth);
+        f("retireWidth", retireWidth);
+        f("numPhysRegs", numPhysRegs);
+        f("storeBufferSize", storeBufferSize);
+        f("maxCheckpoints", maxCheckpoints);
+        f("predictor", predictor);
+        f("perfectCondPredictor", perfectCondPredictor);
+        f("perfectConfidence", perfectConfidence);
+        f("alwaysLowConfidence", alwaysLowConfidence);
+        f("mode", mode);
+        f("predication", predication);
+        f("enhMultiCfm", enhMultiCfm);
+        f("enhEarlyExit", enhEarlyExit);
+        f("enhMultiDiverge", enhMultiDiverge);
+        f("extLoopBranches", extLoopBranches);
+        f("extSelectiveUpdate", extSelectiveUpdate);
+        f("staticEarlyExitThreshold", staticEarlyExitThreshold);
+        f("forceStaticEarlyExit", forceStaticEarlyExit);
+        f("predRegisters", predRegisters);
+        f("cfmCamEntries", cfmCamEntries);
+        f("maxDpredPathInsts", maxDpredPathInsts);
+        f("classifyWrongPath", classifyWrongPath);
+        f("memoryBytes", memoryBytes);
+    }
 };
 
 } // namespace dmp::core

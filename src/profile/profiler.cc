@@ -4,7 +4,6 @@
 
 #include "bpred/perceptron.hh"
 #include "cfg/cfg.hh"
-#include "cfg/dominators.hh"
 #include "cfg/hammock.hh"
 #include "common/logging.hh"
 #include "isa/func_sim.hh"
@@ -406,34 +405,6 @@ profileAndMark(isa::Program &program, std::size_t mem_bytes,
         mark.earlyExitThreshold = earlyExitThreshold(mean_dist);
         program.setMark(pc, mark);
         ++report.markedDiverge;
-    }
-
-    // Static fallback: candidates without a profiled CFM can use their
-    // immediate post-dominator when it lies within the distance bound
-    // (measured statically as an instruction-count lower bound).
-    if (cfg.usePostDomFallback) {
-        cfg::PostDomTree pdom(graph);
-        for (Addr pc : forward_candidates) {
-            if (program.mark(pc) && program.mark(pc)->isDiverge)
-                continue;
-            Addr ipdom = pdom.ipdomAddr(pc);
-            if (ipdom == kNoAddr || ipdom == pc)
-                continue;
-            // Static distance sanity: a post-dominator *behind* the
-            // branch (loop header) is not a forward merge point.
-            if (ipdom <= pc)
-                continue;
-            if ((ipdom - pc) / kInstBytes > cfg.maxCfmDistance)
-                continue;
-            isa::DivergeMark mark;
-            if (const isa::DivergeMark *existing = program.mark(pc))
-                mark = *existing;
-            mark.isDiverge = true;
-            mark.cfmPoints.push_back(ipdom);
-            mark.earlyExitThreshold = kEarlyExitMin;
-            program.setMark(pc, mark);
-            ++report.markedDiverge;
-        }
     }
 
     // Optional extension: backward (loop) diverge branches, CFM = the

@@ -108,16 +108,22 @@ struct MarkerConfig
     unsigned cfmSampleRate = 4;
     /** Mark backward diverge loop branches (section 2.7.4 extension). */
     bool markLoopBranches = false;
-    /**
-     * Static fallback: when the profile finds no CFM for a candidate,
-     * use the branch's immediate post-dominator if it exists (the
-     * paper notes the frequent-path CFM "would also be the immediate
-     * post-dominator" absent rare paths). Off by default — the paper's
-     * marker is purely profile-driven.
-     */
-    bool usePostDomFallback = false;
     /** Train-run length in instructions. */
     std::uint64_t profileInsts = 400000;
+
+    /** Visit every field as f(name, value), in declaration order. */
+    template <class F>
+    constexpr void
+    forEachField(F &&f) const
+    {
+        f("minMispredictRate", minMispredictRate);
+        f("reconvergeFraction", reconvergeFraction);
+        f("maxCfmDistance", maxCfmDistance);
+        f("maxCfmPoints", maxCfmPoints);
+        f("cfmSampleRate", cfmSampleRate);
+        f("markLoopBranches", markLoopBranches);
+        f("profileInsts", profileInsts);
+    }
 };
 
 /** Classification of mispredictions for Figure 6. */

@@ -1,6 +1,8 @@
 #include "sim/batch.hh"
 
 #include <sstream>
+#include <type_traits>
+#include <utility>
 
 #include "common/logging.hh"
 
@@ -10,70 +12,42 @@ namespace dmp::sim
 namespace
 {
 
-/** Exact serialization of a double (hexfloat: no rounding ambiguity). */
-std::string
-num(double v)
+/** Writes one `name=value` term per visited field (see batch.hh). */
+struct FieldWriter
 {
-    std::ostringstream os;
-    os << std::hexfloat << v;
-    return os.str();
-}
+    std::ostream &os;
+    const char *sep = "";
 
-// A fixed parameter keeps its term, printing its constant (fq=0 is the
-// derived frontendDepth * fetchWidth fetch queue), so the bytes match
-// the stats records already written. These terms stay frozen until the
-// records are regenerated.
+    template <class T>
+    void
+    operator()(std::string_view name, const T &v)
+    {
+        os << std::exchange(sep, ",") << name << '=';
+        value(v);
+    }
 
-std::string
-workloadFp(const workloads::WorkloadParams &p)
-{
-    std::ostringstream os;
-    os << "it=" << p.iterations << ",seed=" << p.seed
-       << ",base=" << workloads::kDataBase;
-    return os.str();
-}
-
-std::string
-markerFp(const profile::MarkerConfig &m)
-{
-    std::ostringstream os;
-    os << "ms=" << num(profile::kMispredShare)
-       << ",mr=" << num(m.minMispredictRate)
-       << ",rf=" << num(m.reconvergeFraction) << ",cd=" << m.maxCfmDistance
-       << ",cp=" << m.maxCfmPoints << ",es=" << num(profile::kEarlyExitScale)
-       << ",el=" << profile::kEarlyExitMin
-       << ",eh=" << profile::kEarlyExitMax
-       << ",sr=" << m.cfmSampleRate << ",lb=" << m.markLoopBranches
-       << ",pd=" << m.usePostDomFallback << ",pi=" << m.profileInsts;
-    return os.str();
-}
-
-std::string
-coreFp(const core::CoreParams &c)
-{
-    std::ostringstream os;
-    os << "fw=" << c.fetchWidth << ",cb=" << core::kMaxCondBranchesPerFetch
-       << ",fd=" << c.frontendDepth << ",fq=0"
-       << ",rob=" << c.robSize << ",iw=" << c.issueWidth
-       << ",rw=" << c.retireWidth << ",pr=" << c.numPhysRegs
-       << ",sb=" << c.storeBufferSize << ",ck=" << c.maxCheckpoints
-       << ",la=" << core::kAluLatency << ",lm=" << core::kMulLatency
-       << ",ld=" << core::kDivLatency << ",lf=" << core::kFpLatency
-       << ",lb=" << core::kBranchLatency << ",lg=" << core::kAgenLatency
-       << ",lw=" << core::kForwardLatency << ",bp=" << unsigned(c.predictor)
-       << ",pc=" << c.perfectCondPredictor << ",pf=" << c.perfectConfidence
-       << ",al=" << c.alwaysLowConfidence << ",btb=" << core::kBtbEntries
-       << ",ras=" << core::kRasEntries << ",itc=" << core::kItcEntries
-       << ",md=" << unsigned(c.mode) << ",ps=" << unsigned(c.predication)
-       << ",e1=" << c.enhMultiCfm << ",e2=" << c.enhEarlyExit
-       << ",e3=" << c.enhMultiDiverge << ",x1=" << c.extLoopBranches
-       << ",x2=" << c.extSelectiveUpdate
-       << ",se=" << c.staticEarlyExitThreshold
-       << ",fs=" << c.forceStaticEarlyExit << ",pg=" << c.predRegisters
-       << ",cam=" << c.cfmCamEntries << ",dp=" << c.maxDpredPathInsts
-       << ",cw=" << c.classifyWrongPath << ",mem=" << c.memoryBytes;
-    return os.str();
-}
+    template <class T>
+    void
+    value(const T &v)
+    {
+        if constexpr (requires { v.forEachField(*this); }) {
+            os << '{';
+            v.forEachField(FieldWriter{os});
+            os << '}';
+        } else if constexpr (std::is_pointer_v<T>) {
+            if (v)
+                value(*v);
+            else
+                os << "null";
+        } else if constexpr (std::is_enum_v<T>) {
+            os << +std::underlying_type_t<T>(v);
+        } else if constexpr (std::is_floating_point_v<T>) {
+            os << std::hexfloat << v << std::defaultfloat;
+        } else {
+            os << v;
+        }
+    }
+};
 
 /** Converts to any field type, to count an aggregate's fields. */
 struct AnyField
@@ -93,20 +67,23 @@ fieldCount()
         return sizeof...(Fields);
 }
 
-// A new field must join its serializer (and the pinned bytes of
-// BatchRunner.FingerprintBytesArePinned), or cache entries alias.
-static_assert(fieldCount<core::CoreParams>() == 26,
-              "CoreParams changed: update coreFp and "
-              "FingerprintBytesArePinned");
-static_assert(fieldCount<profile::MarkerConfig>() == 8,
-              "MarkerConfig changed: update markerFp and "
-              "FingerprintBytesArePinned");
-static_assert(fieldCount<workloads::WorkloadParams>() == 2,
-              "WorkloadParams changed: update workloadFp and "
-              "FingerprintBytesArePinned");
-static_assert(fieldCount<SimConfig>() == 11,
-              "SimConfig changed: update configFingerprint and "
-              "FingerprintBytesArePinned");
+/** Whether T::forEachField visits as many fields as T has. */
+template <class T>
+constexpr bool
+visitsEveryField()
+{
+    std::size_t n = 0;
+    T{}.forEachField([&n](std::string_view, const auto &) { ++n; });
+    return n == fieldCount<T>();
+}
+
+// A field its visitor skips would be left out of the fingerprint, and
+// two configurations differing only there would share a cache entry.
+static_assert(visitsEveryField<core::CoreParams>());
+static_assert(visitsEveryField<profile::MarkerConfig>());
+static_assert(visitsEveryField<workloads::WorkloadParams>());
+static_assert(visitsEveryField<check::FaultPlan>());
+static_assert(visitsEveryField<SimConfig>());
 
 } // namespace
 
@@ -114,37 +91,20 @@ std::string
 configFingerprint(const SimConfig &cfg)
 {
     std::ostringstream os;
-    os << "wl:" << cfg.workload << "|train:" << workloadFp(cfg.train)
-       << "|ref:" << workloadFp(cfg.ref) << "|marker:" << markerFp(cfg.marker)
-       << "|core:" << coreFp(cfg.core) << "|mi=" << cfg.maxInsts
-       << "|mc=" << cfg.maxCycles
-       << "|sc=" << int(cfg.selfcheck);
-    // Appended only when set so pre-accounting fingerprints (cached
-    // bench artifacts, golden files) keep their exact byte form.
-    if (cfg.accounting)
-        os << "|acct=1";
-    // Same append-only rule: Profile is the default mode, so profiled
-    // configurations keep their pre-MarkMode fingerprints byte-exact.
-    if (cfg.markMode != MarkMode::Profile)
-        os << "|mark=" << markModeName(cfg.markMode);
-    if (cfg.faultPlan) {
-        os << "|fault=" << check::faultKindName(cfg.faultPlan->kind)
-           << "@" << cfg.faultPlan->notBefore;
-    }
+    cfg.forEachField(FieldWriter{os});
     return os.str();
 }
 
 std::string
 profileFingerprint(const SimConfig &cfg)
 {
-    // The compiler pass sees only the train binary, the marker
-    // heuristics, and the architectural memory size.
     std::ostringstream os;
-    os << "wl:" << cfg.workload << "|train:" << workloadFp(cfg.train)
-       << "|marker:" << markerFp(cfg.marker)
-       << "|mem=" << cfg.core.memoryBytes;
-    if (cfg.markMode != MarkMode::Profile)
-        os << "|mark=" << markModeName(cfg.markMode);
+    FieldWriter f{os};
+    f("workload", cfg.workload);
+    f("train", cfg.train);
+    f("marker", cfg.marker);
+    f("memoryBytes", cfg.core.memoryBytes);
+    f("markMode", cfg.markMode);
     return os.str();
 }
 
@@ -247,20 +207,19 @@ BatchRunner::preparedProgram(const SimConfig &cfg)
     // Level 2: build the ref binary and transfer the marks, once per
     // (pkey, ref input). All core configurations of a figure share the
     // resulting program read-only.
-    return once(refCache, pkey + "|ref:" + workloadFp(cfg.ref), nullptr,
-                nMarkedBuilds, [&] {
-                    auto e = std::make_shared<Marked>();
-                    e->program =
-                        workloads::buildWorkload(cfg.workload, cfg.ref);
-                    if (train) {
-                        transferAndPreflight(train->program, e->program,
-                                             cfg);
-                        e->report = train->report;
-                    } else {
-                        e->report = markProgram(e->program, cfg);
-                    }
-                    return e;
-                });
+    std::ostringstream rkey;
+    FieldWriter{rkey, ","}("ref", cfg.ref);
+    return once(refCache, pkey + rkey.str(), nullptr, nMarkedBuilds, [&] {
+        auto e = std::make_shared<Marked>();
+        e->program = workloads::buildWorkload(cfg.workload, cfg.ref);
+        if (train) {
+            transferAndPreflight(train->program, e->program, cfg);
+            e->report = train->report;
+        } else {
+            e->report = markProgram(e->program, cfg);
+        }
+        return e;
+    });
 }
 
 std::shared_ptr<const SimResult>

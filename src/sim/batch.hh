@@ -52,16 +52,17 @@ namespace dmp::sim
 {
 
 /**
- * Canonical, collision-free fingerprint of a complete SimConfig.
- * Serializes every field that can influence the simulation outcome;
- * used as the result-memo key.
+ * Canonical, collision-free fingerprint of a complete SimConfig: the
+ * `name=value` terms of every field forEachField visits (a nested
+ * struct as `name={...}`, doubles in hexfloat). The result-memo key
+ * and each dmp paper record's configuration.
  */
 std::string configFingerprint(const SimConfig &cfg);
 
 /**
  * Fingerprint of the compiler/profiling pass inputs only: workload,
- * train input, marker config, and memory size. Core timing knobs and
- * the ref input are excluded — they cannot change the marking.
+ * train input, marker config, memory size and mark mode. Core timing
+ * knobs and the ref input are excluded — they cannot change the marking.
  */
 std::string profileFingerprint(const SimConfig &cfg);
 

@@ -718,8 +718,9 @@ figureTables(const std::vector<const Figure *> &figs,
         if (r.fingerprint.empty())
             err = what + " has no fingerprint: only dmp paper --stats-json "
                          "records name the cell they ran";
-        else if (!r.hasMarking)
-            err = what + " has no marking block (schema 1)";
+        else if (r.schema != kStatsSchemaVersion)
+            err = what + " is schema " + std::to_string(r.schema) +
+                  ": its fingerprint names no cell of this build";
         else if (r.benchIters != opts.iters)
             err = "the records mix bench_iters " +
                   std::to_string(opts.iters) + " and " +

@@ -133,9 +133,6 @@ parseStatsRecord(const std::string &line, StatsRecord &out, std::string &err)
         using Kind = json::Value::Kind;
         out.label = rec.at("label", Kind::String)->string;
         out.workload = rec.at("workload", Kind::String)->string;
-        out.ipc = rec.at("ipc", Kind::Number)->number;
-        out.cycles = rec.whole("cycles");
-        out.retiredInsts = rec.whole("retired_insts");
         if (const json::Value *fp = rec.at("fingerprint", Kind::String, true)) {
             out.fingerprint = fp->string;
             out.benchIters = rec.whole("bench_iters");
@@ -143,9 +140,12 @@ parseStatsRecord(const std::string &line, StatsRecord &out, std::string &err)
         const Fields counters{*rec.at("counters", Kind::Object), "counters."};
         for (const auto &[k, v] : counters.obj.object)
             out.counters.emplace(k, counters.whole(k));
-        out.hasMarking = rec.at("marking", Kind::Object, true) != nullptr;
-        if (out.hasMarking) {
-            const Fields m{*rec.at("marking", Kind::Object), "marking."};
+        out.cycles = counters.whole("cycles");
+        out.retiredInsts = counters.whole("retired_insts");
+        out.ipc = out.cycles ? double(out.retiredInsts) / double(out.cycles)
+                             : 0.0;
+        if (const json::Value *mk = rec.at("marking", Kind::Object, true)) {
+            const Fields m{*mk, "marking."};
             out.marking.candidateBranches = m.whole("candidates");
             out.marking.markedDiverge = m.whole("diverge");
             out.marking.markedSimpleHammock = m.whole("hammock");
@@ -328,8 +328,7 @@ summaryTable(const std::vector<StatsRecord> &records)
     t.header = {"label", "workload", "IPC", "cycles",
                 "retired", "flushes", "MPKI"};
     for (const StatsRecord &r : records) {
-        // From the counters, so records without formulas get it too;
-        // the same expression as the core's mispred_per_kilo_insts.
+        // The core's mispred_per_kilo_insts, which records leave out.
         double mispred = double(r.counter("retired_mispred_cond_branches"));
         double mpki = 1000.0 * (r.retiredInsts
                                     ? mispred / double(r.retiredInsts)

@@ -4,8 +4,8 @@
  * figure-ready tables (the `dmp report` subcommand is a thin shell over
  * this).
  *
- * A StatsRecord is one parsed simResultJson line (schema 1 or 2, see
- * EXPERIMENTS.md). The parser is strict: a field of the wrong type or
+ * A StatsRecord is one parsed simResultJson line (schema 1, 2 or 3,
+ * see EXPERIMENTS.md). The parser is strict: a field of the wrong type or
  * a count that is not a whole number in [0, 2^64) refuses the record,
  * naming the field. The table builders here turn a set of records into
  * per-run summaries, top-down cycle breakdowns, mode-vs-mode diffs and
@@ -57,8 +57,7 @@ struct StatsRecord
     std::uint64_t benchIters = 0;
     std::unordered_map<std::string, std::uint64_t> counters;
 
-    /** The marking block (schema 2): counts and classification only. */
-    bool hasMarking = false;
+    /** The marking block (schema 2 on): counts and classification only. */
     profile::MarkingReport marking;
 
     bool hasAccounting = false;
@@ -72,9 +71,9 @@ struct StatsRecord
 
 /**
  * Parse one JSONL line into a record. Refused: an unknown or missing
- * schema, a label or workload that is not a string, an ipc that is not
- * a number, and a cycle, instruction or counter value that is not a
- * whole number in [0, 2^64).
+ * schema, a label or workload that is not a string, and a missing
+ * counters.cycles or counters.retired_insts (IPC derives from them) or
+ * a counter value that is not a whole number in [0, 2^64).
  * @return true on success; on failure `err` names the field.
  */
 bool parseStatsRecord(const std::string &line, StatsRecord &out,

@@ -110,10 +110,7 @@ simResultJson(const SimResult &r, const std::string &label,
     json::Writer w(12);
     w.beginObject().field("schema", kStatsSchemaVersion);
     w.field("label", label).field("workload", workload);
-    w.field("ipc", r.ipc).field("cycles", r.cycles);
-    w.field("retired_insts", r.retiredInsts);
     w.field("host_seconds", r.hostSeconds);
-    w.field("host_inst_rate", r.hostInstRate);
     if (!fingerprint.empty())
         w.field("fingerprint", fingerprint).field("bench_iters", bench_iters);
 
@@ -125,9 +122,6 @@ simResultJson(const SimResult &r, const std::string &label,
     for (const auto &[k, v] :
          std::map(r.distributions.begin(), r.distributions.end()))
         distSnapshotJson(w.key(k), v);
-    w.endObject().key("formulas").beginObject();
-    for (const auto &[k, v] : std::map(r.formulas.begin(), r.formulas.end()))
-        w.field(k, v);
     const profile::MarkingReport &m = r.marking;
     const profile::MispredictClassification &c = m.classification;
     w.endObject().key("marking").beginObject();
@@ -244,8 +238,6 @@ resultOfRun(const core::Core &machine,
     r.retiredInsts = st.retiredInsts.value();
     r.ipc = r.cycles ? double(r.retiredInsts) / double(r.cycles) : 0.0;
     r.hostSeconds = hostSeconds;
-    r.hostInstRate =
-        hostSeconds > 0 ? double(r.retiredInsts) / hostSeconds : 0.0;
     st.forEachStat(Overloaded{
         [&](std::string_view name, const Counter &c, std::string_view) {
             r.counters.emplace(name, c.value());
@@ -254,9 +246,7 @@ resultOfRun(const core::Core &machine,
             std::string_view) {
             r.distributions.emplace(name, d.snapshot());
         },
-        [&](std::string_view name, double v, std::string_view) {
-            r.formulas.emplace(name, v);
-        }});
+        [](std::string_view, double, std::string_view) {}});
     if (acct) {
         acct->counters().forEachStat(
             [&](std::string_view name, const Counter &c, std::string_view) {

@@ -102,6 +102,24 @@ struct SimConfig
      * JSON block.
      */
     bool accounting = false;
+
+    /** Visit every field as f(name, value), in declaration order. */
+    template <class F>
+    constexpr void
+    forEachField(F &&f) const
+    {
+        f("workload", workload);
+        f("core", core);
+        f("marker", marker);
+        f("train", train);
+        f("ref", ref);
+        f("markMode", markMode);
+        f("maxInsts", maxInsts);
+        f("maxCycles", maxCycles);
+        f("selfcheck", selfcheck);
+        f("faultPlan", faultPlan);
+        f("accounting", accounting);
+    }
 };
 
 /** Condensed results of one timing run. */
@@ -112,12 +130,9 @@ struct SimResult
     std::uint64_t retiredInsts = 0;
     std::unordered_map<std::string, std::uint64_t> counters;
     std::unordered_map<std::string, DistSnapshot> distributions;
-    std::unordered_map<std::string, double> formulas;
     profile::MarkingReport marking;
 
-    // Host-side telemetry (sim speed, not simulated performance).
-    double hostSeconds = 0;  ///< wall-clock of the timing run
-    double hostInstRate = 0; ///< retired program insts per host second
+    double hostSeconds = 0; ///< host wall-clock of the timing run
 
     // Cycle accounting (present only when SimConfig::accounting ran;
     // the bucket/branch counters also appear in `counters` with an
@@ -143,23 +158,25 @@ struct SimResult
  * (dmp run --stats-json, dmp paper --stats-json; documented in
  * EXPERIMENTS.md). Every record carries it as its first field,
  * "schema". Bump when a field is renamed or removed, or when a field
- * that readers rely on is added: schema 2 added "marking".
+ * that readers rely on is added: schema 2 added "marking", schema 3
+ * dropped every field derived from "counters" and renamed the terms of
+ * "fingerprint".
  */
-constexpr int kStatsSchemaVersion = 2;
+constexpr int kStatsSchemaVersion = 3;
 
 /**
  * Render one run as a single-line JSON object (a JSONL record):
- * {"schema":2, "label":..., "workload":..., "ipc":..., "cycles":...,
- *  "retired_insts":..., "host_seconds":..., "host_inst_rate":...,
- *  "counters":{...}, "distributions":{...}, "formulas":{...},
- *  "marking":{...}[, "accounting":{...}]}. The marking block holds
- * `r.marking`'s counts and misprediction classification; the
- * accounting block appears only for runs with SimConfig::accounting.
+ * {"schema":3, "label":..., "workload":..., "host_seconds":...,
+ *  "counters":{...}, "distributions":{...}, "marking":{...}
+ *  [, "accounting":{...}]}. Ratios such as IPC are left to the reader.
+ * The marking block holds `r.marking`'s counts and misprediction
+ * classification; the accounting block appears only for runs with
+ * SimConfig::accounting.
  *
  * @param fingerprint when non-empty, "fingerprint" (this string) and
- *        "bench_iters" (`bench_iters`) follow host_inst_rate: dmp
- *        paper tags each record with its config fingerprint and
- *        iteration count.
+ *        "bench_iters" (`bench_iters`) follow host_seconds: dmp paper
+ *        tags each record with its config fingerprint and iteration
+ *        count.
  */
 std::string simResultJson(const SimResult &r, const std::string &label,
                           const std::string &workload,
@@ -168,9 +185,9 @@ std::string simResultJson(const SimResult &r, const std::string &label,
 
 /**
  * Condense a finished timing run on `machine`: cycles, IPC, every core
- * counter, distribution and formula, and `hostSeconds` with the rate
- * it implies. With `acct` (already finish()ed) the result also gains
- * the "acct_" counters and the accounting block. runSimOnProgram and
+ * counter and distribution, and `hostSeconds`. With `acct` (already
+ * finish()ed) the result also gains the "acct_" counters and the
+ * accounting block. runSimOnProgram and
  * `dmp run --stats-json` both build their records here. The marking
  * report is left empty.
  */

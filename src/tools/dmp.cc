@@ -80,7 +80,6 @@
  *                   (default 2000)
  *   --seed=N        train-run data seed (default: dmp run's train seed)
  *   --loop-ext      mark loop diverge branches (section 2.7.4)
- *   --postdom       enable the static post-dominator CFM fallback
  *   --no-mark       lint the unmarked program (verifier passes only)
  *   --depth=N       predicate-depth bound (default:
  *                   CoreParams::predRegisters)
@@ -838,7 +837,7 @@ int
 lintCommand(int argc, char **argv)
 {
     TargetOptions o;
-    bool postDom = false, noMark = false, deep = false;
+    bool noMark = false, deep = false;
     unsigned depth = 0;    // 0: CoreParams::predRegisters
     unsigned deepIters = 2;
     for (int i = 1; i < argc; ++i) {
@@ -846,9 +845,7 @@ lintCommand(int argc, char **argv)
         const char *a = argv[i];
         if (o.take(a))
             continue;
-        if (option(a, "--postdom"))
-            postDom = true;
-        else if (option(a, "--no-mark"))
+        if (option(a, "--no-mark"))
             noMark = true;
         else if (option(a, "--depth", &v))
             depth = unsigned(number("--depth", v, UINT_MAX));
@@ -870,7 +867,6 @@ lintCommand(int argc, char **argv)
     const core::CoreParams defaults;
     analysis::AnalysisOptions ao;
     ao.marker.markLoopBranches = o.loopExt;
-    ao.marker.usePostDomFallback = postDom;
     ao.maxPredicateDepth = depth ? depth : defaults.predRegisters;
     ao.memoryBytes = o.mem ? o.mem : defaults.memoryBytes;
     ao.absint = deep;

@@ -34,6 +34,15 @@ struct WorkloadParams
     std::uint64_t iterations = 4000;
     /** Data seed; the profiler uses a different seed ("train input"). */
     std::uint64_t seed = 0x5eed;
+
+    /** Visit every field as f(name, value), in declaration order. */
+    template <class F>
+    constexpr void
+    forEachField(F &&f) const
+    {
+        f("iterations", iterations);
+        f("seed", seed);
+    }
 };
 
 // Well-known registers.

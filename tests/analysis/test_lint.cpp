@@ -368,6 +368,84 @@ TEST(Lint, HammockMarkOnNonHammockShape)
     EXPECT_EQ(f->pc, branch);
 }
 
+TEST(Lint, HammockMarkWithoutJoin)
+{
+    Addr branch, merge;
+    isa::Program prog = buildHammockish(branch, merge);
+    isa::DivergeMark m;
+    m.isSimpleHammock = true; // and no join address
+    prog.setMark(branch, m);
+    analysis::Report r = lint(prog);
+
+    const analysis::Finding *f = r.first("hammock-no-join");
+    ASSERT_NE(f, nullptr) << r.text();
+    EXPECT_EQ(f->severity, Severity::Error);
+    EXPECT_EQ(f->pc, branch);
+    EXPECT_EQ(r.size(), 1u) << r.text();
+}
+
+TEST(Lint, CfmBehindAnIndirectJumpIsUnverifiable)
+{
+    // The not-taken side leaves through JR r2 (r2 = the merge): the
+    // structural sweep cannot follow it.
+    isa::ProgramBuilder b;
+    const Addr merge_at = b.here() + 5 * isa::kInstBytes;
+    b.li(1, 1);
+    b.li(2, std::int64_t(merge_at));
+    isa::Label side_c = b.newLabel();
+    Addr branch = b.bne(1, 0, side_c);
+    b.jr(2);
+    b.bind(side_c);
+    b.addi(3, 3, 1);
+    Addr merge = b.add(5, 5, 3);
+    b.halt();
+    isa::Program prog = b.build();
+    ASSERT_EQ(merge, merge_at);
+    prog.setMark(branch, divergeMark({merge}));
+    analysis::Report r = lint(prog);
+
+    const analysis::Finding *f = r.first("cfm-unverifiable");
+    ASSERT_NE(f, nullptr) << r.text();
+    EXPECT_EQ(f->severity, Severity::Info);
+    EXPECT_EQ(f->pc, branch);
+    EXPECT_NE(f->message.find("not-taken side"), std::string::npos)
+        << f->message;
+    EXPECT_EQ(r.size(), 1u) << r.text();
+}
+
+/**
+ * A diverge mark on a branch with no valid taken target, or on the last
+ * instruction, leaves the linter nothing to sweep; the verifier reports
+ * the branch itself, and it runs on every program before marking.
+ */
+TEST(Lint, BadDivergeBranchIsTheVerifiersFinding)
+{
+    analysis::AnalysisOptions ao; // verifier on
+
+    isa::ProgramBuilder oob;
+    oob.li(1, 1);
+    Addr branch = oob.emit({isa::Opcode::BEQ, 0, 1, 0, 0, Addr(0x20000)});
+    Addr merge = oob.halt();
+    isa::Program prog = oob.build();
+    prog.setMark(branch, divergeMark({merge}));
+    analysis::Report r = analysis::analyzeProgram(prog, ao);
+    ASSERT_NE(r.first("branch-target-oob"), nullptr) << r.text();
+    EXPECT_EQ(r.errors(), 1u) << r.text();
+    EXPECT_TRUE(lint(prog).empty()) << lint(prog).text();
+
+    isa::ProgramBuilder last;
+    isa::Label top = last.newLabel();
+    last.bind(top);
+    Addr first = last.li(1, 1);
+    branch = last.bne(1, 0, top);
+    prog = last.build();
+    prog.setMark(branch, divergeMark({first}));
+    r = analysis::analyzeProgram(prog, ao);
+    ASSERT_NE(r.first("fallthrough-end"), nullptr) << r.text();
+    EXPECT_EQ(r.errors(), 1u) << r.text();
+    EXPECT_TRUE(lint(prog).empty()) << lint(prog).text();
+}
+
 TEST(Lint, PreflightThrowsOnCorruptedMarking)
 {
     // Profile a real workload, then corrupt one discovered marking:

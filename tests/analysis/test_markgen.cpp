@@ -221,8 +221,7 @@ TEST(MarkModeNone, RunsUnmarked)
 
 /**
  * The three mark modes must produce three distinct batch cache keys for
- * otherwise identical configurations, with the default (Profile) key
- * keeping its historical no-suffix form.
+ * otherwise identical configurations, each naming its mode.
  */
 TEST(MarkModeFingerprint, ModesDoNotAlias)
 {
@@ -230,7 +229,7 @@ TEST(MarkModeFingerprint, ModesDoNotAlias)
     cfg.workload = "bzip2";
 
     std::string prof = sim::configFingerprint(cfg);
-    EXPECT_EQ(prof.find("|mark="), std::string::npos);
+    EXPECT_NE(prof.find(",markMode=0,"), std::string::npos);
 
     cfg.markMode = sim::MarkMode::Static;
     std::string stat = sim::configFingerprint(cfg);
@@ -240,8 +239,8 @@ TEST(MarkModeFingerprint, ModesDoNotAlias)
     EXPECT_NE(prof, stat);
     EXPECT_NE(prof, none);
     EXPECT_NE(stat, none);
-    EXPECT_NE(stat.find("|mark=static"), std::string::npos);
-    EXPECT_NE(none.find("|mark=none"), std::string::npos);
+    EXPECT_NE(stat.find(",markMode=1,"), std::string::npos);
+    EXPECT_NE(none.find(",markMode=2,"), std::string::npos);
 
     EXPECT_NE(sim::profileFingerprint(cfg),
               [&] {

@@ -9,6 +9,7 @@
 
 #include "analysis/analysis.hh"
 #include "common/json.hh"
+#include "isa/assembler.hh"
 #include "isa/program.hh"
 
 using namespace dmp;
@@ -184,6 +185,54 @@ TEST(Verifier, AbsintProvesOobAndDeadArm)
     ASSERT_NE(d, nullptr) << r.text();
     EXPECT_EQ(d->severity, Severity::Warn);
     EXPECT_EQ(d->pc, dead);
+}
+
+/** `prog` analyzed with the value analysis on. */
+analysis::Report
+analyzeDeep(const isa::Program &prog)
+{
+    analysis::AnalysisOptions ao;
+    ao.absint = true;
+    return analysis::analyzeProgram(prog, ao);
+}
+
+TEST(Verifier, IndirectJumpProvedOutsideTheImage)
+{
+    // r1 = 8 lies below the image: the fetch after JR faults.
+    const isa::Program prog = isa::assemble("li r1, 8\njr r1\nhalt\n");
+    analysis::Report r = analyzeDeep(prog);
+    const analysis::Finding *f = r.first("indirect-target-oob");
+    ASSERT_NE(f, nullptr) << r.text();
+    EXPECT_EQ(f->severity, Severity::Error);
+    EXPECT_EQ(f->pc, prog.baseAddr() + isa::kInstBytes);
+    EXPECT_NE(f->message.find("target 0x8 "), std::string::npos)
+        << f->message;
+    EXPECT_EQ(r.errors(), 1u) << r.text();
+
+    // Without the value analysis the target is unknown: no finding.
+    EXPECT_EQ(analyze(prog).first("indirect-target-oob"), nullptr);
+
+    // A bare JR reads the zero-initialized r1: it jumps to 0x0.
+    const isa::Program bare = isa::assemble("jr r1\n");
+    r = analyzeDeep(bare);
+    f = r.first("indirect-target-oob");
+    ASSERT_NE(f, nullptr) << r.text();
+    EXPECT_EQ(f->pc, bare.baseAddr());
+    EXPECT_NE(f->message.find("target 0x0 "), std::string::npos)
+        << f->message;
+    EXPECT_EQ(r.errors(), 1u) << r.text();
+}
+
+TEST(Verifier, IndirectJumpInsideTheImageIsClean)
+{
+    // r1 = the address of the HALT: a resolved in-image target.
+    const Addr base = isa::assemble("halt\n").baseAddr();
+    const isa::Program prog = isa::assemble(
+        "li r1, " + std::to_string(base + 2 * isa::kInstBytes) +
+        "\njr r1\nhalt\n");
+    analysis::Report r = analyzeDeep(prog);
+    EXPECT_EQ(r.first("indirect-target-oob"), nullptr) << r.text();
+    EXPECT_EQ(r.errors(), 0u) << r.text();
 }
 
 TEST(Verifier, RetWithoutCall)

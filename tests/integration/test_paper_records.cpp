@@ -2,7 +2,7 @@
  * @file
  * The committed figure records. `dmp paper all` at the default 2000
  * iterations is regenerated in-process, trimmed to what a table reads
- * (host_*, distributions and formulas dropped; the counters and
+ * (host_seconds and distributions dropped; the counters and
  * marking blocks kept whole), and must equal
  * tests/sim/reference/paper_records.jsonl byte for byte. A mismatch
  * names the figures, cells, workload and field of each record that
@@ -79,8 +79,7 @@ trimmed(const std::string &line)
     std::string err;
     EXPECT_TRUE(json::parse(line, doc, err)) << err;
     json::Writer w;
-    emit(w, doc,
-         {"host_seconds", "host_inst_rate", "distributions", "formulas"});
+    emit(w, doc, {"host_seconds", "distributions"});
     return w.take();
 }
 

@@ -700,90 +700,6 @@ TEST(Marker, LoopBranchesOnlyWithExtension)
     EXPECT_GE(r.markedLoop, 1u);
 }
 
-TEST(Marker, PostDominatorFallbackMarksUnprofiledCandidates)
-{
-    // A hard branch whose paths only merge at ~60%/40% frequency below
-    // the 20% threshold cannot happen structurally; instead use a
-    // branch whose merge lies beyond the *dynamic* window on one side
-    // (a long arm) but whose static immediate post-dominator is close
-    // in the address space: profiling finds no CFM, the static
-    // fallback marks the post-dominator.
-    ProgramBuilder b;
-    b.li(10, 0);
-    b.li(11, 800);
-    b.li(14, 0xfa11b);
-    Label loop = b.newLabel();
-    b.bind(loop);
-    b.muli(14, 14, 6364136223846793005LL);
-    b.addi(14, 14, 1442695040888963407LL);
-    b.shri(1, 14, 33);
-    b.andi(2, 1, 1);
-    Label els = b.newLabel(), join = b.newLabel();
-    Addr branch = b.beq(2, 0, els);
-    for (int i = 0; i < 140; ++i) // beyond the 120-inst dynamic bound
-        b.addi(5, 5, 1);
-    b.jmp(join);
-    b.bind(els);
-    b.addi(5, 5, 2);
-    b.bind(join);
-    b.addi(10, 10, 1);
-    b.blt(10, 11, loop);
-    b.halt();
-    Program p = b.build();
-
-    // Without the fallback: unmarked (no dynamic CFM).
-    MarkerConfig off;
-    off.profileInsts = 200000;
-    profileAndMark(p, kMem, off);
-    const isa::DivergeMark *m = p.mark(branch);
-    EXPECT_TRUE(m == nullptr || !m->isDiverge);
-
-    // With the fallback, the static post-dominator is... also beyond
-    // the static distance bound here (the arm is 140 instructions), so
-    // it must STILL not be marked.
-    MarkerConfig fb = off;
-    fb.usePostDomFallback = true;
-    profileAndMark(p, kMem, fb);
-    m = p.mark(branch);
-    EXPECT_TRUE(m == nullptr || !m->isDiverge);
-
-    // Shrink the arm under the bound and suppress the dynamic CFM pass
-    // by requiring an impossible reconvergence fraction: only the
-    // static fallback can mark it now, at the correct join address.
-    ProgramBuilder b2;
-    b2.li(10, 0);
-    b2.li(11, 800);
-    b2.li(14, 0xfa11b);
-    Label loop2 = b2.newLabel();
-    b2.bind(loop2);
-    b2.muli(14, 14, 6364136223846793005LL);
-    b2.addi(14, 14, 1442695040888963407LL);
-    b2.shri(1, 14, 33);
-    b2.andi(2, 1, 1);
-    Label els2 = b2.newLabel(), join2 = b2.newLabel();
-    Addr branch2 = b2.beq(2, 0, els2);
-    b2.addi(5, 5, 1);
-    b2.addi(6, 6, 1); // two-instruction arm: if-shaped
-    b2.bind(els2);
-    b2.bind(join2);
-    Addr join_addr = b2.xor_(7, 7, 5);
-    b2.addi(10, 10, 1);
-    b2.blt(10, 11, loop2);
-    b2.halt();
-    Program p2 = b2.build();
-
-    MarkerConfig fb2;
-    fb2.profileInsts = 200000;
-    fb2.reconvergeFraction = 1.1; // dynamically unsatisfiable
-    fb2.usePostDomFallback = true;
-    profileAndMark(p2, kMem, fb2);
-    const isa::DivergeMark *m2 = p2.mark(branch2);
-    ASSERT_NE(m2, nullptr);
-    EXPECT_TRUE(m2->isDiverge);
-    ASSERT_FALSE(m2->cfmPoints.empty());
-    EXPECT_EQ(m2->cfmPoints[0], join_addr);
-}
-
 TEST(Marker, TransferMarksCopiesEverything)
 {
     workloads::WorkloadParams train;
@@ -851,9 +767,12 @@ TEST(Marker, AllWorkloadsProduceSaneMarkings)
 // workloads at the train and ref data seeds plus a random-program
 // sweep, under the default MarkerConfig and one that changes every
 // CFM-window knob. The expected digests were taken from the three-pass
-// profiler before it was rewritten over one recorded run; any change
-// to the predictor, the window rules, the fraction or distance
-// arithmetic, the candidate order or a program generator moves them.
+// profiler before it was rewritten over one recorded run (the knob
+// config's three random(21,0), random(25,0) and random(25,1) digests
+// were re-taken when the post-dominator fallback was removed from it);
+// any change to the predictor, the window rules, the fraction or
+// distance arithmetic, the candidate order or a program generator
+// moves them.
 
 /** FNV-1a over 64-bit words. */
 struct Fnv
@@ -930,7 +849,6 @@ goldenConfigs()
     knobs.cfmSampleRate = 1;
     knobs.maxCfmDistance = 30;
     knobs.markLoopBranches = true;
-    knobs.usePostDomFallback = true;
     return {MarkerConfig{}, knobs};
 }
 
@@ -1035,13 +953,13 @@ constexpr std::uint64_t kGoldenDigests[] = {
     0xb2f4ff4cd9159a02ull, 0x929b97179255d2f9ull, 0x929b97179255d2f9ull,
     0xe4eaa0b7a4ac096aull, 0xe4eaa0b7a4ac096aull, 0x3899b4476a278b56ull,
     0x9b1f054b2bc07171ull, 0x05c43a43d708ed28ull, 0x562c65b5012310bdull,
-    0x7dbf718da2a3ce1bull, 0x88d9c108704ec7e9ull, 0xf2e3ab9bf64005bcull,
+    0x7dbf718da2a3ce1bull, 0x60f6b278726ea185ull, 0xf2e3ab9bf64005bcull,
     0xf8d594d74c42b0dbull, 0x25d0df12d49a3bfbull, 0x8abeae62765c85b2ull,
     0xb575d5dd6d99db55ull, 0xacd50c2e637c6c8full, 0x2209abd687edeaf5ull,
     0x74047dbc3b25c64full, 0x5dfc4328c864f617ull, 0x055184bdf1df06e3ull,
     0xfda514427e67bd52ull, 0x30630f63069e64efull, 0x7cf3f93651c4e329ull,
-    0x0fc804535d83cbfeull, 0x0c0a056d3f7a3a7full, 0xba14c2a545de3291ull,
-    0xc71ef13dc6c733dbull, 0xf8dff5314b973234ull, 0x0d1b9bcc565ce476ull,
+    0x0fc804535d83cbfeull, 0x0c0a056d3f7a3a7full, 0xbe2fd1f8336fc28eull,
+    0xc71ef13dc6c733dbull, 0xbcd2ca5066547bcdull, 0x0d1b9bcc565ce476ull,
     0x6aba42456e8a52a4ull, 0xd7fe69e159733025ull, 0x2a5cdf379c101bd2ull,
     0x46aee972fcd79fb9ull, 0x33a6eb8454a13f75ull, 0x74c71def345a58e0ull,
     0x0eb331396fdcfb1full, 0x0750d40b4c59cb34ull, 0xfa8af526fb403e9cull,

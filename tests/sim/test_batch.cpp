@@ -181,30 +181,39 @@ fnv1a(const std::string &s)
 TEST(BatchRunner, FingerprintBytesArePinned)
 {
     const sim::SimConfig def;
-    const std::string train = "wl:bzip2|train:it=4000,seed=517146,"
-                              "base=1048576";
+    const std::string train = "train={iterations=4000,seed=517146}";
     const std::string marker =
-        "|marker:ms=0x1.0624dd2f1a9fcp-10,mr=0x1.999999999999ap-4,"
-        "rf=0x1.999999999999ap-3,cd=120,cp=4,es=0x1p+1,el=16,eh=192,"
-        "sr=4,lb=0,pd=0,pi=400000";
+        "marker={minMispredictRate=0x1.999999999999ap-4,"
+        "reconvergeFraction=0x1.999999999999ap-3,maxCfmDistance=120,"
+        "maxCfmPoints=4,cfmSampleRate=4,markLoopBranches=0,"
+        "profileInsts=400000}";
     EXPECT_EQ(sim::configFingerprint(def),
-              train + "|ref:it=4000,seed=1263,base=1048576" + marker +
-                  "|core:fw=8,cb=3,fd=30,fq=0,rob=512,iw=8,rw=8,pr=0,"
-                  "sb=128,ck=96,la=1,lm=3,ld=20,lf=4,lb=1,lg=1,lw=1,"
-                  "bp=0,pc=0,pf=0,al=0,btb=4096,ras=64,itc=65536,md=0,"
-                  "ps=0,e1=0,e2=0,e3=0,x1=0,x2=0,se=96,fs=0,pg=32,cam=8,"
-                  "dp=256,cw=0,mem=16777216|mi=0|mc=0|sc=0");
+              "workload=bzip2,core={fetchWidth=8,frontendDepth=30,"
+              "robSize=512,issueWidth=8,retireWidth=8,numPhysRegs=0,"
+              "storeBufferSize=128,maxCheckpoints=96,predictor=0,"
+              "perfectCondPredictor=0,perfectConfidence=0,"
+              "alwaysLowConfidence=0,mode=0,predication=0,enhMultiCfm=0,"
+              "enhEarlyExit=0,enhMultiDiverge=0,extLoopBranches=0,"
+              "extSelectiveUpdate=0,staticEarlyExitThreshold=96,"
+              "forceStaticEarlyExit=0,predRegisters=32,cfmCamEntries=8,"
+              "maxDpredPathInsts=256,classifyWrongPath=0,"
+              "memoryBytes=16777216}," +
+                  marker + "," + train +
+                  ",ref={iterations=4000,seed=1263},markMode=0,"
+                  "maxInsts=0,maxCycles=0,selfcheck=0,faultPlan=null,"
+                  "accounting=0");
     EXPECT_EQ(sim::profileFingerprint(def),
-              train + marker + "|mem=16777216");
+              "workload=bzip2," + train + "," + marker +
+                  ",memoryBytes=16777216,markMode=0");
 
     const std::pair<const char *, std::uint64_t> kDigests[] = {
-        {"base", 0x88b46472ab469e43ull},
-        {"dhp", 0x489f39125e4b5b82ull},
-        {"dmp", 0x10a649a42c646cf5ull},
-        {"mcfm", 0xe606474a0c18551eull},
-        {"mcfm-eexit", 0x99b258d3d8c741dbull},
-        {"dmp-enhanced", 0x34680195d32eac20ull},
-        {"dual", 0xa040b0d42e7892fcull},
+        {"base", 0xd1608f1297809152ull},
+        {"dhp", 0x5e58328daa2dd85full},
+        {"dmp", 0x17ff76da1f31ead0ull},
+        {"mcfm", 0x0a4d16350d3fd269ull},
+        {"mcfm-eexit", 0x11ca7938a8961e6eull},
+        {"dmp-enhanced", 0x6738a700694ebe41ull},
+        {"dual", 0x45c63c913fa664ffull},
     };
     ASSERT_EQ(sim::machines().size(), std::size(kDigests));
     for (std::size_t i = 0; i < std::size(kDigests); ++i) {
@@ -217,6 +226,14 @@ TEST(BatchRunner, FingerprintBytesArePinned)
                   kDigests[i].second)
             << m.name;
     }
+
+    // A pointer field is written through to its pointee.
+    const check::FaultPlan plan{check::FaultKind::LeakPhysReg, 7};
+    sim::SimConfig faulted;
+    faulted.faultPlan = &plan;
+    EXPECT_NE(sim::configFingerprint(faulted).find(
+                  ",faultPlan={kind=1,notBefore=7},"),
+              std::string::npos);
 }
 
 /**

@@ -138,7 +138,8 @@ TEST(JsonRoundTrip, DmpReportTables)
     {
         std::ofstream out(path);
         sim::SimResult r;
-        r.counters.emplace("pipeline_flushes", 1);
+        r.counters = {{"cycles", 2}, {"retired_insts", 1},
+                      {"pipeline_flushes", 1}};
         out << sim::simResultJson(r, kName, kName) << "\n";
     }
     test::CliResult r = test::runDmp({"report", "--format=json", path});

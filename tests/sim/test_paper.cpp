@@ -80,7 +80,7 @@ TEST(Paper, AllSimulatesEachDistinctCellOnce)
 
 /**
  * One record per cell of `fig` on `wl` under `opts`, each with every
- * counter in `zeroes` at 0 and a marking block.
+ * counter in `zeroes` at 0 and an empty marking block.
  */
 std::vector<sim::StatsRecord>
 zeroRecords(const sim::Figure &fig, const std::string &wl,
@@ -95,7 +95,6 @@ zeroRecords(const sim::Figure &fig, const std::string &wl,
         r.workload = wl;
         r.fingerprint = sim::configFingerprint(sim::cellConfig(c, wl, opts));
         r.benchIters = opts.iters;
-        r.hasMarking = true;
         for (const std::string &name : zeroes)
             r.counters.emplace(name, 0);
         records.push_back(std::move(r));
@@ -155,6 +154,22 @@ TEST(Paper, MissingCellOrCounterNamesTheFigure)
     EXPECT_EQ(err, "fig11_flush_reduction: workload mcf: no record of cell "
                    "base");
     EXPECT_TRUE(tables.empty());
+}
+
+TEST(Paper, FigureRefusesRecordsOfAnotherSchema)
+{
+    // A schema-2 record's fingerprint is in the old term format, so it
+    // is refused by its schema rather than as a missing cell.
+    sim::PaperOptions opts;
+    opts.workloads = {"mcf"};
+    const sim::Figure &fig = figureNamed("fig11_flush_reduction");
+    std::vector<sim::StatsRecord> records = zeroRecords(fig, "mcf", opts, {});
+    records.front().schema = 2;
+    std::vector<sim::ReportTable> tables;
+    std::string err;
+    EXPECT_FALSE(sim::figureTables({&fig}, records, tables, err));
+    EXPECT_EQ(err, "record base on mcf is schema 2: its fingerprint names "
+                   "no cell of this build");
 }
 
 } // namespace

@@ -16,6 +16,7 @@
 #include "common/json.hh"
 #include "sim/report.hh"
 #include "sim/simulator.hh"
+#include "../testutil.hh"
 
 namespace dmp::sim
 {
@@ -31,26 +32,28 @@ parseOk(const std::string &line)
     return rec;
 }
 
-/** A synthetic schema-1 record line. */
+/** A synthetic schema-3 record line. */
 std::string
 recordLine(const std::string &label, const std::string &workload,
-           double ipc, std::uint64_t cycles, std::uint64_t flushes)
+           std::uint64_t retired, std::uint64_t cycles,
+           std::uint64_t flushes)
 {
-    return "{\"schema\":1,\"label\":\"" + label + "\",\"workload\":\"" +
-           workload + "\",\"ipc\":" + std::to_string(ipc) +
-           ",\"cycles\":" + std::to_string(cycles) +
-           ",\"retired_insts\":1000,\"counters\":{\"pipeline_flushes\":" +
-           std::to_string(flushes) + "},\"formulas\":{}}";
+    return "{\"schema\":3,\"label\":\"" + label + "\",\"workload\":\"" +
+           workload + "\",\"counters\":{\"cycles\":" +
+           std::to_string(cycles) + ",\"pipeline_flushes\":" +
+           std::to_string(flushes) + ",\"retired_insts\":" +
+           std::to_string(retired) + "}}";
 }
 
 TEST(Report, ParsesSyntheticRecord)
 {
-    StatsRecord r = parseOk(recordLine("base", "bzip2", 0.42, 1234, 99));
-    EXPECT_EQ(r.schema, 1);
+    StatsRecord r = parseOk(recordLine("base", "bzip2", 840, 2000, 99));
+    EXPECT_EQ(r.schema, 3);
     EXPECT_EQ(r.label, "base");
     EXPECT_EQ(r.workload, "bzip2");
     EXPECT_DOUBLE_EQ(r.ipc, 0.42);
-    EXPECT_EQ(r.cycles, 1234u);
+    EXPECT_EQ(r.cycles, 2000u);
+    EXPECT_EQ(r.retiredInsts, 840u);
     EXPECT_EQ(r.counter("pipeline_flushes"), 99u);
     EXPECT_EQ(r.counter("no_such_counter"), 0u);
     EXPECT_FALSE(r.hasAccounting);
@@ -59,9 +62,8 @@ TEST(Report, ParsesSyntheticRecord)
 TEST(Report, ParsesAccountingBlock)
 {
     StatsRecord r = parseOk(
-        "{\"schema\":1,\"label\":\"dmp\",\"workload\":\"mcf\","
-        "\"ipc\":0.5,\"cycles\":100,\"retired_insts\":50,"
-        "\"counters\":{},\"formulas\":{},"
+        "{\"schema\":3,\"label\":\"dmp\",\"workload\":\"mcf\","
+        "\"counters\":{\"cycles\":100,\"retired_insts\":50},"
         "\"accounting\":{\"frontend_depth\":8,\"retire_width\":4,"
         "\"total_cycles\":100,"
         "\"buckets\":{\"retire_useful\":60,\"idle\":40},"
@@ -81,18 +83,42 @@ TEST(Report, ParsesAccountingBlock)
 TEST(Report, RoundTripsRealSimResultJson)
 {
     SimResult r;
-    r.ipc = 0.75;
-    r.cycles = 4000;
-    r.retiredInsts = 3000;
+    r.counters.emplace("cycles", 4000);
+    r.counters.emplace("retired_insts", 3000);
     r.counters.emplace("pipeline_flushes", 17);
-    r.formulas.emplace("mispred_per_kilo_insts", 5.5);
     std::string line = simResultJson(r, "dmp-enhanced", "twolf");
     StatsRecord rec = parseOk(line);
     EXPECT_EQ(rec.schema, kStatsSchemaVersion);
     EXPECT_EQ(rec.label, "dmp-enhanced");
     EXPECT_EQ(rec.workload, "twolf");
     EXPECT_DOUBLE_EQ(rec.ipc, 0.75);
+    EXPECT_EQ(rec.cycles, 4000u);
+    EXPECT_EQ(rec.retiredInsts, 3000u);
     EXPECT_EQ(rec.counter("pipeline_flushes"), 17u);
+}
+
+TEST(Report, IpcIsDerivedFromCounters)
+{
+    // Every schema carries cycles and retired_insts in its counters;
+    // the top-level ipc, cycles and retired_insts that schemas 1 and 2
+    // repeated are not read.
+    const std::string counters =
+        "\"counters\":{\"cycles\":8000,\"retired_insts\":3000}";
+    const std::string old_top =
+        "\"ipc\":\"x\",\"cycles\":1,\"retired_insts\":1,";
+    for (const std::string &line :
+         {"{\"schema\":1,\"label\":\"l\",\"workload\":\"w\"," + old_top +
+              counters + ",\"formulas\":{}}",
+          "{\"schema\":2,\"label\":\"l\",\"workload\":\"w\"," + old_top +
+              counters + "}",
+          "{\"schema\":3,\"label\":\"l\",\"workload\":\"w\"," + counters +
+              "}"}) {
+        const StatsRecord r = parseOk(line);
+        EXPECT_EQ(r.cycles, 8000u) << line;
+        EXPECT_EQ(r.retiredInsts, 3000u) << line;
+        EXPECT_EQ(r.ipc, 3000.0 / 8000.0) << line;
+    }
+    EXPECT_EQ(parseOk(recordLine("l", "w", 5, 0, 0)).ipc, 0.0);
 }
 
 TEST(Report, RejectsMalformedLine)
@@ -110,9 +136,9 @@ TEST(Report, LoadsJsonlSkippingBlankLines)
     std::string path = testing::TempDir() + "dmp_report_test.jsonl";
     {
         std::ofstream out(path);
-        out << recordLine("base", "bzip2", 0.4, 100, 10) << "\n\n"
+        out << recordLine("base", "bzip2", 40, 100, 10) << "\n\n"
             << "   \n"
-            << recordLine("dmp", "bzip2", 0.5, 80, 4) << "\n";
+            << recordLine("dmp", "bzip2", 40, 80, 4) << "\n";
     }
     std::vector<StatsRecord> recs;
     std::string err;
@@ -130,7 +156,7 @@ TEST(Report, LoadErrorsCarryLineNumber)
     std::string path = testing::TempDir() + "dmp_report_bad.jsonl";
     {
         std::ofstream out(path);
-        out << recordLine("base", "bzip2", 0.4, 100, 10) << "\n"
+        out << recordLine("base", "bzip2", 40, 100, 10) << "\n"
             << "{broken\n";
     }
     std::vector<StatsRecord> recs;
@@ -177,7 +203,7 @@ expectRefused(const std::string &line, const std::string &field)
 std::string
 recordWith(const std::string &from, const std::string &to)
 {
-    std::string line = recordLine("base", "bzip2", 0.5, 100, 10);
+    std::string line = recordLine("base", "bzip2", 50, 100, 10);
     const std::size_t at = line.find(from);
     EXPECT_NE(at, std::string::npos) << from;
     return at == std::string::npos ? line : line.replace(at, from.size(), to);
@@ -185,15 +211,15 @@ recordWith(const std::string &from, const std::string &to)
 
 TEST(ReportRefuses, UnknownSchema)
 {
-    expectRefused(recordWith("\"schema\":1", "\"schema\":7"), "schema");
-    expectRefused(recordWith("\"schema\":1", "\"schema\":0"), "schema");
-    expectRefused(recordWith("\"schema\":1", "\"schema\":\"1\""),
+    expectRefused(recordWith("\"schema\":3", "\"schema\":7"), "schema");
+    expectRefused(recordWith("\"schema\":3", "\"schema\":0"), "schema");
+    expectRefused(recordWith("\"schema\":3", "\"schema\":\"3\""),
                   "schema");
 }
 
 TEST(ReportRefuses, MissingSchema)
 {
-    expectRefused(recordWith("\"schema\":1,", ""), "schema");
+    expectRefused(recordWith("\"schema\":3,", ""), "schema");
 }
 
 TEST(ReportRefuses, LabelThatIsNotAString)
@@ -207,32 +233,30 @@ TEST(ReportRefuses, WorkloadThatIsNotAString)
                   "workload");
 }
 
-TEST(ReportRefuses, IpcThatIsNotANumber)
-{
-    expectRefused(recordWith("\"ipc\":0.500000", "\"ipc\":\"x\""), "ipc");
-}
-
 TEST(ReportRefuses, CyclesThatAreNotAnInteger)
 {
     expectRefused(recordWith("\"cycles\":100", "\"cycles\":\"lots\""),
-                  "cycles");
-    expectRefused(recordWith("\"cycles\":100", "\"cycles\":12.5"), "cycles");
+                  "counters.cycles");
+    expectRefused(recordWith("\"cycles\":100", "\"cycles\":12.5"),
+                  "counters.cycles");
+    expectRefused(recordWith("\"cycles\":100,", ""), "counters.cycles");
 }
 
 TEST(ReportRefuses, NegativeRetiredInstructions)
 {
-    expectRefused(recordWith("\"retired_insts\":1000",
+    expectRefused(recordWith("\"retired_insts\":50",
                              "\"retired_insts\":-3"),
-                  "retired_insts");
+                  "counters.retired_insts");
 }
 
 TEST(ReportRefuses, CyclesFrom2To64Up)
 {
     // Converting these to an integer would be undefined behaviour.
-    expectRefused(recordWith("\"cycles\":100", "\"cycles\":1e30"), "cycles");
+    expectRefused(recordWith("\"cycles\":100", "\"cycles\":1e30"),
+                  "counters.cycles");
     expectRefused(recordWith("\"cycles\":100",
                              "\"cycles\":18446744073709551616"),
-                  "cycles");
+                  "counters.cycles");
 }
 
 TEST(ReportRefuses, CounterThatIsNotAnInteger)
@@ -247,17 +271,17 @@ TEST(ReportRefuses, CounterThatIsNotAnInteger)
 
 TEST(ReportRefuses, BucketThatIsNotAnInteger)
 {
-    expectRefused(recordWith("\"formulas\":{}",
-                             "\"formulas\":{},\"accounting\":{\"buckets\":"
-                             "{\"idle\":\"many\"}}"),
+    expectRefused(recordWith("\"retired_insts\":50}",
+                             "\"retired_insts\":50},\"accounting\":"
+                             "{\"buckets\":{\"idle\":\"many\"}}"),
                   "accounting.buckets.idle");
 }
 
 TEST(ReportRefuses, MarkingBlockWithoutAllItsCounts)
 {
-    expectRefused(recordWith("\"formulas\":{}",
-                             "\"formulas\":{},\"marking\":{\"candidates\":1,"
-                             "\"diverge\":1,\"hammock\":0}"),
+    expectRefused(recordWith("\"retired_insts\":50}",
+                             "\"retired_insts\":50},\"marking\":"
+                             "{\"candidates\":1,\"diverge\":1,\"hammock\":0}"),
                   "marking.loop");
 }
 
@@ -266,7 +290,7 @@ TEST(ReportRefuses, TheWholeBadRecordWithItsLineNumber)
     const std::string path = testing::TempDir() + "dmp_report_strict.jsonl";
     {
         std::ofstream out(path);
-        out << recordLine("base", "bzip2", 0.4, 100, 10) << "\n"
+        out << recordLine("base", "bzip2", 40, 100, 10) << "\n"
             << "{\"schema\":7,\"label\":5,\"ipc\":\"x\",\"cycles\":"
                "\"lots\",\"retired_insts\":-3}\n";
     }
@@ -281,6 +305,7 @@ TEST(ReportRefuses, TheWholeBadRecordWithItsLineNumber)
 TEST(Report, ParsesMarkingBlockAndFingerprint)
 {
     SimResult r;
+    r.counters = {{"cycles", 1}, {"retired_insts", 1}};
     r.marking.candidateBranches = 9;
     r.marking.markedDiverge = 4;
     r.marking.markedSimpleHammock = 2;
@@ -289,7 +314,6 @@ TEST(Report, ParsesMarkingBlockAndFingerprint)
     const StatsRecord rec = parseOk(simResultJson(r, "l", "w", "fp", 60));
     EXPECT_EQ(rec.fingerprint, "fp");
     EXPECT_EQ(rec.benchIters, 60u);
-    ASSERT_TRUE(rec.hasMarking);
     EXPECT_EQ(rec.marking.candidateBranches, 9u);
     EXPECT_EQ(rec.marking.markedDiverge, 4u);
     EXPECT_EQ(rec.marking.markedSimpleHammock, 2u);
@@ -304,8 +328,8 @@ TEST(Report, ParsesMarkingBlockAndFingerprint)
 TEST(Report, SummaryAndDiffTables)
 {
     std::vector<StatsRecord> recs = {
-        parseOk(recordLine("base", "bzip2", 0.40, 100, 10)),
-        parseOk(recordLine("dmp", "bzip2", 0.50, 80, 5)),
+        parseOk(recordLine("base", "bzip2", 40, 100, 10)),
+        parseOk(recordLine("dmp", "bzip2", 40, 80, 5)),
     };
     ReportTable s = summaryTable(recs);
     ASSERT_EQ(s.rows.size(), 2u);
@@ -321,11 +345,11 @@ TEST(Report, SummaryAndDiffTables)
 
 TEST(Report, SummaryMpkiFromCountersWhenRecordHasNoFormulas)
 {
-    // The committed figure records carry no formulas.
+    // No schema-3 record carries formulas.
     StatsRecord rec = parseOk(
-        "{\"schema\":1,\"label\":\"base\",\"workload\":\"mcf\","
-        "\"ipc\":0.5,\"cycles\":8000,\"retired_insts\":3000,"
-        "\"counters\":{\"retired_mispred_cond_branches\":37}}");
+        "{\"schema\":3,\"label\":\"base\",\"workload\":\"mcf\","
+        "\"counters\":{\"cycles\":8000,\"retired_insts\":3000,"
+        "\"retired_mispred_cond_branches\":37}}");
     ReportTable s = summaryTable({rec});
     ASSERT_EQ(s.rows.size(), 1u);
     EXPECT_EQ(s.rows[0][6], "12.33");
@@ -333,16 +357,18 @@ TEST(Report, SummaryMpkiFromCountersWhenRecordHasNoFormulas)
 
 TEST(Report, SummaryMpkiMatchesTheCoreFormula)
 {
-    SimConfig cfg;
-    cfg.workload = "mcf";
-    cfg.train.iterations = 100;
-    cfg.ref.iterations = 100;
-    SimResult r = runSim(cfg);
-    StatsRecord rec = parseOk(simResultJson(r, "base", "mcf"));
+    workloads::WorkloadParams wp;
+    wp.iterations = 100;
+    const isa::Program prog = workloads::buildWorkload("mcf", wp);
+    core::Core machine(prog, core::CoreParams{});
+    machine.run();
+    StatsRecord rec = parseOk(
+        simResultJson(resultOfRun(machine, nullptr, 0), "base", "mcf"));
     ASSERT_GT(rec.counter("retired_mispred_cond_branches"), 0u);
     char want[48];
     std::snprintf(want, sizeof(want), "%.2f",
-                  r.formulas.at("mispred_per_kilo_insts"));
+                  test::derivedStats(machine.stats())
+                      .at("mispred_per_kilo_insts"));
     EXPECT_EQ(summaryTable({rec}).rows[0][6], want);
 }
 
@@ -373,9 +399,8 @@ TEST(Report, RenderersProduceAllThreeFormats)
 TEST(Report, BranchTableRanksByNetCycles)
 {
     StatsRecord rec = parseOk(
-        "{\"schema\":1,\"label\":\"dmp\",\"workload\":\"gap\","
-        "\"ipc\":0.5,\"cycles\":10,\"retired_insts\":5,"
-        "\"counters\":{},\"formulas\":{},"
+        "{\"schema\":3,\"label\":\"dmp\",\"workload\":\"gap\","
+        "\"counters\":{\"cycles\":10,\"retired_insts\":5},"
         "\"accounting\":{\"buckets\":{},\"branches\":["
         "{\"pc\":\"0x100\",\"episodes\":2,\"net_cycles\":5.0},"
         "{\"pc\":\"0x200\",\"episodes\":3,\"net_cycles\":50.0},"

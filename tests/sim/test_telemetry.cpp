@@ -1,21 +1,23 @@
 /**
  * @file
  * Tests for SimResult telemetry: checked counter lookup (require vs.
- * warn-once get), distribution/formula export from the core's stats,
- * host-side wall-clock counters, and the JSONL record format consumed
- * by the figure pipeline (dmp run / dmp paper --stats-json).
+ * warn-once get), distribution export from the core's stats, the
+ * derived ratios left to readers, host-side wall-clock counters, and
+ * the JSONL record format consumed by the figure pipeline (dmp run /
+ * dmp paper --stats-json).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <string>
 #include <vector>
 
 #include "analysis/accounting.hh"
 #include "sim/batch.hh"
+#include "sim/report.hh"
 #include "sim/simulator.hh"
+#include "../testutil.hh"
 
 namespace dmp
 {
@@ -81,12 +83,17 @@ TEST(Telemetry, DistributionsExported)
 
 TEST(Telemetry, FormulasExported)
 {
+    // The derived ratios are not in the record (schema 3): a reader
+    // derives IPC from the counters, as the result itself does.
     const sim::SimResult &r = sharedResult();
-    auto it = r.formulas.find("ipc");
-    ASSERT_NE(it, r.formulas.end());
-    EXPECT_NEAR(it->second, r.ipc, 1e-9);
-    EXPECT_TRUE(r.formulas.count("flushes_per_kilo_insts"));
-    EXPECT_TRUE(r.formulas.count("fetch_overhead"));
+    EXPECT_EQ(r.ipc, double(r.retiredInsts) / double(r.cycles));
+    const std::string j = sim::simResultJson(r, "dmp-enhanced", "bzip2");
+    EXPECT_EQ(j.find("\"formulas\""), std::string::npos);
+    EXPECT_EQ(j.find("\"ipc\""), std::string::npos);
+    sim::StatsRecord rec;
+    std::string err;
+    ASSERT_TRUE(sim::parseStatsRecord(j, rec, err)) << err;
+    EXPECT_EQ(rec.ipc, r.ipc);
 }
 
 /** Sorted keys of a map. */
@@ -135,7 +142,7 @@ TEST(Telemetry, StatNamesArePinned)
     const sim::SimResult &r = sharedResult();
     EXPECT_EQ(sortedKeys(r.counters), kCoreCounters);
     EXPECT_EQ(sortedKeys(r.distributions), kDistributions);
-    EXPECT_EQ(sortedKeys(r.formulas), kDerived);
+    EXPECT_EQ(sortedKeys(test::derivedStats(core::CoreStats{})), kDerived);
 
     sim::SimConfig cfg = smallConfig();
     cfg.accounting = true;
@@ -145,7 +152,6 @@ TEST(Telemetry, StatNamesArePinned)
                     kAcctCounters.end());
     EXPECT_EQ(sortedKeys(acct.counters), counters);
     EXPECT_EQ(sortedKeys(acct.distributions), kDistributions);
-    EXPECT_EQ(sortedKeys(acct.formulas), kDerived);
 }
 
 TEST(Telemetry, DerivedValuesOfAZeroCycleRunAreZero)
@@ -154,26 +160,24 @@ TEST(Telemetry, DerivedValuesOfAZeroCycleRunAreZero)
     core::Core machine(prog, sim::machine("dmp-enhanced"));
     sim::SimResult r = sim::resultOfRun(machine, nullptr, 0.0);
     EXPECT_EQ(r.cycles, 0u);
-    ASSERT_EQ(sortedKeys(r.formulas), kDerived);
-    for (const auto &[name, v] : r.formulas)
+    const auto derived = test::derivedStats(machine.stats());
+    ASSERT_EQ(sortedKeys(derived), kDerived);
+    for (const auto &[name, v] : derived)
         EXPECT_EQ(v, 0.0) << name; // exactly 0: no NaN, no Inf
     EXPECT_EQ(r.ipc, 0.0);
 
-    // Derived values are read from the counters at export time.
+    // Derived values are read from the counters when visited.
     machine.stats().cycles += 4;
     machine.stats().retiredInsts += 6;
-    r = sim::resultOfRun(machine, nullptr, 0.0);
-    EXPECT_EQ(r.formulas.at("ipc"), 1.5);
-    EXPECT_EQ(r.formulas.at("fetch_overhead"), 0.0);
+    EXPECT_EQ(test::derivedStats(machine.stats()).at("ipc"), 1.5);
+    EXPECT_EQ(test::derivedStats(machine.stats()).at("fetch_overhead"), 0.0);
+    EXPECT_EQ(sim::resultOfRun(machine, nullptr, 0.0).ipc, 1.5);
 }
 
 TEST(Telemetry, HostTelemetryPopulated)
 {
     const sim::SimResult &r = sharedResult();
     EXPECT_GT(r.hostSeconds, 0.0);
-    EXPECT_GT(r.hostInstRate, 0.0);
-    EXPECT_NEAR(r.hostInstRate, double(r.retiredInsts) / r.hostSeconds,
-                1.0);
 }
 
 TEST(Telemetry, JsonRecordRoundTrips)
@@ -193,15 +197,12 @@ TEST(Telemetry, JsonRecordRoundTrips)
     EXPECT_NE(j.find("\"workload\":\"bzip2\""), std::string::npos);
     EXPECT_NE(j.find("\"cycles\":" + std::to_string(r.cycles)),
               std::string::npos);
-    // Every counter, distribution, and formula appears by name.
+    // Every counter and distribution appears by name.
     for (const auto &kv : r.counters)
         EXPECT_NE(j.find("\"" + kv.first + "\":"), std::string::npos)
             << kv.first;
     for (const auto &kv : r.distributions)
         EXPECT_NE(j.find("\"" + kv.first + "\":{"), std::string::npos)
-            << kv.first;
-    for (const auto &kv : r.formulas)
-        EXPECT_NE(j.find("\"" + kv.first + "\":"), std::string::npos)
             << kv.first;
 }
 
@@ -209,7 +210,7 @@ TEST(Telemetry, JsonRecordSplicesExtraFields)
 {
     const sim::SimResult &r = sharedResult();
     std::string j = sim::simResultJson(r, "l", "w", "fp\"1", 200);
-    EXPECT_NE(j.find(",\"host_inst_rate\":"), std::string::npos) << j;
+    EXPECT_NE(j.find(",\"host_seconds\":"), std::string::npos) << j;
     EXPECT_NE(j.find(",\"fingerprint\":\"fp\\\"1\",\"bench_iters\":200,"
                      "\"counters\":{"),
               std::string::npos)
@@ -221,16 +222,15 @@ TEST(Telemetry, JsonRecordSplicesExtraFields)
 
 TEST(Telemetry, JsonRecordBytesArePinned)
 {
-    // Every kind of value a record holds, byte for byte: top-level
-    // doubles and formulas at 12 digits, the distribution mean and the
-    // accounting net_cycles at 6, a NaN formula as null, and the
-    // marking block's counts.
+    // Every kind of value a record holds, byte for byte: host_seconds
+    // at 12 digits, the distribution mean and the accounting net_cycles
+    // at 6, and the marking block's counts. The result's ipc, cycles
+    // and retiredInsts are not written: the counters carry them.
     sim::SimResult r;
     r.ipc = 1.0 / 3;
     r.cycles = 9;
     r.retiredInsts = 3;
-    r.hostSeconds = 0.5;
-    r.hostInstRate = 6;
+    r.hostSeconds = 1.0 / 3;
     r.counters.emplace("pipeline_flushes", 17);
     DistSnapshot d;
     d.max = 3;
@@ -242,8 +242,6 @@ TEST(Telemetry, JsonRecordBytesArePinned)
     d.minVal = 1;
     d.maxVal = 9;
     r.distributions.emplace("lat", d);
-    r.formulas.emplace("ratio", 2.0 / 3);
-    r.formulas.emplace("empty", std::nan(""));
     r.marking.candidateBranches = 8;
     r.marking.markedDiverge = 5;
     r.marking.markedSimpleHammock = 2;
@@ -256,15 +254,13 @@ TEST(Telemetry, JsonRecordBytesArePinned)
     r.hasAccounting = true;
     r.accountingJson = acct.json();
     EXPECT_EQ(sim::simResultJson(r, "dmp", "mcf"),
-              "{\"schema\":2,\"label\":\"dmp\",\"workload\":\"mcf\","
-              "\"ipc\":0.333333333333,\"cycles\":9,\"retired_insts\":3,"
-              "\"host_seconds\":0.5,\"host_inst_rate\":6,"
+              "{\"schema\":3,\"label\":\"dmp\",\"workload\":\"mcf\","
+              "\"host_seconds\":0.333333333333,"
               "\"counters\":{\"pipeline_flushes\":17},"
               "\"distributions\":{\"lat\":{\"min\":0,\"max\":3,"
               "\"bucket_size\":2,\"samples\":3,\"sum\":14,\"mean\":4.66667,"
               "\"min_val\":1,\"max_val\":9,\"underflow\":0,\"overflow\":1,"
-              "\"buckets\":[1,1]}},\"formulas\":{\"empty\":null,"
-              "\"ratio\":0.666666666667},\"marking\":{\"candidates\":8,"
+              "\"buckets\":[1,1]}},\"marking\":{\"candidates\":8,"
               "\"diverge\":5,\"hammock\":2,\"loop\":1,\"classification\":"
               "{\"simple_hammock_diverge\":4,\"complex_diverge\":6,"
               "\"other_complex\":7,\"total_insts\":2000}},"

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 
 #include "core/core.hh"
@@ -35,6 +36,23 @@ struct NoCycleSkip : core::CoreObserver
 {
     bool allowsCycleSkip() const override { return false; }
 };
+
+/**
+ * The core's derived ratios (ipc, fetch_overhead, ...) by name: the
+ * values `dmp run`'s stats dump prints, which no record carries.
+ */
+inline std::map<std::string, double>
+derivedStats(const core::CoreStats &st)
+{
+    std::map<std::string, double> out;
+    st.forEachStat(Overloaded{
+        [](std::string_view, const Counter &, std::string_view) {},
+        [](std::string_view, const Distribution &, std::string_view) {},
+        [&](std::string_view name, double v, std::string_view) {
+            out.emplace(name, v);
+        }});
+    return out;
+}
 
 /** Run the functional reference to completion (bounded). */
 inline isa::ArchState
