@@ -58,8 +58,10 @@ analyzeProgram(const isa::Program &program, const AnalysisOptions &opts,
     return report;
 }
 
-LintError::LintError(std::string what_, Report report_)
-    : std::runtime_error(std::move(what_)), rep(std::move(report_))
+LintError::LintError(std::string what_, Report report_,
+                     AnalysisSummary summary_)
+    : std::runtime_error(std::move(what_)), rep(std::move(report_)),
+      sum(std::move(summary_))
 {
 }
 
@@ -67,14 +69,15 @@ void
 preflightOrThrow(const isa::Program &program, const AnalysisOptions &opts,
                  const std::string &subject)
 {
-    Report report = analyzeProgram(program, opts);
+    AnalysisSummary summary;
+    Report report = analyzeProgram(program, opts, &summary);
     if (report.errors() == 0)
         return; // warnings/infos alone never block a run
     // The message is built before the report moves into the exception.
     std::string what = "static analysis of '" + subject + "' found " +
                        std::to_string(report.errors()) + " error(s):\n" +
                        report.text();
-    throw LintError(std::move(what), std::move(report));
+    throw LintError(std::move(what), std::move(report), std::move(summary));
 }
 
 } // namespace dmp::analysis

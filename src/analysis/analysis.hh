@@ -8,10 +8,12 @@
  * Consumers:
  *
  *  - `dmp lint` (src/tools/dmp.cc)
- *  - the pre-flight of sim::markProgram, which marks every program
- *    that `dmp run`, runSim and BatchRunner (once per profile-cache
- *    entry) simulate: a marking error throws LintError before any
- *    simulation consumes the program.
+ *  - sim::loadTarget, which verifies an assembly file, value analysis
+ *    on, before anything executes it
+ *  - the pre-flights of sim::markProgram and sim::markRefBuild, which
+ *    mark every program that `dmp run`, runSim and BatchRunner (once
+ *    per profile-cache entry) simulate: a marking error throws
+ *    LintError before any simulation consumes the program.
  */
 
 #ifndef DMP_ANALYSIS_ANALYSIS_HH
@@ -46,8 +48,10 @@ struct AnalysisOptions
      * memory violations become Errors, proved-dead branch arms are
      * reported, and JR/RET instructions with a proved target set get
      * precise flow edges (upgrading `cfm-unverifiable` Infos to a
-     * definitive verdict). Off by default: batch pre-flight and plain
-     * dmp lint keep the cheap structural-only behaviour.
+     * definitive verdict). Off by default: the marking pre-flights
+     * and plain dmp lint keep the cheap structural-only behaviour;
+     * sim::loadTarget turns it on for an assembly file, the one input
+     * that comes from outside, and dmp lint --deep for its report.
      */
     bool absint = false;
     /** Narrowing sweeps when absint is on (dmp lint --deep=N). */
@@ -77,13 +81,17 @@ Report analyzeProgram(const isa::Program &program,
 class LintError : public std::runtime_error
 {
   public:
-    LintError(std::string what_, Report report_);
+    LintError(std::string what_, Report report_, AnalysisSummary summary_);
 
     /** The full report, including the non-error findings. */
     const Report &report() const noexcept { return rep; }
 
+    /** The analysis metadata (absint's only when the options ran it). */
+    const AnalysisSummary &summary() const noexcept { return sum; }
+
   private:
     Report rep;
+    AnalysisSummary sum;
 };
 
 /**

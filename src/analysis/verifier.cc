@@ -153,8 +153,9 @@ checkReachability(const isa::Program &prog, const cfg::Cfg &graph,
         i = j + 1;
     }
 
+    // An error: a run of such a program never ends.
     if (!halt_reached && !r.hitIndirect) {
-        report.add(Severity::Warn, "no-reachable-halt", prog.baseAddr(),
+        report.add(Severity::Error, "no-reachable-halt", prog.baseAddr(),
                    blockOf(graph, prog.baseAddr()),
                    "no HALT instruction is reachable from the entry "
                    "point: the program cannot terminate");

@@ -153,14 +153,13 @@ BatchRunner::workerLoop(std::stop_token st)
     }
 }
 
-std::shared_ptr<const BatchRunner::Marked>
-BatchRunner::once(MarkedCache &cache, const std::string &key,
-                  std::atomic<std::uint64_t> *hits,
-                  std::atomic<std::uint64_t> &misses,
-                  const std::function<std::shared_ptr<const Marked>()> &make)
+std::pair<std::shared_ptr<const MarkedProgram>, bool>
+BatchRunner::once(
+    MarkedCache &cache, const std::string &key,
+    const std::function<std::shared_ptr<const MarkedProgram>()> &make)
 {
-    std::promise<std::shared_ptr<const Marked>> prom;
-    std::shared_future<std::shared_ptr<const Marked>> fut;
+    std::promise<std::shared_ptr<const MarkedProgram>> prom;
+    std::shared_future<std::shared_ptr<const MarkedProgram>> fut;
     bool own = false;
     {
         std::lock_guard lk(mtx);
@@ -168,9 +167,6 @@ BatchRunner::once(MarkedCache &cache, const std::string &key,
         if (inserted) {
             own = true;
             it->second = prom.get_future().share();
-            misses.fetch_add(1, std::memory_order_relaxed);
-        } else if (hits) {
-            hits->fetch_add(1, std::memory_order_relaxed);
         }
         fut = it->second;
     }
@@ -181,45 +177,33 @@ BatchRunner::once(MarkedCache &cache, const std::string &key,
             prom.set_exception(std::current_exception());
         }
     }
-    return fut.get();
+    return {fut.get(), own};
 }
 
-std::shared_ptr<const BatchRunner::Marked>
+std::shared_ptr<const MarkedProgram>
 BatchRunner::preparedProgram(const SimConfig &cfg)
 {
     const std::string pkey = profileFingerprint(cfg);
 
-    // Level 1: profile + mark the train binary, once per pkey. Static
-    // synthesis needs no training run and must analyze the binary that
-    // executes (the train build's seeded immediates differ, so
-    // value-analysis proofs made there need not hold on the ref
-    // build), so it skips this level and marks in level 2.
-    std::shared_ptr<const Marked> train;
-    if (cfg.markMode != MarkMode::Static) {
-        train = once(trainCache, pkey, &nProfileHits, nProfileRuns, [&] {
-            auto e = std::make_shared<Marked>();
-            e->program = workloads::buildWorkload(cfg.workload, cfg.train);
-            e->report = markProgram(e->program, cfg);
-            return e;
-        });
-    }
+    // Level 1: the marked train build, once per pkey. Only a train run
+    // counts as a profile run or hit: Static mode has none.
+    auto [train, trained] =
+        once(trainCache, pkey, [&] { return markTrainBuild(cfg); });
+    if (train)
+        (trained ? nProfileRuns : nProfileHits)
+            .fetch_add(1, std::memory_order_relaxed);
 
-    // Level 2: build the ref binary and transfer the marks, once per
-    // (pkey, ref input). All core configurations of a figure share the
-    // resulting program read-only.
+    // Level 2: the marked ref build, once per (pkey, ref input).
     std::ostringstream rkey;
     FieldWriter{rkey, ","}("ref", cfg.ref);
-    return once(refCache, pkey + rkey.str(), nullptr, nMarkedBuilds, [&] {
-        auto e = std::make_shared<Marked>();
-        e->program = workloads::buildWorkload(cfg.workload, cfg.ref);
-        if (train) {
-            transferAndPreflight(train->program, e->program, cfg);
-            e->report = train->report;
-        } else {
-            e->report = markProgram(e->program, cfg);
-        }
-        return e;
-    });
+    auto [ref, built] =
+        once(refCache, pkey + rkey.str(), [&cfg, from = train.get()] {
+            return std::make_shared<const MarkedProgram>(
+                markRefBuild(cfg, from));
+        });
+    if (built)
+        nMarkedBuilds.fetch_add(1, std::memory_order_relaxed);
+    return ref;
 }
 
 std::shared_ptr<const SimResult>
@@ -230,7 +214,7 @@ BatchRunner::execute(const Task &task)
         execOrder.push_back(task.key);
     }
     nSimRuns.fetch_add(1, std::memory_order_relaxed);
-    std::shared_ptr<const Marked> prep = preparedProgram(task.cfg);
+    std::shared_ptr<const MarkedProgram> prep = preparedProgram(task.cfg);
     SimResult r = runSimOnProgram(prep->program, prep->report, task.cfg);
     nSimNanos.fetch_add(std::uint64_t(r.hostSeconds * 1e9),
                         std::memory_order_relaxed);

@@ -12,12 +12,12 @@
  *     same experiment simulate once, and two experiments differing
  *     only in marker config or budgets never alias;
  *
- *  2. a profile/marking cache: the compiler pass (train-input profile
- *     run + diverge/CFM marking + mark transfer onto the ref binary)
- *     depends only on (workload, train input, marker config, memory
- *     size) — not on the core configuration — so it runs once per
- *     figure row and the marked isa::Program is shared read-only by
- *     all core configurations.
+ *  2. a profile/marking cache: the compiler pass (markTrainBuild's
+ *     train-input profile run and marking, then markRefBuild's mark
+ *     transfer onto the ref binary) depends only on (workload, train
+ *     input, marker config, memory size) — not on the core
+ *     configuration — so it runs once per figure row and the marked
+ *     isa::Program is shared read-only by all core configurations.
  *
  * Determinism: the simulator itself is single-threaded and seeded; the
  * pool only changes *where* each run executes, never what it computes.
@@ -133,18 +133,13 @@ class BatchRunner
 
   private:
     /**
-     * A marked program and its report: the train binary (one per
-     * profileFingerprint) or the ref binary that all core
-     * configurations share read-only.
+     * Level 1 holds each profileFingerprint's markTrainBuild (null in
+     * Static mode), level 2 each (profileFingerprint, ref input)'s
+     * markRefBuild, which all core configurations share read-only.
      */
-    struct Marked
-    {
-        isa::Program program;
-        profile::MarkingReport report;
-    };
-    using MarkedCache =
-        std::unordered_map<std::string,
-                           std::shared_future<std::shared_ptr<const Marked>>>;
+    using MarkedCache = std::unordered_map<
+        std::string,
+        std::shared_future<std::shared_ptr<const MarkedProgram>>>;
 
     struct Task
     {
@@ -155,18 +150,17 @@ class BatchRunner
 
     void workerLoop(std::stop_token st);
     std::shared_ptr<const SimResult> execute(const Task &task);
-    std::shared_ptr<const Marked> preparedProgram(const SimConfig &cfg);
+    std::shared_ptr<const MarkedProgram>
+    preparedProgram(const SimConfig &cfg);
     /**
      * The entry of `cache` under `key`, made by `make` on the first
-     * request (counted in `misses`; later requests count in `hits` when
-     * given). Concurrent requesters of one key wait on the first one's
-     * future instead of making it again, and an exception from `make`
-     * reaches all of them.
+     * request, and whether this request made it. Concurrent requesters
+     * of one key wait on the first one's future instead of making it
+     * again, and an exception from `make` reaches all of them.
      */
-    std::shared_ptr<const Marked>
+    std::pair<std::shared_ptr<const MarkedProgram>, bool>
     once(MarkedCache &cache, const std::string &key,
-         std::atomic<std::uint64_t> *hits, std::atomic<std::uint64_t> &misses,
-         const std::function<std::shared_ptr<const Marked>()> &make);
+         const std::function<std::shared_ptr<const MarkedProgram>()> &make);
 
     mutable std::mutex mtx;
     std::condition_variable_any cv;

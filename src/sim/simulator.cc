@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <fstream>
 #include <map>
+#include <sstream>
 #include <vector>
 
 #include "analysis/accounting.hh"
@@ -10,6 +12,7 @@
 #include "analysis/markgen.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
+#include "isa/assembler.hh"
 
 namespace dmp::sim
 {
@@ -138,10 +141,6 @@ simResultJson(const SimResult &r, const std::string &label,
     return w.take();
 }
 
-namespace
-{
-
-/** Verifier and linter bounds of `cfg`, verifier on. */
 analysis::AnalysisOptions
 analysisOptions(const SimConfig &cfg)
 {
@@ -152,7 +151,22 @@ analysisOptions(const SimConfig &cfg)
     return ao;
 }
 
-} // namespace
+isa::Program
+loadTarget(const SimConfig &cfg, const workloads::WorkloadParams &input)
+{
+    if (workloads::findWorkload(cfg.workload))
+        return workloads::buildWorkload(cfg.workload, input);
+    std::ifstream in(cfg.workload);
+    if (!in)
+        dmp_fatal("cannot open ", cfg.workload);
+    std::ostringstream text;
+    text << in.rdbuf();
+    isa::Program program = isa::assemble(text.str());
+    analysis::AnalysisOptions ao = analysisOptions(cfg);
+    ao.absint = true;
+    analysis::preflightOrThrow(program, ao, cfg.workload);
+    return program;
+}
 
 profile::MarkingReport
 markProgram(isa::Program &program, const SimConfig &cfg)
@@ -197,35 +211,37 @@ markProgram(isa::Program &program, const SimConfig &cfg)
     return report;
 }
 
-void
-transferAndPreflight(const isa::Program &train, isa::Program &ref,
-                     const SimConfig &cfg)
+std::shared_ptr<const MarkedProgram>
+markTrainBuild(const SimConfig &cfg)
 {
-    profile::transferMarks(train, ref);
-    analysis::preflightOrThrow(ref, analysisOptions(cfg), cfg.workload);
+    if (cfg.markMode == MarkMode::Static)
+        return nullptr;
+    auto train = std::make_shared<MarkedProgram>();
+    train->program = loadTarget(cfg, cfg.train);
+    train->report = markProgram(train->program, cfg);
+    return train;
 }
 
-std::pair<isa::Program, profile::MarkingReport>
+MarkedProgram
+markRefBuild(const SimConfig &cfg, const MarkedProgram *train)
+{
+    MarkedProgram ref;
+    ref.program = loadTarget(cfg, cfg.ref);
+    if (!train) {
+        ref.report = markProgram(ref.program, cfg);
+        return ref;
+    }
+    profile::transferMarks(train->program, ref.program);
+    analysis::preflightOrThrow(ref.program, analysisOptions(cfg),
+                               cfg.workload);
+    ref.report = train->report;
+    return ref;
+}
+
+MarkedProgram
 prepareMarkedProgram(const SimConfig &cfg)
 {
-    isa::Program ref = workloads::buildWorkload(cfg.workload, cfg.ref);
-
-    // Static synthesis needs no training run, so it marks the binary
-    // that actually executes. The train build's data seed also varies
-    // code immediates, and the value analysis behind the synthesis
-    // proves facts that are exact only for the image it analyzed —
-    // marks transferred from the train build could embed train-only
-    // "proofs" (a branch one-sided under the train constants only).
-    if (cfg.markMode == MarkMode::Static) {
-        profile::MarkingReport report = markProgram(ref, cfg);
-        return {std::move(ref), std::move(report)};
-    }
-
-    isa::Program train =
-        workloads::buildWorkload(cfg.workload, cfg.train);
-    profile::MarkingReport report = markProgram(train, cfg);
-    transferAndPreflight(train, ref, cfg);
-    return {std::move(ref), std::move(report)};
+    return markRefBuild(cfg, markTrainBuild(cfg).get());
 }
 
 SimResult

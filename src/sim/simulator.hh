@@ -23,6 +23,7 @@
 
 namespace dmp::analysis
 {
+struct AnalysisOptions;
 class CycleAccounting;
 } // namespace dmp::analysis
 
@@ -216,38 +217,59 @@ SimResult runSimOnProgram(const isa::Program &ref,
                           const SimConfig &cfg);
 
 /**
+ * The verifier and linter bounds of `cfg` (marker, predicate registers,
+ * data-memory size), with the value analysis off.
+ */
+analysis::AnalysisOptions analysisOptions(const SimConfig &cfg);
+
+/**
+ * The unmarked program cfg.workload names: that workload built from
+ * `input`, or else an assembly file. A file comes from outside, so it
+ * is verified here with the value analysis; an error finding throws
+ * analysis::LintError with the full report before anything executes
+ * it. Generated workloads skip that pass: a test proves them clean.
+ */
+isa::Program loadTarget(const SimConfig &cfg,
+                        const workloads::WorkloadParams &input);
+
+/**
  * Mark `program` in place according to cfg.markMode — profile-and-mark
  * (Profile), static synthesis (Static) or clear (None) — and lint the
- * result against the bounds of cfg.marker, cfg.core.predRegisters and
- * cfg.core.memoryBytes. The verifier checks the unmarked program once,
- * before marking. A program it rejects, or an illegal marking, throws
- * analysis::LintError before anything runs it. Every run
- * is marked here: prepareMarkedProgram, both levels of the batch
- * profile cache and `dmp run` on a `.s` file. For Static, pass the
- * program that will actually run — synthesis leans on a value
- * analysis whose proofs are exact only for the analyzed image, and
- * the workload generators bake the data seed into code immediates.
+ * result against analysisOptions(cfg). The verifier checks the
+ * unmarked program once, before marking; a program it rejects, or an
+ * illegal marking, throws analysis::LintError before anything runs it.
+ * For Static, pass the program that will actually run — synthesis
+ * leans on a value analysis whose proofs are exact only for the
+ * analyzed image, and the workload generators bake the data seed into
+ * code immediates.
  */
 profile::MarkingReport markProgram(isa::Program &program,
                                    const SimConfig &cfg);
 
-/**
- * Copy the marks of the marked `train` build onto the `ref` build of
- * the same workload, then verify and lint `ref` as markProgram does:
- * the marks are checked on the image that runs. Throws
- * analysis::LintError on an error finding.
- */
-void transferAndPreflight(const isa::Program &train, isa::Program &ref,
-                          const SimConfig &cfg);
+/** A marked program and the report of its marking. */
+struct MarkedProgram
+{
+    isa::Program program;
+    profile::MarkingReport report;
+};
 
 /**
- * Marking only: returns the marked ref program and the marking report
- * (for callers that need the program itself). Profile mode marks
- * the train build and transfers by PC (transferAndPreflight); Static
- * synthesizes directly on the ref build (see markProgram).
+ * First step of preparing every run and `dmp lint`/`mark` target: load
+ * the train build and mark it (markProgram). Null in Static mode, which
+ * needs no training run.
  */
-std::pair<isa::Program, profile::MarkingReport>
-prepareMarkedProgram(const SimConfig &cfg);
+std::shared_ptr<const MarkedProgram> markTrainBuild(const SimConfig &cfg);
+
+/**
+ * Second step: load the ref build, the image that runs, and copy the
+ * marks of `train` onto it by PC, then verify and lint it as
+ * markProgram does; without `train` (Static mode), mark it in place.
+ */
+MarkedProgram markRefBuild(const SimConfig &cfg,
+                           const MarkedProgram *train);
+
+/** Both steps, for callers that need the marked program itself. */
+MarkedProgram prepareMarkedProgram(const SimConfig &cfg);
 
 /** Percentage helper: 100 * (a - b) / b. */
 double pctDelta(double a, double b);

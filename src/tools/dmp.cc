@@ -18,9 +18,12 @@
  * dmp run — run one workload (or an assembly file) through a chosen
  * machine configuration and print the full statistics dump. The
  * marked program is linted first, as dmp lint does; an error finding
- * refuses the run (exit 1), and dmp lint prints the full report. A
- * program the verifier rejects is refused before a profile train run
- * would execute it (dmp lint reports it unmarked, dmp mark refuses it).
+ * refuses the run (exit 1), and dmp lint prints the full report. An
+ * assembly file is verified once, as it loads, with the value
+ * analysis: one that falls off its end, cannot halt, or is proved to
+ * jump out of its image or access memory out of bounds or unaligned
+ * is refused with its findings (exit 1) before anything executes it,
+ * by dmp run, lint and mark alike.
  *
  *   --mode=NAME          machine mode, from sim::machines(): base,
  *                        dhp, dmp, mcfm, mcfm-eexit, dmp-enhanced
@@ -183,9 +186,7 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "analysis/accounting.hh"
@@ -197,7 +198,6 @@
 #include "core/core.hh"
 #include "core/pipeview.hh"
 #include "core/text_trace.hh"
-#include "isa/assembler.hh"
 #include "profile/profiler.hh"
 #include "sim/batch.hh"
 #include "sim/paper.hh"
@@ -291,43 +291,6 @@ fraction(const char *name, const std::string &v)
     return d;
 }
 
-bool
-isWorkload(const std::string &name)
-{
-    for (const auto &info : workloads::workloadList())
-        if (info.name == name)
-            return true;
-    return false;
-}
-
-/** Build workload `target` from `params`, or assemble the file `target`. */
-isa::Program
-loadTarget(const std::string &target,
-           const workloads::WorkloadParams &params)
-{
-    if (isWorkload(target))
-        return workloads::buildWorkload(target, params);
-    std::ifstream in(target);
-    if (!in)
-        dmp_fatal("cannot open ", target);
-    std::ostringstream text;
-    text << in.rdbuf();
-    return isa::assemble(text.str());
-}
-
-/**
- * The verifier's findings on `prog` as loaded, unmarked. Marking by
- * profile executes the program, so a target with an error here is
- * reported with these findings instead of being profiled.
- */
-analysis::Report
-verifyUnmarked(const isa::Program &prog, std::size_t memoryBytes)
-{
-    analysis::AnalysisOptions ao;
-    ao.memoryBytes = memoryBytes;
-    return analysis::analyzeProgram(prog, ao);
-}
-
 /** `targets` with each "all" replaced by every workload name. */
 std::vector<std::string>
 expandAll(const std::vector<std::string> &targets)
@@ -359,24 +322,19 @@ writeJson(const std::string &path, const std::string &doc)
 }
 
 /**
- * The options `dmp lint` and `dmp mark` share: the targets, how
- * workloads are built, the data-memory size and the report sinks.
+ * The options `dmp lint` and `dmp mark` share: the targets, the build
+ * (the train input of `cfg`), marker and data-memory size that
+ * sim::markTrainBuild loads each one by, and the report sinks.
  */
 struct TargetOptions
 {
     std::vector<std::string> targets;
-    workloads::WorkloadParams build;
-    bool loopExt = false;
-    std::size_t mem = 0; // 0: CoreParams::memoryBytes
+    sim::SimConfig cfg;
     bool quiet = false;
     bool json = false;
     std::string jsonPath; // empty with json=true: stdout
 
-    TargetOptions()
-    {
-        build.iterations = kDefaultIters;
-        build.seed = sim::SimConfig{}.train.seed;
-    }
+    TargetOptions() { cfg.train.iterations = kDefaultIters; }
 
     /** Consume `a` if it is one of these options; false otherwise. */
     bool
@@ -384,14 +342,15 @@ struct TargetOptions
     {
         std::string v;
         if (option(a, "--iters", &v))
-            build.iterations = number("--iters", v);
+            cfg.train.iterations = number("--iters", v);
         else if (option(a, "--seed", &v))
-            build.seed = number("--seed", v);
+            cfg.train.seed = number("--seed", v);
         else if (option(a, "--loop-ext"))
-            loopExt = true;
-        else if (option(a, "--mem", &v))
-            mem = number("--mem", v);
-        else if (option(a, "--quiet"))
+            cfg.marker.markLoopBranches = true;
+        else if (option(a, "--mem", &v)) {
+            if (const std::uint64_t n = number("--mem", v)) // 0: default
+                cfg.core.memoryBytes = n;
+        } else if (option(a, "--quiet"))
             quiet = true;
         else if (option(a, "--json"))
             json = true;
@@ -617,9 +576,6 @@ reportCheckFailure(const RunOptions &o, const check::CheckError &e,
 int
 runSweep(const RunOptions &o)
 {
-    if (!isWorkload(o.target))
-        dmp_fatal("--sweep needs a workload name, got: ", o.target);
-
     std::vector<std::string> modes;
     if (o.sweep == "all") {
         for (const sim::Machine &m : sim::machines())
@@ -710,19 +666,11 @@ runCommand(int argc, char **argv)
         return runSweep(o);
     }
 
-    // A workload goes through the same train/ref flow as the batch
-    // pool; an assembly file is marked in place. Either way the marked
-    // program is linted first, and an error finding refuses the run.
+    // The same train/ref flow as the batch pool: the marked program is
+    // linted first, and an error finding refuses the run.
     const sim::SimConfig cfg = simConfigFor(o, o.mode);
     const core::CoreParams &params = cfg.core;
-    isa::Program prog;
-    profile::MarkingReport report;
-    if (isWorkload(o.target)) {
-        std::tie(prog, report) = sim::prepareMarkedProgram(cfg);
-    } else {
-        prog = loadTarget(o.target, cfg.ref);
-        report = sim::markProgram(prog, cfg);
-    }
+    auto [prog, report] = sim::prepareMarkedProgram(cfg);
 
     if (o.marks) {
         std::fputs(prog.listing().c_str(), stdout);
@@ -837,8 +785,8 @@ int
 lintCommand(int argc, char **argv)
 {
     TargetOptions o;
+    sim::SimConfig &cfg = o.cfg;
     bool noMark = false, deep = false;
-    unsigned depth = 0;    // 0: CoreParams::predRegisters
     unsigned deepIters = 2;
     for (int i = 1; i < argc; ++i) {
         std::string v;
@@ -847,8 +795,10 @@ lintCommand(int argc, char **argv)
             continue;
         if (option(a, "--no-mark"))
             noMark = true;
-        else if (option(a, "--depth", &v))
-            depth = unsigned(number("--depth", v, UINT_MAX));
+        else if (option(a, "--depth", &v)) {
+            if (const unsigned n = unsigned(number("--depth", v, UINT_MAX)))
+                cfg.core.predRegisters = n; // 0: default
+        }
         else if (option(a, "--deep"))
             deep = true;
         else if (option(a, "--deep", &v)) {
@@ -864,11 +814,8 @@ lintCommand(int argc, char **argv)
         usage("lint");
     const std::vector<std::string> targets = expandAll(o.targets);
 
-    const core::CoreParams defaults;
-    analysis::AnalysisOptions ao;
-    ao.marker.markLoopBranches = o.loopExt;
-    ao.maxPredicateDepth = depth ? depth : defaults.predRegisters;
-    ao.memoryBytes = o.mem ? o.mem : defaults.memoryBytes;
+    cfg.markMode = noMark ? sim::MarkMode::None : sim::MarkMode::Profile;
+    analysis::AnalysisOptions ao = sim::analysisOptions(cfg);
     ao.absint = deep;
     ao.absintIterations = deepIters;
 
@@ -880,14 +827,20 @@ lintCommand(int argc, char **argv)
     std::FILE *text = o.json && o.jsonPath.empty() ? stderr : stdout;
     std::size_t total_errors = 0, total_warnings = 0, total_infos = 0;
     for (const std::string &target : targets) {
-        // Mark the way dmp run's train pass would, unless the verifier
-        // rejects the unmarked program: then its findings are reported.
-        isa::Program prog = loadTarget(target, o.build);
-        if (!noMark && verifyUnmarked(prog, ao.memoryBytes).errors() == 0)
-            profile::profileAndMark(prog, ao.memoryBytes, ao.marker);
+        // Load and mark the way dmp run's train pass does. A target
+        // refused there is reported with the findings that refused it.
+        cfg.workload = target;
+        std::size_t marks = 0;
+        analysis::Report report;
         analysis::AnalysisSummary summary;
-        analysis::Report report =
-            analysis::analyzeProgram(prog, ao, &summary);
+        try {
+            const auto train = sim::markTrainBuild(cfg);
+            marks = train->program.allMarks().size();
+            report = analysis::analyzeProgram(train->program, ao, &summary);
+        } catch (const analysis::LintError &e) {
+            report = e.report();
+            summary = e.summary();
+        }
 
         total_errors += report.errors();
         total_warnings += report.warnings();
@@ -899,7 +852,7 @@ lintCommand(int argc, char **argv)
         }
         std::fprintf(text, "%-12s %zu marks: %zu error(s), %zu warning(s), "
                      "%zu info(s)\n",
-                     target.c_str(), prog.allMarks().size(),
+                     target.c_str(), marks,
                      report.errors(), report.warnings(), report.infos());
         if (deep && !o.quiet) {
             const analysis::AbsintStats &s = summary.absintStats;
@@ -922,7 +875,7 @@ lintCommand(int argc, char **argv)
         if (!o.json)
             continue;
         doc.newline().beginObject().field("target", target);
-        doc.field("marks", prog.allMarks().size());
+        doc.field("marks", marks);
         doc.field("errors", report.errors());
         doc.field("warnings", report.warnings());
         doc.field("infos", report.infos());
@@ -981,9 +934,8 @@ int
 markCommand(int argc, char **argv)
 {
     TargetOptions o;
-    const core::CoreParams defaults;
     analysis::MarkGenConfig mg;
-    mg.maxPredicateDepth = defaults.predRegisters;
+    mg.maxPredicateDepth = o.cfg.core.predRegisters;
     bool compare = true;
     for (int i = 1; i < argc; ++i) {
         std::string v;
@@ -1006,8 +958,9 @@ markCommand(int argc, char **argv)
     if (o.targets.empty())
         usage("mark");
     const std::vector<std::string> targets = expandAll(o.targets);
-    mg.marker.markLoopBranches = o.loopExt;
-    const std::size_t mem = o.mem ? o.mem : defaults.memoryBytes;
+    sim::SimConfig &cfg = o.cfg;
+    cfg.markMode = sim::MarkMode::None;
+    mg.marker = cfg.marker;
 
     json::Writer doc;
     doc.beginObject().field("schema", analysis::kMarkGenSchemaVersion);
@@ -1017,14 +970,16 @@ markCommand(int argc, char **argv)
     std::FILE *text = o.json && o.jsonPath.empty() ? stderr : stdout;
     std::size_t total_errors = 0;
     for (const std::string &target : targets) {
-        isa::Program prog = loadTarget(target, o.build);
-        // A program the verifier rejects is refused with its findings,
-        // as dmp run refuses it; the comparison pass would execute it.
-        if (const analysis::Report bad = verifyUnmarked(prog, mem);
-            bad.errors()) {
+        // The train build, verified and unmarked.
+        cfg.workload = target;
+        isa::Program prog;
+        try {
+            prog = sim::markTrainBuild(cfg)->program;
+        } catch (const analysis::LintError &e) {
+            // Refused with its findings, as dmp run refuses it.
             std::fprintf(text, "== %s ==\n", target.c_str());
-            std::fputs(bad.text().c_str(), text);
-            total_errors += bad.errors();
+            std::fputs(e.report().text().c_str(), text);
+            total_errors += e.report().errors();
             continue;
         }
         analysis::MarkGenReport report =
@@ -1033,8 +988,10 @@ markCommand(int argc, char **argv)
 
         analysis::MarkAgreement agreement;
         if (compare) {
-            isa::Program profiled = loadTarget(target, o.build);
-            profile::profileAndMark(profiled, mem, mg.marker);
+            // profileAndMark replaces the copied synthesized marks.
+            isa::Program profiled = prog;
+            profile::profileAndMark(profiled, cfg.core.memoryBytes,
+                                    mg.marker);
             agreement = analysis::compareMarkings(prog, profiled);
         }
         const analysis::MarkAgreement *agree =
@@ -1254,7 +1211,7 @@ paperCommand(int argc, char **argv)
             opts.workloads.push_back(info.name);
     }
     for (const std::string &wl : splitCommas(workloadList)) {
-        if (!isWorkload(wl))
+        if (!workloads::findWorkload(wl))
             dmp_fatal("--workloads: unknown workload: ", wl);
         for (const std::string &seen : opts.workloads)
             if (seen == wl)

@@ -40,6 +40,15 @@ workloadList()
     return list;
 }
 
+const WorkloadInfo *
+findWorkload(const std::string &name)
+{
+    for (const WorkloadInfo &info : workloadList())
+        if (info.name == name)
+            return &info;
+    return nullptr;
+}
+
 isa::Program
 buildWorkload(const std::string &name, const WorkloadParams &params)
 {

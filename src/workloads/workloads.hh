@@ -34,6 +34,9 @@ struct WorkloadInfo
 /** The 15 paper benchmarks, in the paper's presentation order. */
 const std::vector<WorkloadInfo> &workloadList();
 
+/** The descriptor of workload `name`, or null when none has that name. */
+const WorkloadInfo *findWorkload(const std::string &name);
+
 /** Build the named workload. Fatal on unknown names. */
 isa::Program buildWorkload(const std::string &name,
                            const WorkloadParams &params = WorkloadParams{});

@@ -9,7 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+
 #include "analysis/analysis.hh"
+#include "isa/assembler.hh"
 #include "isa/program.hh"
 #include "profile/profiler.hh"
 #include "sim/batch.hh"
@@ -433,10 +437,16 @@ TEST(Lint, BadDivergeBranchIsTheVerifiersFinding)
     EXPECT_EQ(r.errors(), 1u) << r.text();
     EXPECT_TRUE(lint(prog).empty()) << lint(prog).text();
 
+    // The HALT keeps no-reachable-halt out of the count: the loop can
+    // leave through the BEQ.
     isa::ProgramBuilder last;
-    isa::Label top = last.newLabel();
+    isa::Label top = last.newLabel(), out = last.newLabel();
+    last.jmp(top);
+    last.bind(out);
+    last.halt();
     last.bind(top);
     Addr first = last.li(1, 1);
+    last.beq(1, 3, out);
     branch = last.bne(1, 0, top);
     prog = last.build();
     prog.setMark(branch, divergeMark({first}));
@@ -491,29 +501,33 @@ TEST(Lint, RefPreflightRejectsMarkOnNonBranch)
 {
     // A hand-assembled train/ref pair whose ref build holds an ADDI
     // where the train build's marked branch sits: the transferred mark
-    // is refused on the ref image, the one that would run.
+    // is refused on the ref image, the one that would run. The ref
+    // build is an assembly file, a target sim::markRefBuild can load.
     auto build = [](bool branch, Addr *pc_out, Addr *join_out) {
-        isa::ProgramBuilder b;
-        isa::Label join = b.newLabel();
-        b.li(1, 0);
-        *pc_out = branch ? b.beq(1, 0, join) : b.addi(2, 2, 1);
-        b.addi(3, 3, 1);
-        b.bind(join);
-        *join_out = b.halt();
-        return b.build();
+        const std::string text =
+            std::string("li r1, 0\n") +
+            (branch ? "beq r1, r0, join\n" : "addi r2, r2, 1\n") +
+            "addi r3, r3, 1\njoin: halt\n";
+        isa::Program prog = isa::assemble(text);
+        *pc_out = prog.baseAddr() + isa::kInstBytes;
+        *join_out = prog.baseAddr() + 3 * isa::kInstBytes;
+        const std::string path = ::testing::TempDir() + "lint_ref_" +
+                                 (branch ? "branch" : "addi") + ".s";
+        std::ofstream(path) << text;
+        return std::pair{std::move(prog), path};
     };
     Addr pc = 0, join = 0;
-    isa::Program train = build(true, &pc, &join);
-    train.setMark(pc, divergeMark({join}));
+    auto [train_build, same] = build(true, &pc, &join);
+    sim::MarkedProgram train{std::move(train_build), {}};
+    train.program.setMark(pc, divergeMark({join}));
     sim::SimConfig cfg;
-    cfg.workload = "hand";
+    cfg.workload = same;
+    EXPECT_NO_THROW(sim::markRefBuild(cfg, &train));
 
-    isa::Program same = train;
-    EXPECT_NO_THROW(sim::transferAndPreflight(train, same, cfg));
-
-    isa::Program ref = build(false, &pc, &join);
+    const std::string ref = build(false, &pc, &join).second;
+    cfg.workload = ref;
     try {
-        sim::transferAndPreflight(train, ref, cfg);
+        sim::markRefBuild(cfg, &train);
         FAIL() << "mark on a non-branch not caught";
     } catch (const analysis::LintError &e) {
         const analysis::Finding *f = e.report().first("mark-not-branch");
@@ -524,6 +538,8 @@ TEST(Lint, RefPreflightRejectsMarkOnNonBranch)
                   std::string::npos)
             << e.what();
     }
+    std::remove(same.c_str());
+    std::remove(ref.c_str());
 }
 
 TEST(Lint, BatchRunnerPreflightsCleanWorkloads)

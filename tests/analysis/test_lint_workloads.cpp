@@ -10,8 +10,10 @@
 #include <gtest/gtest.h>
 
 #include "analysis/analysis.hh"
+#include "core/params.hh"
 #include "isa/assembler.hh"
 #include "profile/profiler.hh"
+#include "sim/simulator.hh"
 #include "workloads/workloads.hh"
 
 using namespace dmp;
@@ -57,6 +59,52 @@ TEST_P(LintWorkloads, LoopExtensionMarkingsAreLegal)
     isa::Program prog = workloads::buildWorkload(GetParam(), wp);
     analysis::Report r = profileAndAnalyze(prog, true);
     EXPECT_EQ(r.errors(), 0u) << r.text();
+}
+
+namespace
+{
+
+// sim::loadTarget verifies an assembly file with the value analysis
+// before anything runs it, but skips that pass for generated
+// programs: this is the proof that they would pass it, at the seeds
+// and sizes runs use.
+void
+expectDeepClean(const isa::Program &prog, const std::string &what)
+{
+    analysis::AnalysisOptions ao;
+    ao.memoryBytes = core::CoreParams{}.memoryBytes;
+    ao.absint = true;
+    analysis::AnalysisSummary summary;
+    const analysis::Report r = analysis::analyzeProgram(prog, ao, &summary);
+    EXPECT_TRUE(summary.absintRan) << what << ": the value analysis declined";
+    EXPECT_EQ(r.errors(), 0u) << what << "\n" << r.text();
+}
+
+} // namespace
+
+TEST_P(LintWorkloads, DeepVerifierFindsNoError)
+{
+    const sim::SimConfig defaults;
+    for (const std::uint64_t seed : {defaults.train.seed, defaults.ref.seed})
+        for (const std::uint64_t iters : {60, 2000}) {
+            workloads::WorkloadParams wp;
+            wp.seed = seed;
+            wp.iterations = iters;
+            expectDeepClean(workloads::buildWorkload(GetParam(), wp),
+                            "seed " + std::to_string(seed) + ", iters " +
+                                std::to_string(iters));
+        }
+}
+
+TEST(LintRandomPrograms, DeepVerifierFindsNoError)
+{
+    // 25 structures, each at the train and ref data seeds of
+    // RandomProgramFuzz.
+    for (unsigned structure = 0; structure < 25; ++structure)
+        for (const std::uint64_t data : {0xAAAA, 0xBBBB})
+            expectDeepClean(workloads::buildRandomProgram(structure, data),
+                            "random(" + std::to_string(structure) + ", " +
+                                std::to_string(data) + ")");
 }
 
 INSTANTIATE_TEST_SUITE_P(AllWorkloads, LintWorkloads, [] {

@@ -9,13 +9,16 @@
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
+#include <signal.h>
 #include <spawn.h>
 #include <sys/wait.h>
 
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <thread>
 #include <vector>
 
 extern char **environ;
@@ -49,7 +52,15 @@ struct CliResult
     std::string err;
 };
 
-/** Run `dmp` with `args`, capturing stdout and stderr. */
+/** How long runDmp lets one `dmp` invocation run before killing it. */
+constexpr std::chrono::seconds kDmpDeadline{120};
+
+/**
+ * Run `dmp` with `args`, capturing stdout and stderr. A run still going
+ * after kDmpDeadline is killed, and its result has status -1 and
+ * "timed out" in `err`, so a hang fails the test instead of stalling
+ * the suite.
+ */
 inline CliResult
 runDmp(std::vector<std::string> args)
 {
@@ -76,10 +87,23 @@ runDmp(std::vector<std::string> args)
     if (spawned != 0)
         return r;
     int status = 0;
-    EXPECT_EQ(waitpid(pid, &status, 0), pid);
-    r.status = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+    const auto deadline = std::chrono::steady_clock::now() + kDmpDeadline;
+    pid_t waited = 0;
+    while ((waited = waitpid(pid, &status, WNOHANG)) == 0 &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    const bool timed_out = waited == 0;
+    if (timed_out) {
+        kill(pid, SIGKILL);
+        waited = waitpid(pid, &status, 0);
+    }
+    EXPECT_EQ(waited, pid);
+    r.status = WIFEXITED(status) && !timed_out ? WEXITSTATUS(status) : -1;
     r.out = slurp(out_path);
     r.err = slurp(err_path);
+    if (timed_out)
+        r.err += "\ndmp timed out after " +
+                 std::to_string(kDmpDeadline.count()) + " s\n";
     std::remove(out_path.c_str());
     std::remove(err_path.c_str());
     return r;

@@ -229,33 +229,56 @@ TEST(DmpRun, RefusesWhatDmpLintRejects)
     // Marking by profile (the default) would execute the program, so
     // the verifier sees it first there too: every path reports the
     // finding instead of failing inside the train run.
-    const std::string path = tempPath("fallthrough.s");
+    //
+    // The other inputs are faults only the value analysis proves, and
+    // a loop that never ends. An assembly file is verified with it as
+    // it loads, so each is refused with its finding too, instead of a
+    // fetch or memory fatal, an assertion abort or a run that never
+    // returns.
+    struct Input
     {
-        std::ofstream src(path);
-        src << "li r1, 6\nadd r2, r1, r1\n";
-    }
-    const std::vector<std::vector<std::string>> commands = {
-        {"lint", "--no-mark", path}, {"lint", path},
-        {"lint", "--deep", path},    {"run", "--mark=none", path},
-        {"run", path},               {"run", "--mark=static", path},
-        {"mark", path},              {"mark", "--no-compare", path}};
-    for (const std::vector<std::string> &args : commands) {
-        std::string what = "dmp";
-        for (std::size_t i = 0; i + 1 < args.size(); ++i)
-            what += " " + args[i];
-        test::CliResult r = runDmp(args);
-        EXPECT_EQ(r.status, 1) << what;
-        EXPECT_NE((r.out + r.err).find("fallthrough-end"),
-                  std::string::npos)
-            << what << ": " << r.out << r.err;
-        EXPECT_EQ(r.err.find("fatal"), std::string::npos)
-            << what << ": " << r.err;
-        if (args[0] == "run") {
-            EXPECT_EQ(r.out.find("IPC"), std::string::npos)
-                << what << ": " << r.out;
+        const char *file, *source, *code;
+    };
+    const Input inputs[] = {
+        {"fallthrough.s", "li r1, 6\nadd r2, r1, r1\n", "fallthrough-end"},
+        {"jump_out.s", "li r1, 8\njr r1\nhalt\n", "indirect-target-oob"},
+        {"unaligned.s", "li r1, 3\nld r2, r1, 0\nhalt\n", "mem-unaligned"},
+        {"past_data.s", "li r1, 0x7ffffff8\nld r2, r1, 0\nhalt\n",
+         "mem-oob"},
+        {"endless.s", "top: addi r1, r1, 1\njmp top\n",
+         "no-reachable-halt"},
+    };
+    for (const Input &in : inputs) {
+        const std::string path = tempPath(in.file);
+        {
+            std::ofstream src(path);
+            src << in.source;
         }
+        const std::vector<std::vector<std::string>> commands = {
+            {"lint", "--no-mark", path}, {"lint", path},
+            {"lint", "--deep", path},    {"run", "--mark=none", path},
+            {"run", path},               {"run", "--mark=static", path},
+            {"mark", path},              {"mark", "--no-compare", path}};
+        for (const std::vector<std::string> &args : commands) {
+            std::string what = "dmp";
+            for (std::size_t i = 0; i + 1 < args.size(); ++i)
+                what += " " + args[i];
+            what.append(" ").append(in.file);
+            test::CliResult r = runDmp(args);
+            EXPECT_EQ(r.status, 1) << what;
+            EXPECT_NE((r.out + r.err).find(in.code), std::string::npos)
+                << what << ": " << r.out << r.err;
+            EXPECT_EQ(r.err.find("fatal"), std::string::npos)
+                << what << ": " << r.err;
+            EXPECT_EQ(r.err.find("panic"), std::string::npos)
+                << what << ": " << r.err;
+            if (args[0] == "run") {
+                EXPECT_EQ(r.out.find("IPC"), std::string::npos)
+                    << what << ": " << r.out;
+            }
+        }
+        std::remove(path.c_str());
     }
-    std::remove(path.c_str());
 }
 
 TEST(DmpRun, StatsJsonMatchesLibraryResult)
